@@ -10,6 +10,8 @@ input, 1 internal/numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -29,6 +31,7 @@ from .scan import (
     CV_CRITERIA,
     DV_CRITERIA,
     GridAxis,
+    _default_obs_spec,
     bisect_threshold,
     sweep,
 )
@@ -99,13 +102,20 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _report_text(report, fmt: str) -> str:
     if fmt == "csv":
         rep = report.to_dict()
-        header = "criterion,lhs,rhs,margin,detected\n"
-        row = (f"{rep['criterion']},{rep['lhs']!r},{rep['rhs']!r},"
-               f"{rep['margin']!r},{str(rep['detected']).lower()}\n")
-        return header + row
+        return _csv_text(["criterion", "lhs", "rhs", "margin", "detected"],
+                         [[rep["criterion"], repr(rep["lhs"]), repr(rep["rhs"]),
+                           repr(rep["margin"]), str(rep["detected"]).lower()]])
     return json.dumps(report.to_dict(), indent=2) + "\n"
 
 
@@ -184,7 +194,7 @@ def _cmd_evaluate(args) -> str:
     if entry.needs_obs:
         obs_spec = _read_spec(args.obs, args.obs_file, "obs")
         if obs_spec is None:
-            obs_spec = "pauli_loo_pair" if rho.dims == (2, 2) else "schmidt_loo_pair"
+            obs_spec = _default_obs_spec(rho.dims)
         obs = observables_from_spec(obs_spec, state=rho, default_seed=args.seed)
     report = entry.evaluate(rho, obs)
     return _report_text(report, args.format)
@@ -224,9 +234,9 @@ def _cmd_bisect(args) -> str:
         "lo": args.lo, "hi": args.hi, "tol": args.tol, "threshold": threshold,
     }
     if args.format == "csv":
-        return ("family,param,criterion,lo,hi,tol,threshold\n"
-                f"{args.family},{args.param},{args.criterion},{args.lo!r},"
-                f"{args.hi!r},{args.tol!r},{threshold!r}\n")
+        return _csv_text(list(payload),
+                         [[args.family, args.param, args.criterion, repr(args.lo),
+                           repr(args.hi), repr(args.tol), repr(threshold)]])
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -250,10 +260,9 @@ def _cmd_list_states(args) -> str:
         "description": fam.description,
     } for fam in FAMILIES.values()]
     if args.format == "csv":
-        lines = ["family,dim_a,dim_b,params,description"]
-        lines += [f"{r['family']},{r['dims'][0]},{r['dims'][1]},"
-                  f"{';'.join(sorted(r['params']))},{r['description']}" for r in rows]
-        return "\n".join(lines) + "\n"
+        return _csv_text(["family", "dim_a", "dim_b", "params", "description"],
+                         [[r["family"], r["dims"][0], r["dims"][1],
+                           ";".join(sorted(r["params"])), r["description"]] for r in rows])
     return json.dumps(rows, indent=2) + "\n"
 
 
@@ -263,10 +272,9 @@ def _cmd_list_criteria(args) -> str:
     rows += [{"criterion": e.name, "domain": "cv", "needs_obs": False,
               "description": e.description} for e in CV_CRITERIA.values()]
     if args.format == "csv":
-        lines = ["criterion,domain,needs_obs,description"]
-        lines += [f"{r['criterion']},{r['domain']},"
-                  f"{str(r['needs_obs']).lower()},{r['description']}" for r in rows]
-        return "\n".join(lines) + "\n"
+        return _csv_text(["criterion", "domain", "needs_obs", "description"],
+                         [[r["criterion"], r["domain"], str(r["needs_obs"]).lower(),
+                           r["description"]] for r in rows])
     return json.dumps({"criteria": rows, "observable_builders": OBS_BUILDERS},
                       indent=2) + "\n"
 

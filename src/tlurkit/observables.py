@@ -14,8 +14,11 @@ Closed-form bounds used by the builders:
   sum <g_k^2> = 2(d^2-1)/d and sum <g_k>^2 = 2(Tr rho^2 - 1/d), hence
   bound 2(d-1).
 
-Every constructed set is sanity-sampled against random pure states; a
-declared bound beaten by a sample is rejected.
+Every constructed set has both bounds checked.  A side whose nonzero
+operators form one of the two sets above, up to signs (a Hilbert-Schmidt
+Gram-matrix test), is held to that exact minimum; every builder's sets are
+of this kind.  Any other side, such as declared ``opsA``/``opsB`` matrices,
+must not beat 64 seeded random pure states.
 """
 
 from __future__ import annotations
@@ -51,8 +54,17 @@ _SANITY_SEED = 1905
 _SANITY_SAMPLES = 64
 
 
-def _hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.trace(a.conj().T @ b))
+def _gram(arrays: list[np.ndarray]) -> np.ndarray:
+    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of equal-shape arrays."""
+    v = np.stack([np.asarray(a).ravel() for a in arrays])
+    return v.conj() @ v.T
+
+
+def _is_complete_loo(arrays: list[np.ndarray]) -> bool:
+    """True for d^2 operators that are Hilbert-Schmidt orthonormal."""
+    d = arrays[0].shape[0]
+    return (len(arrays) == d * d
+            and np.abs(_gram(arrays) - np.eye(d * d)).max() <= ORTHONORMALITY_ATOL)
 
 
 def _fro(a: np.ndarray) -> float:
@@ -61,9 +73,10 @@ def _fro(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BoundProvenance:
-    """How a bound was obtained: closed form or seeded numeric minimization."""
+    """How a bound was obtained: closed form, seeded numeric minimization, or
+    declared with explicit matrices."""
 
-    mode: str  # "analytic" | "numeric"
+    mode: str  # "analytic" | "numeric" | "declared" (user-supplied opsA/opsB)
     seed: int | None = None
     restarts: int | None = None
     tolerance: float | None = None
@@ -103,13 +116,17 @@ class LocalObservableSet:
             raise ValidationError("bounds must be finite")
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValidationError("bounds must be nonnegative")
-        self._sanity_check()
-
-    def _sanity_check(self):
         rng = np.random.default_rng(_SANITY_SEED)
         for side, ops, bound in (("A", self.ops_a, self.bound_a),
                                  ("B", self.ops_b, self.bound_b)):
             arrays = [np.asarray(op.matrix) for op in ops]
+            exact = _classify_analytic(arrays)
+            if exact is not None:
+                if bound > exact + 1e-8:
+                    raise InvalidBoundError(
+                        f"declared bound {bound} on side {side} exceeds the exact "
+                        f"pure-state minimum {exact} of its variance sum")
+                continue
             sq = sum(a @ a for a in arrays)
             d = ops[0].dim
             best = min(_variance_sum_pure(random_pure_state(d, rng), arrays, sq)
@@ -145,9 +162,7 @@ class LooBasis:
         d = self.ops[0].dim
         if len(self.ops) != d * d:
             raise ValidationError(f"need {d * d} operators for dimension {d}, got {len(self.ops)}")
-        arrays = [np.asarray(op.matrix) for op in self.ops]
-        gram = np.array([[_hs_inner(a, b) for b in arrays] for a in arrays])
-        if np.abs(gram - np.eye(d * d)).max() > ORTHONORMALITY_ATOL:
+        if not _is_complete_loo([np.asarray(op.matrix) for op in self.ops]):
             raise ValidationError("operators are not Hilbert-Schmidt orthonormal")
 
     @property
@@ -316,13 +331,11 @@ def _classify_analytic(arrays: list[np.ndarray]) -> float | None:
     if not nonzero:
         return 0.0
     d = nonzero[0].shape[0]
-    n = len(nonzero)
-    gram = np.array([[_hs_inner(a, b) for b in nonzero] for a in nonzero])
-    if n == d * d and np.abs(gram - np.eye(n)).max() <= ORTHONORMALITY_ATOL:
+    if _is_complete_loo(nonzero):
         return float(d - 1)
-    traceless = all(abs(np.trace(a)) <= 1e-10 for a in nonzero)
-    if (n == d * d - 1 and traceless
-            and np.abs(gram - 2.0 * np.eye(n)).max() <= 2 * ORTHONORMALITY_ATOL):
+    n = len(nonzero)
+    if (n == d * d - 1 and all(abs(np.trace(a)) <= 1e-10 for a in nonzero)
+            and np.abs(_gram(nonzero) - 2.0 * np.eye(n)).max() <= 2 * ORTHONORMALITY_ATOL):
         return float(2 * (d - 1))
     return None
 
@@ -426,7 +439,7 @@ def observables_from_spec(spec, state: DensityMatrix | None = None,
 
     Accepts a bare builder name, ``{"builder": name, "params": {...}}``, or
     explicit matrices ``{"opsA": [...], "opsB": [...], "boundA": x,
-    "boundB": y}`` whose declared bounds are sanity-sampled.  ``state``
+    "boundB": y}`` whose declared bounds are checked on construction.  ``state``
     (or bare ``dims``) supplies default dimensions for dimension-generic
     builders; the Schmidt builder needs the state itself.
     """
@@ -473,5 +486,5 @@ def observables_from_spec(spec, state: DensityMatrix | None = None,
             ba, bb = float(spec["boundA"]), float(spec["boundB"])
         except (TypeError, ValueError) as exc:
             raise SpecParseError("bounds must be numbers", field="boundA/boundB") from exc
-        return LocalObservableSet(ops_a, ops_b, ba, bb, BoundProvenance("analytic"))
+        return LocalObservableSet(ops_a, ops_b, ba, bb, BoundProvenance("declared"))
     raise SpecParseError("observable spec needs 'builder' or explicit opsA/opsB", field="obs")

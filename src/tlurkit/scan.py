@@ -152,8 +152,10 @@ class GridAxis:
             raise ParameterRangeError(f"axis '{self.name}': stop below start")
 
     def values(self) -> list[float]:
-        n = int(round((self.stop - self.start) / self.step)) + 1
-        return [self.start + i * self.step for i in range(max(n, 1))]
+        # floor, not round, so no value passes stop when step does not divide
+        # the interval; the slack absorbs round-off when it does
+        n = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        return [self.start + i * self.step for i in range(n)]
 
     def to_dict(self) -> dict:
         return {"name": self.name, "start": self.start, "stop": self.stop,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -91,6 +93,13 @@ def test_list_states_and_criteria(capsys):
     assert {"lur", "tlur", "tlur_dual", "lemma1", "corollary1",
             "nonlinear_witness", "ppt", "ccnr", "duan", "corollary2"} <= names
     assert "schmidt_loo_pair" in payload["observable_builders"]
+
+    for command in ("list-states", "list-criteria"):
+        code, out, _ = run(capsys, "--format", "csv", command)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1
+        assert all(len(row) == len(rows[0]) for row in rows)
 
 
 def test_scan_cli_csv(capsys):

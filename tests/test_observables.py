@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import I2, PX, PY, PZ, random_dm_array
 from tlurkit import (
@@ -13,7 +13,9 @@ from tlurkit.errors import (
 )
 from tlurkit.linops import HermitianOperator
 from tlurkit.observables import BoundProvenance, LocalObservableSet, LooBasis
-from tlurkit.states import horodecki_noise, random_pure_state, random_separable
+from tlurkit.states import (
+    horodecki_noise, random_mixed_state, random_pure_state, random_separable,
+)
 
 
 def test_su_generators_d2_are_paulis():
@@ -256,6 +258,7 @@ def test_observables_from_spec_explicit_matrices():
     spec = {"opsA": [z, x], "opsB": [z, x], "boundA": 0.9, "boundB": 0.9}
     obs = observables_from_spec(spec)
     assert obs.n == 2
+    assert obs.provenance.mode == "declared"
     bad = dict(spec, boundA=1.5)
     with pytest.raises(InvalidBoundError):
         observables_from_spec(bad)
@@ -272,3 +275,62 @@ def test_random_separable_satisfies_sampled_bounds():
         rho = random_separable((2, 2), 3, seed)
         assert not eval_lur(rho, obs).detected
         assert not eval_tlur(rho, obs).detected
+
+
+def _schmidt_test_states():
+    rng = np.random.default_rng(31)
+    ket = np.zeros(6)
+    ket[0] = 1.0
+    yield singlet()
+    yield horodecki_noise(0.4, 0.9)
+    yield DensityMatrix(3, 3, np.eye(9) / 9)
+    yield DensityMatrix(2, 3, np.outer(ket, ket))
+    yield random_separable((3, 2), 2, 7)
+    for (da, db), rank in [((2, 3), 1), ((3, 3), 2), ((3, 4), 3), ((4, 4), 16)]:
+        yield DensityMatrix(da, db, random_mixed_state(da * db, rng, rank))
+
+
+def test_builder_sets_are_certified_without_sampling(monkeypatch):
+    # every library builder makes sets with a closed-form bound, so building
+    # them must not draw a single random state
+    numeric = [su_pair(da, db, pairing=pairing, bound_mode="numeric", restarts=2)
+               for da, db in [(2, 2), (2, 3)] for pairing in ("conjugate", "direct")]
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a builder set drew a random state")
+
+    monkeypatch.setattr("tlurkit.observables.random_pure_state", no_sampling)
+    pauli_loo_pair()
+    for da, db in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)]:
+        for pairing in ("conjugate", "direct"):
+            loo_pair(da, db, pairing=pairing)
+            su_pair(da, db, pairing=pairing)
+    for obs in numeric:
+        LocalObservableSet(obs.ops_a, obs.ops_b, obs.bound_a, obs.bound_b, obs.provenance)
+    for rho in _schmidt_test_states():
+        schmidt_loo_pair(rho)
+        observables_from_spec("schmidt_loo_pair", state=rho)
+
+
+@pytest.mark.parametrize("ops,exact", [
+    (loo_basis(3).ops, 2.0),
+    ([HermitianOperator(m) for m in (PX, -PY, PZ)], 2.0),
+])
+def test_declared_closed_form_bound_is_exact(ops, exact):
+    declared = BoundProvenance("declared")
+    obs = LocalObservableSet(ops, ops, exact, exact, declared)
+    assert obs.bound_a == obs.bound_b == exact
+    with pytest.raises(InvalidBoundError):
+        LocalObservableSet(ops, ops, exact, exact + 1e-6, declared)
+
+
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       st.integers(1, 3))
+@settings(max_examples=100)
+def test_schmidt_lur_detects_whatever_ccnr_detects(seed, dims, rank):
+    from tlurkit import eval_ccnr, eval_lur
+
+    da, db = dims
+    rho = DensityMatrix(da, db, random_mixed_state(da * db, np.random.default_rng(seed), rank))
+    if eval_ccnr(rho).detected:
+        assert eval_lur(rho, schmidt_loo_pair(rho)).detected

@@ -22,6 +22,13 @@ def test_grid_axis_values():
         GridAxis("p", 1.0, 0.0, 0.1)
 
 
+def test_grid_axis_stops_short_when_step_does_not_divide():
+    axis = GridAxis("p", 0.0, 1.0, 0.35)
+    assert axis.values() == [0.0, 0.35, 0.7]
+    result = sweep("horodecki_noise", [axis], ["ppt"], fixed_params={"a": 0.5})
+    assert [c["params"]["p"] for c in result.cells] == [0.0, 0.35, 0.7]
+
+
 def test_sweep_noisy_singlet_endpoints():
     result = sweep("noisy_singlet", [GridAxis("p", 0.0, 1.0, 1.0)], ["corollary1"])
     assert result.obs_spec == "pauli_loo_pair"  # default for two qubits
