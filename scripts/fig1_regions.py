@@ -24,7 +24,6 @@ def main():
     parser.add_argument("--out-dir", default="fig1_data")
     parser.add_argument("--step-a", type=float, default=0.05)
     parser.add_argument("--step-p", type=float, default=0.01)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
     out = pathlib.Path(args.out_dir)
@@ -40,8 +39,7 @@ def main():
 
     result = sweep("horodecki_noise",
                    [a_axis, GridAxis("p", 0.0, 1.0, args.step_p)],
-                   ["lur", "tlur"], obs_spec="schmidt_loo_pair",
-                   workers=args.threads)
+                   ["lur", "tlur"], obs_spec="schmidt_loo_pair")
     (out / "regions.csv").write_text(result.to_csv())
 
     boundary = {}

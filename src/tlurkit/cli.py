@@ -124,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                      description="variance-based entanglement detection toolkit")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed threaded through randomized paths")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for sweeps (TLURKIT_THREADS overrides)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -208,8 +206,7 @@ def _cmd_scan(args) -> str:
     axis = GridAxis(args.param, args.min, args.max, args.step)
     result = sweep(args.family, [axis], args.criteria.split(","),
                    obs_spec=_read_spec(args.obs, args.obs_file, "obs"),
-                   fixed_params=_parse_fixes(args.fix),
-                   workers=args.threads, seed=args.seed)
+                   fixed_params=_parse_fixes(args.fix), seed=args.seed)
     return _scan_result_text(result, args.format)
 
 
@@ -219,8 +216,7 @@ def _cmd_sweep(args) -> str:
     result = sweep(args.family, [_parse_axis(a) for a in args.axis],
                    args.criteria.split(","),
                    obs_spec=_read_spec(args.obs, args.obs_file, "obs"),
-                   fixed_params=_parse_fixes(args.fix),
-                   workers=args.threads, seed=args.seed)
+                   fixed_params=_parse_fixes(args.fix), seed=args.seed)
     return _scan_result_text(result, args.format)
 
 

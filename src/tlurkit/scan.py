@@ -1,9 +1,8 @@
 """Parameter sweeps and threshold bisection over state families.
 
 Grids are Cartesian products of axes, first axis slowest; cells are
-evaluated by a thread pool but always collected in grid order, so output
-is byte-identical for any worker count.  The ``TLURKIT_THREADS``
-environment variable overrides the worker count.
+evaluated one after another in grid order, so output is byte-identical
+across runs.
 
 State-adapted observables (the Schmidt builder) are rebuilt at every grid
 point; any other observable spec is built once and reused.
@@ -13,8 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,11 +35,8 @@ from .states import FAMILIES, family_dims
 
 __all__ = [
     "GridAxis", "ScanResult", "sweep", "bisect_threshold",
-    "evaluate_criterion", "resolve_workers", "DV_CRITERIA", "CV_CRITERIA",
-    "ENV_THREADS",
+    "evaluate_criterion", "DV_CRITERIA", "CV_CRITERIA",
 ]
-
-ENV_THREADS = "TLURKIT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -118,22 +112,13 @@ def evaluate_criterion(name: str, rho, obs=None) -> CriterionReport:
     return entry.evaluate(rho, obs)
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: TLURKIT_THREADS env var wins, then the argument."""
-    env = os.environ.get(ENV_THREADS)
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ParameterRangeError(f"{ENV_THREADS} must be an integer, got {env!r}")
-        if n < 1:
-            raise ParameterRangeError(f"{ENV_THREADS} must be >= 1, got {n}")
-        return n
-    if requested is not None:
-        if requested < 1:
-            raise ParameterRangeError(f"worker count must be >= 1, got {requested}")
-        return requested
-    return os.cpu_count() or 1
+def resolve_workers() -> int:
+    """Always 1: sweeps run in the calling thread.
+
+    Kept only for the benchmark's info line (``perfbench/workloads.py``),
+    which reads it; remove it with the next change to the benchmark.
+    """
+    return 1
 
 
 @dataclass(frozen=True)
@@ -153,9 +138,10 @@ class GridAxis:
 
     def values(self) -> list[float]:
         # floor, not round, so no value passes stop when step does not divide
-        # the interval; the slack absorbs round-off when it does
+        # the interval; the slack absorbs round-off when it does, and the
+        # clamp keeps that round-off from carrying the last value past stop
         n = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(n)]
+        return [min(self.start + i * self.step, self.stop) for i in range(n)]
 
     def to_dict(self) -> dict:
         return {"name": self.name, "start": self.start, "stop": self.stop,
@@ -256,8 +242,7 @@ def _make_point_evaluator(family: str, criteria: list[str], obs_spec,
 
 
 def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
-          fixed_params: dict | None = None, workers: int | None = None,
-          seed: int = 0) -> ScanResult:
+          fixed_params: dict | None = None, seed: int = 0) -> ScanResult:
     """Evaluate criteria over the Cartesian grid; deterministic cell order."""
     if not criteria:
         raise ParameterRangeError("need at least one criterion")
@@ -275,12 +260,7 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
         return {"params": {**params, **fixed_params},
                 "reports": {k: _summary(v) for k, v in reports.items()}}
 
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(points) <= 1:
-        cells = [cell(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            cells = list(pool.map(cell, points))
+    cells = [cell(p) for p in points]
     spec_out = resolved_spec if not isinstance(resolved_spec, LocalObservableSet) else "explicit"
     return ScanResult(family, fixed_params, list(grid), list(criteria), cells,
                       obs_spec=spec_out, seed=seed)

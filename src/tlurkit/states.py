@@ -132,7 +132,7 @@ class StateFamily:
 
     name: str
     dims: tuple[int, int]
-    params: dict[str, tuple[float, float]]  # name -> inclusive-ish (lo, hi)
+    params: dict[str, tuple[float, float]]  # name -> inclusive (lo, hi)
     build: Callable[..., DensityMatrix]
     description: str = ""
     defaults: dict[str, float] = field(default_factory=dict)
@@ -148,7 +148,19 @@ class StateFamily:
         if missing:
             raise ParameterRangeError(
                 f"missing parameter(s) {sorted(missing)} for family '{self.name}'")
+        for name, (lo, hi) in self.params.items():
+            if not lo <= merged[name] <= hi:
+                raise ParameterRangeError(
+                    f"{name} must lie in [{lo}, {hi}] for family '{self.name}', "
+                    f"got {merged[name]}")
         return self.build(**merged)
+
+    def dims_for(self, params: dict | None = None) -> tuple[int, int]:
+        """Local dimensions: ``dim_a``/``dim_b`` when the family takes them."""
+        if not {"dim_a", "dim_b"} <= self.params.keys():
+            return self.dims
+        merged = {**self.defaults, **(params or {})}
+        return (int(merged["dim_a"]), int(merged["dim_b"]))
 
 
 FAMILIES: dict[str, StateFamily] = {}
@@ -194,11 +206,7 @@ def family_dims(name: str, params: dict | None = None) -> tuple[int, int]:
     fam = FAMILIES.get(name)
     if fam is None:
         raise ParameterRangeError(f"unknown state family '{name}'")
-    if name == "random_separable":
-        merged = dict(fam.defaults)
-        merged.update(params or {})
-        return (int(merged["dim_a"]), int(merged["dim_b"]))
-    return fam.dims
+    return fam.dims_for(params)
 
 
 def _parse_complex_entry(entry, where: str) -> complex:

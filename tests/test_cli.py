@@ -125,18 +125,17 @@ def test_sweep_cli_writes_file(tmp_path, capsys):
     assert data["obs"] == "schmidt_loo_pair"
 
 
-def test_sweep_cli_deterministic_across_threads(tmp_path, capsys, monkeypatch):
-    blobs = {}
-    for threads in ("1", "4"):
-        monkeypatch.setenv("TLURKIT_THREADS", threads)
-        target = tmp_path / f"out-{threads}.csv"
+def test_sweep_cli_deterministic_across_runs(tmp_path, capsys):
+    blobs = []
+    for k in range(2):
+        target = tmp_path / f"out-{k}.csv"
         code, _, _ = run(
             capsys, "--seed", "7", "--format", "csv", "--out", str(target),
             "sweep", "--family", "noisy_singlet", "--axis", "p:0:1:0.1",
             "--criteria", "corollary1,ppt,lemma1")
         assert code == 0
-        blobs[threads] = target.read_bytes()
-    assert blobs["1"] == blobs["4"]
+        blobs.append(target.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_invalid_inputs_exit_2(capsys):
@@ -152,6 +151,10 @@ def test_invalid_inputs_exit_2(capsys):
         ("scan", "--family", "noisy_singlet", "--param", "p", "--min", "0",
          "--max", "1", "--step", "0.1", "--criteria", "bogus"),
         ("cv-evaluate", "--state", '{"cov": [[1,0,0,0]]}', "--criterion", "duan"),
+        ("--threads", "2", "sweep", "--family", "noisy_singlet",
+         "--axis", "p:0:1:0.5", "--criteria", "ppt"),  # no such flag
+        ("evaluate", "--state", '{"family":"random_separable","params":{"dim_a":40}}',
+         "--criterion", "ppt"),  # outside the declared range (2, 16)
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -159,6 +162,7 @@ def test_invalid_inputs_exit_2(capsys):
         diag = json.loads(err)
         assert diag["error"] == "invalid-input"
         assert diag["detail"]
+    assert "dim_a" in diag["detail"]  # the last case names the parameter
 
 
 def test_usage_error_is_machine_parsable(capsys):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,12 @@ def test_grid_axis_stops_short_when_step_does_not_divide():
     assert axis.values() == [0.0, 0.35, 0.7]
     result = sweep("horodecki_noise", [axis], ["ppt"], fixed_params={"a": 0.5})
     assert [c["params"]["p"] for c in result.cells] == [0.0, 0.35, 0.7]
+    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002: clamped to stop
+    axis = GridAxis("p", 0.09, 1.0, 0.07)
+    assert len(axis.values()) == 14 and axis.values()[-1] == 1.0
+    result = sweep("horodecki_noise", [axis], ["ppt"], fixed_params={"a": 0.5})
+    assert result.cells[-1]["params"]["p"] == 1.0
+    assert GridAxis("a", 0.05, 0.95, 0.05).values()[-1] == 0.95
 
 
 def test_sweep_noisy_singlet_endpoints():
@@ -61,19 +69,23 @@ def test_sweep_propagates_errors_with_coordinates():
     assert "point" in str(err.value)
 
 
-def test_sweep_deterministic_across_workers(monkeypatch):
+def test_sweep_deterministic_across_runs():
     grid = [GridAxis("a", 0.2, 0.8, 0.3), GridAxis("p", 0.9, 1.0, 0.05)]
-    outputs = {}
-    for workers in (1, 4):
-        monkeypatch.setenv("TLURKIT_THREADS", str(workers))
+    outputs = []
+    for _ in range(2):
         result = sweep("horodecki_noise", grid, ["lur", "tlur"],
                        obs_spec="schmidt_loo_pair")
-        outputs[workers] = (result.to_json(), result.to_csv())
-    assert outputs[1] == outputs[4]
-    monkeypatch.delenv("TLURKIT_THREADS")
-    again = sweep("horodecki_noise", grid, ["lur", "tlur"],
-                  obs_spec="schmidt_loo_pair")
-    assert (again.to_json(), again.to_csv()) == outputs[1]
+        outputs.append((result.to_json().encode(), result.to_csv().encode()))
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("sweep started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = sweep("noisy_singlet", [GridAxis("p", 0.0, 1.0, 1.0)], ["ppt"])
+    assert len(result.cells) == 2
 
 
 def test_sweep_csv_schema():
@@ -149,15 +161,8 @@ def test_bisect_validates_interval():
         bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "ppt", tol=0.0)
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.setenv("TLURKIT_THREADS", "3")
-    assert resolve_workers(8) == 3
-    monkeypatch.setenv("TLURKIT_THREADS", "zero")
-    with pytest.raises(ParameterRangeError):
-        resolve_workers()
-    monkeypatch.delenv("TLURKIT_THREADS")
-    assert resolve_workers(2) == 2
-    assert resolve_workers() >= 1
+def test_resolve_workers():
+    assert resolve_workers() == 1
 
 
 def test_sweep_fixed_params_and_measures():

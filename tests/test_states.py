@@ -141,3 +141,12 @@ def test_family_registry():
     assert family_dims("random_separable", {"dim_a": 3, "dim_b": 2}) == (3, 2)
     rho = FAMILIES["random_separable"].instantiate(n_terms=2, seed=3)
     assert rho.dims == (2, 2)
+
+
+def test_instantiate_enforces_declared_ranges():
+    fam = FAMILIES["random_separable"]
+    assert fam.instantiate(dim_a=16, n_terms=1).dims == (16, 2)  # bounds inclusive
+    for bad in ({"dim_a": 40}, {"dim_b": 1}, {"n_terms": 2000}, {"seed": -1}):
+        with pytest.raises(ParameterRangeError) as err:
+            fam.instantiate(**bad)
+        assert next(iter(bad)) in str(err.value)
