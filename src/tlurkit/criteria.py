@@ -15,6 +15,12 @@ violation (positive means entanglement detected):
   corollary1 subtracts a purity-difference term and is never weaker.
 * ``eval_ppt`` / ``eval_ccnr``: standard comparators.
 
+Every variance criterion and both LOO witnesses read one moment kernel,
+``_moments``: from one reshape of the state it returns the per-k vectors
+<A_k>, <B_k>, <A_k^2>, <B_k^2> and <A_k (x) B_k> of the operator stacks
+that observable sets and LOO bases carry.  Each variance is clipped at zero
+before it is summed.
+
 Local variance sums may round off slightly below a tight bound; deficits in
 [-1e-9, 0) are clipped to zero before square roots, anything worse is a hard
 error (the supplied bound cannot be a true bound).
@@ -32,9 +38,8 @@ from .linops import (
     purity,
     realign,
     trace_norm,
-    variance,
 )
-from .observables import LocalObservableSet, LooBasis
+from .observables import LocalObservableSet, LooBasis, _nonzero, _zero_pad
 from .report import DETECTION_TOL, CriterionReport, make_report
 
 __all__ = [
@@ -54,23 +59,47 @@ def _check_dims(rho, obs: LocalObservableSet):
             f"({rho.dim_a},{rho.dim_b})")
 
 
+def _moments(rho, a, b, a2, b2):
+    """Per-k moments of stacked local operators on ``rho``.
+
+    ``a`` (n, d_A, d_A) and ``b`` (n, d_B, d_B) are Hermitian stacks,
+    zero-padded to a common n, and ``a2``/``b2`` their squares.  Returns the
+    vectors <A_k>, <B_k>, <A_k^2>, <B_k^2> and <A_k (x) B_k>.  With row-major
+    vec and vec(A^T) = conj(vec(A)) for Hermitian A, Tr(rho_A A) =
+    conj(vec A) . vec(rho_A) and <A (x) B> = conj(vec A)^T R(rho) conj(vec B),
+    R the realigned state.
+    """
+    da, db = rho.dim_a, rho.dim_b
+    n = len(a)
+    t = np.asarray(rho.matrix).reshape(da, db, da, db)
+    ra = np.einsum("ikjk->ij", t).ravel()
+    rb = np.einsum("kikj->ij", t).ravel()
+    realigned = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    va, vb = a.reshape(n, -1).conj(), b.reshape(n, -1).conj()
+    return ((va @ ra).real, (vb @ rb).real,
+            (a2.reshape(n, -1).conj() @ ra).real, (b2.reshape(n, -1).conj() @ rb).real,
+            ((va @ realigned) * vb).sum(axis=1).real)
+
+
+def _set_moments(rho, obs: LocalObservableSet):
+    _check_dims(rho, obs)
+    return _moments(rho, obs.stack_a, obs.stack_b, obs.sq_a, obs.sq_b)
+
+
+def _variance_sum(mean, second) -> float:
+    """sum_k Var_k, each variance clipped to zero against round-off."""
+    return float(np.maximum(second - mean * mean, 0.0).sum())
+
+
+def _joint_sum(ma, mb, qa, qb, ab) -> float:
+    """sum_k Var(A_k (x) 1 + 1 (x) B_k); (A (x) 1 + 1 (x) B)^2 = A^2 (x) 1 +
+    1 (x) B^2 + 2 A (x) B."""
+    return _variance_sum(ma + mb, qa + qb + 2.0 * ab)
+
+
 def joint_variance_sum(rho, obs: LocalObservableSet) -> float:
     """sum_k Var(A_k (x) 1 + 1 (x) B_k) on the joint state."""
-    _check_dims(rho, obs)
-    ia, ib = np.eye(rho.dim_a), np.eye(rho.dim_b)
-    total = 0.0
-    for a, b in zip(obs.ops_a, obs.ops_b):
-        joint = np.kron(np.asarray(a.matrix), ib) + np.kron(ia, np.asarray(b.matrix))
-        total += variance(joint, rho)
-    return total
-
-
-def _local_sums(rho, obs: LocalObservableSet) -> tuple[float, float]:
-    ra = partial_trace(rho, "B")
-    rb = partial_trace(rho, "A")
-    sum_a = sum(variance(op, ra) for op in obs.ops_a)
-    sum_b = sum(variance(op, rb) for op in obs.ops_b)
-    return sum_a, sum_b
+    return _joint_sum(*_set_moments(rho, obs))
 
 
 def _excess(local_sum: float, bound: float, side: str) -> float:
@@ -91,8 +120,9 @@ def eval_lur(rho, obs: LocalObservableSet) -> CriterionReport:
 
 
 def _tlur_parts(rho, obs: LocalObservableSet) -> dict:
-    lhs = joint_variance_sum(rho, obs)
-    sum_a, sum_b = _local_sums(rho, obs)
+    ma, mb, qa, qb, ab = _set_moments(rho, obs)
+    lhs = _joint_sum(ma, mb, qa, qb, ab)
+    sum_a, sum_b = _variance_sum(ma, qa), _variance_sum(mb, qb)
     ea = _excess(sum_a, obs.bound_a, "A")
     eb = _excess(sum_b, obs.bound_b, "B")
     return {
@@ -123,18 +153,10 @@ def eval_tlur_dual(rho, obs: LocalObservableSet) -> CriterionReport:
 
 def eval_lemma1(rho, obs: LocalObservableSet) -> CriterionReport:
     """sqrt(excess_A * excess_B) +/- cross-covariance sum >= 0, both signs."""
-    _check_dims(rho, obs)
-    sum_a, sum_b = _local_sums(rho, obs)
-    ea = _excess(sum_a, obs.bound_a, "A")
-    eb = _excess(sum_b, obs.bound_b, "B")
-    ra = partial_trace(rho, "B")
-    rb = partial_trace(rho, "A")
-    m = np.asarray(rho.matrix)
-    cov = 0.0
-    for a, b in zip(obs.ops_a, obs.ops_b):
-        am, bm = np.asarray(a.matrix), np.asarray(b.matrix)
-        cov += (np.trace(m @ np.kron(am, bm)).real
-                - np.trace(ra @ am).real * np.trace(rb @ bm).real)
+    ma, mb, qa, qb, ab = _set_moments(rho, obs)
+    ea = _excess(_variance_sum(ma, qa), obs.bound_a, "A")
+    eb = _excess(_variance_sum(mb, qb), obs.bound_b, "B")
+    cov = float((ab - ma * mb).sum())
     root = np.sqrt(ea * eb)
     value_plus, value_minus = root + cov, root - cov
     lhs = min(value_plus, value_minus)
@@ -148,7 +170,7 @@ def eval_lemma1(rho, obs: LocalObservableSet) -> CriterionReport:
 
 
 def _as_loo(basis) -> LooBasis:
-    return basis if isinstance(basis, LooBasis) else LooBasis(tuple(basis))
+    return basis if isinstance(basis, LooBasis) else LooBasis(basis)
 
 
 def _loo_witness_parts(rho, loo_a, loo_b) -> dict:
@@ -157,21 +179,13 @@ def _loo_witness_parts(rho, loo_a, loo_b) -> dict:
         raise DimensionMismatchError(
             f"LOO bases act on ({loo_a.dim},{loo_b.dim}) but state has "
             f"({rho.dim_a},{rho.dim_b})")
-    ra = partial_trace(rho, "B")
-    rb = partial_trace(rho, "A")
-    m = np.asarray(rho.matrix)
-    n = max(len(loo_a.ops), len(loo_b.ops))
-    cross = 0.0
-    mean_diff_sq = 0.0
-    for k in range(n):
-        ga = np.asarray(loo_a.ops[k].matrix) if k < len(loo_a.ops) else None
-        gb = np.asarray(loo_b.ops[k].matrix) if k < len(loo_b.ops) else None
-        mean_a = np.trace(ra @ ga).real if ga is not None else 0.0
-        mean_b = np.trace(rb @ gb).real if gb is not None else 0.0
-        if ga is not None and gb is not None:
-            cross += np.trace(m @ np.kron(ga, gb)).real
-        mean_diff_sq += (mean_a - mean_b) ** 2
-    pa, pb = purity(ra), purity(rb)
+    n = max(len(loo_a.stack), len(loo_b.stack))
+    mean_a, mean_b, _, _, corr = _moments(
+        rho, _zero_pad(loo_a.stack, n), _zero_pad(loo_b.stack, n),
+        _zero_pad(loo_a.sq, n), _zero_pad(loo_b.sq, n))
+    cross = float(corr.sum())
+    mean_diff_sq = float(((mean_a - mean_b) ** 2).sum())
+    pa, pb = purity(partial_trace(rho, "B")), purity(partial_trace(rho, "A"))
     purity_term = 0.5 * (np.sqrt(max(1.0 - pa, 0.0)) - np.sqrt(max(1.0 - pb, 0.0))) ** 2
     witness = 1.0 - cross - 0.5 * mean_diff_sq
     return {
@@ -229,9 +243,4 @@ def loo_bases_from_set(obs: LocalObservableSet) -> tuple[LooBasis, LooBasis]:
     Zero padding is dropped; orthonormality is validated, so sets that were
     not built from complete LOO bases are rejected.
     """
-    from .linops import HermitianOperator
-
-    ops_a = [op for op in obs.ops_a if np.linalg.norm(op.matrix) > 1e-12]
-    ops_b = [HermitianOperator(-np.asarray(op.matrix)) for op in obs.ops_b
-             if np.linalg.norm(op.matrix) > 1e-12]
-    return LooBasis(tuple(ops_a)), LooBasis(tuple(ops_b))
+    return LooBasis(_nonzero(obs.stack_a)), LooBasis(-_nonzero(obs.stack_b))

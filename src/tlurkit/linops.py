@@ -70,6 +70,30 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
+def hermitian_stack(ops) -> np.ndarray:
+    """Stack operators (``HermitianOperator``s, matrices, or an (n, d, d)
+    array) into a read-only complex (n, d, d) array.
+
+    All n operators are validated in one pass, each with ``HermitianOperator``'s
+    own tolerance: residual at most 1e-10 times max(its max-norm, 1).
+    """
+    if not isinstance(ops, np.ndarray):
+        ops = [as_array(op) for op in ops]
+        if len({op.shape for op in ops}) > 1:
+            raise DimensionMismatchError("operators must share one shape")
+    s = np.array(ops, dtype=complex)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise DimensionMismatchError(f"operators must be square, got stack shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValidationError("operator has non-finite entries")
+    scale = np.maximum(np.abs(s).max(axis=(1, 2)), 1.0)
+    resid = np.abs(s - s.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    if (resid > HERMITICITY_RTOL * scale).any():
+        raise ValidationError("operator is not Hermitian within tolerance")
+    s.setflags(write=False)
+    return s
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated bipartite mixed state with local dimensions (dim_a, dim_b)."""

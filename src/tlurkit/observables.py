@@ -3,7 +3,10 @@
 A ``LocalObservableSet`` pairs equal-length lists {A_k} on subsystem A and
 {B_k} on subsystem B with lower bounds ``bound_a <= min_psi sum_k Var(A_k)``
 and likewise for B, the minimum running over pure states (the variance sum
-is concave in the state, so pure states attain the minimum).
+is concave in the state, so pure states attain the minimum).  Sets and LOO
+bases carry their operators as validated (n, d, d) stacks, built and checked
+as arrays, together with the stacks' squares; every variance criterion reads
+them through the one moment kernel of ``criteria``.
 
 Closed-form bounds used by the builders:
 
@@ -23,8 +26,8 @@ must not beat 64 seeded random pure states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .errors import (
     SpecParseError,
     ValidationError,
 )
-from .linops import DensityMatrix, HermitianOperator, as_array, realign
+from .linops import DensityMatrix, HermitianOperator, as_array, hermitian_stack, realign
 from .states import parse_complex_matrix, random_pure_state
 
 __all__ = [
@@ -54,21 +57,36 @@ _SANITY_SEED = 1905
 _SANITY_SAMPLES = 64
 
 
-def _gram(arrays: list[np.ndarray]) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of equal-shape arrays."""
-    v = np.stack([np.asarray(a).ravel() for a in arrays])
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of a stack of operators."""
+    v = stack.reshape(len(stack), -1)
     return v.conj() @ v.T
 
 
-def _is_complete_loo(arrays: list[np.ndarray]) -> bool:
+def _is_complete_loo(stack: np.ndarray) -> bool:
     """True for d^2 operators that are Hilbert-Schmidt orthonormal."""
-    d = arrays[0].shape[0]
-    return (len(arrays) == d * d
-            and np.abs(_gram(arrays) - np.eye(d * d)).max() <= ORTHONORMALITY_ATOL)
+    d = stack.shape[1]
+    return (len(stack) == d * d
+            and np.abs(_gram(stack) - np.eye(d * d)).max() <= ORTHONORMALITY_ATOL)
 
 
-def _fro(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+def _nonzero(stack: np.ndarray) -> np.ndarray:
+    """The operators of a stack with nonzero Frobenius norm (drops zero padding)."""
+    return stack[np.linalg.norm(stack.reshape(len(stack), -1), axis=1) > 1e-12]
+
+
+def _zero_pad(stack: np.ndarray, n: int) -> np.ndarray:
+    """Append zero operators up to length n."""
+    if len(stack) == n:
+        return stack
+    d = stack.shape[1]
+    return np.concatenate([stack, np.zeros((n - len(stack), d, d), dtype=complex)])
+
+
+def _squares(stack: np.ndarray) -> np.ndarray:
+    sq = stack @ stack
+    sq.setflags(write=False)
+    return sq
 
 
 @dataclass(frozen=True)
@@ -97,85 +115,113 @@ def _variance_sum_pure(psi: np.ndarray, ops: list[np.ndarray], sq_sum: np.ndarra
 
 @dataclass(frozen=True)
 class LocalObservableSet:
-    """Paired local observables with certified sum-uncertainty bounds."""
+    """Paired local observables with certified sum-uncertainty bounds.
 
-    ops_a: tuple[HermitianOperator, ...]
-    ops_b: tuple[HermitianOperator, ...]
+    ``stack_a`` (n, d_A, d_A) and ``stack_b`` (n, d_B, d_B) are the operators
+    A_k and B_k, given as ``HermitianOperator``s, matrices or arrays and kept
+    as validated read-only stacks; ``sq_a``/``sq_b`` hold their squares.  The
+    criteria read the stacks through one moment kernel; ``ops_a``/``ops_b``
+    give the operators as ``HermitianOperator`` tuples.
+    """
+
+    stack_a: np.ndarray
+    stack_b: np.ndarray
     bound_a: float
     bound_b: float
     provenance: BoundProvenance
+    sq_a: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ops_a", tuple(self.ops_a))
-        object.__setattr__(self, "ops_b", tuple(self.ops_b))
-        if len(self.ops_a) != len(self.ops_b) or not self.ops_a:
+        if len(self.stack_a) != len(self.stack_b) or not len(self.stack_a):
             raise ValidationError("ops_a and ops_b must be non-empty and of equal length")
-        if len({op.dim for op in self.ops_a}) != 1 or len({op.dim for op in self.ops_b}) != 1:
-            raise DimensionMismatchError("operators within one side must share a dimension")
+        a, b = hermitian_stack(self.stack_a), hermitian_stack(self.stack_b)
+        object.__setattr__(self, "stack_a", a)
+        object.__setattr__(self, "stack_b", b)
+        object.__setattr__(self, "sq_a", _squares(a))
+        object.__setattr__(self, "sq_b", _squares(b))
         if not (np.isfinite(self.bound_a) and np.isfinite(self.bound_b)):
             raise ValidationError("bounds must be finite")
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValidationError("bounds must be nonnegative")
-        rng = np.random.default_rng(_SANITY_SEED)
-        for side, ops, bound in (("A", self.ops_a, self.bound_a),
-                                 ("B", self.ops_b, self.bound_b)):
-            arrays = [np.asarray(op.matrix) for op in ops]
-            exact = _classify_analytic(arrays)
+        rng = None  # one generator for both sides, made only if a side is sampled
+        for side, stack, sq, bound in (("A", a, self.sq_a, self.bound_a),
+                                       ("B", b, self.sq_b, self.bound_b)):
+            exact = _classify_analytic(stack)
             if exact is not None:
                 if bound > exact + 1e-8:
                     raise InvalidBoundError(
                         f"declared bound {bound} on side {side} exceeds the exact "
                         f"pure-state minimum {exact} of its variance sum")
                 continue
-            sq = sum(a @ a for a in arrays)
-            d = ops[0].dim
-            best = min(_variance_sum_pure(random_pure_state(d, rng), arrays, sq)
+            if rng is None:
+                rng = np.random.default_rng(_SANITY_SEED)
+            sq_sum = sq.sum(axis=0)
+            d = stack.shape[1]
+            best = min(_variance_sum_pure(random_pure_state(d, rng), stack, sq_sum)
                        for _ in range(_SANITY_SAMPLES))
             if bound > best + 1e-8:
                 raise InvalidBoundError(
                     f"declared bound {bound} on side {side} beaten by a sampled "
                     f"pure state with variance sum {best}")
 
+    @cached_property
+    def ops_a(self) -> tuple[HermitianOperator, ...]:
+        return tuple(HermitianOperator(m) for m in self.stack_a)
+
+    @cached_property
+    def ops_b(self) -> tuple[HermitianOperator, ...]:
+        return tuple(HermitianOperator(m) for m in self.stack_b)
+
     @property
     def n(self) -> int:
-        return len(self.ops_a)
+        return len(self.stack_a)
 
     @property
     def dim_a(self) -> int:
-        return self.ops_a[0].dim
+        return self.stack_a.shape[1]
 
     @property
     def dim_b(self) -> int:
-        return self.ops_b[0].dim
+        return self.stack_b.shape[1]
 
 
 @dataclass(frozen=True)
 class LooBasis:
-    """A complete Hilbert-Schmidt orthonormal basis of Hermitian operators."""
+    """A complete Hilbert-Schmidt orthonormal basis of Hermitian operators.
 
-    ops: tuple[HermitianOperator, ...]
+    ``stack`` (d^2, d, d) holds the operators, given as ``HermitianOperator``s,
+    matrices or an array and kept as a validated read-only stack; ``sq`` holds
+    their squares and ``ops`` gives them as ``HermitianOperator``s.
+    """
+
+    stack: np.ndarray
+    sq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if not self.ops:
+        if not len(self.stack):
             raise ValidationError("empty operator list")
-        d = self.ops[0].dim
-        if len(self.ops) != d * d:
-            raise ValidationError(f"need {d * d} operators for dimension {d}, got {len(self.ops)}")
-        if not _is_complete_loo([np.asarray(op.matrix) for op in self.ops]):
+        s = hermitian_stack(self.stack)
+        d = s.shape[1]
+        if len(s) != d * d:
+            raise ValidationError(f"need {d * d} operators for dimension {d}, got {len(s)}")
+        if not _is_complete_loo(s):
             raise ValidationError("operators are not Hilbert-Schmidt orthonormal")
+        object.__setattr__(self, "stack", s)
+        object.__setattr__(self, "sq", _squares(s))
+
+    @cached_property
+    def ops(self) -> tuple[HermitianOperator, ...]:
+        return tuple(HermitianOperator(m) for m in self.stack)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].dim
+        return self.stack.shape[1]
 
 
-def su_generators(d: int) -> list[HermitianOperator]:
-    """Generalized Gell-Mann matrices, Tr(g_i g_j) = 2 delta_ij.
-
-    Order: symmetric pairs (j<k lexicographic), antisymmetric pairs, then
-    the d-1 diagonal generators.  d=2 gives (sigma_x, sigma_y, sigma_z).
-    """
+@lru_cache(maxsize=None)
+def _su_stack(d: int) -> np.ndarray:
+    """The generators of ``su_generators`` as one read-only stack."""
     if d < 2:
         raise ParameterRangeError(f"dimension must be >= 2, got {d}")
     out = []
@@ -196,31 +242,34 @@ def su_generators(d: int) -> list[HermitianOperator]:
             m[j, j] = 1.0
         m[l, l] = -l
         out.append(np.sqrt(2.0 / (l * (l + 1))) * m)
-    return [HermitianOperator(m) for m in out]
+    return hermitian_stack(out)
+
+
+def su_generators(d: int) -> list[HermitianOperator]:
+    """Generalized Gell-Mann matrices, Tr(g_i g_j) = 2 delta_ij.
+
+    Order: symmetric pairs (j<k lexicographic), antisymmetric pairs, then
+    the d-1 diagonal generators.  d=2 gives (sigma_x, sigma_y, sigma_z).
+    """
+    return [HermitianOperator(m) for m in _su_stack(d)]
 
 
 @lru_cache(maxsize=None)
-def _loo_ops(d: int) -> tuple[HermitianOperator, ...]:
-    gens = [np.asarray(g.matrix) / np.sqrt(2.0) for g in su_generators(d)]
-    gens.append(np.eye(d, dtype=complex) / np.sqrt(d))
-    return tuple(HermitianOperator(g) for g in gens)
+def _loo_stack(d: int) -> np.ndarray:
+    """The operators of ``loo_basis`` as one read-only stack."""
+    eye = np.eye(d, dtype=complex) / np.sqrt(d)
+    return hermitian_stack(np.concatenate([_su_stack(d) / np.sqrt(2.0), eye[None]]))
 
 
 def loo_basis(d: int) -> LooBasis:
     """Canonical LOO basis: normalized generators plus identity/sqrt(d) last."""
-    return LooBasis(_loo_ops(d))
+    return LooBasis(_loo_stack(d))
 
 
 @lru_cache(maxsize=None)
 def _loo_vec_matrix(d: int) -> np.ndarray:
     """Unitary whose columns are row-major vec(G_k) of the canonical LOO basis."""
-    return np.column_stack([np.asarray(op.matrix).ravel() for op in _loo_ops(d)])
-
-
-def _zero_pad(ops: list[HermitianOperator], n: int) -> list[HermitianOperator]:
-    d = ops[0].dim
-    zero = HermitianOperator(np.zeros((d, d)))
-    return list(ops) + [zero] * (n - len(ops))
+    return np.ascontiguousarray(_loo_stack(d).reshape(d * d, d * d).T)
 
 
 def pauli_loo_pair() -> LocalObservableSet:
@@ -230,24 +279,18 @@ def pauli_loo_pair() -> LocalObservableSet:
     The four joint operators A_k (x) 1 + 1 (x) B_k all annihilate the
     singlet, so its joint variance sum is zero against bounds of 1 + 1.
     """
-    gx, gy, gz, gi = (np.asarray(op.matrix) for op in _loo_ops(2))
-    ops_a = [HermitianOperator(m) for m in (-gx, -gy, -gz, gi)]
-    ops_b = [HermitianOperator(m) for m in (-gx, -gy, -gz, -gi)]
-    return LocalObservableSet(ops_a, ops_b, 1.0, 1.0, BoundProvenance("analytic"))
+    gx, gy, gz, gi = _loo_stack(2)
+    return LocalObservableSet(np.stack([-gx, -gy, -gz, gi]), -_loo_stack(2), 1.0, 1.0,
+                              BoundProvenance("analytic"))
 
 
-def _conjugate_ops(ops: list[HermitianOperator]) -> list[HermitianOperator]:
-    return [HermitianOperator(np.asarray(op.matrix).conj()) for op in ops]
-
-
-def _paired(ops_a, ops_b, pairing: str):
+def _paired(stack_a, stack_b, pairing: str):
     if pairing == "conjugate":
-        ops_b = _conjugate_ops(ops_b)
+        stack_b = stack_b.conj()
     elif pairing != "direct":
         raise ParameterRangeError(f"pairing must be 'conjugate' or 'direct', got {pairing!r}")
-    ops_b = [HermitianOperator(-np.asarray(op.matrix)) for op in ops_b]
-    n = max(len(ops_a), len(ops_b))
-    return _zero_pad(ops_a, n), _zero_pad(ops_b, n)
+    n = max(len(stack_a), len(stack_b))
+    return _zero_pad(stack_a, n), _zero_pad(-stack_b, n)
 
 
 def loo_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") -> LocalObservableSet:
@@ -258,7 +301,7 @@ def loo_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") -
     d_a - 1 and d_b - 1.
     """
     dim_b = dim_a if dim_b is None else dim_b
-    ops_a, ops_b = _paired(list(loo_basis(dim_a).ops), list(loo_basis(dim_b).ops), pairing)
+    ops_a, ops_b = _paired(_loo_stack(dim_a), _loo_stack(dim_b), pairing)
     return LocalObservableSet(ops_a, ops_b, dim_a - 1.0, dim_b - 1.0,
                               BoundProvenance("analytic"))
 
@@ -267,7 +310,7 @@ def su_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate",
             bound_mode: str = "analytic", seed: int = 0, restarts: int = 32) -> LocalObservableSet:
     """Generator pair A_k = g_k, B_k = -g_k* (or -g_k), bounds 2(d-1)."""
     dim_b = dim_a if dim_b is None else dim_b
-    ops_a, ops_b = _paired(su_generators(dim_a), su_generators(dim_b), pairing)
+    ops_a, ops_b = _paired(_su_stack(dim_a), _su_stack(dim_b), pairing)
     if bound_mode == "analytic":
         ba, bb = 2.0 * (dim_a - 1), 2.0 * (dim_b - 1)
         prov = BoundProvenance("analytic")
@@ -289,7 +332,8 @@ def operator_schmidt(rho: DensityMatrix):
     and the full SVD factors already complete both LOO bases.
 
     Returns ``(coeffs, ops_a, ops_b)`` with coeffs descending of length
-    min(d_a^2, d_b^2) and complete bases of d_a^2 / d_b^2 operators.
+    min(d_a^2, d_b^2) and the complete bases as (d_a^2, d_a, d_a) and
+    (d_b^2, d_b, d_b) arrays.
     """
     da, db = rho.dim_a, rho.dim_b
     wa, wb = _loo_vec_matrix(da), _loo_vec_matrix(db)
@@ -298,15 +342,13 @@ def operator_schmidt(rho: DensityMatrix):
         raise DegenerateDecompositionError(
             f"coefficient matrix has imaginary residual {np.abs(coeff.imag).max():.2e}")
     o1, s, o2t = np.linalg.svd(coeff.real)
-    vecs_a = wa @ o1
-    vecs_b = wb @ o2t.T
-    ops_a = [vecs_a[:, m].reshape(da, da) for m in range(da * da)]
-    ops_b = [vecs_b[:, m].reshape(db, db) for m in range(db * db)]
-    resid = max(np.abs(m - m.conj().T).max() for m in ops_a + ops_b)
+    ops_a = (wa @ o1).T.reshape(da * da, da, da)
+    ops_b = (wb @ o2t.T).T.reshape(db * db, db, db)
+    resid = max(np.abs(m - m.conj().transpose(0, 2, 1)).max() for m in (ops_a, ops_b))
     if resid > SYMMETRIZATION_ATOL:
         raise DegenerateDecompositionError(
             f"Schmidt factors are non-Hermitian with residual {resid:.2e}")
-    return s, [HermitianOperator(m) for m in ops_a], [HermitianOperator(m) for m in ops_b]
+    return s, ops_a, ops_b
 
 
 def schmidt_loo_pair(rho: DensityMatrix) -> LocalObservableSet:
@@ -318,23 +360,23 @@ def schmidt_loo_pair(rho: DensityMatrix) -> LocalObservableSet:
     at least as easy as a realignment (CCNR) violation.
     """
     _, ops_a, ops_b = operator_schmidt(rho)
-    ops_b = [HermitianOperator(-np.asarray(op.matrix)) for op in ops_b]
     n = max(len(ops_a), len(ops_b))
-    return LocalObservableSet(_zero_pad(ops_a, n), _zero_pad(ops_b, n),
+    return LocalObservableSet(_zero_pad(ops_a, n), _zero_pad(-ops_b, n),
                               rho.dim_a - 1.0, rho.dim_b - 1.0,
                               BoundProvenance("analytic"))
 
 
-def _classify_analytic(arrays: list[np.ndarray]) -> float | None:
+def _classify_analytic(stack: np.ndarray) -> float | None:
     """Recognize full LOO sets (-> d-1) and generator sets (-> 2(d-1))."""
-    nonzero = [a for a in arrays if _fro(a) > 1e-12]
-    if not nonzero:
+    nonzero = _nonzero(stack)
+    if not len(nonzero):
         return 0.0
-    d = nonzero[0].shape[0]
+    d = stack.shape[1]
     if _is_complete_loo(nonzero):
         return float(d - 1)
     n = len(nonzero)
-    if (n == d * d - 1 and all(abs(np.trace(a)) <= 1e-10 for a in nonzero)
+    if (n == d * d - 1
+            and np.abs(np.trace(nonzero, axis1=1, axis2=2)).max() <= 1e-10
             and np.abs(_gram(nonzero) - 2.0 * np.eye(n)).max() <= 2 * ORTHONORMALITY_ATOL):
         return float(2 * (d - 1))
     return None
@@ -386,7 +428,7 @@ def uncertainty_bound(ops, mode: str = "numeric", seed: int = 0,
     if len(dims) != 1:
         raise DimensionMismatchError("all observables must share a dimension")
     if mode == "analytic":
-        val = _classify_analytic(arrays)
+        val = _classify_analytic(np.array(arrays))
         if val is None:
             raise ParameterRangeError(
                 "no closed form for this set; use mode='numeric'")

@@ -215,6 +215,7 @@ def _make_point_evaluator(family: str, criteria: list[str], obs_spec,
             raise ParameterRangeError(
                 f"unknown criterion '{name}'; known: {sorted(DV_CRITERIA)}")
         entries.append(entry)
+    fam.check_params(fixed_params)  # before the fixed observable set is built from them
     needs_obs = any(e.needs_obs for e in entries)
     resolved_spec = obs_spec
     fixed_obs = None

@@ -50,6 +50,18 @@ def singlet() -> DensityMatrix:
     return pure_state(v, 2, 2)
 
 
+def _product_ket(i: int, j: int) -> np.ndarray:
+    return np.kron(_ket(3, i), _ket(3, j))
+
+
+# the a-independent parts of horodecki33: the five product projectors and the
+# maximally entangled projector
+_H33_PRODUCTS = sum(np.outer(v, v) for v in (
+    _product_ket(i, j) for i, j in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1)]))
+_H33_EMAX = (_product_ket(0, 0) + _product_ket(1, 1) + _product_ket(2, 2)) / np.sqrt(3)
+_H33_MAXENT = np.outer(_H33_EMAX, _H33_EMAX)
+
+
 def horodecki33(a: float) -> DensityMatrix:
     """The 3x3 bound entangled family, real symmetric, PPT for all a in (0,1).
 
@@ -59,18 +71,9 @@ def horodecki33(a: float) -> DensityMatrix:
     """
     if not 0.0 < a < 1.0:
         raise ParameterRangeError(f"a must lie in (0,1), got {a}")
-
-    def kk(i, j):
-        return np.kron(_ket(3, i), _ket(3, j))
-
-    rho = np.zeros((9, 9))
-    for i, j in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1)]:
-        v = kk(i, j)
-        rho += a * np.outer(v, v)
-    emax = (kk(0, 0) + kk(1, 1) + kk(2, 2)) / np.sqrt(3)
-    rho += 3 * a * np.outer(emax, emax)
-    pi = np.sqrt((1 + a) / 2) * kk(2, 0) + np.sqrt((1 - a) / 2) * kk(2, 2)
-    rho += np.outer(pi, pi)
+    pi = np.zeros(9)
+    pi[6], pi[8] = np.sqrt((1 + a) / 2), np.sqrt((1 - a) / 2)  # on |20> and |22>
+    rho = a * _H33_PRODUCTS + 3 * a * _H33_MAXENT + np.outer(pi, pi)
     return DensityMatrix(3, 3, rho / (1 + 8 * a))
 
 
@@ -132,27 +135,36 @@ class StateFamily:
 
     name: str
     dims: tuple[int, int]
-    params: dict[str, tuple[float, float]]  # name -> inclusive (lo, hi)
+    params: dict[str, tuple[float, float]]  # name -> inclusive (lo, hi); int bounds: integral
     build: Callable[..., DensityMatrix]
     description: str = ""
     defaults: dict[str, float] = field(default_factory=dict)
 
-    def instantiate(self, **params) -> DensityMatrix:
-        merged = dict(self.defaults)
-        merged.update(params)
-        unknown = set(merged) - set(self.params)
+    def check_params(self, params: dict) -> None:
+        """Reject unknown parameters and values outside the declared inclusive
+        ranges; a parameter whose declared bounds are both ``int`` must take an
+        integral value (``2`` and ``2.0``, not ``2.5``)."""
+        unknown = set(params) - set(self.params)
         if unknown:
             raise ParameterRangeError(
                 f"unknown parameter(s) {sorted(unknown)} for family '{self.name}'")
+        for name, value in params.items():
+            lo, hi = self.params[name]
+            if not lo <= value <= hi:
+                raise ParameterRangeError(
+                    f"{name} must lie in [{lo}, {hi}] for family '{self.name}', "
+                    f"got {value}")
+            if isinstance(lo, int) and isinstance(hi, int) and value != int(value):
+                raise ParameterRangeError(
+                    f"{name} must be an integer for family '{self.name}', got {value}")
+
+    def instantiate(self, **params) -> DensityMatrix:
+        merged = {**self.defaults, **params}
+        self.check_params(merged)
         missing = set(self.params) - set(merged)
         if missing:
             raise ParameterRangeError(
                 f"missing parameter(s) {sorted(missing)} for family '{self.name}'")
-        for name, (lo, hi) in self.params.items():
-            if not lo <= merged[name] <= hi:
-                raise ParameterRangeError(
-                    f"{name} must lie in [{lo}, {hi}] for family '{self.name}', "
-                    f"got {merged[name]}")
         return self.build(**merged)
 
     def dims_for(self, params: dict | None = None) -> tuple[int, int]:

@@ -92,3 +92,41 @@ def bisect_root(fn, lo, hi, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# per-observable formulas: one np.kron and one trace per operator, the way the
+# variance criteria were computed before they read stacked moments
+def oracle_variance(op, rho_m):
+    mean = np.trace(rho_m @ op).real
+    return max(np.trace(rho_m @ op @ op).real - mean * mean, 0.0)
+
+
+def oracle_variance_sums(rho_m, da, db, ops_a, ops_b):
+    """(joint sum, local sum A, local sum B, covariance sum) of paired operators."""
+    ra = oracle_partial_trace(rho_m, da, db, "B")
+    rb = oracle_partial_trace(rho_m, da, db, "A")
+    ia, ib = np.eye(da), np.eye(db)
+    joint = sum(oracle_variance(np.kron(a, ib) + np.kron(ia, b), rho_m)
+                for a, b in zip(ops_a, ops_b))
+    cov = sum(np.trace(rho_m @ np.kron(a, b)).real
+              - np.trace(ra @ a).real * np.trace(rb @ b).real
+              for a, b in zip(ops_a, ops_b))
+    return (joint, sum(oracle_variance(a, ra) for a in ops_a),
+            sum(oracle_variance(b, rb) for b in ops_b), cov)
+
+
+def oracle_loo_witness(rho_m, da, db, ops_a, ops_b):
+    """(cross sum, mean-difference sum, purity A, purity B) of two LOO bases;
+    a basis shorter than the other contributes zeros."""
+    ra = oracle_partial_trace(rho_m, da, db, "B")
+    rb = oracle_partial_trace(rho_m, da, db, "A")
+    cross = mean_diff_sq = 0.0
+    for k in range(max(len(ops_a), len(ops_b))):
+        ga = ops_a[k] if k < len(ops_a) else None
+        gb = ops_b[k] if k < len(ops_b) else None
+        mean_a = np.trace(ra @ ga).real if ga is not None else 0.0
+        mean_b = np.trace(rb @ gb).real if gb is not None else 0.0
+        if ga is not None and gb is not None:
+            cross += np.trace(rho_m @ np.kron(ga, gb)).real
+        mean_diff_sq += (mean_a - mean_b) ** 2
+    return cross, mean_diff_sq, np.trace(ra @ ra).real, np.trace(rb @ rb).real

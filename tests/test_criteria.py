@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    bisect_root, corollary1_closed, random_dm_array, witness_closed,
+    bisect_root, corollary1_closed, oracle_loo_witness, oracle_variance_sums,
+    random_dm_array, random_herm, witness_closed,
 )
 from tlurkit import (
     DensityMatrix, entanglement_measures, eval_ccnr, eval_corollary1,
@@ -15,7 +16,9 @@ from tlurkit import (
 from tlurkit.errors import DimensionMismatchError, InvalidBoundError
 from tlurkit.observables import BoundProvenance, LocalObservableSet
 from tlurkit.linops import HermitianOperator
-from tlurkit.states import horodecki33, noisy_singlet, random_separable
+from tlurkit.states import (
+    horodecki33, noisy_singlet, random_mixed_state, random_separable,
+)
 
 PAULI_PAIR = pauli_loo_pair()
 MAX_MIXED_2 = DensityMatrix(2, 2, np.eye(4) / 4)
@@ -156,6 +159,50 @@ def test_expansion_identity(seed, kind):
     assert abs(lhs - (local + 2.0 * cov)) < 1e-9
 
 
+def _declared_set(da, db):
+    # random Hermitian operators: no closed form covers them, bounds 0 always hold
+    rng = np.random.default_rng(da * 10 + db)
+    ops_a = [random_herm(da, rng) for _ in range(3)]
+    ops_b = [random_herm(db, rng) for _ in range(3)]
+    return LocalObservableSet(ops_a, ops_b, 0.0, 0.0, BoundProvenance("declared"))
+
+
+def _kernel_cases():
+    for da, db in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]:
+        sets = {f"{builder.__name__}-{pairing}": builder(da, db, pairing=pairing)
+                for builder in (loo_pair, su_pair) for pairing in ("conjugate", "direct")}
+        sets["declared"] = _declared_set(da, db)
+        if (da, db) == (2, 2):
+            sets["pauli_loo_pair"] = PAULI_PAIR
+        for seed in range(3):
+            rng = np.random.default_rng(1000 * da + 100 * db + seed)
+            rho = DensityMatrix(da, db, random_dm_array(da * db, rng))
+            yield rho, {**sets, "schmidt_loo_pair": schmidt_loo_pair(rho)}
+
+
+@pytest.mark.parametrize("rho,sets", list(_kernel_cases()))
+def test_moment_kernel_matches_per_observable_oracle(rho, sets):
+    m, da, db = np.asarray(rho.matrix), rho.dim_a, rho.dim_b
+    for name, obs in sets.items():
+        ops_a = [np.asarray(op.matrix) for op in obs.ops_a]
+        ops_b = [np.asarray(op.matrix) for op in obs.ops_b]
+        joint, local_a, local_b, cov = oracle_variance_sums(m, da, db, ops_a, ops_b)
+        tlur = eval_tlur(rho, obs).components
+        got = [joint_variance_sum(rho, obs), tlur["local_variance_sum_A"],
+               tlur["local_variance_sum_B"], eval_lemma1(rho, obs).components["covariance_sum"]]
+        np.testing.assert_allclose(got, [joint, local_a, local_b, cov], rtol=0, atol=1e-12,
+                                   err_msg=name)
+        if name.startswith("su_pair") or name == "declared":
+            continue  # not built from LOO bases
+        loo_a, loo_b = loo_bases_from_set(obs)
+        c = eval_corollary1(rho, loo_a, loo_b).components
+        want = oracle_loo_witness(m, da, db, [np.asarray(op.matrix) for op in loo_a.ops],
+                                  [np.asarray(op.matrix) for op in loo_b.ops])
+        np.testing.assert_allclose(
+            [c["cross_sum"], c["mean_diff_sq_sum"], c["purity_A"], c["purity_B"]], want,
+            rtol=0, atol=1e-12, err_msg=name)
+
+
 @given(st.integers(0, 10**6))
 def test_separable_soundness_sample(seed):
     rng = np.random.default_rng(seed)
@@ -168,6 +215,47 @@ def test_separable_soundness_sample(seed):
     assert not eval_lemma1(rho, obs).detected
     loo_a, loo_b = loo_bases_from_set(obs)
     assert not eval_corollary1(rho, loo_a, loo_b).detected
+
+
+MIXED_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 3)])
+
+
+def _random_state(seed, dims, rank):
+    da, db = dims
+    return DensityMatrix(da, db, random_mixed_state(da * db, np.random.default_rng(seed), rank))
+
+
+@given(st.integers(0, 10**6), MIXED_DIMS, st.integers(1, 3))
+@settings(max_examples=100)
+def test_tlur_detects_whatever_lur_detects(seed, dims, rank):
+    rho = _random_state(seed, dims, rank)
+    for obs in (schmidt_loo_pair(rho), su_pair(*dims)):
+        if eval_lur(rho, obs).detected:
+            assert eval_tlur(rho, obs).detected
+
+
+@given(st.integers(0, 10**6), MIXED_DIMS, st.integers(1, 3))
+@settings(max_examples=100)
+def test_corollary1_detects_whatever_the_nonlinear_witness_detects(seed, dims, rank):
+    rho = _random_state(seed, dims, rank)
+    for obs in (schmidt_loo_pair(rho), loo_pair(*dims)):
+        loo_a, loo_b = loo_bases_from_set(obs)
+        if eval_nonlinear_witness(rho, loo_a, loo_b).detected:
+            assert eval_corollary1(rho, loo_a, loo_b).detected
+
+
+@given(st.integers(0, 10**6), MIXED_DIMS, st.integers(1, 6))
+@settings(max_examples=100)
+def test_no_detection_on_random_separable_states(seed, dims, n_terms):
+    rho = random_separable(dims, n_terms, seed)
+    loo_sets = [schmidt_loo_pair(rho), loo_pair(*dims)]
+    for obs in loo_sets + [su_pair(*dims)]:
+        assert not eval_lur(rho, obs).detected
+        assert not eval_tlur(rho, obs).detected
+    for obs in loo_sets:
+        assert not eval_corollary1(rho, *loo_bases_from_set(obs)).detected
+    assert not eval_ppt(rho).detected
+    assert not eval_ccnr(rho).detected
 
 
 def test_margin_relations():

@@ -118,8 +118,7 @@ def test_su_pair_pairing_modes():
 def test_operator_schmidt_singlet():
     coeffs, ops_a, ops_b = operator_schmidt(singlet())
     np.testing.assert_allclose(coeffs, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
-    rec = sum(c * np.kron(a.matrix, b.matrix)
-              for c, a, b in zip(coeffs, ops_a, ops_b))
+    rec = sum(c * np.kron(a, b) for c, a, b in zip(coeffs, ops_a, ops_b))
     np.testing.assert_allclose(rec, singlet().matrix, atol=1e-12)
 
 
@@ -135,7 +134,7 @@ def test_operator_schmidt_product_and_mixed():
     coeffs, ops_a, ops_b = operator_schmidt(mixed)
     assert abs(coeffs[0] - 1.0 / 3.0) < 1e-12
     assert coeffs[1:].max() < 1e-12
-    np.testing.assert_allclose(np.abs(ops_a[0].matrix), np.eye(3) / np.sqrt(3),
+    np.testing.assert_allclose(np.abs(ops_a[0]), np.eye(3) / np.sqrt(3),
                                atol=1e-12)
 
 

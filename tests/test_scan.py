@@ -69,6 +69,17 @@ def test_sweep_propagates_errors_with_coordinates():
     assert "point" in str(err.value)
 
 
+def test_fixed_params_checked_before_the_fixed_set_is_built(monkeypatch):
+    def no_set(*args, **kwargs):
+        raise AssertionError("an observable set was built from unchecked parameters")
+
+    monkeypatch.setattr("tlurkit.scan.observables_from_spec", no_set)
+    with pytest.raises(ParameterRangeError) as err:
+        sweep("random_separable", [GridAxis("seed", 0, 1, 1)], ["lur"],
+              obs_spec="su_pair", fixed_params={"dim_a": 40})
+    assert "dim_a" in str(err.value)
+
+
 def test_sweep_deterministic_across_runs():
     grid = [GridAxis("a", 0.2, 0.8, 0.3), GridAxis("p", 0.9, 1.0, 0.05)]
     outputs = []

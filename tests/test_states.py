@@ -146,7 +146,10 @@ def test_family_registry():
 def test_instantiate_enforces_declared_ranges():
     fam = FAMILIES["random_separable"]
     assert fam.instantiate(dim_a=16, n_terms=1).dims == (16, 2)  # bounds inclusive
-    for bad in ({"dim_a": 40}, {"dim_b": 1}, {"n_terms": 2000}, {"seed": -1}):
+    # integer bounds take integral values; an integral float such as an axis's 3.0 is one
+    assert fam.instantiate(dim_a=3.0, n_terms=2.0).dims == (3, 2)
+    for bad in ({"dim_a": 40}, {"dim_b": 1}, {"n_terms": 2000}, {"seed": -1},
+                {"dim_a": 2.5}, {"n_terms": 2.7}, {"seed": 0.5}):
         with pytest.raises(ParameterRangeError) as err:
             fam.instantiate(**bad)
         assert next(iter(bad)) in str(err.value)
