@@ -47,7 +47,7 @@ def main():
         a, p = cell["params"]["a"], cell["params"]["p"]
         for name in ("lur", "tlur"):
             if cell["reports"][name]["detected"]:
-                key = (name, round(a, 10))
+                key = (name, a)
                 boundary[key] = min(boundary.get(key, 2.0), p)
 
     print(f"wrote {out / 'measures.csv'} and {out / 'regions.csv'}")
@@ -56,7 +56,7 @@ def main():
     for a in a_axis.values():
         row = [f"{a:.2f}"]
         for name in ("lur", "tlur"):
-            p = boundary.get((name, round(a, 10)))
+            p = boundary.get((name, a))
             row.append("  -   " if p is None else f"{p:.2f}  ")
         print("  ".join(row))
 

@@ -34,15 +34,11 @@ from .criteria import (
 from .linops import (
     DensityMatrix,
     HermitianOperator,
-    eig_hermitian,
-    expectation,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
     purity,
     realign,
-    svd,
-    tensor,
     trace_norm,
     variance,
 )

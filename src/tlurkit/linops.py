@@ -143,11 +143,6 @@ def _dims_of(rho, dims) -> tuple[np.ndarray, int, int]:
     return m, da, db
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; B index fastest-varying."""
-    return np.kron(as_array(a), as_array(b))
-
-
 def _check_side(side: str) -> str:
     if side not in ("A", "B"):
         raise ParameterRangeError(f"subsystem must be 'A' or 'B', got {side!r}")
@@ -178,14 +173,6 @@ def realign(rho, dims=None) -> np.ndarray:
     return m.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
 
 
-def expectation(op, rho) -> float:
-    """<op> = Tr(rho op), real part (inputs are Hermitian)."""
-    a, r = as_array(op), as_array(rho)
-    if a.shape != r.shape:
-        raise DimensionMismatchError(f"operator shape {a.shape} vs state shape {r.shape}")
-    return float(np.trace(r @ a).real)
-
-
 def variance(op, rho) -> float:
     """<op^2> - <op>^2, clipped to zero against round-off."""
     a, r = as_array(op), as_array(rho)
@@ -201,27 +188,11 @@ def purity(rho) -> float:
     return float(np.trace(m @ m).real)
 
 
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
-    try:
-        return np.linalg.eigh(as_array(m))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-
-
 def min_eigenvalue(m) -> float:
     try:
         return float(np.linalg.eigvalsh(as_array(m)).min())
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD (u, s, vh) with singular values in descending order."""
-    try:
-        return np.linalg.svd(as_array(m))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed: {exc}") from exc
 
 
 def trace_norm(m) -> float:

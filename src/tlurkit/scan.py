@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Callable
 
 import numpy as np
@@ -138,10 +139,13 @@ class GridAxis:
 
     def values(self) -> list[float]:
         # floor, not round, so no value passes stop when step does not divide
-        # the interval; the slack absorbs round-off when it does, and the
-        # clamp keeps that round-off from carrying the last value past stop
+        # the interval; the slack absorbs round-off when it does.  Each value
+        # is rounded to the decimal places of start and step (so 3 * 0.05 is
+        # 0.15, not 0.15000000000000002) and clamped to stop.
         n = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [min(self.start + i * self.step, self.stop) for i in range(n)]
+        places = max(0, -min(Decimal(repr(float(x))).as_tuple().exponent
+                             for x in (self.start, self.step)))
+        return [min(round(self.start + i * self.step, places), self.stop) for i in range(n)]
 
     def to_dict(self) -> dict:
         return {"name": self.name, "start": self.start, "stop": self.stop,

@@ -62,6 +62,22 @@ _H33_EMAX = (_product_ket(0, 0) + _product_ket(1, 1) + _product_ket(2, 2)) / np.
 _H33_MAXENT = np.outer(_H33_EMAX, _H33_EMAX)
 
 
+def _horodecki33_matrix(a: float) -> np.ndarray:
+    if not 0.0 < a < 1.0:
+        raise ParameterRangeError(f"a must lie in (0,1), got {a}")
+    pi = np.zeros(9)
+    pi[6], pi[8] = np.sqrt((1 + a) / 2), np.sqrt((1 - a) / 2)  # on |20> and |22>
+    rho = a * _H33_PRODUCTS + 3 * a * _H33_MAXENT + np.outer(pi, pi)
+    return rho / (1 + 8 * a)
+
+
+def _noise_mixed(m: np.ndarray, p: float) -> np.ndarray:
+    if not 0.0 <= p <= 1.0:
+        raise ParameterRangeError(f"p must lie in [0,1], got {p}")
+    d = len(m)
+    return p * m + (1.0 - p) * np.eye(d) / d
+
+
 def horodecki33(a: float) -> DensityMatrix:
     """The 3x3 bound entangled family, real symmetric, PPT for all a in (0,1).
 
@@ -69,26 +85,17 @@ def horodecki33(a: float) -> DensityMatrix:
     entangled projector and 1/(1+8a) on the a-dependent |Pi> projector;
     the weights sum to one exactly.
     """
-    if not 0.0 < a < 1.0:
-        raise ParameterRangeError(f"a must lie in (0,1), got {a}")
-    pi = np.zeros(9)
-    pi[6], pi[8] = np.sqrt((1 + a) / 2), np.sqrt((1 - a) / 2)  # on |20> and |22>
-    rho = a * _H33_PRODUCTS + 3 * a * _H33_MAXENT + np.outer(pi, pi)
-    return DensityMatrix(3, 3, rho / (1 + 8 * a))
+    return DensityMatrix(3, 3, _horodecki33_matrix(a))
 
 
 def white_noise_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
     """p * rho + (1-p) * identity / (dim_a dim_b)."""
-    if not 0.0 <= p <= 1.0:
-        raise ParameterRangeError(f"p must lie in [0,1], got {p}")
-    d = rho.dim
-    mixed = p * np.asarray(rho.matrix) + (1.0 - p) * np.eye(d) / d
-    return DensityMatrix(rho.dim_a, rho.dim_b, mixed)
+    return DensityMatrix(rho.dim_a, rho.dim_b, _noise_mixed(np.asarray(rho.matrix), p))
 
 
 def horodecki_noise(a: float, p: float) -> DensityMatrix:
-    """White-noise mixture of the 3x3 bound entangled state."""
-    return white_noise_mix(horodecki33(a), p)
+    """White-noise mixture of the 3x3 bound entangled state, validated once."""
+    return DensityMatrix(3, 3, _noise_mixed(_horodecki33_matrix(a), p))
 
 
 def noisy_singlet(p: float) -> DensityMatrix:

@@ -111,13 +111,12 @@ def test_acceptance_04_algebraic_identities():
         rho = DensityMatrix(*dims, random_mixed_state(dims[0] * dims[1], rng))
         lhs = joint_variance_sum(rho, obs)
         ra, rb = partial_trace(rho, "B"), partial_trace(rho, "A")
-        local = sum(variance(op, ra) for op in obs.ops_a)
-        local += sum(variance(op, rb) for op in obs.ops_b)
+        local = sum(variance(op, ra) for op in obs.stack_a)
+        local += sum(variance(op, rb) for op in obs.stack_b)
         m = np.asarray(rho.matrix)
-        cov = sum(np.trace(m @ np.kron(a.matrix, b.matrix)).real
-                  - np.trace(ra @ np.asarray(a.matrix)).real
-                  * np.trace(rb @ np.asarray(b.matrix)).real
-                  for a, b in zip(obs.ops_a, obs.ops_b))
+        cov = sum(np.trace(m @ np.kron(a, b)).real
+                  - np.trace(ra @ a).real * np.trace(rb @ b).real
+                  for a, b in zip(obs.stack_a, obs.stack_b))
         worst_expansion = max(worst_expansion, abs(lhs - (local + 2.0 * cov)))
         c_lur, c_tlur = entanglement_measures(rho, obs)
         mm = eval_tlur(rho, obs).components["M"]
@@ -194,8 +193,8 @@ def test_acceptance_08_bound_solver():
     rows = []
     ok = True
     for d in (2, 3, 4):
-        analytic, _ = uncertainty_bound(loo_basis(d).ops, mode="analytic")
-        numeric, _ = uncertainty_bound(loo_basis(d).ops, mode="numeric", seed=2)
+        analytic, _ = uncertainty_bound(loo_basis(d).stack, mode="analytic")
+        numeric, _ = uncertainty_bound(loo_basis(d).stack, mode="numeric", seed=2)
         ok &= analytic == float(d - 1)
         # 1e-12 covers float dust on top of the solver's own 1e-6 margin
         ok &= abs(numeric - analytic) <= 1e-6 + 1e-12

@@ -157,6 +157,13 @@ def test_invalid_inputs_exit_2(capsys):
          "--criterion", "ppt"),  # outside the declared range (2, 16)
         ("evaluate", "--state", '{"family":"random_separable","params":{"dim_a":2.5}}',
          "--criterion", "ppt"),  # not an integer
+        ("evaluate", "--obs", '{"builder":"su_pair","params":{"dim_a":2.5,"dim_b":3.9}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"),  # observable dimension not an integer
+        ("evaluate", "--obs",
+         '{"builder":"su_pair","params":{"bound_mode":"numeric","restarts":0}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"),  # no minimizer start
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -42,7 +42,7 @@ def test_su3_casimir_sum():
 
 
 def test_loo_basis_d2():
-    ops = [np.asarray(op.matrix) for op in loo_basis(2).ops]
+    ops = loo_basis(2).stack
     expected = [PX / np.sqrt(2), PY / np.sqrt(2), PZ / np.sqrt(2), I2 / np.sqrt(2)]
     for got, want in zip(ops, expected):
         np.testing.assert_allclose(got, want, atol=1e-15)
@@ -51,7 +51,7 @@ def test_loo_basis_d2():
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
 def test_loo_basis_identities(seed, d):
     rho = random_dm_array(d, np.random.default_rng(seed))
-    ops = [np.asarray(op.matrix) for op in loo_basis(d).ops]
+    ops = loo_basis(d).stack
     means_sq = sum(np.trace(rho @ g).real ** 2 for g in ops)
     seconds = sum(np.trace(rho @ g @ g).real for g in ops)
     assert abs(means_sq - np.trace(rho @ rho).real) < 1e-10
@@ -99,7 +99,7 @@ def test_pair_builders_pad_unequal_dims():
     assert obs.dim_a == 2 and obs.dim_b == 3
     assert obs.bound_a == 1.0 and obs.bound_b == 2.0
     # the padded A-side operators are zero
-    assert all(np.abs(op.matrix).max() == 0.0 for op in obs.ops_a[4:])
+    assert np.abs(obs.stack_a[4:]).max() == 0.0
     su = su_pair(2, 3)
     assert su.n == 8 and su.bound_a == 2.0 and su.bound_b == 4.0
 
@@ -108,8 +108,7 @@ def test_su_pair_pairing_modes():
     conj = su_pair(3, pairing="conjugate")
     direct = su_pair(3, pairing="direct")
     # antisymmetric generators flip sign under conjugation
-    flips = sum(1 for a, b in zip(conj.ops_b, direct.ops_b)
-                if not np.allclose(a.matrix, b.matrix))
+    flips = sum(1 for a, b in zip(conj.stack_b, direct.stack_b) if not np.allclose(a, b))
     assert flips == 3
     with pytest.raises(ParameterRangeError):
         su_pair(3, pairing="sideways")
@@ -150,19 +149,18 @@ def test_schmidt_loo_pair_structure():
     assert obs.n == 9
     assert obs.bound_a == obs.bound_b == 2.0
     # A ops and negated B ops each form complete LOO bases
-    LooBasis(obs.ops_a)
-    LooBasis(tuple(HermitianOperator(-np.asarray(op.matrix)) for op in obs.ops_b))
+    LooBasis(obs.stack_a)
+    LooBasis(-obs.stack_b)
     # pairing carries the Schmidt coefficients
     coeffs, _, _ = operator_schmidt(rho)
     m = np.asarray(rho.matrix)
-    cross = sum(np.trace(m @ np.kron(a.matrix, -np.asarray(b.matrix))).real
-                for a, b in zip(obs.ops_a, obs.ops_b))
+    cross = sum(np.trace(m @ np.kron(a, -b)).real for a, b in zip(obs.stack_a, obs.stack_b))
     assert abs(cross - coeffs.sum()) < 1e-9
 
 
 @pytest.mark.parametrize("d,expected", [(2, 1.0), (3, 2.0), (4, 3.0)])
 def test_uncertainty_bound_analytic_loo(d, expected):
-    val, prov = uncertainty_bound(loo_basis(d).ops, mode="analytic")
+    val, prov = uncertainty_bound(loo_basis(d).stack, mode="analytic")
     assert val == expected and prov.mode == "analytic"
 
 
@@ -173,7 +171,7 @@ def test_uncertainty_bound_analytic_su(d, expected):
 
 
 def test_uncertainty_bound_numeric_matches_analytic():
-    for ops, expected in [(loo_basis(2).ops, 1.0), (loo_basis(3).ops, 2.0),
+    for ops, expected in [(loo_basis(2).stack, 1.0), (loo_basis(3).stack, 2.0),
                           (su_generators(3), 4.0)]:
         val, prov = uncertainty_bound(ops, mode="numeric", seed=5)
         assert prov.mode == "numeric"
@@ -196,17 +194,22 @@ def test_uncertainty_bound_determinism_and_errors():
     a, _ = uncertainty_bound([PZ, PX], mode="numeric", seed=9)
     b, _ = uncertainty_bound([PZ, PX], mode="numeric", seed=9)
     assert a == b
+    # every qubit set has a closed form (here 1); a qutrit pair has none
+    assert uncertainty_bound([PZ, PX], mode="analytic")[0] == 1.0
     with pytest.raises(ParameterRangeError):
-        uncertainty_bound([PZ, PX], mode="analytic")
+        uncertainty_bound(_QUTRIT_PAIR, mode="analytic")
     with pytest.raises(ParameterRangeError):
         uncertainty_bound([], mode="numeric")
+    with pytest.raises(ParameterRangeError):
+        uncertainty_bound([PZ, PX], mode="numeric", restarts=0)
+
+
+_QUTRIT_PAIR = [su_generators(3)[4].matrix, np.diag([1.0, 0.0, -1.0]).astype(complex)]
 
 
 def test_numeric_bound_holds_against_haar_sampling():
     rng = np.random.default_rng(123)
-    h1 = np.asarray(su_generators(3)[4].matrix)
-    h2 = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    ops = [h1, h2]
+    ops = _QUTRIT_PAIR
     bound, _ = uncertainty_bound(ops, mode="numeric", seed=3)
     sq = sum(a @ a for a in ops)
     for _ in range(2000):
@@ -234,6 +237,35 @@ def test_declared_bound_beaten_by_sampling_is_rejected():
         LocalObservableSet(ops, ops, 0.5, 0.5, BoundProvenance("analytic"))
 
 
+def test_declared_qutrit_bound_above_an_eigenstate_is_rejected():
+    # diag(1, 0, -1) has zero variance on its eigenstates, so any positive
+    # declared bound is invalid; the minimizer's starts reach an eigenstate
+    h = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    with pytest.raises(InvalidBoundError):
+        LocalObservableSet([h], [h], 0.02, 0.0, BoundProvenance("declared"))
+    LocalObservableSet([h], [h], 0.0, 0.0, BoundProvenance("declared"))
+
+
+@st.composite
+def _qubit_stacks(draw):
+    seed, n = draw(st.integers(0, 10**6)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    return (g + g.conj().transpose(0, 2, 1)) / 2
+
+
+@given(_qubit_stacks(), st.integers(0, 100))
+def test_qubit_closed_form_matches_minimizer_and_rejects_above(stack, seed):
+    exact, prov = uncertainty_bound(stack, mode="analytic")
+    assert prov.mode == "analytic"
+    numeric, _ = uncertainty_bound(stack, mode="numeric", seed=seed)
+    assert abs(numeric - max(exact - 1e-6, 0.0)) < 1e-9
+    declared = BoundProvenance("declared")
+    assert LocalObservableSet(stack, stack, exact, exact, declared).bound_a == exact
+    with pytest.raises(InvalidBoundError):
+        LocalObservableSet(stack, stack, exact + 1e-6, 0.0, declared)
+
+
 def test_observables_from_spec_builders():
     obs = observables_from_spec("pauli_loo_pair")
     assert obs.n == 4
@@ -249,6 +281,16 @@ def test_observables_from_spec_builders():
         observables_from_spec({"builder": "warp_drive"})
     with pytest.raises(SpecParseError):
         observables_from_spec({"builder": "loo_pair"})
+
+
+def test_observables_from_spec_rejects_non_integral_params():
+    obs = observables_from_spec({"builder": "su_pair", "params": {"dim_a": 2.0, "dim_b": 3.0}})
+    assert (obs.dim_a, obs.dim_b) == (2, 3)
+    for key, value in [("dim_a", 2.5), ("dim_b", 3.9), ("seed", 0.5), ("restarts", 2.5),
+                       ("dim_b", "3"), ("dim_a", True)]:
+        params = {"dim_a": 2, "dim_b": 3, "bound_mode": "numeric", "restarts": 2, key: value}
+        with pytest.raises(SpecParseError, match=f"params.{key}"):
+            observables_from_spec({"builder": "su_pair", "params": params})
 
 
 def test_observables_from_spec_explicit_matrices():
@@ -305,14 +347,14 @@ def test_builder_sets_are_certified_without_sampling(monkeypatch):
             loo_pair(da, db, pairing=pairing)
             su_pair(da, db, pairing=pairing)
     for obs in numeric:
-        LocalObservableSet(obs.ops_a, obs.ops_b, obs.bound_a, obs.bound_b, obs.provenance)
+        LocalObservableSet(obs.stack_a, obs.stack_b, obs.bound_a, obs.bound_b, obs.provenance)
     for rho in _schmidt_test_states():
         schmidt_loo_pair(rho)
         observables_from_spec("schmidt_loo_pair", state=rho)
 
 
 @pytest.mark.parametrize("ops,exact", [
-    (loo_basis(3).ops, 2.0),
+    (loo_basis(3).stack, 2.0),
     ([HermitianOperator(m) for m in (PX, -PY, PZ)], 2.0),
 ])
 def test_declared_closed_form_bound_is_exact(ops, exact):

@@ -35,6 +35,11 @@ def test_grid_axis_stops_short_when_step_does_not_divide():
     result = sweep("horodecki_noise", [axis], ["ppt"], fixed_params={"a": 0.5})
     assert result.cells[-1]["params"]["p"] == 1.0
     assert GridAxis("a", 0.05, 0.95, 0.05).values()[-1] == 0.95
+    # accumulated float error does not leak: 3 * 0.05 is 0.15, 57 * 0.01 is 0.57
+    for start, stop, step in [(0.0, 1.0, 0.01), (0.05, 0.95, 0.05)]:
+        values = GridAxis("p", start, stop, step).values()
+        assert max(len(repr(v)) for v in values) <= len(repr(step)), values
+    assert GridAxis("a", 0.05, 0.95, 0.05).values()[2] == 0.15
 
 
 def test_sweep_noisy_singlet_endpoints():
