@@ -29,7 +29,6 @@ from .criteria import (
     eval_tlur,
     eval_tlur_dual,
     joint_variance_sum,
-    loo_bases_from_set,
 )
 from .linops import (
     DensityMatrix,
@@ -45,7 +44,6 @@ from .linops import (
 from .observables import (
     BoundProvenance,
     LocalObservableSet,
-    LooBasis,
     loo_basis,
     loo_pair,
     observables_from_spec,

@@ -11,15 +11,18 @@ violation (positive means entanglement detected):
   separable states cannot exceed it.
 * ``eval_lemma1``: sqrt of the product of local excesses plus/minus the
   cross-covariance sum must be nonnegative for separable states.
-* ``eval_corollary1`` / ``eval_nonlinear_witness``: LOO-basis witnesses;
-  corollary1 subtracts a purity-difference term and is never weaker.
+* ``eval_nonlinear_witness`` / ``eval_corollary1``: the LOO witnesses, LUR
+  and TLUR on an LOO pair A_k = G_k^A, B_k = -G_k^B (a set whose
+  ``is_loo_pair`` holds).  A complete LOO side has sum_k Var(G_k) =
+  d - Tr rho_X^2, so with U_X = d_X - 1 the witness is half the LUR excess
+  lhs - U_A - U_B, and corollary 1, half the TLUR excess lhs - U_A - U_B -
+  M^2, subtracts the purity-difference term M^2/2 and is never weaker.
 * ``eval_ppt`` / ``eval_ccnr``: standard comparators.
 
-Every variance criterion and both LOO witnesses read one moment kernel,
-``_moments``: from one reshape of the state it returns the per-k vectors
-<A_k>, <B_k>, <A_k^2>, <B_k^2> and <A_k (x) B_k> of the operator stacks
-that observable sets and LOO bases carry.  Each variance is clipped at zero
-before it is summed.
+Every set criterion reads one moment kernel, ``_moments``: from one reshape
+of the state it returns the per-k vectors <A_k>, <B_k>, <A_k^2>, <B_k^2>
+and <A_k (x) B_k> of the operator stacks that observable sets carry.  Each
+variance is clipped at zero before it is summed.
 
 Local variance sums may round off slightly below a tight bound; deficits in
 [-1e-9, 0) are clipped to zero before square roots, anything worse is a hard
@@ -30,23 +33,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidBoundError, ParameterRangeError
-from .linops import (
-    min_eigenvalue,
-    partial_trace,
-    partial_transpose,
-    purity,
-    realign,
-    trace_norm,
+from .errors import (
+    DimensionMismatchError,
+    InvalidBoundError,
+    ParameterRangeError,
+    ValidationError,
 )
-from .observables import LocalObservableSet, LooBasis, _nonzero, _zero_pad
+from .linops import min_eigenvalue, partial_transpose, realign, trace_norm
+from .observables import LocalObservableSet, _nonzero
 from .report import DETECTION_TOL, CriterionReport, make_report
 
 __all__ = [
     "eval_lur", "eval_tlur", "eval_tlur_dual", "eval_lemma1",
     "eval_corollary1", "eval_nonlinear_witness", "eval_ppt", "eval_ccnr",
-    "entanglement_measures", "joint_variance_sum", "loo_bases_from_set",
-    "DETECTION_TOL",
+    "entanglement_measures", "joint_variance_sum", "DETECTION_TOL",
 ]
 
 _CLIP = 1e-9
@@ -59,31 +59,28 @@ def _check_dims(rho, obs: LocalObservableSet):
             f"({rho.dim_a},{rho.dim_b})")
 
 
-def _moments(rho, a, b, a2, b2):
-    """Per-k moments of stacked local operators on ``rho``.
+def _moments(rho, obs: LocalObservableSet):
+    """Per-k moments of the set's operator stacks on ``rho``.
 
-    ``a`` (n, d_A, d_A) and ``b`` (n, d_B, d_B) are Hermitian stacks,
-    zero-padded to a common n, and ``a2``/``b2`` their squares.  Returns the
-    vectors <A_k>, <B_k>, <A_k^2>, <B_k^2> and <A_k (x) B_k>.  With row-major
-    vec and vec(A^T) = conj(vec(A)) for Hermitian A, Tr(rho_A A) =
-    conj(vec A) . vec(rho_A) and <A (x) B> = conj(vec A)^T R(rho) conj(vec B),
-    R the realigned state.
+    ``stack_a`` (n, d_A, d_A) and ``stack_b`` (n, d_B, d_B) are Hermitian
+    stacks and ``sq_a``/``sq_b`` their squares.  Returns the vectors <A_k>,
+    <B_k>, <A_k^2>, <B_k^2> and <A_k (x) B_k>.  With row-major vec and
+    vec(A^T) = conj(vec(A)) for Hermitian A, Tr(rho_A A) = conj(vec A) .
+    vec(rho_A) and <A (x) B> = conj(vec A)^T R(rho) conj(vec B), R the
+    realigned state.
     """
+    _check_dims(rho, obs)
     da, db = rho.dim_a, rho.dim_b
-    n = len(a)
+    n = obs.n
     t = np.asarray(rho.matrix).reshape(da, db, da, db)
     ra = np.einsum("ikjk->ij", t).ravel()
     rb = np.einsum("kikj->ij", t).ravel()
     realigned = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    va, vb = a.reshape(n, -1).conj(), b.reshape(n, -1).conj()
+    va, vb = obs.stack_a.reshape(n, -1).conj(), obs.stack_b.reshape(n, -1).conj()
     return ((va @ ra).real, (vb @ rb).real,
-            (a2.reshape(n, -1).conj() @ ra).real, (b2.reshape(n, -1).conj() @ rb).real,
+            (obs.sq_a.reshape(n, -1).conj() @ ra).real,
+            (obs.sq_b.reshape(n, -1).conj() @ rb).real,
             ((va @ realigned) * vb).sum(axis=1).real)
-
-
-def _set_moments(rho, obs: LocalObservableSet):
-    _check_dims(rho, obs)
-    return _moments(rho, obs.stack_a, obs.stack_b, obs.sq_a, obs.sq_b)
 
 
 def _variance_sum(mean, second) -> float:
@@ -99,7 +96,7 @@ def _joint_sum(ma, mb, qa, qb, ab) -> float:
 
 def joint_variance_sum(rho, obs: LocalObservableSet) -> float:
     """sum_k Var(A_k (x) 1 + 1 (x) B_k) on the joint state."""
-    return _joint_sum(*_set_moments(rho, obs))
+    return _joint_sum(*_moments(rho, obs))
 
 
 def _excess(local_sum: float, bound: float, side: str) -> float:
@@ -119,16 +116,19 @@ def eval_lur(rho, obs: LocalObservableSet) -> CriterionReport:
                        {"variance_sum": lhs, "U_A": obs.bound_a, "U_B": obs.bound_b})
 
 
-def _tlur_parts(rho, obs: LocalObservableSet) -> dict:
-    ma, mb, qa, qb, ab = _set_moments(rho, obs)
+def _tlur_parts(rho, obs: LocalObservableSet, bounds=None) -> dict:
+    """Joint and local variance sums, excesses and M against ``bounds``
+    (U_A, U_B), by default the set's own."""
+    u_a, u_b = bounds or (obs.bound_a, obs.bound_b)
+    ma, mb, qa, qb, ab = _moments(rho, obs)
     lhs = _joint_sum(ma, mb, qa, qb, ab)
     sum_a, sum_b = _variance_sum(ma, qa), _variance_sum(mb, qb)
-    ea = _excess(sum_a, obs.bound_a, "A")
-    eb = _excess(sum_b, obs.bound_b, "B")
+    ea = _excess(sum_a, u_a, "A")
+    eb = _excess(sum_b, u_b, "B")
     return {
         "variance_sum": lhs,
-        "U_A": obs.bound_a,
-        "U_B": obs.bound_b,
+        "U_A": u_a,
+        "U_B": u_b,
         "local_variance_sum_A": sum_a,
         "local_variance_sum_B": sum_b,
         "excess_A": ea,
@@ -153,7 +153,7 @@ def eval_tlur_dual(rho, obs: LocalObservableSet) -> CriterionReport:
 
 def eval_lemma1(rho, obs: LocalObservableSet) -> CriterionReport:
     """sqrt(excess_A * excess_B) +/- cross-covariance sum >= 0, both signs."""
-    ma, mb, qa, qb, ab = _set_moments(rho, obs)
+    ma, mb, qa, qb, ab = _moments(rho, obs)
     ea = _excess(_variance_sum(ma, qa), obs.bound_a, "A")
     eb = _excess(_variance_sum(mb, qb), obs.bound_b, "B")
     cov = float((ab - ma * mb).sum())
@@ -169,44 +169,31 @@ def eval_lemma1(rho, obs: LocalObservableSet) -> CriterionReport:
     return make_report("lemma1", lhs, 0.0, -lhs, components)
 
 
-def _as_loo(basis) -> LooBasis:
-    return basis if isinstance(basis, LooBasis) else LooBasis(basis)
+def _loo_parts(rho, obs: LocalObservableSet, name: str) -> dict:
+    """TLUR parts of an LOO pair against U_X = d_X - 1, the exact minimum of a
+    complete LOO side (a declared side may carry a lower bound)."""
+    if not obs.is_loo_pair:
+        raise ValidationError(f"criterion '{name}' needs complete LOO bases on both sides")
+    return _tlur_parts(rho, obs, (obs.dim_a - 1.0, obs.dim_b - 1.0))
 
 
-def _loo_witness_parts(rho, loo_a, loo_b) -> dict:
-    loo_a, loo_b = _as_loo(loo_a), _as_loo(loo_b)
-    if (loo_a.dim, loo_b.dim) != (rho.dim_a, rho.dim_b):
-        raise DimensionMismatchError(
-            f"LOO bases act on ({loo_a.dim},{loo_b.dim}) but state has "
-            f"({rho.dim_a},{rho.dim_b})")
-    n = max(len(loo_a.stack), len(loo_b.stack))
-    mean_a, mean_b, _, _, corr = _moments(
-        rho, _zero_pad(loo_a.stack, n), _zero_pad(loo_b.stack, n),
-        _zero_pad(loo_a.sq, n), _zero_pad(loo_b.sq, n))
-    cross = float(corr.sum())
-    mean_diff_sq = float(((mean_a - mean_b) ** 2).sum())
-    pa, pb = purity(partial_trace(rho, "B")), purity(partial_trace(rho, "A"))
-    purity_term = 0.5 * (np.sqrt(max(1.0 - pa, 0.0)) - np.sqrt(max(1.0 - pb, 0.0))) ** 2
-    witness = 1.0 - cross - 0.5 * mean_diff_sq
-    return {
-        "cross_sum": cross, "mean_diff_sq_sum": mean_diff_sq,
-        "purity_A": pa, "purity_B": pb, "purity_term": purity_term,
-        "witness_value": witness, "corollary1_value": witness - purity_term,
-    }
-
-
-def eval_corollary1(rho, loo_a, loo_b) -> CriterionReport:
-    """LOO witness tightened by the purity-difference term; separable => value >= 0."""
-    c = _loo_witness_parts(rho, loo_a, loo_b)
-    value = c["corollary1_value"]
-    return make_report("corollary1", value, 0.0, -value, c)
-
-
-def eval_nonlinear_witness(rho, loo_a, loo_b) -> CriterionReport:
-    """The same witness without the purity term (the weaker comparator)."""
-    c = _loo_witness_parts(rho, loo_a, loo_b)
-    value = c["witness_value"]
+def eval_nonlinear_witness(rho, obs: LocalObservableSet) -> CriterionReport:
+    """LOO witness 1 - sum_k <G_k^A (x) G_k^B> - sum_k (<G_k^A> - <G_k^B>)^2 / 2
+    on an LOO pair A_k = G_k^A, B_k = -G_k^B: half the LUR excess
+    lhs - U_A - U_B.  Separable => value >= 0."""
+    c = _loo_parts(rho, obs, "nonlinear_witness")
+    value = (c["variance_sum"] - c["U_A"] - c["U_B"]) / 2
     return make_report("nonlinear_witness", value, 0.0, -value, c)
+
+
+def eval_corollary1(rho, obs: LocalObservableSet) -> CriterionReport:
+    """Corollary 1: the LOO witness less the purity-difference term
+    (sqrt(1 - Tr rho_A^2) - sqrt(1 - Tr rho_B^2))^2 / 2, i.e. half the TLUR
+    excess lhs - U_A - U_B - M^2.  Separable => value >= 0; never weaker than
+    ``eval_nonlinear_witness``."""
+    c = _loo_parts(rho, obs, "corollary1")
+    value = (c["variance_sum"] - c["U_A"] - c["U_B"] - c["M"] ** 2) / 2
+    return make_report("corollary1", value, 0.0, -value, c)
 
 
 def eval_ppt(rho, transposed: str = "B") -> CriterionReport:
@@ -237,10 +224,10 @@ def entanglement_measures(rho, obs: LocalObservableSet) -> tuple[float, float]:
     return c_lur, c_tlur
 
 
-def loo_bases_from_set(obs: LocalObservableSet) -> tuple[LooBasis, LooBasis]:
-    """Reinterpret a set built as A_k = G_k^A, B_k = -G_k^B as its LOO bases.
-
-    Zero padding is dropped; orthonormality is validated, so sets that were
-    not built from complete LOO bases are rejected.
-    """
-    return LooBasis(_nonzero(obs.stack_a)), LooBasis(-_nonzero(obs.stack_b))
+def loo_bases_from_set(obs: LocalObservableSet) -> tuple[np.ndarray, np.ndarray]:
+    """The LOO bases (G^A, G^B) of an LOO pair A_k = G_k^A, B_k = -G_k^B, zero
+    padding dropped.  Nothing in the package calls it; the benchmark's tracer
+    (``perfbench/tracing.py``) looks it up by name."""
+    if not obs.is_loo_pair:
+        raise ValidationError("the set is not built from complete LOO bases")
+    return _nonzero(obs.stack_a), -_nonzero(obs.stack_b)

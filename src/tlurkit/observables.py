@@ -3,10 +3,10 @@
 A ``LocalObservableSet`` pairs equal-length lists {A_k} on subsystem A and
 {B_k} on subsystem B with lower bounds ``bound_a <= min_psi sum_k Var(A_k)``
 and likewise for B, the minimum running over pure states (the variance sum
-is concave in the state, so pure states attain the minimum).  Sets and LOO
-bases carry their operators as validated (n, d, d) stacks, built and checked
-as arrays, together with the stacks' squares; every variance criterion reads
-them through the one moment kernel of ``criteria``.
+is concave in the state, so pure states attain the minimum).  Sets carry
+their operators as validated (n, d, d) stacks, built and checked as arrays,
+together with the stacks' squares; every set criterion, the LOO witnesses
+included, reads them through the one moment kernel of ``criteria``.
 
 Closed-form bounds used by the builders:
 
@@ -24,7 +24,10 @@ builder's sets are of this kind.  Any other qubit side is held to the exact
 minimum sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T), where A_k = a_k0 1 +
 a_k . sigma.  Any other side, such as declared qutrit ``opsA``/``opsB``
 matrices, must not exceed the best of a few seeded starts of the minimizer
-that ``uncertainty_bound(mode="numeric")`` runs.
+that ``uncertainty_bound(mode="numeric")`` runs.  The certifier also records
+whether both sides are complete LOO bases (``is_loo_pair``): the set is then
+an LOO pair A_k = G_k^A, B_k = -G_k^B, on which the LOO witnesses are
+defined.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .linops import DensityMatrix, HermitianOperator, hermitian_stack, realign
 from .states import parse_complex_matrix, random_pure_state
 
 __all__ = [
-    "BoundProvenance", "LocalObservableSet", "LooBasis",
+    "BoundProvenance", "LocalObservableSet",
     "su_generators", "loo_basis", "pauli_loo_pair", "loo_pair", "su_pair",
     "operator_schmidt", "schmidt_loo_pair", "uncertainty_bound",
     "observables_from_spec", "spec_requires_state", "OBS_BUILDERS",
@@ -115,7 +118,9 @@ class LocalObservableSet:
     ``stack_a`` (n, d_A, d_A) and ``stack_b`` (n, d_B, d_B) are the operators
     A_k and B_k, given as ``HermitianOperator``s, matrices or arrays and kept
     as validated read-only stacks; ``sq_a``/``sq_b`` hold their squares.  The
-    criteria read the stacks through one moment kernel.
+    criteria read the stacks through one moment kernel.  ``is_loo_pair`` is
+    True when the certifier found the nonzero operators of both sides to be
+    complete LOO bases, so that the LOO witnesses apply.
     """
 
     stack_a: np.ndarray
@@ -125,6 +130,7 @@ class LocalObservableSet:
     provenance: BoundProvenance
     sq_a: np.ndarray = field(init=False, repr=False, compare=False)
     sq_b: np.ndarray = field(init=False, repr=False, compare=False)
+    is_loo_pair: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stack_a) != len(self.stack_b) or not len(self.stack_a):
@@ -138,16 +144,18 @@ class LocalObservableSet:
             raise ValidationError("bounds must be finite")
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValidationError("bounds must be nonnegative")
+        forms = []
         for side, stack, bound in (("A", a, self.bound_a), ("B", b, self.bound_b)):
             # the one certifier: an exact minimum where a closed form exists,
             # else a variance sum the minimizer reaches from fixed seeded starts
-            attained = _classify_analytic(stack)
-            if attained is None:
-                attained = _numeric_minimum(stack, _CERTIFY_SEED, _CERTIFY_STARTS)
+            attained, form = _classify_analytic(stack) or (
+                _numeric_minimum(stack, _CERTIFY_SEED, _CERTIFY_STARTS), None)
             if bound > attained + 1e-8:
                 raise InvalidBoundError(
                     f"declared bound {bound} on side {side} exceeds the variance "
                     f"sum {attained} that a pure state attains")
+            forms.append(form)
+        object.__setattr__(self, "is_loo_pair", forms == ["loo", "loo"])
 
     @property
     def n(self) -> int:
@@ -160,35 +168,6 @@ class LocalObservableSet:
     @property
     def dim_b(self) -> int:
         return self.stack_b.shape[1]
-
-
-@dataclass(frozen=True)
-class LooBasis:
-    """A complete Hilbert-Schmidt orthonormal basis of Hermitian operators.
-
-    ``stack`` (d^2, d, d) holds the operators, given as ``HermitianOperator``s,
-    matrices or an array and kept as a validated read-only stack; ``sq`` holds
-    their squares.
-    """
-
-    stack: np.ndarray
-    sq: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not len(self.stack):
-            raise ValidationError("empty operator list")
-        s = hermitian_stack(self.stack)
-        d = s.shape[1]
-        if len(s) != d * d:
-            raise ValidationError(f"need {d * d} operators for dimension {d}, got {len(s)}")
-        if not _is_complete_loo(s):
-            raise ValidationError("operators are not Hilbert-Schmidt orthonormal")
-        object.__setattr__(self, "stack", s)
-        object.__setattr__(self, "sq", _squares(s))
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[1]
 
 
 @lru_cache(maxsize=None)
@@ -233,9 +212,10 @@ def _loo_stack(d: int) -> np.ndarray:
     return hermitian_stack(np.concatenate([_su_stack(d) / np.sqrt(2.0), eye[None]]))
 
 
-def loo_basis(d: int) -> LooBasis:
-    """Canonical LOO basis: normalized generators plus identity/sqrt(d) last."""
-    return LooBasis(_loo_stack(d))
+def loo_basis(d: int) -> np.ndarray:
+    """Canonical LOO basis as a read-only (d^2, d, d) stack: normalized
+    generators plus identity/sqrt(d) last."""
+    return _loo_stack(d)
 
 
 @lru_cache(maxsize=None)
@@ -338,25 +318,27 @@ def schmidt_loo_pair(rho: DensityMatrix) -> LocalObservableSet:
                               BoundProvenance("analytic"))
 
 
-def _classify_analytic(stack: np.ndarray) -> float | None:
-    """Exact pure-state minimum of sum_k Var(A_k) where a closed form exists:
-    full LOO sets (-> d-1), generator sets (-> 2(d-1)) and every qubit side
-    (-> sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T) for A_k = a_k0 1 + a_k . sigma)."""
+def _classify_analytic(stack: np.ndarray) -> tuple[float, str] | None:
+    """Exact pure-state minimum of sum_k Var(A_k) where a closed form exists,
+    with the form that matched: "loo" for full LOO sets (-> d-1), "generators"
+    for generator sets (-> 2(d-1)), "qubit" for every other qubit side
+    (-> sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T) for A_k = a_k0 1 + a_k . sigma)
+    and "zero" for a side of zero operators (-> 0)."""
     nonzero = _nonzero(stack)
     if not len(nonzero):
-        return 0.0
+        return 0.0, "zero"
     d = stack.shape[1]
     if _is_complete_loo(nonzero):
-        return float(d - 1)
+        return float(d - 1), "loo"
     n = len(nonzero)
     if (n == d * d - 1
             and np.abs(np.trace(nonzero, axis1=1, axis2=2)).max() <= 1e-10
             and np.abs(_gram(nonzero) - 2.0 * np.eye(n)).max() <= 2 * ORTHONORMALITY_ATOL):
-        return float(2 * (d - 1))
+        return float(2 * (d - 1)), "generators"
     if d == 2:
         bloch = 0.5 * np.einsum("kij,pji->kp", nonzero, _su_stack(2)).real
         m = bloch.T @ bloch
-        return max(float(np.trace(m) - np.linalg.eigvalsh(m)[-1]), 0.0)
+        return max(float(np.trace(m) - np.linalg.eigvalsh(m)[-1]), 0.0), "qubit"
     return None
 
 
@@ -408,11 +390,11 @@ def uncertainty_bound(ops, mode: str = "numeric", seed: int = 0,
         raise ParameterRangeError("need at least one observable")
     stack = hermitian_stack(ops)
     if mode == "analytic":
-        val = _classify_analytic(stack)
-        if val is None:
+        closed = _classify_analytic(stack)
+        if closed is None:
             raise ParameterRangeError(
                 "no closed form for this set; use mode='numeric'")
-        return val, BoundProvenance("analytic")
+        return closed[0], BoundProvenance("analytic")
     if mode != "numeric":
         raise ParameterRangeError(f"mode must be 'analytic' or 'numeric', got {mode!r}")
     if restarts < 1:
@@ -457,6 +439,15 @@ def _integral(value, where: str) -> int:
     return int(value)
 
 
+def _dimension(value, where: str) -> int:
+    """A builder dimension in [2, 16], the range ``random_separable`` declares
+    (a set's size grows as d^4)."""
+    d = _integral(value, where)
+    if not 2 <= d <= 16:
+        raise SpecParseError(f"must lie in [2, 16], got {d}", field=where)
+    return d
+
+
 def observables_from_spec(spec, state: DensityMatrix | None = None,
                           dims: tuple[int, int] | None = None,
                           default_seed: int = 0) -> LocalObservableSet:
@@ -494,7 +485,8 @@ def observables_from_spec(spec, state: DensityMatrix | None = None,
                 params.setdefault("dim_b", dims[1])
             for key in ("dim_a", "dim_b", "seed", "restarts"):
                 if key in params:
-                    params[key] = _integral(params[key], f"params.{key}")
+                    check = _dimension if key.startswith("dim") else _integral
+                    params[key] = check(params[key], f"params.{key}")
             if name == "su_pair":
                 params.setdefault("seed", int(default_seed))
             try:

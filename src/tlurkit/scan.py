@@ -82,13 +82,9 @@ _register("tlur_dual", True, "upper bound U_A + U_B + (sqrt+sqrt)^2",
 _register("lemma1", True, "sqrt(excess product) +/- covariance sum >= 0",
           _need_obs("lemma1", _crit.eval_lemma1))
 _register("corollary1", True, "LOO witness with purity term",
-          _need_obs("corollary1",
-                    lambda rho, obs: _crit.eval_corollary1(
-                        rho, *_crit.loo_bases_from_set(obs))))
+          _need_obs("corollary1", _crit.eval_corollary1))
 _register("nonlinear_witness", True, "LOO witness without purity term",
-          _need_obs("nonlinear_witness",
-                    lambda rho, obs: _crit.eval_nonlinear_witness(
-                        rho, *_crit.loo_bases_from_set(obs))))
+          _need_obs("nonlinear_witness", _crit.eval_nonlinear_witness))
 _register("ppt", False, "negative partial transpose",
           lambda rho, obs: _crit.eval_ppt(rho))
 _register("ccnr", False, "realignment trace norm > 1",
@@ -132,6 +128,10 @@ class GridAxis:
     step: float
 
     def __post_init__(self):
+        for key in ("start", "stop", "step"):
+            if not np.isfinite(getattr(self, key)):
+                raise ParameterRangeError(
+                    f"axis '{self.name}': {key} must be finite, got {getattr(self, key)}")
         if self.step <= 0:
             raise ParameterRangeError(f"axis '{self.name}': step must be positive")
         if self.stop < self.start:
@@ -286,8 +286,8 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     """
     if not hi > lo:
         raise ParameterRangeError(f"need hi > lo, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ParameterRangeError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
     evaluate, _ = _make_point_evaluator(
         family, [criterion], obs_spec, dict(fixed_params or {}), seed)
 

@@ -11,10 +11,10 @@ import numpy as np
 from tlurkit import (
     DensityMatrix, bisect_threshold, entanglement_measures, eval_corollary1,
     eval_corollary2, eval_duan, eval_lemma1, eval_lur, eval_ppt, eval_tlur,
-    eval_tlur_dual, joint_variance_sum, loo_bases_from_set, loo_basis,
-    loo_pair, pauli_loo_pair, random_separable_gaussian, schmidt_loo_pair,
-    singlet, su_generators, su_pair, sweep, thermal, tmsv, uncertainty_bound,
-    GridAxis, partial_trace, variance,
+    eval_tlur_dual, joint_variance_sum, loo_basis, loo_pair, pauli_loo_pair,
+    random_separable_gaussian, schmidt_loo_pair, singlet, su_generators,
+    su_pair, sweep, thermal, tmsv, uncertainty_bound, GridAxis, partial_trace,
+    variance,
 )
 from tlurkit.cli import main as cli_main
 from tlurkit.states import horodecki33, random_mixed_state, random_separable
@@ -45,7 +45,7 @@ def test_acceptance_02_maximal_singlet_violation():
     rho = singlet()
     lur = eval_lur(rho, PAULI)
     tlur = eval_tlur(rho, PAULI)
-    cor1 = eval_corollary1(rho, *loo_bases_from_set(PAULI))
+    cor1 = eval_corollary1(rho, PAULI)
     ok = (abs(lur.lhs) <= 1e-10 and lur.rhs == 2.0
           and abs(tlur.lhs) <= 1e-10 and abs(tlur.rhs - 2.0) <= 1e-10
           and abs(cor1.lhs + 1.0) <= 1e-10)
@@ -79,7 +79,7 @@ def test_acceptance_03_separable_soundness_suite():
         for obs in sets:
             if obs is su_sets[dims]:
                 continue  # generator sets are not complete LOO bases
-            rep = eval_corollary1(rho, *loo_bases_from_set(obs))
+            rep = eval_corollary1(rho, obs)
             worst = max(worst, rep.margin)
             checked += 1
     worst_cv = -np.inf
@@ -193,8 +193,8 @@ def test_acceptance_08_bound_solver():
     rows = []
     ok = True
     for d in (2, 3, 4):
-        analytic, _ = uncertainty_bound(loo_basis(d).stack, mode="analytic")
-        numeric, _ = uncertainty_bound(loo_basis(d).stack, mode="numeric", seed=2)
+        analytic, _ = uncertainty_bound(loo_basis(d), mode="analytic")
+        numeric, _ = uncertainty_bound(loo_basis(d), mode="numeric", seed=2)
         ok &= analytic == float(d - 1)
         # 1e-12 covers float dust on top of the solver's own 1e-6 margin
         ok &= abs(numeric - analytic) <= 1e-6 + 1e-12

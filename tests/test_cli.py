@@ -164,6 +164,16 @@ def test_invalid_inputs_exit_2(capsys):
          '{"builder":"su_pair","params":{"bound_mode":"numeric","restarts":0}}',
          "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
          "--criterion", "lur"),  # no minimizer start
+        ("evaluate", "--obs", '{"builder":"su_pair","params":{"dim_a":17}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"),  # observable dimension outside [2, 16]
+        ("scan", "--family", "noisy_singlet", "--param", "p", "--min", "0",
+         "--max", "1", "--step", "nan", "--criteria", "ppt"),
+        ("scan", "--family", "noisy_singlet", "--param", "p", "--min", "0",
+         "--max", "inf", "--step", "0.1", "--criteria", "ppt"),
+        ("bisect", "--family", "noisy_singlet", "--param", "p", "--lo", "0",
+         "--hi", "1", "--criterion", "ppt", "--tol", "nan"),
+        ("cv-evaluate", "--state", '{"tmsv": 1}', "--criterion", "duan", "--a", "nan"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    bisect_root, corollary1_closed, oracle_loo_witness, oracle_variance_sums,
-    random_dm_array, random_herm, witness_closed,
+    I2, PX, PY, PZ, bisect_root, corollary1_closed, oracle_loo_witness,
+    oracle_variance_sums, random_dm_array, random_herm, witness_closed,
 )
 from tlurkit import (
     DensityMatrix, entanglement_measures, eval_ccnr, eval_corollary1,
     eval_lemma1, eval_lur, eval_nonlinear_witness, eval_ppt, eval_tlur,
-    eval_tlur_dual, joint_variance_sum, loo_bases_from_set, loo_pair,
-    partial_trace, pauli_loo_pair, schmidt_loo_pair, singlet, su_pair,
-    variance,
+    eval_tlur_dual, joint_variance_sum, loo_pair, partial_trace,
+    pauli_loo_pair, schmidt_loo_pair, singlet, su_pair, variance,
 )
-from tlurkit.errors import DimensionMismatchError, InvalidBoundError
+from tlurkit.criteria import loo_bases_from_set
+from tlurkit.errors import DimensionMismatchError, InvalidBoundError, ValidationError
 from tlurkit.observables import BoundProvenance, LocalObservableSet
 from tlurkit.linops import HermitianOperator
 from tlurkit.states import (
@@ -84,41 +84,37 @@ def test_lemma1_squared_form_consistency():
 
 
 def test_corollary1_on_singlet_and_product():
-    loo_a, loo_b = loo_bases_from_set(PAULI_PAIR)
-    rep = eval_corollary1(singlet(), loo_a, loo_b)
+    rep = eval_corollary1(singlet(), PAULI_PAIR)
     assert abs(rep.lhs + 1.0) < 1e-10 and rep.detected
-    assert abs(rep.components["cross_sum"] - 2.0) < 1e-12
+    assert abs(rep.components["variance_sum"]) < 1e-12
 
     ket = np.zeros(4)
     ket[0] = 1.0
-    rep = eval_corollary1(DensityMatrix(2, 2, np.outer(ket, ket)), loo_a, loo_b)
+    rep = eval_corollary1(DensityMatrix(2, 2, np.outer(ket, ket)), PAULI_PAIR)
     assert abs(rep.lhs) < 1e-12 and not rep.detected
 
 
 def test_noisy_singlet_witness_values_match_closed_forms():
-    loo_a, loo_b = loo_bases_from_set(PAULI_PAIR)
     for p in (0.0, 0.1, 0.221, 0.25, 0.4, 0.75, 1.0):
         rho = noisy_singlet(p)
-        wit = eval_nonlinear_witness(rho, loo_a, loo_b)
-        cor = eval_corollary1(rho, loo_a, loo_b)
+        wit = eval_nonlinear_witness(rho, PAULI_PAIR)
+        cor = eval_corollary1(rho, PAULI_PAIR)
         assert abs(wit.lhs - witness_closed(p)) < 1e-10
         assert abs(cor.lhs - corollary1_closed(p)) < 1e-10
 
 
 def test_noisy_singlet_witness_boundary_value():
-    loo_a, loo_b = loo_bases_from_set(PAULI_PAIR)
-    rep = eval_nonlinear_witness(noisy_singlet(0.25), loo_a, loo_b)
+    rep = eval_nonlinear_witness(noisy_singlet(0.25), PAULI_PAIR)
     assert abs(rep.lhs) < 5e-3  # the closed form vanishes at p = 1/4 exactly
     root = bisect_root(corollary1_closed, 0.05, 0.95)
     assert abs(root - 0.221) < 5e-3
 
 
 def test_corollary1_never_weaker_than_witness():
-    loo_a, loo_b = loo_bases_from_set(PAULI_PAIR)
     for seed in range(15):
         rho = DensityMatrix(2, 2, random_dm_array(4, np.random.default_rng(seed)))
-        wit = eval_nonlinear_witness(rho, loo_a, loo_b)
-        cor = eval_corollary1(rho, loo_a, loo_b)
+        wit = eval_nonlinear_witness(rho, PAULI_PAIR)
+        cor = eval_corollary1(rho, PAULI_PAIR)
         assert cor.lhs <= wit.lhs + 1e-12
         if wit.detected:
             assert cor.detected
@@ -193,12 +189,46 @@ def test_moment_kernel_matches_per_observable_oracle(rho, sets):
                                    err_msg=name)
         if name.startswith("su_pair") or name == "declared":
             continue  # not built from LOO bases
-        loo_a, loo_b = loo_bases_from_set(obs)
-        c = eval_corollary1(rho, loo_a, loo_b).components
-        want = oracle_loo_witness(m, da, db, loo_a.stack, loo_b.stack)
+        # the LOO pair A_k = G_k^A, B_k = -G_k^B; zero padding contributes zeros
+        cross, mean_diff_sq, pa, pb = oracle_loo_witness(m, da, db, obs.stack_a, -obs.stack_b)
+        witness = 1.0 - cross - 0.5 * mean_diff_sq
+        corollary1 = witness - 0.5 * (np.sqrt(1.0 - pa) - np.sqrt(1.0 - pb)) ** 2
         np.testing.assert_allclose(
-            [c["cross_sum"], c["mean_diff_sq_sum"], c["purity_A"], c["purity_B"]], want,
-            rtol=0, atol=1e-12, err_msg=name)
+            [eval_nonlinear_witness(rho, obs).lhs, eval_corollary1(rho, obs).lhs],
+            [witness, corollary1], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_loo_witnesses_read_a_declared_loo_set_against_d_minus_1():
+    # a declared LOO pair may carry bounds below d - 1; the witnesses still
+    # hold it to the exact d - 1 and agree with the builder's set
+    for da, db in [(2, 2), (2, 3)]:
+        built = loo_pair(da, db)
+        declared = LocalObservableSet(built.stack_a, built.stack_b, 0.5, 0.5,
+                                      BoundProvenance("declared"))
+        assert declared.is_loo_pair
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            rho = DensityMatrix(da, db, random_dm_array(da * db, rng))
+            for evaluate in (eval_nonlinear_witness, eval_corollary1):
+                assert evaluate(rho, declared).lhs == evaluate(rho, built).lhs
+
+
+def _declared_qubit_set(mats, bound):
+    return LocalObservableSet([HermitianOperator(m) for m in mats],
+                              [HermitianOperator(-m) for m in mats], bound, bound,
+                              BoundProvenance("declared"))
+
+
+def test_loo_witnesses_reject_sets_without_loo_bases():
+    rho = noisy_singlet(0.5)
+    unnormalized = _declared_qubit_set((PX, PY, PZ, I2), 2.0)  # off by sqrt(2)
+    for obs in (su_pair(2, 2), _declared_qubit_set((PX, PY, PZ), 2.0), unnormalized):
+        assert not obs.is_loo_pair
+        for evaluate in (eval_nonlinear_witness, eval_corollary1):
+            with pytest.raises(ValidationError):
+                evaluate(rho, obs)
+        with pytest.raises(ValidationError):
+            loo_bases_from_set(obs)
 
 
 @given(st.integers(0, 10**6))
@@ -211,8 +241,7 @@ def test_separable_soundness_sample(seed):
     assert not eval_tlur(rho, obs).detected
     assert not eval_tlur_dual(rho, obs).detected
     assert not eval_lemma1(rho, obs).detected
-    loo_a, loo_b = loo_bases_from_set(obs)
-    assert not eval_corollary1(rho, loo_a, loo_b).detected
+    assert not eval_corollary1(rho, obs).detected
 
 
 MIXED_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 3)])
@@ -237,9 +266,8 @@ def test_tlur_detects_whatever_lur_detects(seed, dims, rank):
 def test_corollary1_detects_whatever_the_nonlinear_witness_detects(seed, dims, rank):
     rho = _random_state(seed, dims, rank)
     for obs in (schmidt_loo_pair(rho), loo_pair(*dims)):
-        loo_a, loo_b = loo_bases_from_set(obs)
-        if eval_nonlinear_witness(rho, loo_a, loo_b).detected:
-            assert eval_corollary1(rho, loo_a, loo_b).detected
+        if eval_nonlinear_witness(rho, obs).detected:
+            assert eval_corollary1(rho, obs).detected
 
 
 @given(st.integers(0, 10**6), MIXED_DIMS, st.integers(1, 6))
@@ -251,7 +279,7 @@ def test_no_detection_on_random_separable_states(seed, dims, n_terms):
         assert not eval_lur(rho, obs).detected
         assert not eval_tlur(rho, obs).detected
     for obs in loo_sets:
-        assert not eval_corollary1(rho, *loo_bases_from_set(obs)).detected
+        assert not eval_corollary1(rho, obs).detected
     assert not eval_ppt(rho).detected
     assert not eval_ccnr(rho).detected
 

@@ -8,11 +8,9 @@ from tlurkit import (
     operator_schmidt, pauli_loo_pair, schmidt_loo_pair, singlet,
     su_generators, su_pair, trace_norm, realign, uncertainty_bound,
 )
-from tlurkit.errors import (
-    InvalidBoundError, ParameterRangeError, SpecParseError, ValidationError,
-)
+from tlurkit.errors import InvalidBoundError, ParameterRangeError, SpecParseError
 from tlurkit.linops import HermitianOperator
-from tlurkit.observables import BoundProvenance, LocalObservableSet, LooBasis
+from tlurkit.observables import BoundProvenance, LocalObservableSet
 from tlurkit.states import (
     horodecki_noise, random_mixed_state, random_pure_state, random_separable,
 )
@@ -42,7 +40,7 @@ def test_su3_casimir_sum():
 
 
 def test_loo_basis_d2():
-    ops = loo_basis(2).stack
+    ops = loo_basis(2)
     expected = [PX / np.sqrt(2), PY / np.sqrt(2), PZ / np.sqrt(2), I2 / np.sqrt(2)]
     for got, want in zip(ops, expected):
         np.testing.assert_allclose(got, want, atol=1e-15)
@@ -51,18 +49,11 @@ def test_loo_basis_d2():
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]))
 def test_loo_basis_identities(seed, d):
     rho = random_dm_array(d, np.random.default_rng(seed))
-    ops = loo_basis(d).stack
+    ops = loo_basis(d)
     means_sq = sum(np.trace(rho @ g).real ** 2 for g in ops)
     seconds = sum(np.trace(rho @ g @ g).real for g in ops)
     assert abs(means_sq - np.trace(rho @ rho).real) < 1e-10
     assert abs(seconds - d) < 1e-10
-
-
-def test_loo_basis_rejects_non_orthonormal():
-    ops = [HermitianOperator(PX), HermitianOperator(PY),
-           HermitianOperator(PZ), HermitianOperator(I2)]
-    with pytest.raises(ValidationError):
-        LooBasis(tuple(ops))  # normalization is off by sqrt(2)
 
 
 def _joint_variance_sum(rho, obs):
@@ -149,8 +140,10 @@ def test_schmidt_loo_pair_structure():
     assert obs.n == 9
     assert obs.bound_a == obs.bound_b == 2.0
     # A ops and negated B ops each form complete LOO bases
-    LooBasis(obs.stack_a)
-    LooBasis(-obs.stack_b)
+    assert obs.is_loo_pair
+    for stack in (obs.stack_a, -obs.stack_b):
+        gram = np.einsum("kij,lji->kl", stack, stack)
+        np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
     # pairing carries the Schmidt coefficients
     coeffs, _, _ = operator_schmidt(rho)
     m = np.asarray(rho.matrix)
@@ -160,7 +153,7 @@ def test_schmidt_loo_pair_structure():
 
 @pytest.mark.parametrize("d,expected", [(2, 1.0), (3, 2.0), (4, 3.0)])
 def test_uncertainty_bound_analytic_loo(d, expected):
-    val, prov = uncertainty_bound(loo_basis(d).stack, mode="analytic")
+    val, prov = uncertainty_bound(loo_basis(d), mode="analytic")
     assert val == expected and prov.mode == "analytic"
 
 
@@ -171,7 +164,7 @@ def test_uncertainty_bound_analytic_su(d, expected):
 
 
 def test_uncertainty_bound_numeric_matches_analytic():
-    for ops, expected in [(loo_basis(2).stack, 1.0), (loo_basis(3).stack, 2.0),
+    for ops, expected in [(loo_basis(2), 1.0), (loo_basis(3), 2.0),
                           (su_generators(3), 4.0)]:
         val, prov = uncertainty_bound(ops, mode="numeric", seed=5)
         assert prov.mode == "numeric"
@@ -293,6 +286,19 @@ def test_observables_from_spec_rejects_non_integral_params():
             observables_from_spec({"builder": "su_pair", "params": params})
 
 
+def test_observables_from_spec_rejects_dimensions_outside_2_16():
+    obs = observables_from_spec({"builder": "loo_pair", "params": {"dim_a": 16, "dim_b": 2}})
+    assert (obs.dim_a, obs.dim_b) == (16, 2)
+    for builder in ("loo_pair", "su_pair"):
+        for key, value in [("dim_a", 17), ("dim_b", 1), ("dim_a", 0), ("dim_b", 400)]:
+            params = {"dim_a": 2, "dim_b": 2, key: value}
+            with pytest.raises(SpecParseError, match=f"params.{key}"):
+                observables_from_spec({"builder": builder, "params": params})
+        # dimensions defaulted from the state are held to the same range
+        with pytest.raises(SpecParseError, match="params.dim_a"):
+            observables_from_spec(builder, dims=(17, 2))
+
+
 def test_observables_from_spec_explicit_matrices():
     z = [[1.0, 0.0], [0.0, -1.0]]
     x = [[0.0, 1.0], [1.0, 0.0]]
@@ -354,7 +360,7 @@ def test_builder_sets_are_certified_without_sampling(monkeypatch):
 
 
 @pytest.mark.parametrize("ops,exact", [
-    (loo_basis(3).stack, 2.0),
+    (loo_basis(3), 2.0),
     ([HermitianOperator(m) for m in (PX, -PY, PZ)], 2.0),
 ])
 def test_declared_closed_form_bound_is_exact(ops, exact):
