@@ -1,8 +1,10 @@
 """Entanglement detection via variance-based local uncertainty criteria.
 
 Core objects: ``DensityMatrix`` / ``HermitianOperator`` (validated matrix
-wrappers), ``LocalObservableSet`` (paired local observables with certified
-sum-uncertainty bounds), ``CriterionReport`` (uniform verdict record),
+wrappers), ``DensityStack`` (N states validated in one pass; every
+evaluator takes one state or a stack), ``LocalObservableSet`` (paired local
+observables with certified sum-uncertainty bounds), ``CriterionReport``
+(uniform verdict record; ``Verdicts`` for a stack),
 ``GaussianState`` (two-mode covariance data), plus grid sweeps, threshold
 bisection and a CLI.
 """
@@ -32,6 +34,7 @@ from .criteria import (
 )
 from .linops import (
     DensityMatrix,
+    DensityStack,
     HermitianOperator,
     min_eigenvalue,
     partial_trace,
@@ -54,7 +57,7 @@ from .observables import (
     su_pair,
     uncertainty_bound,
 )
-from .report import DETECTION_TOL, CriterionReport
+from .report import DETECTION_TOL, CriterionReport, Verdicts
 from .scan import GridAxis, ScanResult, bisect_threshold, evaluate_criterion, sweep
 from .states import (
     FAMILIES,

@@ -1,7 +1,7 @@
 """Discrete-variable separability criteria.
 
-All evaluators return a ``CriterionReport`` whose margin is the amount of
-violation (positive means entanglement detected):
+All evaluators return a ``CriterionReport`` (``Verdicts`` for a stack) whose
+margin is the amount of violation (positive means entanglement detected):
 
 * ``eval_lur``: joint variance sum against the sum of local bounds,
   sum_k Var(A_k (x) 1 + 1 (x) B_k) >= U_A + U_B for separable states.
@@ -20,9 +20,15 @@ violation (positive means entanglement detected):
 * ``eval_ppt`` / ``eval_ccnr``: standard comparators.
 
 Every set criterion reads one moment kernel, ``_moments``: from one reshape
-of the state it returns the per-k vectors <A_k>, <B_k>, <A_k^2>, <B_k^2>
+of the states it returns the per-k moments <A_k>, <B_k>, <A_k^2>, <B_k^2>
 and <A_k (x) B_k> of the operator stacks that observable sets carry.  Each
 variance is clipped at zero before it is summed.
+
+Every evaluator takes a ``DensityMatrix`` and returns its
+``CriterionReport``, or a ``DensityStack`` of N states and returns
+``Verdicts``, the N results as arrays; the one state is the N = 1 case of
+the same computation.  A set criterion on a stack takes one set for all N
+states or one set per state (``schmidt_loo_pair`` of the stack).
 
 Local variance sums may round off slightly below a tight bound; deficits in
 [-1e-9, 0) are clipped to zero before square roots, anything worse is a hard
@@ -38,18 +44,26 @@ from .errors import (
     InvalidBoundError,
     ParameterRangeError,
     ValidationError,
+    raise_first,
 )
-from .linops import min_eigenvalue, partial_transpose, realign, trace_norm
+from .linops import DensityStack, min_eigenvalues, partial_transpose, realign, trace_norms
 from .observables import LocalObservableSet, _nonzero
-from .report import DETECTION_TOL, CriterionReport, make_report
+from .report import DETECTION_TOL, Verdicts, make_report
 
 __all__ = [
     "eval_lur", "eval_tlur", "eval_tlur_dual", "eval_lemma1",
     "eval_corollary1", "eval_nonlinear_witness", "eval_ppt", "eval_ccnr",
-    "entanglement_measures", "joint_variance_sum", "DETECTION_TOL",
+    "eval_measure", "entanglement_measures", "joint_variance_sum", "DETECTION_TOL",
 ]
 
 _CLIP = 1e-9
+
+
+def _result(rho, criterion: str, lhs, rhs, margin, components: dict):
+    """``Verdicts`` for a stack of states, the one ``CriterionReport`` else."""
+    if isinstance(rho, DensityStack):
+        return Verdicts(criterion, lhs, rhs, margin, components)
+    return make_report(criterion, lhs, rhs, margin, components)
 
 
 def _check_dims(rho, obs: LocalObservableSet):
@@ -57,116 +71,127 @@ def _check_dims(rho, obs: LocalObservableSet):
         raise DimensionMismatchError(
             f"observables act on ({obs.dim_a},{obs.dim_b}) but state has "
             f"({rho.dim_a},{rho.dim_b})")
+    if obs.stack_a.ndim == 4 and obs.stack_a.shape[:1] != rho.states.shape[:-2]:
+        raise DimensionMismatchError(
+            f"{len(obs.stack_a)} observable sets for states of shape {rho.states.shape}")
 
 
 def _moments(rho, obs: LocalObservableSet):
-    """Per-k moments of the set's operator stacks on ``rho``.
+    """Per-k moments of the set's operator stacks on each state of ``rho``.
 
-    ``stack_a`` (n, d_A, d_A) and ``stack_b`` (n, d_B, d_B) are Hermitian
-    stacks and ``sq_a``/``sq_b`` their squares.  Returns the vectors <A_k>,
-    <B_k>, <A_k^2>, <B_k^2> and <A_k (x) B_k>.  With row-major vec and
-    vec(A^T) = conj(vec(A)) for Hermitian A, Tr(rho_A A) = conj(vec A) .
-    vec(rho_A) and <A (x) B> = conj(vec A)^T R(rho) conj(vec B), R the
-    realigned state.
+    Returns ``first`` and ``second``, (..., 3, n): <X_k> and <X_k^2> for X_k
+    = A_k, B_k and the joint A_k (x) 1 + 1 (x) B_k, whose square is
+    A_k^2 (x) 1 + 1 (x) B_k^2 + 2 A_k (x) B_k; and ``cross``, (..., n):
+    <A_k (x) B_k>.  The leading axes are those of ``rho.states``: none for
+    one state, (N,) for a stack.  The set holds (n, d, d) stacks, or
+    (N, n, d, d) stacks of one set per state.  With row-major vec,
+    <A (x) B> = (vec A)^T R(rho^T) vec B for any A and B, R the realignment
+    (a permutation of the entries of rho).  The set's rows (vec A_k,
+    vec A_k^2, then vec 1) give X = rows_A R(rho^T): its rows with vec 1
+    give the A side, its last row (1^T R(rho^T)) with rows_B the B side,
+    and its first n rows with those of rows_B the cross moments.
     """
     _check_dims(rho, obs)
     da, db = rho.dim_a, rho.dim_b
     n = obs.n
-    t = np.asarray(rho.matrix).reshape(da, db, da, db)
-    ra = np.einsum("ikjk->ij", t).ravel()
-    rb = np.einsum("kikj->ij", t).ravel()
-    realigned = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    va, vb = obs.stack_a.reshape(n, -1).conj(), obs.stack_b.reshape(n, -1).conj()
-    return ((va @ ra).real, (vb @ rb).real,
-            (obs.sq_a.reshape(n, -1).conj() @ ra).real,
-            (obs.sq_b.reshape(n, -1).conj() @ rb).real,
-            ((va @ realigned) * vb).sum(axis=1).real)
+    m = rho.states
+    lead = m.shape[:-2]
+    realigned_t = m.swapaxes(-1, -2).reshape(lead + (da, db, da, db)).swapaxes(-3, -2).reshape(
+        lead + (da * da, db * db))
+    x = obs.rows_a @ realigned_t  # (..., 2n+1, d_B^2)
+    cross = np.einsum("...kp,...kp->...k", x[..., :n, :], obs.rows_b[..., :n, :]).real
+    out = np.empty(x.shape[:-2] + (3, 2 * n))
+    out[..., 0, :] = (x @ obs.rows_b[..., -1, :, None])[..., :-1, 0].real
+    out[..., 1, :] = (obs.rows_b @ x[..., -1, :, None])[..., :-1, 0].real
+    np.add(out[..., 0, :], out[..., 1, :], out=out[..., 2, :])
+    out[..., 2, n:] += 2.0 * cross
+    return out[..., :n], out[..., n:], cross
 
 
-def _variance_sum(mean, second) -> float:
-    """sum_k Var_k, each variance clipped to zero against round-off."""
-    return float(np.maximum(second - mean * mean, 0.0).sum())
+def _variance_sums(first, second) -> np.ndarray:
+    """(..., 3): sum_k Var(A_k), sum_k Var(B_k) and the joint sum, each
+    variance clipped to zero against round-off."""
+    return np.maximum(second - first * first, 0.0).sum(axis=-1)
 
 
-def _joint_sum(ma, mb, qa, qb, ab) -> float:
-    """sum_k Var(A_k (x) 1 + 1 (x) B_k); (A (x) 1 + 1 (x) B)^2 = A^2 (x) 1 +
-    1 (x) B^2 + 2 A (x) B."""
-    return _variance_sum(ma + mb, qa + qb + 2.0 * ab)
+def joint_variance_sum(rho, obs: LocalObservableSet):
+    """sum_k Var(A_k (x) 1 + 1 (x) B_k) on the joint state (per state of a
+    stack)."""
+    lhs = _variance_sums(*_moments(rho, obs)[:2])[..., 2]
+    return lhs if isinstance(rho, DensityStack) else float(lhs)
 
 
-def joint_variance_sum(rho, obs: LocalObservableSet) -> float:
-    """sum_k Var(A_k (x) 1 + 1 (x) B_k) on the joint state."""
-    return _joint_sum(*_moments(rho, obs))
+def _excesses(local_sums: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """(..., 2): the local sums less the bounds (U_A, U_B), clipped at zero."""
+    deficit = local_sums - bounds
+    bad = deficit < -_CLIP
+    if bad.any():
+        bad, sums = bad.reshape(-1, 2), local_sums.reshape(-1, 2)
+        side = int(bad.any(axis=0).argmax())
+        raise_first(bad[:, side], InvalidBoundError,
+                    lambda k: f"side {'AB'[side]}: local variance sum {sums[k, side]} "
+                              f"undercuts the declared bound {bounds[side]} beyond "
+                              f"round-off; bound is not valid")
+    return np.maximum(deficit, 0.0)
 
 
-def _excess(local_sum: float, bound: float, side: str) -> float:
-    deficit = local_sum - bound
-    if deficit < -_CLIP:
-        raise InvalidBoundError(
-            f"side {side}: local variance sum {local_sum} undercuts the declared "
-            f"bound {bound} beyond round-off; bound is not valid")
-    return max(deficit, 0.0)
-
-
-def eval_lur(rho, obs: LocalObservableSet) -> CriterionReport:
+def eval_lur(rho, obs: LocalObservableSet):
     """Original variance criterion: violation iff lhs < U_A + U_B."""
-    lhs = joint_variance_sum(rho, obs)
+    lhs = _variance_sums(*_moments(rho, obs)[:2])[..., 2]
     rhs = obs.bound_a + obs.bound_b
-    return make_report("lur", lhs, rhs, rhs - lhs,
-                       {"variance_sum": lhs, "U_A": obs.bound_a, "U_B": obs.bound_b})
+    return _result(rho, "lur", lhs, rhs, rhs - lhs,
+                   {"variance_sum": lhs, "U_A": obs.bound_a, "U_B": obs.bound_b})
 
 
 def _tlur_parts(rho, obs: LocalObservableSet, bounds=None) -> dict:
     """Joint and local variance sums, excesses and M against ``bounds``
-    (U_A, U_B), by default the set's own."""
+    (U_A, U_B), by default the set's own; one entry per state."""
     u_a, u_b = bounds or (obs.bound_a, obs.bound_b)
-    ma, mb, qa, qb, ab = _moments(rho, obs)
-    lhs = _joint_sum(ma, mb, qa, qb, ab)
-    sum_a, sum_b = _variance_sum(ma, qa), _variance_sum(mb, qb)
-    ea = _excess(sum_a, u_a, "A")
-    eb = _excess(sum_b, u_b, "B")
+    sums = _variance_sums(*_moments(rho, obs)[:2])
+    excess = _excesses(sums[..., :2], (u_a, u_b))
+    roots = np.sqrt(excess)
     return {
-        "variance_sum": lhs,
+        "variance_sum": sums[..., 2],
         "U_A": u_a,
         "U_B": u_b,
-        "local_variance_sum_A": sum_a,
-        "local_variance_sum_B": sum_b,
-        "excess_A": ea,
-        "excess_B": eb,
-        "M": np.sqrt(ea) - np.sqrt(eb),
+        "local_variance_sum_A": sums[..., 0],
+        "local_variance_sum_B": sums[..., 1],
+        "excess_A": excess[..., 0],
+        "excess_B": excess[..., 1],
+        "M": roots[..., 0] - roots[..., 1],
     }
 
 
-def eval_tlur(rho, obs: LocalObservableSet) -> CriterionReport:
+def eval_tlur(rho, obs: LocalObservableSet):
     """Tightened criterion: separable bound raised by M^2."""
     c = _tlur_parts(rho, obs)
     rhs = c["U_A"] + c["U_B"] + c["M"] ** 2
-    return make_report("tlur", c["variance_sum"], rhs, rhs - c["variance_sum"], c)
+    return _result(rho, "tlur", c["variance_sum"], rhs, rhs - c["variance_sum"], c)
 
 
-def eval_tlur_dual(rho, obs: LocalObservableSet) -> CriterionReport:
+def eval_tlur_dual(rho, obs: LocalObservableSet):
     """Dual upper bound; violation iff lhs exceeds U_A + U_B + (sqrt+sqrt)^2."""
     c = _tlur_parts(rho, obs)
     rhs = c["U_A"] + c["U_B"] + (np.sqrt(c["excess_A"]) + np.sqrt(c["excess_B"])) ** 2
-    return make_report("tlur_dual", c["variance_sum"], rhs, c["variance_sum"] - rhs, c)
+    return _result(rho, "tlur_dual", c["variance_sum"], rhs, c["variance_sum"] - rhs, c)
 
 
-def eval_lemma1(rho, obs: LocalObservableSet) -> CriterionReport:
+def eval_lemma1(rho, obs: LocalObservableSet):
     """sqrt(excess_A * excess_B) +/- cross-covariance sum >= 0, both signs."""
-    ma, mb, qa, qb, ab = _moments(rho, obs)
-    ea = _excess(_variance_sum(ma, qa), obs.bound_a, "A")
-    eb = _excess(_variance_sum(mb, qb), obs.bound_b, "B")
-    cov = float((ab - ma * mb).sum())
+    first, second, cross = _moments(rho, obs)
+    excess = _excesses(_variance_sums(first, second)[..., :2], (obs.bound_a, obs.bound_b))
+    ea, eb = excess[..., 0], excess[..., 1]
+    cov = (cross - first[..., 0, :] * first[..., 1, :]).sum(axis=-1)
     root = np.sqrt(ea * eb)
     value_plus, value_minus = root + cov, root - cov
-    lhs = min(value_plus, value_minus)
+    lhs = np.minimum(value_plus, value_minus)
     components = {
         "sqrt_term": root, "covariance_sum": cov,
         "value_plus": value_plus, "value_minus": value_minus,
         "excess_A": ea, "excess_B": eb,
         "product_lhs": ea * eb, "product_rhs": cov * cov,
     }
-    return make_report("lemma1", lhs, 0.0, -lhs, components)
+    return _result(rho, "lemma1", lhs, 0.0, -lhs, components)
 
 
 def _loo_parts(rho, obs: LocalObservableSet, name: str) -> dict:
@@ -177,44 +202,38 @@ def _loo_parts(rho, obs: LocalObservableSet, name: str) -> dict:
     return _tlur_parts(rho, obs, (obs.dim_a - 1.0, obs.dim_b - 1.0))
 
 
-def eval_nonlinear_witness(rho, obs: LocalObservableSet) -> CriterionReport:
+def eval_nonlinear_witness(rho, obs: LocalObservableSet):
     """LOO witness 1 - sum_k <G_k^A (x) G_k^B> - sum_k (<G_k^A> - <G_k^B>)^2 / 2
     on an LOO pair A_k = G_k^A, B_k = -G_k^B: half the LUR excess
     lhs - U_A - U_B.  Separable => value >= 0."""
     c = _loo_parts(rho, obs, "nonlinear_witness")
     value = (c["variance_sum"] - c["U_A"] - c["U_B"]) / 2
-    return make_report("nonlinear_witness", value, 0.0, -value, c)
+    return _result(rho, "nonlinear_witness", value, 0.0, -value, c)
 
 
-def eval_corollary1(rho, obs: LocalObservableSet) -> CriterionReport:
+def eval_corollary1(rho, obs: LocalObservableSet):
     """Corollary 1: the LOO witness less the purity-difference term
     (sqrt(1 - Tr rho_A^2) - sqrt(1 - Tr rho_B^2))^2 / 2, i.e. half the TLUR
     excess lhs - U_A - U_B - M^2.  Separable => value >= 0; never weaker than
     ``eval_nonlinear_witness``."""
     c = _loo_parts(rho, obs, "corollary1")
     value = (c["variance_sum"] - c["U_A"] - c["U_B"] - c["M"] ** 2) / 2
-    return make_report("corollary1", value, 0.0, -value, c)
+    return _result(rho, "corollary1", value, 0.0, -value, c)
 
 
-def eval_ppt(rho, transposed: str = "B") -> CriterionReport:
+def eval_ppt(rho, transposed: str = "B"):
     """Negative partial transpose test; margin is -min eigenvalue."""
-    lam = min_eigenvalue(partial_transpose(rho, transposed))
-    return make_report("ppt", lam, 0.0, -lam, {"min_eigenvalue": lam})
+    lam = min_eigenvalues(partial_transpose(rho, transposed))
+    return _result(rho, "ppt", lam, 0.0, -lam, {"min_eigenvalue": lam})
 
 
-def eval_ccnr(rho) -> CriterionReport:
+def eval_ccnr(rho):
     """Realignment test; separable states keep trace norm <= 1."""
-    tn = trace_norm(realign(rho))
-    return make_report("ccnr", tn, 1.0, tn - 1.0, {"trace_norm": tn})
+    tn = trace_norms(realign(rho))
+    return _result(rho, "ccnr", tn, 1.0, tn - 1.0, {"trace_norm": tn})
 
 
-def entanglement_measures(rho, obs: LocalObservableSet) -> tuple[float, float]:
-    """Violation-normalized estimates (C_LUR, C_TLUR).
-
-    C_LUR = 1 - lhs/(U_A+U_B) and C_TLUR = 1 - (lhs - M^2)/(U_A+U_B), so
-    C_TLUR - C_LUR = M^2/(U_A+U_B) identically and both are positive exactly
-    when the corresponding criterion detects.
-    """
+def _measures(rho, obs: LocalObservableSet) -> tuple[np.ndarray, np.ndarray]:
     c = _tlur_parts(rho, obs)
     u_sum = c["U_A"] + c["U_B"]
     if u_sum <= 0.0:
@@ -222,6 +241,28 @@ def entanglement_measures(rho, obs: LocalObservableSet) -> tuple[float, float]:
     c_lur = 1.0 - c["variance_sum"] / u_sum
     c_tlur = 1.0 - (c["variance_sum"] - c["M"] ** 2) / u_sum
     return c_lur, c_tlur
+
+
+def entanglement_measures(rho, obs: LocalObservableSet):
+    """Violation-normalized estimates (C_LUR, C_TLUR), as floats (as arrays
+    for a stack).
+
+    C_LUR = 1 - lhs/(U_A+U_B) and C_TLUR = 1 - (lhs - M^2)/(U_A+U_B), so
+    C_TLUR - C_LUR = M^2/(U_A+U_B) identically and both are positive exactly
+    when the corresponding criterion detects.
+    """
+    c_lur, c_tlur = _measures(rho, obs)
+    if isinstance(rho, DensityStack):
+        return c_lur, c_tlur
+    return float(c_lur), float(c_tlur)
+
+
+def eval_measure(rho, obs: LocalObservableSet, which: str):
+    """The estimate ``which`` ("c_lur" or "c_tlur") as a criterion whose
+    margin is the estimate itself."""
+    c_lur, c_tlur = _measures(rho, obs)
+    value = c_lur if which == "c_lur" else c_tlur
+    return _result(rho, which, value, 0.0, value, {"c_lur": c_lur, "c_tlur": c_tlur})
 
 
 def loo_bases_from_set(obs: LocalObservableSet) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,12 @@ Var(x1 + x2) = Var(p1 - p2) = exp(-2r).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterRangeError, SpecParseError, UnphysicalStateError
+from .errors import ParameterRangeError, SpecParseError, UnphysicalStateError, ValidationError
 from .report import CriterionReport, make_report
 
 __all__ = [
@@ -74,8 +75,15 @@ def vacuum() -> GaussianState:
     return GaussianState(np.zeros(4), 0.5 * np.eye(4))
 
 
+# |r| up to which exp(2r), and so cosh(2r) and sinh(2r), stay finite floats
+_TMSV_R_MAX = math.log(np.finfo(float).max) / 2.0
+
+
 def tmsv(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with Var(x1+x2) = Var(p1-p2) = exp(-2r)."""
+    if not abs(r) <= _TMSV_R_MAX:
+        raise ParameterRangeError(
+            f"r must satisfy |r| <= {_TMSV_R_MAX:.6g}, where cosh(2r) stays finite, got {r}")
     c, s = np.cosh(2.0 * r) / 2.0, np.sinh(2.0 * r) / 2.0
     cov = np.array([
         [c, 0.0, -s, 0.0],
@@ -127,37 +135,55 @@ def v_coeffs(a: float) -> np.ndarray:
 
 
 def _check_a(a: float) -> float:
-    if not np.isfinite(a) or a == 0:
-        raise ParameterRangeError(f"a must be finite and nonzero, got {a}")
-    return float(a)
+    """``a`` as a float whose a^2 and 1/a^2 are finite and positive."""
+    a = float(a)
+    aa = a * a
+    if not (math.isfinite(aa) and aa > 0.0 and math.isfinite(1.0 / aa)):
+        raise ParameterRangeError(
+            f"a must have a*a and 1/(a*a) finite and positive, got a = {a}")
+    return a
+
+
+def _quadrature_variances(state: GaussianState, a: float) -> tuple[float, float]:
+    """Var(u), Var(v); an overflow gives inf or nan, which ``_report`` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return combo_variance(state, u_coeffs(a)), combo_variance(state, v_coeffs(a))
+
+
+def _report(criterion: str, a: float, lhs: float, rhs: float,
+            components: dict) -> CriterionReport:
+    """The report, unless lhs, rhs or the margin overflowed for this a and state."""
+    margin = rhs - lhs
+    if not all(map(math.isfinite, (lhs, rhs, margin))):
+        raise ValidationError(
+            f"{criterion} at a = {a}: lhs {lhs}, rhs {rhs} and margin {margin} are not "
+            f"all finite; a or the covariance is too large")
+    return make_report(criterion, lhs, rhs, margin, components)
 
 
 def eval_duan(state: GaussianState, a: float) -> CriterionReport:
     """Var(u) + Var(v) >= a^2 + 1/a^2 for separable states."""
     a = _check_a(a)
-    var_u = combo_variance(state, u_coeffs(a))
-    var_v = combo_variance(state, v_coeffs(a))
+    var_u, var_v = _quadrature_variances(state, a)
     lhs = var_u + var_v
     rhs = a * a + 1.0 / (a * a)
-    return make_report("duan", lhs, rhs, rhs - lhs,
-                       {"var_u": var_u, "var_v": var_v, "a": a})
+    return _report("duan", a, lhs, rhs, {"var_u": var_u, "var_v": var_v, "a": a})
 
 
 def eval_corollary2(state: GaussianState, a: float) -> CriterionReport:
     """Tightened bound a^2 + 1/a^2 + M^2 with
     M = |a| sqrt(S1 - 1) - sqrt(S2 - 1)/|a|, S_j = Var(x_j) + Var(p_j)."""
     a = _check_a(a)
-    var_u = combo_variance(state, u_coeffs(a))
-    var_v = combo_variance(state, v_coeffs(a))
+    var_u, var_v = _quadrature_variances(state, a)
     lhs = var_u + var_v
     s1 = mode_uncertainty_sum(state, 1)
     s2 = mode_uncertainty_sum(state, 2)
     # GaussianState rejects S_j < 1 beyond PHYSICALITY_TOL; clip the rest
-    m = abs(a) * np.sqrt(max(s1 - 1.0, 0.0)) - np.sqrt(max(s2 - 1.0, 0.0)) / abs(a)
+    m = abs(a) * math.sqrt(max(s1 - 1.0, 0.0)) - math.sqrt(max(s2 - 1.0, 0.0)) / abs(a)
     rhs = a * a + 1.0 / (a * a) + m * m
-    return make_report("corollary2", lhs, rhs, rhs - lhs,
-                       {"var_u": var_u, "var_v": var_v, "a": a,
-                        "mode1_sum": s1, "mode2_sum": s2, "M": m})
+    return _report("corollary2", a, lhs, rhs,
+                   {"var_u": var_u, "var_v": var_v, "a": a,
+                    "mode1_sum": s1, "mode2_sum": s2, "M": m})
 
 
 def random_separable_gaussian(seed: int) -> GaussianState:

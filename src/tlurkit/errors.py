@@ -7,7 +7,15 @@ exit code 2 in the CLI; numerical/runtime failures map to exit code 1.
 
 
 class TlurkitError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``state`` is the index of the offending state when a check on a stack of
+    states failed, else None.
+    """
+
+    def __init__(self, *args, state: int | None = None):
+        super().__init__(*args)
+        self.state = state
 
 
 class DimensionMismatchError(TlurkitError, ValueError):
@@ -59,3 +67,13 @@ class NoCrossingError(TlurkitError):
 
 class NonMonotonicMarginError(TlurkitError):
     """The sampled verdict pattern has more than one crossing."""
+
+
+def raise_first(bad, error, message) -> None:
+    """Raise ``error(message(k), state=k)`` for the first k with ``bad[k]``, a
+    boolean per state of a stack (a single boolean for one state); the
+    message names k when the stack holds more than one state."""
+    if bad.any():
+        bad = bad.reshape(-1)
+        k = int(bad.argmax())
+        raise error(message(k) if len(bad) == 1 else f"state {k}: {message(k)}", state=k)

@@ -24,6 +24,7 @@ from .errors import (
     NumericalFailureError,
     ParameterRangeError,
     ValidationError,
+    raise_first,
 )
 
 HERMITICITY_RTOL = 1e-10
@@ -37,18 +38,6 @@ def as_array(obj) -> np.ndarray:
     return np.asarray(m, dtype=complex)
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
-    m = as_array(m)
-    scale = max(np.abs(m).max(), 1.0) if m.size else 1.0
-    return bool(np.abs(m - m.conj().T).max() <= rtol * scale)
-
-
 @dataclass(frozen=True)
 class HermitianOperator:
     """A validated Hermitian matrix acting on one subsystem."""
@@ -56,71 +45,95 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise DimensionMismatchError(f"operator must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValidationError("operator has non-finite entries")
-        if not is_hermitian(m):
-            raise ValidationError("operator is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", _frozen(m))
+        check_hermitian(m)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def hermitian_stack(ops) -> np.ndarray:
-    """Stack operators (``HermitianOperator``s, matrices, or an (n, d, d)
-    array) into a read-only complex (n, d, d) array.
-
-    All n operators are validated in one pass, each with ``HermitianOperator``'s
-    own tolerance: residual at most 1e-10 times max(its max-norm, 1).
-    """
+def as_stack(ops) -> np.ndarray:
+    """Operators (``HermitianOperator``s, matrices, or an (n, d, d) array, or
+    (N, n, d, d) for N stacks) as one complex array, unvalidated; an array
+    that already is one is not copied."""
     if not isinstance(ops, np.ndarray):
         ops = [as_array(op) for op in ops]
         if len({op.shape for op in ops}) > 1:
             raise DimensionMismatchError("operators must share one shape")
-    s = np.array(ops, dtype=complex)
-    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+    s = np.asarray(ops, dtype=complex)
+    if s.ndim not in (3, 4) or s.shape[-1] != s.shape[-2]:
         raise DimensionMismatchError(f"operators must be square, got stack shape {s.shape}")
+    return s
+
+
+def hermiticity_residual(s: np.ndarray) -> np.ndarray:
+    """max |s - s^dagger| of each matrix of a stack (a scalar for one matrix)."""
+    diff = s.conj()
+    np.subtract(diff, s.swapaxes(-1, -2), out=diff)  # conj(s - s^dagger)
+    return np.abs(diff).max(axis=(-2, -1))
+
+
+def check_hermitian(s: np.ndarray) -> None:
+    """Validate every operator of a stack in one pass, each with
+    ``HermitianOperator``'s own tolerance: residual at most 1e-10 times
+    max(its max-norm, 1)."""
     if not np.isfinite(s).all():
         raise ValidationError("operator has non-finite entries")
-    scale = np.maximum(np.abs(s).max(axis=(1, 2)), 1.0)
-    resid = np.abs(s - s.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    scale = np.maximum(np.abs(s).max(axis=(-2, -1)), 1.0)
+    resid = hermiticity_residual(s)
     if (resid > HERMITICITY_RTOL * scale).any():
         raise ValidationError("operator is not Hermitian within tolerance")
+
+
+def hermitian_stack(ops) -> np.ndarray:
+    """Stack operators (see ``as_stack``) into a validated read-only copy."""
+    s = np.array(as_stack(ops))
+    check_hermitian(s)
     s.setflags(write=False)
     return s
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A validated bipartite mixed state with local dimensions (dim_a, dim_b)."""
+def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
+    """``m`` checked as density matrices in one pass, each with the same
+    tolerances: one (d, d) matrix for ``ndim`` 2, a stack (N, d, d) for 3.
+    Returns a read-only complex copy."""
+    m = np.array(m, dtype=complex)
+    d = dim_a * dim_b
+    if dim_a < 1 or dim_b < 1:
+        raise DimensionMismatchError("local dimensions must be positive")
+    if m.ndim != ndim or m.shape[-2:] != (d, d):
+        raise DimensionMismatchError(
+            f"{'matrix' if ndim == 2 else 'stack'} shape {m.shape} does not match "
+            f"dims ({dim_a},{dim_b})")
+    if not np.isfinite(m).all():
+        raise_first(~np.isfinite(m).all(axis=(-2, -1)), ValidationError,
+                    lambda k: "density matrix has non-finite entries")
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    bad_h = hermiticity_residual(m) > HERMITICITY_RTOL * scale
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad_t = np.abs(tr - 1.0) > TRACE_ATOL
+    w = min_eigenvalues(m)
+    bad_w = w < -EIGENVALUE_CLIP
+    if (bad_h | bad_t | bad_w).any():  # one test; the checks keep their order
+        raise_first(bad_h, ValidationError,
+                    lambda k: "density matrix is not Hermitian within tolerance")
+        raise_first(bad_t, ValidationError,
+                    lambda k: f"trace is {tr.reshape(-1)[k]}, expected 1 within {TRACE_ATOL}")
+        raise_first(bad_w, ValidationError,
+                    lambda k: f"minimum eigenvalue {w.reshape(-1)[k]:.3e} below "
+                              f"-{EIGENVALUE_CLIP}")
+    m.setflags(write=False)
+    return m
 
+
+class _Bipartite:
     dim_a: int
     dim_b: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.dim_a * self.dim_b
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionMismatchError("local dimensions must be positive")
-        if m.shape != (d, d):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match dims ({self.dim_a},{self.dim_b})")
-        if not np.isfinite(m).all():
-            raise ValidationError("density matrix has non-finite entries")
-        if not is_hermitian(m):
-            raise ValidationError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValidationError(f"trace is {tr}, expected 1 within {TRACE_ATOL}")
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -EIGENVALUE_CLIP:
-            raise ValidationError(f"minimum eigenvalue {w.min():.3e} below -{EIGENVALUE_CLIP}")
-        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def dim(self) -> int:
@@ -131,14 +144,54 @@ class DensityMatrix:
         return (self.dim_a, self.dim_b)
 
 
+@dataclass(frozen=True)
+class DensityMatrix(_Bipartite):
+    """A validated bipartite mixed state with local dimensions (dim_a, dim_b).
+
+    The one-state case of ``DensityStack``: validated by the same pass, and
+    ``states`` is ``matrix`` itself, states with no leading axis.
+    """
+
+    dim_a: int
+    dim_b: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix",
+                           _validated_states(self.matrix, self.dim_a, self.dim_b, 2))
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.matrix
+
+
+@dataclass(frozen=True)
+class DensityStack(_Bipartite):
+    """N validated bipartite states of one bipartition: ``states`` (N, d, d),
+    checked in one pass with ``DensityMatrix``'s tolerances.  A failed check
+    names the first offending state in its message and in ``error.state``."""
+
+    dim_a: int
+    dim_b: int
+    states: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "states",
+                           _validated_states(self.states, self.dim_a, self.dim_b, 3))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+
 def _dims_of(rho, dims) -> tuple[np.ndarray, int, int]:
-    if isinstance(rho, DensityMatrix):
-        return np.asarray(rho.matrix), rho.dim_a, rho.dim_b
+    """The matrix (or (N, d, d) stack) of ``rho`` and its local dimensions."""
+    if isinstance(rho, (DensityMatrix, DensityStack)):
+        return rho.states, rho.dim_a, rho.dim_b
     if dims is None:
         raise DimensionMismatchError("dims=(dim_a, dim_b) required for a bare array")
     m = as_array(rho)
     da, db = dims
-    if m.shape != (da * db, da * db):
+    if m.shape[-2:] != (da * db, da * db) or m.ndim not in (2, 3):
         raise DimensionMismatchError(f"shape {m.shape} does not match dims {dims}")
     return m, da, db
 
@@ -150,27 +203,29 @@ def _check_side(side: str) -> str:
 
 
 def partial_trace(rho, traced: str = "B", dims=None) -> np.ndarray:
-    """Trace out one subsystem; returns the reduced matrix of the other."""
+    """Trace out one subsystem; returns the reduced matrix of the other (one
+    per state for a stack)."""
     m, da, db = _dims_of(rho, dims)
-    t = m.reshape(da, db, da, db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
     if _check_side(traced) == "B":
-        return np.einsum("ikjk->ij", t)
-    return np.einsum("kikj->ij", t)
+        return np.einsum("...ikjk->...ij", t)
+    return np.einsum("...kikj->...ij", t)
 
 
 def partial_transpose(rho, transposed: str = "B", dims=None) -> np.ndarray:
-    """Transpose the indices of one subsystem only."""
+    """Transpose the indices of one subsystem only (of each state of a stack)."""
     m, da, db = _dims_of(rho, dims)
-    t = m.reshape(da, db, da, db)
-    if _check_side(transposed) == "B":
-        return t.transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    return t.transpose(2, 1, 0, 3).reshape(da * db, da * db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
+    swapped = t.swapaxes(-3, -1) if _check_side(transposed) == "B" else t.swapaxes(-4, -2)
+    return swapped.reshape(m.shape)
 
 
 def realign(rho, dims=None) -> np.ndarray:
-    """Realignment R(rho)[(i,j),(k,l)] = rho[(i,k),(j,l)], shape (dim_a^2, dim_b^2)."""
+    """Realignment R(rho)[(i,j),(k,l)] = rho[(i,k),(j,l)], shape (dim_a^2, dim_b^2)
+    (with a leading N axis for a stack)."""
     m, da, db = _dims_of(rho, dims)
-    return m.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
+    return t.swapaxes(-3, -2).reshape(m.shape[:-2] + (da * da, db * db))
 
 
 def variance(op, rho) -> float:
@@ -188,16 +243,26 @@ def purity(rho) -> float:
     return float(np.trace(m @ m).real)
 
 
-def min_eigenvalue(m) -> float:
+def min_eigenvalues(m) -> np.ndarray:
+    """Smallest eigenvalue of a Hermitian matrix, or of each of a stack."""
     try:
-        return float(np.linalg.eigvalsh(as_array(m)).min())
+        return np.linalg.eigvalsh(m)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values."""
+def min_eigenvalue(m) -> float:
+    return float(min_eigenvalues(as_array(m)))
+
+
+def trace_norms(m) -> np.ndarray:
+    """Sum of singular values of a matrix, or of each of a stack."""
     try:
-        return float(np.linalg.svd(as_array(m), compute_uv=False).sum())
+        return np.linalg.svd(m, compute_uv=False).sum(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"SVD failed: {exc}") from exc
+
+
+def trace_norm(m) -> float:
+    """Sum of singular values."""
+    return float(trace_norms(as_array(m)))

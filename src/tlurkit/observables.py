@@ -5,8 +5,12 @@ A ``LocalObservableSet`` pairs equal-length lists {A_k} on subsystem A and
 and likewise for B, the minimum running over pure states (the variance sum
 is concave in the state, so pure states attain the minimum).  Sets carry
 their operators as validated (n, d, d) stacks, built and checked as arrays,
-together with the stacks' squares; every set criterion, the LOO witnesses
-included, reads them through the one moment kernel of ``criteria``.
+inside the rows (vec A_k, vec A_k^2, vec 1) through which every set
+criterion, the LOO witnesses included, reads them in the one moment kernel
+of ``criteria``.  A set
+may also hold one set per state of a ``DensityStack``, as (N, n, d, d)
+stacks: ``schmidt_loo_pair`` builds such a set for a stack in one batched
+SVD, and the certifier checks all N sets at once.
 
 Closed-form bounds used by the builders:
 
@@ -20,7 +24,8 @@ Closed-form bounds used by the builders:
 Every constructed set has both bounds checked by one certifier.  A side
 whose nonzero operators form one of the two sets above, up to signs (a
 Hilbert-Schmidt Gram-matrix test), is held to that exact minimum; every
-builder's sets are of this kind.  Any other qubit side is held to the exact
+builder's sets are of this kind.  The sides of N sets are held to the least
+minimum over the N.  Any other qubit side is held to the exact
 minimum sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T), where A_k = a_k0 1 +
 a_k . sigma.  Any other side, such as declared qutrit ``opsA``/``opsB``
 matrices, must not exceed the best of a few seeded starts of the minimizer
@@ -44,8 +49,18 @@ from .errors import (
     ParameterRangeError,
     SpecParseError,
     ValidationError,
+    raise_first,
 )
-from .linops import DensityMatrix, HermitianOperator, hermitian_stack, realign
+from .linops import (
+    DensityMatrix,
+    DensityStack,
+    HermitianOperator,
+    as_stack,
+    check_hermitian,
+    hermitian_stack,
+    hermiticity_residual,
+    realign,
+)
 from .states import parse_complex_matrix, random_pure_state
 
 __all__ = [
@@ -62,36 +77,60 @@ _CERTIFY_SEED = 1905
 _CERTIFY_STARTS = 4
 
 
+def _vecs(stack: np.ndarray) -> np.ndarray:
+    """Row-major vec of each operator: (..., n, d, d) -> (..., n, d^2)."""
+    return stack.reshape(stack.shape[:-2] + (-1,))
+
+
 def _gram(stack: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of a stack of operators."""
-    v = stack.reshape(len(stack), -1)
-    return v.conj() @ v.T
+    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of a stack of operators
+    (of each stack, for N stacks)."""
+    v = _vecs(stack)
+    return v.conj() @ v.swapaxes(-1, -2)
 
 
 def _is_complete_loo(stack: np.ndarray) -> bool:
-    """True for d^2 operators that are Hilbert-Schmidt orthonormal."""
-    d = stack.shape[1]
-    return (len(stack) == d * d
-            and np.abs(_gram(stack) - np.eye(d * d)).max() <= ORTHONORMALITY_ATOL)
+    """True for d^2 operators that are Hilbert-Schmidt orthonormal (in each
+    of N stacks)."""
+    d = stack.shape[-1]
+    if stack.shape[-3] != d * d:
+        return False
+    gram = _gram(stack)
+    gram -= np.eye(d * d)
+    return np.abs(gram).max() <= ORTHONORMALITY_ATOL
 
 
 def _nonzero(stack: np.ndarray) -> np.ndarray:
-    """The operators of a stack with nonzero Frobenius norm (drops zero padding)."""
-    return stack[np.linalg.norm(stack.reshape(len(stack), -1), axis=1) > 1e-12]
+    """The operators of a stack with nonzero Frobenius norm (drops zero
+    padding); of N stacks, the positions nonzero in any of them."""
+    norms = np.linalg.norm(_vecs(stack), axis=-1).reshape(-1, stack.shape[-3])
+    keep = norms.max(axis=0) > 1e-12
+    return stack if keep.all() else stack[..., keep, :, :]
 
 
 def _zero_pad(stack: np.ndarray, n: int) -> np.ndarray:
-    """Append zero operators up to length n."""
-    if len(stack) == n:
+    """Append zero operators up to length n (to each of N stacks)."""
+    if stack.shape[-3] == n:
         return stack
-    d = stack.shape[1]
-    return np.concatenate([stack, np.zeros((n - len(stack), d, d), dtype=complex)])
+    pad = np.zeros(stack.shape[:-3] + (n - stack.shape[-3],) + stack.shape[-2:], dtype=complex)
+    return np.concatenate([stack, pad], axis=-3)
 
 
-def _squares(stack: np.ndarray) -> np.ndarray:
-    sq = stack @ stack
-    sq.setflags(write=False)
-    return sq
+def _moment_rows(ops) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows vec A_k, vec A_k^2, then vec 1 of operators (..., n, d, d):
+    (..., 2n + 1, d^2), and the operators as a view of the first n.  The
+    operators are copied into the rows and validated there, before they are
+    squared."""
+    ops = as_stack(ops)
+    n, d = ops.shape[-3], ops.shape[-1]
+    rows = np.empty(ops.shape[:-3] + (2 * n + 1, d * d), dtype=complex)
+    stack = rows[..., :n, :].reshape(ops.shape)
+    stack[...] = ops
+    check_hermitian(stack)
+    np.matmul(stack, stack, out=rows[..., n:-1, :].reshape(ops.shape))
+    rows[..., -1, :] = np.eye(d).reshape(-1)
+    rows.setflags(write=False)
+    return rows, rows[..., :n, :].reshape(ops.shape)
 
 
 @dataclass(frozen=True)
@@ -117,10 +156,15 @@ class LocalObservableSet:
 
     ``stack_a`` (n, d_A, d_A) and ``stack_b`` (n, d_B, d_B) are the operators
     A_k and B_k, given as ``HermitianOperator``s, matrices or arrays and kept
-    as validated read-only stacks; ``sq_a``/``sq_b`` hold their squares.  The
-    criteria read the stacks through one moment kernel.  ``is_loo_pair`` is
+    as validated read-only stacks.  ``rows_a`` (2n + 1, d_A^2) holds vec A_k,
+    vec A_k^2 and vec 1 (row-major vec), the rows the moment kernel of
+    ``criteria`` applies to a state, and ``rows_b`` likewise; each stack is
+    a view of its first n rows.  ``is_loo_pair`` is
     True when the certifier found the nonzero operators of both sides to be
     complete LOO bases, so that the LOO witnesses apply.
+
+    Stacks of shape (N, n, d, d) hold one set per state of an N-state
+    ``DensityStack``; the bounds then hold for every one of the N sets.
     """
 
     stack_a: np.ndarray
@@ -128,18 +172,20 @@ class LocalObservableSet:
     bound_a: float
     bound_b: float
     provenance: BoundProvenance
-    sq_a: np.ndarray = field(init=False, repr=False, compare=False)
-    sq_b: np.ndarray = field(init=False, repr=False, compare=False)
+    rows_a: np.ndarray = field(init=False, repr=False, compare=False)
+    rows_b: np.ndarray = field(init=False, repr=False, compare=False)
     is_loo_pair: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stack_a) != len(self.stack_b) or not len(self.stack_a):
             raise ValidationError("stack_a and stack_b must be non-empty and of equal length")
-        a, b = hermitian_stack(self.stack_a), hermitian_stack(self.stack_b)
-        object.__setattr__(self, "stack_a", a)
-        object.__setattr__(self, "stack_b", b)
-        object.__setattr__(self, "sq_a", _squares(a))
-        object.__setattr__(self, "sq_b", _squares(b))
+        (rows_a, a), (rows_b, b) = _moment_rows(self.stack_a), _moment_rows(self.stack_b)
+        if a.shape[:-2] != b.shape[:-2]:
+            raise ValidationError(
+                f"stack_a {a.shape[:-2]} and stack_b {b.shape[:-2]} hold different counts")
+        for name, value in (("rows_a", rows_a), ("rows_b", rows_b),
+                            ("stack_a", a), ("stack_b", b)):
+            object.__setattr__(self, name, value)
         if not (np.isfinite(self.bound_a) and np.isfinite(self.bound_b)):
             raise ValidationError("bounds must be finite")
         if self.bound_a < 0 or self.bound_b < 0:
@@ -149,7 +195,8 @@ class LocalObservableSet:
             # the one certifier: an exact minimum where a closed form exists,
             # else a variance sum the minimizer reaches from fixed seeded starts
             attained, form = _classify_analytic(stack) or (
-                _numeric_minimum(stack, _CERTIFY_SEED, _CERTIFY_STARTS), None)
+                min(_numeric_minimum(one, _CERTIFY_SEED, _CERTIFY_STARTS)
+                    for one in stack.reshape((-1,) + stack.shape[-3:])), None)
             if bound > attained + 1e-8:
                 raise InvalidBoundError(
                     f"declared bound {bound} on side {side} exceeds the variance "
@@ -159,15 +206,15 @@ class LocalObservableSet:
 
     @property
     def n(self) -> int:
-        return len(self.stack_a)
+        return self.stack_a.shape[-3]
 
     @property
     def dim_a(self) -> int:
-        return self.stack_a.shape[1]
+        return self.stack_a.shape[-1]
 
     @property
     def dim_b(self) -> int:
-        return self.stack_b.shape[1]
+        return self.stack_b.shape[-1]
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +321,7 @@ def su_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate",
     return LocalObservableSet(ops_a, ops_b, ba, bb, prov)
 
 
-def operator_schmidt(rho: DensityMatrix):
+def operator_schmidt(rho):
     """Hermitian operator Schmidt decomposition rho = sum_k s_k G_k^A (x) G_k^B.
 
     The realigned matrix is expressed in the canonical LOO product basis,
@@ -285,35 +332,40 @@ def operator_schmidt(rho: DensityMatrix):
 
     Returns ``(coeffs, ops_a, ops_b)`` with coeffs descending of length
     min(d_a^2, d_b^2) and the complete bases as (d_a^2, d_a, d_a) and
-    (d_b^2, d_b, d_b) arrays.
+    (d_b^2, d_b, d_b) arrays.  A ``DensityStack`` of N states is decomposed
+    by one batched SVD, and each output gains a leading N axis.
     """
     da, db = rho.dim_a, rho.dim_b
     wa, wb = _loo_vec_matrix(da), _loo_vec_matrix(db)
-    coeff = wa.conj().T @ realign(rho) @ wb.conj()
-    if np.abs(coeff.imag).max() > SYMMETRIZATION_ATOL:
-        raise DegenerateDecompositionError(
-            f"coefficient matrix has imaginary residual {np.abs(coeff.imag).max():.2e}")
+    coeff = wa.conj().T @ realign(rho.states, (da, db)) @ wb.conj()
+    lead = coeff.shape[:-2]
+    imag = np.abs(coeff.imag).max(axis=(-2, -1))
     o1, s, o2t = np.linalg.svd(coeff.real)
-    ops_a = (wa @ o1).T.reshape(da * da, da, da)
-    ops_b = (wb @ o2t.T).T.reshape(db * db, db, db)
-    resid = max(np.abs(m - m.conj().transpose(0, 2, 1)).max() for m in (ops_a, ops_b))
-    if resid > SYMMETRIZATION_ATOL:
-        raise DegenerateDecompositionError(
-            f"Schmidt factors are non-Hermitian with residual {resid:.2e}")
+    ops_a = (wa @ o1).swapaxes(-1, -2).reshape(lead + (da * da, da, da))
+    ops_b = (wb @ o2t.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(lead + (db * db, db, db))
+    resid = np.maximum(*(hermiticity_residual(m).max(axis=-1) for m in (ops_a, ops_b)))
+    if ((imag > SYMMETRIZATION_ATOL) | (resid > SYMMETRIZATION_ATOL)).any():
+        raise_first(imag > SYMMETRIZATION_ATOL, DegenerateDecompositionError,
+                    lambda k: f"coefficient matrix has imaginary residual "
+                              f"{imag.reshape(-1)[k]:.2e}")
+        raise_first(resid > SYMMETRIZATION_ATOL, DegenerateDecompositionError,
+                    lambda k: f"Schmidt factors are non-Hermitian with residual "
+                              f"{resid.reshape(-1)[k]:.2e}")
     return s, ops_a, ops_b
 
 
-def schmidt_loo_pair(rho: DensityMatrix) -> LocalObservableSet:
+def schmidt_loo_pair(rho) -> LocalObservableSet:
     """Observables adapted to ``rho``: its Schmidt operators, paired with signs
     A_k = G_k^A, B_k = -G_k^B, extended to complete LOO bases.
 
     With these observables the joint variance sum equals
     d_a + d_b - 2 sum_k s_k - sum_k (<G_k^A> - <G_k^B>)^2, so a violation is
-    at least as easy as a realignment (CCNR) violation.
+    at least as easy as a realignment (CCNR) violation.  For a
+    ``DensityStack`` the set holds one such set per state, (N, n, d, d).
     """
     _, ops_a, ops_b = operator_schmidt(rho)
-    n = max(len(ops_a), len(ops_b))
-    return LocalObservableSet(_zero_pad(ops_a, n), _zero_pad(-ops_b, n),
+    n = max(ops_a.shape[-3], ops_b.shape[-3])
+    return LocalObservableSet(_zero_pad(ops_a, n), _zero_pad(np.negative(ops_b, out=ops_b), n),
                               rho.dim_a - 1.0, rho.dim_b - 1.0,
                               BoundProvenance("analytic"))
 
@@ -323,22 +375,23 @@ def _classify_analytic(stack: np.ndarray) -> tuple[float, str] | None:
     with the form that matched: "loo" for full LOO sets (-> d-1), "generators"
     for generator sets (-> 2(d-1)), "qubit" for every other qubit side
     (-> sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T) for A_k = a_k0 1 + a_k . sigma)
-    and "zero" for a side of zero operators (-> 0)."""
+    and "zero" for a side of zero operators (-> 0).  For the sides of N sets,
+    (N, n, d, d), a form must match all N, and the minimum is the least."""
     nonzero = _nonzero(stack)
-    if not len(nonzero):
+    n, d = nonzero.shape[-3], stack.shape[-1]
+    if not n:
         return 0.0, "zero"
-    d = stack.shape[1]
     if _is_complete_loo(nonzero):
         return float(d - 1), "loo"
-    n = len(nonzero)
     if (n == d * d - 1
-            and np.abs(np.trace(nonzero, axis1=1, axis2=2)).max() <= 1e-10
+            and np.abs(np.trace(nonzero, axis1=-2, axis2=-1)).max() <= 1e-10
             and np.abs(_gram(nonzero) - 2.0 * np.eye(n)).max() <= 2 * ORTHONORMALITY_ATOL):
         return float(2 * (d - 1)), "generators"
     if d == 2:
-        bloch = 0.5 * np.einsum("kij,pji->kp", nonzero, _su_stack(2)).real
-        m = bloch.T @ bloch
-        return max(float(np.trace(m) - np.linalg.eigvalsh(m)[-1]), 0.0), "qubit"
+        bloch = 0.5 * np.einsum("...kij,pji->...kp", nonzero, _su_stack(2)).real
+        m = bloch.swapaxes(-1, -2) @ bloch
+        least = (np.trace(m, axis1=-2, axis2=-1) - np.linalg.eigvalsh(m)[..., -1]).min()
+        return max(float(least), 0.0), "qubit"
     return None
 
 
@@ -407,7 +460,7 @@ OBS_BUILDERS = {
     "pauli_loo_pair": "singlet-tuned qubit LOO pair, bounds 1/1",
     "loo_pair": "canonical full LOO pair (params: dim_a, dim_b, pairing)",
     "su_pair": "generator pair (params: dim_a, dim_b, pairing, bound_mode, seed, restarts)",
-    "schmidt_loo_pair": "state-adapted Schmidt operator pair (rebuilt per state)",
+    "schmidt_loo_pair": "state-adapted Schmidt operator pair (one set per state)",
 }
 
 
@@ -448,7 +501,7 @@ def _dimension(value, where: str) -> int:
     return d
 
 
-def observables_from_spec(spec, state: DensityMatrix | None = None,
+def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = None,
                           dims: tuple[int, int] | None = None,
                           default_seed: int = 0) -> LocalObservableSet:
     """Build a LocalObservableSet from a JSON-style spec.
@@ -457,7 +510,8 @@ def observables_from_spec(spec, state: DensityMatrix | None = None,
     explicit matrices ``{"opsA": [...], "opsB": [...], "boundA": x,
     "boundB": y}`` whose declared bounds are checked on construction.  ``state``
     (or bare ``dims``) supplies default dimensions for dimension-generic
-    builders; the Schmidt builder needs the state itself.
+    builders; the Schmidt builder needs the state itself, and for a
+    ``DensityStack`` builds one set per state.
     """
     if isinstance(spec, str):
         spec = {"builder": spec}

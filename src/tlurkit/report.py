@@ -3,14 +3,19 @@
 ``margin`` is always the amount of violation, oriented so that a positive
 margin means entanglement was detected; scanning code can therefore treat
 all criteria alike.  Detection uses a uniform deadband of 1e-9 against
-floating-point noise on exact inequalities.
+floating-point noise on exact inequalities.  ``Verdicts`` holds one
+criterion's results on a stack of N states as arrays; a ``CriterionReport``
+is its one-state case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import DimensionMismatchError, ValidationError
 
 DETECTION_TOL = 1e-9
 
@@ -45,3 +50,34 @@ def make_report(criterion: str, lhs: float, rhs: float, margin: float,
     return CriterionReport(criterion, float(lhs), float(rhs), float(margin),
                            bool(margin > DETECTION_TOL),
                            {k: float(v) for k, v in (components or {}).items()})
+
+
+def _first(value):
+    return value[0] if np.ndim(value) else value
+
+
+class Verdicts(NamedTuple):
+    """One criterion on a stack of N states: ``lhs``, ``rhs``, ``margin`` and
+    each component are (N,) arrays, or scalars that hold for all N."""
+
+    criterion: str
+    lhs: np.ndarray | float
+    rhs: np.ndarray | float
+    margin: np.ndarray
+    components: dict
+
+    def report(self) -> CriterionReport:
+        """The report of a one-state stack."""
+        if np.shape(self.margin) != (1,):
+            raise DimensionMismatchError(
+                f"a report describes one state, got {np.size(self.margin)}")
+        return make_report(self.criterion, _first(self.lhs), _first(self.rhs), self.margin[0],
+                           {k: _first(v) for k, v in self.components.items()})
+
+    def summaries(self) -> list[dict]:
+        """lhs, rhs, margin and detected of each state, as plain floats and bools."""
+        n = len(self.margin)
+        lhs, rhs, margin = (np.broadcast_to(v, (n,)).tolist()
+                            for v in (self.lhs, self.rhs, self.margin))
+        return [{"lhs": l, "rhs": r, "margin": m, "detected": m > DETECTION_TOL}
+                for l, r, m in zip(lhs, rhs, margin)]

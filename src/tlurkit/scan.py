@@ -1,11 +1,16 @@
 """Parameter sweeps and threshold bisection over state families.
 
-Grids are Cartesian products of axes, first axis slowest; cells are
-evaluated one after another in grid order, so output is byte-identical
-across runs.
+Grids are Cartesian products of axes, first axis slowest; cells come out
+in grid order, so output is byte-identical across runs.
 
-State-adapted observables (the Schmidt builder) are rebuilt at every grid
-point; any other observable spec is built once and reused.
+A sweep evaluates its grid as one batch: the states of one bipartition are
+built as one ``DensityStack`` and validated in one pass, state-adapted
+observables (the Schmidt builder) are built for the whole stack by one
+batched SVD, and each criterion runs once on the stack.  A stack whose
+arrays would pass 32 MiB (many states of d_A, d_B >= 6) is split into
+several, so memory stays bounded.  Any other observable spec is built once
+and reused.  A bisection probes one state at a time: the one-state case of
+the same evaluators.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .observables import (
     spec_requires_state,
 )
 from .report import CriterionReport
-from .states import FAMILIES, family_dims
+from .states import FAMILIES
 
 __all__ = [
     "GridAxis", "ScanResult", "sweep", "bisect_threshold",
@@ -42,6 +47,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CriterionEntry:
+    """``evaluate(rho, obs)`` gives the ``CriterionReport`` of a
+    ``DensityMatrix``, or the ``Verdicts`` of a ``DensityStack``."""
+
     name: str
     needs_obs: bool
     description: str
@@ -54,16 +62,6 @@ def _need_obs(name, fn):
             raise ParameterRangeError(f"criterion '{name}' needs an observable set")
         return fn(rho, obs)
     return run
-
-
-def _measure_report(which: str):
-    def run(rho, obs):
-        c_lur, c_tlur = _crit.entanglement_measures(rho, obs)
-        value = c_lur if which == "c_lur" else c_tlur
-        from .report import make_report
-        return make_report(which, value, 0.0, value,
-                           {"c_lur": c_lur, "c_tlur": c_tlur})
-    return _need_obs(which, run)
 
 
 DV_CRITERIA: dict[str, CriterionEntry] = {}
@@ -89,8 +87,10 @@ _register("ppt", False, "negative partial transpose",
           lambda rho, obs: _crit.eval_ppt(rho))
 _register("ccnr", False, "realignment trace norm > 1",
           lambda rho, obs: _crit.eval_ccnr(rho))
-_register("c_lur", True, "violation-normalized estimate C_LUR", _measure_report("c_lur"))
-_register("c_tlur", True, "violation-normalized estimate C_TLUR", _measure_report("c_tlur"))
+_register("c_lur", True, "violation-normalized estimate C_LUR",
+          _need_obs("c_lur", lambda rho, obs: _crit.eval_measure(rho, obs, "c_lur")))
+_register("c_tlur", True, "violation-normalized estimate C_TLUR",
+          _need_obs("c_tlur", lambda rho, obs: _crit.eval_measure(rho, obs, "c_tlur")))
 
 CV_CRITERIA: dict[str, CriterionEntry] = {
     "duan": CriterionEntry("duan", False, "Var(u)+Var(v) vs a^2 + 1/a^2",
@@ -197,18 +197,14 @@ class ScanResult:
         return "".join(",".join(row) + "\n" for row in self.csv_rows())
 
 
-def _summary(report: CriterionReport) -> dict:
-    return {"lhs": report.lhs, "rhs": report.rhs,
-            "margin": report.margin, "detected": report.detected}
-
-
 def _default_obs_spec(dims: tuple[int, int]):
     return "pauli_loo_pair" if dims == (2, 2) else "schmidt_loo_pair"
 
 
-def _make_point_evaluator(family: str, criteria: list[str], obs_spec,
-                          fixed_params: dict, seed: int):
-    """Returns (params -> {criterion: CriterionReport}) plus the resolved spec."""
+def _plan(family: str, criteria: list[str], obs_spec, fixed_params: dict, seed: int):
+    """Checks the family, the criteria and the fixed parameters; returns the
+    family, the criteria's entries, the resolved observable spec and a
+    function giving the observables for a state or a stack of states."""
     fam = FAMILIES.get(family)
     if fam is None:
         raise ParameterRangeError(f"unknown state family '{family}'")
@@ -225,47 +221,72 @@ def _make_point_evaluator(family: str, criteria: list[str], obs_spec,
     fixed_obs = None
     if needs_obs:
         if resolved_spec is None:
-            resolved_spec = _default_obs_spec(family_dims(family, fixed_params))
+            resolved_spec = _default_obs_spec(fam.dims_for(fixed_params))
         if isinstance(resolved_spec, LocalObservableSet):
             fixed_obs = resolved_spec
         elif not spec_requires_state(resolved_spec):
             fixed_obs = observables_from_spec(
-                resolved_spec, dims=family_dims(family, fixed_params),
-                default_seed=seed)
+                resolved_spec, dims=fam.dims_for(fixed_params), default_seed=seed)
 
-    def evaluate(params: dict) -> dict:
-        try:
-            rho = fam.instantiate(**{**fixed_params, **params})
-            obs = fixed_obs
-            if needs_obs and obs is None:
-                obs = observables_from_spec(resolved_spec, state=rho, default_seed=seed)
-            return {e.name: e.evaluate(rho, obs) for e in entries}
-        except TlurkitError as exc:
-            raise type(exc)(f"{exc} (at {family} point {params})") from exc
+    def observables(rho):
+        if not needs_obs or fixed_obs is not None:
+            return fixed_obs
+        return observables_from_spec(resolved_spec, state=rho, default_seed=seed)
 
-    return evaluate, resolved_spec
+    return fam, entries, resolved_spec, observables
+
+
+# working set of one stack; Fig. 1's 3x3 grid is one stack, 16x16 states go two at a time
+_STACK_BYTES = 32 << 20
+
+
+def _stack_size(dims: tuple[int, int]) -> int:
+    """States per stack: about 48 bytes for each entry of the moment rows of a
+    Schmidt set, (2n + 1) x (d_A^2 + d_B^2) with n = max(d_A^2, d_B^2), the
+    largest arrays a stack holds for each state."""
+    da, db = dims
+    n = max(da, db) ** 2
+    return max(1, _STACK_BYTES // (48 * (2 * n + 1) * (da * da + db * db)))
 
 
 def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
           fixed_params: dict | None = None, seed: int = 0) -> ScanResult:
-    """Evaluate criteria over the Cartesian grid; deterministic cell order."""
+    """Evaluate criteria over the Cartesian grid; deterministic cell order.
+
+    The points of each bipartition (one, unless an axis changes the
+    dimensions) form one stack, split only where its arrays would pass
+    32 MiB: each criterion runs once on each stack.
+    """
     if not criteria:
         raise ParameterRangeError("need at least one criterion")
     if not grid:
         raise ParameterRangeError("need at least one grid axis")
     fixed_params = dict(fixed_params or {})
-    evaluate, resolved_spec = _make_point_evaluator(
+    fam, entries, resolved_spec, observables = _plan(
         family, criteria, obs_spec, fixed_params, seed)
     names = [ax.name for ax in grid]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(ax.values() for ax in grid))]
-
-    def cell(params: dict) -> dict:
-        reports = evaluate(params)
-        return {"params": {**params, **fixed_params},
-                "reports": {k: _summary(v) for k, v in reports.items()}}
-
-    cells = [cell(p) for p in points]
+    merged = [{**fixed_params, **p} for p in points]
+    cells = [{"params": {**p, **fixed_params}, "reports": {}} for p in points]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, params in enumerate(merged):
+        groups.setdefault(fam.dims_for(params), []).append(i)
+    size = {dims: _stack_size(dims) for dims in groups}
+    stacks = [idx[k:k + size[dims]] for dims, idx in groups.items()
+              for k in range(0, len(idx), size[dims])]
+    for idx in stacks:
+        try:
+            states = fam.stack([merged[i] for i in idx])
+            obs = observables(states)
+            verdicts = [e.evaluate(states, obs) for e in entries]
+        except TlurkitError as exc:
+            where = (f"point {points[idx[exc.state]]}" if exc.state is not None
+                     else f"{len(idx)}-point stack")
+            raise type(exc)(f"{exc} (at {family} {where})") from exc
+        for entry, verdict in zip(entries, verdicts):
+            for i, summary in zip(idx, verdict.summaries()):
+                cells[i]["reports"][entry.name] = summary
     spec_out = resolved_spec if not isinstance(resolved_spec, LocalObservableSet) else "explicit"
     return ScanResult(family, fixed_params, list(grid), list(criteria), cells,
                       obs_spec=spec_out, seed=seed)
@@ -288,11 +309,16 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
         raise ParameterRangeError(f"need hi > lo, got [{lo}, {hi}]")
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
-    evaluate, _ = _make_point_evaluator(
-        family, [criterion], obs_spec, dict(fixed_params or {}), seed)
+    fixed_params = dict(fixed_params or {})
+    fam, (entry,), _, observables = _plan(family, [criterion], obs_spec, fixed_params, seed)
 
     def probe(x: float):
-        rep = evaluate({param: float(x)})[criterion]
+        params = {param: float(x)}
+        try:
+            rho = fam.instantiate(**{**fixed_params, **params})
+            rep = entry.evaluate(rho, observables(rho))
+        except TlurkitError as exc:
+            raise type(exc)(f"{exc} (at {family} point {params})") from exc
         return rep.detected, rep.margin
 
     v_lo, m_lo = probe(lo)

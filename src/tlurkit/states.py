@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterRangeError, SpecParseError
-from .linops import DensityMatrix
+from .errors import DimensionMismatchError, ParameterRangeError, SpecParseError, TlurkitError
+from .linops import DensityMatrix, DensityStack
 
 __all__ = [
     "horodecki33", "white_noise_mix", "horodecki_noise", "noisy_singlet",
@@ -45,9 +45,11 @@ def _ket(dim: int, index: int) -> np.ndarray:
 
 def singlet() -> DensityMatrix:
     """|psi_s> = (|01> - |10>)/sqrt(2)."""
-    v = np.zeros(4)
-    v[1], v[2] = 1.0, -1.0
-    return pure_state(v, 2, 2)
+    return DensityMatrix(2, 2, _SINGLET)
+
+
+_SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+_SINGLET = np.outer(_SINGLET_KET, _SINGLET_KET)
 
 
 def _product_ket(i: int, j: int) -> np.ndarray:
@@ -98,13 +100,18 @@ def horodecki_noise(a: float, p: float) -> DensityMatrix:
     return DensityMatrix(3, 3, _noise_mixed(_horodecki33_matrix(a), p))
 
 
-def noisy_singlet(p: float) -> DensityMatrix:
-    """p |psi_s><psi_s| + (1-p) (2/3 |00><00| + 1/3 |01><01|); entangled for all p > 0."""
+_NOISY_SINGLET_SEP = np.diag([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
+
+
+def _noisy_singlet_matrix(p: float) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ParameterRangeError(f"p must lie in [0,1], got {p}")
-    sep = np.diag([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
-    mixed = p * np.asarray(singlet().matrix) + (1.0 - p) * sep
-    return DensityMatrix(2, 2, mixed)
+    return p * _SINGLET + (1.0 - p) * _NOISY_SINGLET_SEP
+
+
+def noisy_singlet(p: float) -> DensityMatrix:
+    """p |psi_s><psi_s| + (1-p) (2/3 |00><00| + 1/3 |01><01|); entangled for all p > 0."""
+    return DensityMatrix(2, 2, _noisy_singlet_matrix(p))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,11 +128,9 @@ def random_mixed_state(dim: int, rng: np.random.Generator, rank: int | None = No
     return m / np.trace(m).real
 
 
-def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityMatrix:
-    """Convex mixture of ``n_terms`` random pure product states."""
+def _random_separable_matrix(da: int, db: int, n_terms: int, seed: int) -> np.ndarray:
     if n_terms < 1:
         raise ParameterRangeError(f"n_terms must be >= 1, got {n_terms}")
-    da, db = int(dims[0]), int(dims[1])
     rng = np.random.default_rng(int(seed))
     weights = rng.dirichlet(np.ones(n_terms)) if n_terms > 1 else np.ones(1)
     rho = np.zeros((da * db, da * db), dtype=complex)
@@ -133,17 +138,27 @@ def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityM
         va = random_pure_state(da, rng)
         vb = random_pure_state(db, rng)
         rho += w * np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
-    return DensityMatrix(da, db, rho)
+    return rho
+
+
+def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityMatrix:
+    """Convex mixture of ``n_terms`` random pure product states."""
+    da, db = int(dims[0]), int(dims[1])
+    return DensityMatrix(da, db, _random_separable_matrix(da, db, n_terms, seed))
 
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A named, parameterized family of states for scans and the CLI."""
+    """A named, parameterized family of states for scans and the CLI.
+
+    ``matrix`` maps parameters to the state's unvalidated density matrix;
+    ``instantiate`` validates one, ``stack`` a stack of them in one pass.
+    """
 
     name: str
     dims: tuple[int, int]
     params: dict[str, tuple[float, float]]  # name -> inclusive (lo, hi); int bounds: integral
-    build: Callable[..., DensityMatrix]
+    matrix: Callable[..., np.ndarray]
     description: str = ""
     defaults: dict[str, float] = field(default_factory=dict)
 
@@ -165,14 +180,37 @@ class StateFamily:
                 raise ParameterRangeError(
                     f"{name} must be an integer for family '{self.name}', got {value}")
 
-    def instantiate(self, **params) -> DensityMatrix:
+    def _merged(self, params: dict) -> dict:
+        """``params`` over the defaults, checked and complete."""
         merged = {**self.defaults, **params}
         self.check_params(merged)
         missing = set(self.params) - set(merged)
         if missing:
             raise ParameterRangeError(
                 f"missing parameter(s) {sorted(missing)} for family '{self.name}'")
-        return self.build(**merged)
+        return merged
+
+    def instantiate(self, **params) -> DensityMatrix:
+        merged = self._merged(params)
+        return DensityMatrix(*self.dims_for(merged), self.matrix(**merged))
+
+    def stack(self, points: list[dict]) -> DensityStack:
+        """The states at ``points`` (parameter dicts, all of one bipartition),
+        validated in one pass.  A failure names the offending point's index
+        in ``error.state``."""
+        dims = self.dims_for(points[0] if points else None)
+        mats = []
+        for k, params in enumerate(points):
+            try:
+                merged = self._merged(params)
+                if self.dims_for(merged) != dims:
+                    raise DimensionMismatchError(
+                        f"a stack holds one bipartition: {self.dims_for(merged)} vs {dims}")
+                mats.append(self.matrix(**merged))
+            except TlurkitError as exc:
+                exc.state = k
+                raise
+        return DensityStack(*dims, np.array(mats))
 
     def dims_for(self, params: dict | None = None) -> tuple[int, int]:
         """Local dimensions: ``dim_a``/``dim_b`` when the family takes them."""
@@ -193,39 +231,32 @@ _register(StateFamily(
     name="horodecki",
     dims=(3, 3),
     params={"a": (0.0, 1.0)},
-    build=lambda a: horodecki33(a),
+    matrix=_horodecki33_matrix,
     description="3x3 bound entangled family (PPT, entangled), a in (0,1)",
 ))
 _register(StateFamily(
     name="horodecki_noise",
     dims=(3, 3),
     params={"a": (0.0, 1.0), "p": (0.0, 1.0)},
-    build=lambda a, p: horodecki_noise(a, p),
+    matrix=lambda a, p: _noise_mixed(_horodecki33_matrix(a), p),
     description="white-noise mixture p*horodecki(a) + (1-p)*I/9",
 ))
 _register(StateFamily(
     name="noisy_singlet",
     dims=(2, 2),
     params={"p": (0.0, 1.0)},
-    build=lambda p: noisy_singlet(p),
+    matrix=_noisy_singlet_matrix,
     description="p*singlet + (1-p)*(2/3|00><00| + 1/3|01><01|)",
 ))
 _register(StateFamily(
     name="random_separable",
     dims=(2, 2),
     params={"dim_a": (2, 16), "dim_b": (2, 16), "n_terms": (1, 1024), "seed": (0, 2**31)},
-    build=lambda dim_a, dim_b, n_terms, seed: random_separable(
-        (int(dim_a), int(dim_b)), int(n_terms), int(seed)),
+    matrix=lambda dim_a, dim_b, n_terms, seed: _random_separable_matrix(
+        int(dim_a), int(dim_b), int(n_terms), int(seed)),
     description="seeded random mixture of pure product states",
     defaults={"dim_a": 2, "dim_b": 2, "n_terms": 4, "seed": 0},
 ))
-
-
-def family_dims(name: str, params: dict | None = None) -> tuple[int, int]:
-    fam = FAMILIES.get(name)
-    if fam is None:
-        raise ParameterRangeError(f"unknown state family '{name}'")
-    return fam.dims_for(params)
 
 
 def _parse_complex_entry(entry, where: str) -> complex:

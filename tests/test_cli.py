@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 
@@ -174,6 +175,14 @@ def test_invalid_inputs_exit_2(capsys):
         ("bisect", "--family", "noisy_singlet", "--param", "p", "--lo", "0",
          "--hi", "1", "--criterion", "ppt", "--tol", "nan"),
         ("cv-evaluate", "--state", '{"tmsv": 1}', "--criterion", "duan", "--a", "nan"),
+        ("cv-evaluate", "--state", '{"tmsv": 1}', "--criterion", "duan",
+         "--a", "1e-200"),  # a*a underflows to 0
+        ("cv-evaluate", "--state", '{"tmsv": 1}', "--criterion", "duan",
+         "--a", "1e200"),  # a*a overflows
+        ("cv-evaluate", "--state",
+         '{"cov": [[1e300,0,0,0],[0,1e300,0,0],[0,0,1e300,0],[0,0,0,1e300]]}',
+         "--criterion", "corollary2", "--a", "1e10"),  # lhs overflows
+        ("cv-evaluate", "--state", '{"tmsv": 400}', "--criterion", "duan"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -183,6 +192,19 @@ def test_invalid_inputs_exit_2(capsys):
         assert diag["detail"]
         if "dim_a" in argv[2]:
             assert "dim_a" in diag["detail"], argv  # names the parameter
+
+
+def test_overflowing_tmsv_gives_one_diagnostic_line_and_no_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["cv-evaluate", "--state", '{"tmsv": 400}', "--criterion", "duan"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert [str(w.message) for w in caught] == []
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads(lines[0])
+    assert diag["error"] == "invalid-input" and "r must satisfy" in diag["detail"]
 
 
 def test_usage_error_is_machine_parsable(capsys):

@@ -8,7 +8,7 @@ from tlurkit import (
 )
 from tlurkit.errors import ParameterRangeError, SpecParseError
 from tlurkit.states import (
-    FAMILIES, family_dims, horodecki33, horodecki_noise, noisy_singlet,
+    FAMILIES, horodecki33, horodecki_noise, noisy_singlet,
     random_separable, white_noise_mix,
 )
 
@@ -136,9 +136,9 @@ def test_state_from_spec_errors_name_the_field(spec, field):
 def test_family_registry():
     assert set(FAMILIES) == {"horodecki", "horodecki_noise", "noisy_singlet",
                              "random_separable"}
-    assert family_dims("horodecki") == (3, 3)
-    assert family_dims("noisy_singlet") == (2, 2)
-    assert family_dims("random_separable", {"dim_a": 3, "dim_b": 2}) == (3, 2)
+    assert FAMILIES["horodecki"].dims_for() == (3, 3)
+    assert FAMILIES["noisy_singlet"].dims_for() == (2, 2)
+    assert FAMILIES["random_separable"].dims_for({"dim_a": 3, "dim_b": 2}) == (3, 2)
     rho = FAMILIES["random_separable"].instantiate(n_terms=2, seed=3)
     assert rho.dims == (2, 2)
 
