@@ -26,15 +26,8 @@ from .errors import (
     TlurkitError,
     ValidationError,
 )
-from .observables import OBS_BUILDERS, observables_from_spec
-from .scan import (
-    CV_CRITERIA,
-    DV_CRITERIA,
-    GridAxis,
-    _default_obs_spec,
-    bisect_threshold,
-    sweep,
-)
+from .observables import OBS_BUILDERS
+from .scan import CV_CRITERIA, DV_CRITERIA, GridAxis, Plan, bisect_threshold, sweep
 from .states import FAMILIES, state_from_spec
 
 __all__ = ["main", "cli_main", "build_parser"]
@@ -187,15 +180,8 @@ def _cmd_evaluate(args) -> str:
     if isinstance(spec, str):
         raise SpecParseError("state spec must be a JSON object", field="state")
     rho = state_from_spec(spec)
-    obs = None
-    entry = DV_CRITERIA[args.criterion]
-    if entry.needs_obs:
-        obs_spec = _read_spec(args.obs, args.obs_file, "obs")
-        if obs_spec is None:
-            obs_spec = _default_obs_spec(rho.dims)
-        obs = observables_from_spec(obs_spec, state=rho, default_seed=args.seed)
-    report = entry.evaluate(rho, obs)
-    return _report_text(report, args.format)
+    plan = Plan([args.criterion], _read_spec(args.obs, args.obs_file, "obs"), args.seed)
+    return _report_text(plan.evaluate(rho)[0], args.format)
 
 
 def _scan_result_text(result, fmt: str) -> str:

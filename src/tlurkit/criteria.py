@@ -221,9 +221,10 @@ def eval_corollary1(rho, obs: LocalObservableSet):
     return _result(rho, "corollary1", value, 0.0, -value, c)
 
 
-def eval_ppt(rho, transposed: str = "B"):
-    """Negative partial transpose test; margin is -min eigenvalue."""
-    lam = min_eigenvalues(partial_transpose(rho, transposed))
+def eval_ppt(rho):
+    """Negative partial transpose test; margin is -min eigenvalue.  rho^{T_A}
+    and rho^{T_B} have the same spectrum, so B is transposed."""
+    lam = min_eigenvalues(partial_transpose(rho))
     return _result(rho, "ppt", lam, 0.0, -lam, {"min_eigenvalue": lam})
 
 

@@ -54,14 +54,18 @@ class GaussianState:
                 f"need mean of length 4 and 4x4 cov, got {mean.shape} and {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise UnphysicalStateError("non-finite moments")
+        # as Python floats, a sum past the float range is inf with no numpy warning
+        sums = [float(cov[i, i]) + float(cov[i + 1, i + 1]) for i in (0, 2)]
+        if not all(map(math.isfinite, sums)):
+            raise UnphysicalStateError(
+                f"mode sums Var(x)+Var(p) = {sums} are not finite")
         if np.abs(cov - cov.T).max() > 1e-10 * max(np.abs(cov).max(), 1.0):
             raise UnphysicalStateError("covariance matrix is not symmetric")
         herm = cov + 0.5j * OMEGA
         if np.linalg.eigvalsh(herm).min() < -PHYSICALITY_TOL:
             raise UnphysicalStateError(
                 "covariance matrix violates the uncertainty principle")
-        for mode in (1, 2):
-            s = cov[2 * mode - 2, 2 * mode - 2] + cov[2 * mode - 1, 2 * mode - 1]
+        for mode, s in enumerate(sums, 1):
             if s < 1.0 - PHYSICALITY_TOL:
                 raise UnphysicalStateError(
                     f"mode {mode} has Var(x)+Var(p) = {s} < 1")

@@ -179,9 +179,6 @@ class DensityStack(_Bipartite):
         object.__setattr__(self, "states",
                            _validated_states(self.states, self.dim_a, self.dim_b, 3))
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 def _dims_of(rho, dims) -> tuple[np.ndarray, int, int]:
     """The matrix (or (N, d, d) stack) of ``rho`` and its local dimensions."""

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import ValidationError
 
 DETECTION_TOL = 1e-9
 
@@ -52,10 +52,6 @@ def make_report(criterion: str, lhs: float, rhs: float, margin: float,
                            {k: float(v) for k, v in (components or {}).items()})
 
 
-def _first(value):
-    return value[0] if np.ndim(value) else value
-
-
 class Verdicts(NamedTuple):
     """One criterion on a stack of N states: ``lhs``, ``rhs``, ``margin`` and
     each component are (N,) arrays, or scalars that hold for all N."""
@@ -65,14 +61,6 @@ class Verdicts(NamedTuple):
     rhs: np.ndarray | float
     margin: np.ndarray
     components: dict
-
-    def report(self) -> CriterionReport:
-        """The report of a one-state stack."""
-        if np.shape(self.margin) != (1,):
-            raise DimensionMismatchError(
-                f"a report describes one state, got {np.size(self.margin)}")
-        return make_report(self.criterion, _first(self.lhs), _first(self.rhs), self.margin[0],
-                           {k: _first(v) for k, v in self.components.items()})
 
     def summaries(self) -> list[dict]:
         """lhs, rhs, margin and detected of each state, as plain floats and bools."""

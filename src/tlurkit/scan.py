@@ -3,14 +3,16 @@
 Grids are Cartesian products of axes, first axis slowest; cells come out
 in grid order, so output is byte-identical across runs.
 
-A sweep evaluates its grid as one batch: the states of one bipartition are
+Sweeps, bisections and ``evaluate_criterion`` resolve their inputs in one
+``Plan``: the criteria, and the observable set of each bipartition.  A
+sweep evaluates its grid as one batch: the states of one bipartition are
 built as one ``DensityStack`` and validated in one pass, state-adapted
 observables (the Schmidt builder) are built for the whole stack by one
 batched SVD, and each criterion runs once on the stack.  A stack whose
 arrays would pass 32 MiB (many states of d_A, d_B >= 6) is split into
 several, so memory stays bounded.  Any other observable spec is built once
-and reused.  A bisection probes one state at a time: the one-state case of
-the same evaluators.
+per bipartition and reused.  A bisection probes one state at a time: the
+one-state case of the same evaluators.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from .observables import (
     observables_from_spec,
     spec_requires_state,
 )
-from .report import CriterionReport
 from .states import FAMILIES
 
 __all__ = [
     "GridAxis", "ScanResult", "sweep", "bisect_threshold",
-    "evaluate_criterion", "DV_CRITERIA", "CV_CRITERIA",
+    "evaluate_criterion", "Plan", "DV_CRITERIA", "CV_CRITERIA",
 ]
 
 
@@ -56,41 +57,29 @@ class CriterionEntry:
     evaluate: Callable
 
 
-def _need_obs(name, fn):
-    def run(rho, obs):
-        if obs is None:
-            raise ParameterRangeError(f"criterion '{name}' needs an observable set")
-        return fn(rho, obs)
-    return run
-
-
 DV_CRITERIA: dict[str, CriterionEntry] = {}
 
 
-def _register(name, needs_obs, description, fn):
-    DV_CRITERIA[name] = CriterionEntry(name, needs_obs, description, fn)
+def _register(name, needs_obs, description, fn, *args):
+    """``evaluate`` runs ``fn(rho, obs, *args)`` for a set criterion and
+    ``fn(rho)`` else.  ``fn`` is held in the closure, where the benchmark's
+    tracer (``perfbench/tracing.py``) swaps in its timed wrapper."""
+    def evaluate(rho, obs):
+        return fn(rho, obs, *args) if needs_obs else fn(rho)
+    DV_CRITERIA[name] = CriterionEntry(name, needs_obs, description, evaluate)
 
 
-_register("lur", True, "joint variance sum vs U_A + U_B",
-          _need_obs("lur", _crit.eval_lur))
-_register("tlur", True, "joint variance sum vs U_A + U_B + M^2",
-          _need_obs("tlur", _crit.eval_tlur))
-_register("tlur_dual", True, "upper bound U_A + U_B + (sqrt+sqrt)^2",
-          _need_obs("tlur_dual", _crit.eval_tlur_dual))
-_register("lemma1", True, "sqrt(excess product) +/- covariance sum >= 0",
-          _need_obs("lemma1", _crit.eval_lemma1))
-_register("corollary1", True, "LOO witness with purity term",
-          _need_obs("corollary1", _crit.eval_corollary1))
+_register("lur", True, "joint variance sum vs U_A + U_B", _crit.eval_lur)
+_register("tlur", True, "joint variance sum vs U_A + U_B + M^2", _crit.eval_tlur)
+_register("tlur_dual", True, "upper bound U_A + U_B + (sqrt+sqrt)^2", _crit.eval_tlur_dual)
+_register("lemma1", True, "sqrt(excess product) +/- covariance sum >= 0", _crit.eval_lemma1)
+_register("corollary1", True, "LOO witness with purity term", _crit.eval_corollary1)
 _register("nonlinear_witness", True, "LOO witness without purity term",
-          _need_obs("nonlinear_witness", _crit.eval_nonlinear_witness))
-_register("ppt", False, "negative partial transpose",
-          lambda rho, obs: _crit.eval_ppt(rho))
-_register("ccnr", False, "realignment trace norm > 1",
-          lambda rho, obs: _crit.eval_ccnr(rho))
-_register("c_lur", True, "violation-normalized estimate C_LUR",
-          _need_obs("c_lur", lambda rho, obs: _crit.eval_measure(rho, obs, "c_lur")))
-_register("c_tlur", True, "violation-normalized estimate C_TLUR",
-          _need_obs("c_tlur", lambda rho, obs: _crit.eval_measure(rho, obs, "c_tlur")))
+          _crit.eval_nonlinear_witness)
+_register("ppt", False, "negative partial transpose", _crit.eval_ppt)
+_register("ccnr", False, "realignment trace norm > 1", _crit.eval_ccnr)
+_register("c_lur", True, "violation-normalized estimate C_LUR", _crit.eval_measure, "c_lur")
+_register("c_tlur", True, "violation-normalized estimate C_TLUR", _crit.eval_measure, "c_tlur")
 
 CV_CRITERIA: dict[str, CriterionEntry] = {
     "duan": CriterionEntry("duan", False, "Var(u)+Var(v) vs a^2 + 1/a^2",
@@ -101,12 +90,71 @@ CV_CRITERIA: dict[str, CriterionEntry] = {
 }
 
 
-def evaluate_criterion(name: str, rho, obs=None) -> CriterionReport:
-    entry = DV_CRITERIA.get(name)
-    if entry is None:
-        raise ParameterRangeError(
-            f"unknown criterion '{name}'; known: {sorted(DV_CRITERIA)}")
-    return entry.evaluate(rho, obs)
+class Plan:
+    """What a run evaluates: the criteria and the observable set each state gets.
+
+    ``entries`` are the criteria's registry entries.  ``observables(rho)``
+    gives a state or a stack the set for its own bipartition, from
+    ``obs_spec`` or, when that is None, from the default for its dimensions
+    (``pauli_loo_pair`` for 2x2, ``schmidt_loo_pair`` otherwise).  A spec
+    adapted to the state (``schmidt_loo_pair``) is built for each state or
+    stack; any other spec once per bipartition, then reused; a
+    ``LocalObservableSet`` is used as given.
+    """
+
+    def __init__(self, criteria: list[str], obs_spec=None, seed: int = 0):
+        self.entries = []
+        for name in criteria:
+            if name not in DV_CRITERIA:
+                raise ParameterRangeError(
+                    f"unknown criterion '{name}'; known: {sorted(DV_CRITERIA)}")
+            self.entries.append(DV_CRITERIA[name])
+        self.needs_obs = any(e.needs_obs for e in self.entries)
+        self.obs_spec = obs_spec
+        self.seed = seed
+        self._sets: dict[tuple[int, int], LocalObservableSet] = {}
+
+    def spec(self, dims: tuple[int, int]):
+        """The spec the states of bipartition ``dims`` get."""
+        if self.needs_obs and self.obs_spec is None:
+            return "pauli_loo_pair" if dims == (2, 2) else "schmidt_loo_pair"
+        return self.obs_spec
+
+    def observables(self, rho) -> LocalObservableSet | None:
+        if not self.needs_obs:
+            return None
+        dims = rho.dims
+        if dims in self._sets:
+            return self._sets[dims]
+        spec = self.spec(dims)
+        if spec_requires_state(spec):
+            return observables_from_spec(spec, state=rho, default_seed=self.seed)
+        if not isinstance(spec, LocalObservableSet):
+            spec = observables_from_spec(spec, dims=dims, default_seed=self.seed)
+        self._sets[dims] = spec
+        return spec
+
+    def evaluate(self, rho) -> list:
+        """Each criterion's ``CriterionReport`` on a state, or ``Verdicts`` on a stack."""
+        obs = self.observables(rho)
+        return [entry.evaluate(rho, obs) for entry in self.entries]
+
+    def recorded_spec(self, bipartitions):
+        """What a result records under ``obs``: the spec every bipartition
+        gets ("explicit" for a given set), else a map from "<d_A>x<d_B>" to
+        the spec of each."""
+        specs = {f"{da}x{db}": self.spec((da, db)) for da, db in bipartitions}
+        first = next(iter(specs.values()))
+        if isinstance(first, LocalObservableSet):
+            return "explicit"
+        return first if all(s == first for s in specs.values()) else specs
+
+
+def evaluate_criterion(name: str, rho, obs=None):
+    """One criterion on a state (a ``CriterionReport``) or a stack
+    (``Verdicts``); ``obs`` is a set, a spec, or None for the default set of
+    the state's bipartition."""
+    return Plan([name], obs).evaluate(rho)[0]
 
 
 def resolve_workers() -> int:
@@ -154,6 +202,8 @@ class GridAxis:
 
 @dataclass
 class ScanResult:
+    """A sweep's cells in grid order; ``obs_spec`` is ``Plan.recorded_spec``."""
+
     family: str
     fixed_params: dict
     axes: list[GridAxis]
@@ -161,10 +211,9 @@ class ScanResult:
     cells: list[dict]
     obs_spec: object = None
     seed: int = 0
-    thresholds: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "family": self.family,
             "fixed_params": dict(self.fixed_params),
             "axes": [ax.to_dict() for ax in self.axes],
@@ -173,9 +222,6 @@ class ScanResult:
             "seed": self.seed,
             "cells": self.cells,
         }
-        if self.thresholds is not None:
-            out["thresholds"] = self.thresholds
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -197,43 +243,13 @@ class ScanResult:
         return "".join(",".join(row) + "\n" for row in self.csv_rows())
 
 
-def _default_obs_spec(dims: tuple[int, int]):
-    return "pauli_loo_pair" if dims == (2, 2) else "schmidt_loo_pair"
-
-
-def _plan(family: str, criteria: list[str], obs_spec, fixed_params: dict, seed: int):
-    """Checks the family, the criteria and the fixed parameters; returns the
-    family, the criteria's entries, the resolved observable spec and a
-    function giving the observables for a state or a stack of states."""
+def _family(family: str, fixed_params: dict):
+    """The registered family, with ``fixed_params`` checked before anything is built."""
     fam = FAMILIES.get(family)
     if fam is None:
         raise ParameterRangeError(f"unknown state family '{family}'")
-    entries = []
-    for name in criteria:
-        entry = DV_CRITERIA.get(name)
-        if entry is None:
-            raise ParameterRangeError(
-                f"unknown criterion '{name}'; known: {sorted(DV_CRITERIA)}")
-        entries.append(entry)
-    fam.check_params(fixed_params)  # before the fixed observable set is built from them
-    needs_obs = any(e.needs_obs for e in entries)
-    resolved_spec = obs_spec
-    fixed_obs = None
-    if needs_obs:
-        if resolved_spec is None:
-            resolved_spec = _default_obs_spec(fam.dims_for(fixed_params))
-        if isinstance(resolved_spec, LocalObservableSet):
-            fixed_obs = resolved_spec
-        elif not spec_requires_state(resolved_spec):
-            fixed_obs = observables_from_spec(
-                resolved_spec, dims=fam.dims_for(fixed_params), default_seed=seed)
-
-    def observables(rho):
-        if not needs_obs or fixed_obs is not None:
-            return fixed_obs
-        return observables_from_spec(resolved_spec, state=rho, default_seed=seed)
-
-    return fam, entries, resolved_spec, observables
+    fam.check_params(fixed_params)
+    return fam
 
 
 # working set of one stack; Fig. 1's 3x3 grid is one stack, 16x16 states go two at a time
@@ -255,15 +271,16 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
 
     The points of each bipartition (one, unless an axis changes the
     dimensions) form one stack, split only where its arrays would pass
-    32 MiB: each criterion runs once on each stack.
+    32 MiB: each criterion runs once on each stack, with the observable set
+    the plan gives that bipartition.
     """
     if not criteria:
         raise ParameterRangeError("need at least one criterion")
     if not grid:
         raise ParameterRangeError("need at least one grid axis")
     fixed_params = dict(fixed_params or {})
-    fam, entries, resolved_spec, observables = _plan(
-        family, criteria, obs_spec, fixed_params, seed)
+    fam = _family(family, fixed_params)
+    plan = Plan(criteria, obs_spec, seed)
     names = [ax.name for ax in grid]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(ax.values() for ax in grid))]
@@ -277,19 +294,16 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
               for k in range(0, len(idx), size[dims])]
     for idx in stacks:
         try:
-            states = fam.stack([merged[i] for i in idx])
-            obs = observables(states)
-            verdicts = [e.evaluate(states, obs) for e in entries]
+            verdicts = plan.evaluate(fam.stack([merged[i] for i in idx]))
         except TlurkitError as exc:
             where = (f"point {points[idx[exc.state]]}" if exc.state is not None
                      else f"{len(idx)}-point stack")
             raise type(exc)(f"{exc} (at {family} {where})") from exc
-        for entry, verdict in zip(entries, verdicts):
+        for entry, verdict in zip(plan.entries, verdicts):
             for i, summary in zip(idx, verdict.summaries()):
                 cells[i]["reports"][entry.name] = summary
-    spec_out = resolved_spec if not isinstance(resolved_spec, LocalObservableSet) else "explicit"
     return ScanResult(family, fixed_params, list(grid), list(criteria), cells,
-                      obs_spec=spec_out, seed=seed)
+                      obs_spec=plan.recorded_spec(groups), seed=seed)
 
 
 _BISECT_SAMPLES = 16
@@ -310,13 +324,13 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
     fixed_params = dict(fixed_params or {})
-    fam, (entry,), _, observables = _plan(family, [criterion], obs_spec, fixed_params, seed)
+    fam = _family(family, fixed_params)
+    plan = Plan([criterion], obs_spec, seed)
 
     def probe(x: float):
         params = {param: float(x)}
         try:
-            rho = fam.instantiate(**{**fixed_params, **params})
-            rep = entry.evaluate(rho, observables(rho))
+            rep, = plan.evaluate(fam.instantiate(**{**fixed_params, **params}))
         except TlurkitError as exc:
             raise type(exc)(f"{exc} (at {family} point {params})") from exc
         return rep.detected, rep.margin

@@ -147,6 +147,9 @@ def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityM
     return DensityMatrix(da, db, _random_separable_matrix(da, db, n_terms, seed))
 
 
+_REAL = (int, float, np.integer, np.floating)  # bool is an int; check_params rejects it
+
+
 @dataclass(frozen=True)
 class StateFamily:
     """A named, parameterized family of states for scans and the CLI.
@@ -165,12 +168,16 @@ class StateFamily:
     def check_params(self, params: dict) -> None:
         """Reject unknown parameters and values outside the declared inclusive
         ranges; a parameter whose declared bounds are both ``int`` must take an
-        integral value (``2`` and ``2.0``, not ``2.5``)."""
+        integral value (``2`` and ``2.0``, not ``2.5``).  A value must be a
+        real number: a bool or a string names its parameter in the error."""
         unknown = set(params) - set(self.params)
         if unknown:
             raise ParameterRangeError(
                 f"unknown parameter(s) {sorted(unknown)} for family '{self.name}'")
         for name, value in params.items():
+            if isinstance(value, bool) or not isinstance(value, _REAL):
+                raise ParameterRangeError(
+                    f"{name} must be a number for family '{self.name}', got {value!r}")
             lo, hi = self.params[name]
             if not lo <= value <= hi:
                 raise ParameterRangeError(

@@ -183,8 +183,17 @@ def test_invalid_inputs_exit_2(capsys):
          '{"cov": [[1e300,0,0,0],[0,1e300,0,0],[0,0,1e300,0],[0,0,0,1e300]]}',
          "--criterion", "corollary2", "--a", "1e10"),  # lhs overflows
         ("cv-evaluate", "--state", '{"tmsv": 400}', "--criterion", "duan"),
+        ("cv-evaluate", "--state", OVERFLOWING_COV, "--criterion", "duan"),  # mode sum
     ]
-    for argv in cases:
+    named = {  # a family parameter that is not a number names the parameter
+        ("evaluate", "--state", '{"family":"noisy_singlet","params":{"p":true}}',
+         "--criterion", "ppt"): "p",
+        ("evaluate", "--state", '{"family":"random_separable","params":{"n_terms":true}}',
+         "--criterion", "ppt"): "n_terms",
+        ("evaluate", "--state", '{"family":"noisy_singlet","params":{"p":"0.5"}}',
+         "--criterion", "ppt"): "p",
+    }
+    for argv in cases + list(named):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         diag = json.loads(err)
@@ -192,19 +201,57 @@ def test_invalid_inputs_exit_2(capsys):
         assert diag["detail"]
         if "dim_a" in argv[2]:
             assert "dim_a" in diag["detail"], argv  # names the parameter
+        if argv in named:
+            assert diag["detail"].startswith(f"{named[argv]} must be a number"), argv
 
 
-def test_overflowing_tmsv_gives_one_diagnostic_line_and_no_warning(capsys):
+OVERFLOWING_COV = '{"cov": [[1e308,0,0,0],[0,1e308,0,0],[0,0,1e308,0],[0,0,0,1e308]]}'
+
+
+def _one_diagnostic_line_and_no_warning(capsys, *argv) -> dict:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["cv-evaluate", "--state", '{"tmsv": 400}', "--criterion", "duan"])
+        code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert [str(w.message) for w in caught] == []
     lines = captured.err.splitlines()
     assert len(lines) == 1
     diag = json.loads(lines[0])
-    assert diag["error"] == "invalid-input" and "r must satisfy" in diag["detail"]
+    assert diag["error"] == "invalid-input"
+    return diag
+
+
+def test_overflowing_tmsv_gives_one_diagnostic_line_and_no_warning(capsys):
+    diag = _one_diagnostic_line_and_no_warning(
+        capsys, "cv-evaluate", "--state", '{"tmsv": 400}', "--criterion", "duan")
+    assert "r must satisfy" in diag["detail"]
+
+
+def test_overflowing_mode_sum_gives_one_diagnostic_line_and_no_warning(capsys):
+    diag = _one_diagnostic_line_and_no_warning(
+        capsys, "cv-evaluate", "--state", OVERFLOWING_COV, "--criterion", "duan")
+    assert diag["type"] == "UnphysicalStateError" and "mode sums" in diag["detail"]
+
+
+def test_evaluate_prints_the_cell_of_a_one_point_sweep(capsys):
+    points = [("noisy_singlet", {"p": 0.3}, "corollary1", []),
+              ("horodecki_noise", {"a": 0.4, "p": 0.9}, "tlur", []),
+              ("random_separable", {"dim_a": 3, "dim_b": 2, "seed": 5}, "lur",
+               ["--obs", "loo_pair"]),
+              ("random_separable", {"dim_a": 2, "dim_b": 3, "seed": 5}, "ppt", [])]
+    for family, params, criterion, obs in points:
+        code, out, _ = run(capsys, "evaluate", "--criterion", criterion, *obs, "--state",
+                           json.dumps({"family": family, "params": params}))
+        assert code == 0
+        report = json.loads(out)
+        axes = [f"{k}:{v}:{v}:1" for k, v in params.items()]
+        code, out, _ = run(capsys, "sweep", "--family", family, "--criteria", criterion,
+                           *obs, *(arg for axis in axes for arg in ("--axis", axis)))
+        assert code == 0
+        (cell,) = json.loads(out)["cells"]
+        assert {k: report[k] for k in ("lhs", "rhs", "margin", "detected")} \
+            == cell["reports"][criterion], (family, params, criterion)
 
 
 def test_usage_error_is_machine_parsable(capsys):

@@ -5,13 +5,14 @@ import pytest
 
 from tlurkit import bisect_threshold, sweep
 from tlurkit.errors import (
-    NoCrossingError, NonMonotonicMarginError, ParameterRangeError,
+    NoCrossingError, NonMonotonicMarginError, ParameterRangeError, ValidationError,
 )
+from tlurkit.observables import observables_from_spec
 from tlurkit.report import make_report
 from tlurkit.scan import (
     CriterionEntry, DV_CRITERIA, GridAxis, evaluate_criterion, resolve_workers,
 )
-from tlurkit.states import noisy_singlet
+from tlurkit.states import FAMILIES, noisy_singlet
 
 
 def test_grid_axis_values():
@@ -189,3 +190,55 @@ def test_sweep_fixed_params_and_measures():
         assert cell["params"]["p"] == 1.0
         assert (cell["reports"]["c_tlur"]["margin"]
                 >= cell["reports"]["c_lur"]["margin"] - 1e-12)
+
+
+@pytest.mark.parametrize("axis", ["dim_a", "dim_b"])
+@pytest.mark.parametrize("spec", [None, "loo_pair", "su_pair"])
+def test_an_axis_may_change_the_dimensions(axis, spec):
+    # each bipartition gets the set built for its own dimensions
+    criteria = ["lur", "tlur", "corollary1", "ppt"]
+    if spec == "su_pair":  # not an LOO pair: corollary1 is undefined on it
+        with pytest.raises(ValidationError, match="LOO bases"):
+            sweep("random_separable", [GridAxis(axis, 2, 3, 1)], criteria, obs_spec=spec)
+        criteria.remove("corollary1")
+    grid = [GridAxis(axis, 2, 3, 1), GridAxis("seed", 0, 2, 1)]
+    result = sweep("random_separable", grid, criteria, obs_spec=spec)
+    assert [c["params"][axis] for c in result.cells] == [2, 2, 2, 3, 3, 3]
+    for cell in result.cells:
+        rho = FAMILIES["random_separable"].instantiate(**cell["params"])
+        default = "pauli_loo_pair" if rho.dims == (2, 2) else "schmidt_loo_pair"
+        obs = observables_from_spec(spec or default, state=rho)
+        for name in criteria:
+            rep = evaluate_criterion(name, rho, obs)
+            got = cell["reports"][name]
+            assert got["detected"] == rep.detected, (cell["params"], name)
+            np.testing.assert_allclose([got["lhs"], got["rhs"], got["margin"]],
+                                       [rep.lhs, rep.rhs, rep.margin], rtol=0, atol=1e-12)
+    wide = "3x2" if axis == "dim_a" else "2x3"
+    assert result.obs_spec == (spec or {"2x2": "pauli_loo_pair", wide: "schmidt_loo_pair"})
+
+
+def test_a_spec_is_built_once_per_bipartition(monkeypatch):
+    built = []
+
+    def counting(spec, **kwargs):
+        built.append(kwargs.get("dims"))
+        return observables_from_spec(spec, **kwargs)
+
+    monkeypatch.setattr("tlurkit.scan.observables_from_spec", counting)
+    monkeypatch.setattr("tlurkit.scan._STACK_BYTES", 1)  # one state a stack
+    sweep("random_separable", [GridAxis("dim_b", 2, 3, 1), GridAxis("seed", 0, 3, 1)],
+          ["lur", "tlur"], obs_spec="su_pair")
+    assert built == [(2, 2), (2, 3)]
+    built.clear()
+    bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-2)
+    assert built == [(2, 2)]  # the default pauli_loo_pair, for every probe
+
+
+def test_evaluate_criterion_defaults_to_the_set_of_the_bipartition():
+    rho = noisy_singlet(0.5)
+    assert evaluate_criterion("tlur", rho) == evaluate_criterion("tlur", rho, _pauli())
+    assert evaluate_criterion("tlur", rho, "loo_pair") \
+        == evaluate_criterion("tlur", rho, observables_from_spec("loo_pair", state=rho))
+    with pytest.raises(ParameterRangeError, match="unknown criterion 'nope'"):
+        evaluate_criterion("nope", rho)

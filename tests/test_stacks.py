@@ -146,8 +146,6 @@ def test_a_set_per_state_needs_as_many_states():
         eval_lur(DensityMatrix(2, 2, rho.states[0]), obs)
     with pytest.raises(DimensionMismatchError):
         eval_lur(DensityStack(2, 2, rho.states[:2]), obs)
-    with pytest.raises(DimensionMismatchError):
-        eval_lur(rho, obs).report()  # a report describes one state
 
 
 def test_stack_validation_names_the_first_offending_state():
