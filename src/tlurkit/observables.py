@@ -509,9 +509,10 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
     Accepts a bare builder name, ``{"builder": name, "params": {...}}``, or
     explicit matrices ``{"opsA": [...], "opsB": [...], "boundA": x,
     "boundB": y}`` whose declared bounds are checked on construction.  ``state``
-    (or bare ``dims``) supplies default dimensions for dimension-generic
-    builders; the Schmidt builder needs the state itself, and for a
-    ``DensityStack`` builds one set per state.
+    (or bare ``dims``) supplies each dimension a dimension-generic builder's
+    spec leaves out (with neither, ``dim_b`` defaults to ``dim_a``); the
+    Schmidt builder needs the state itself, and for a ``DensityStack`` builds
+    one set per state.
     """
     if isinstance(spec, str):
         spec = {"builder": spec}
@@ -532,11 +533,11 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
                                      field="builder")
             return schmidt_loo_pair(state)
         if name in ("loo_pair", "su_pair"):
-            if "dim_a" not in params:
-                if dims is None:
-                    raise SpecParseError(f"{name} needs dim_a (or a state)", field="params")
+            if dims is not None:  # a missing dimension is the state's
                 params.setdefault("dim_a", dims[0])
                 params.setdefault("dim_b", dims[1])
+            elif "dim_a" not in params:
+                raise SpecParseError(f"{name} needs dim_a (or a state)", field="params")
             for key in ("dim_a", "dim_b", "seed", "restarts"):
                 if key in params:
                     check = _dimension if key.startswith("dim") else _integral

@@ -62,10 +62,15 @@ class Verdicts(NamedTuple):
     margin: np.ndarray
     components: dict
 
+    @property
+    def detected(self) -> np.ndarray:
+        """The verdict of each state: ``margin > DETECTION_TOL``."""
+        return self.margin > DETECTION_TOL
+
     def summaries(self) -> list[dict]:
         """lhs, rhs, margin and detected of each state, as plain floats and bools."""
         n = len(self.margin)
-        lhs, rhs, margin = (np.broadcast_to(v, (n,)).tolist()
-                            for v in (self.lhs, self.rhs, self.margin))
-        return [{"lhs": l, "rhs": r, "margin": m, "detected": m > DETECTION_TOL}
-                for l, r, m in zip(lhs, rhs, margin)]
+        lhs, rhs, margin, detected = (np.broadcast_to(v, (n,)).tolist() for v in
+                                      (self.lhs, self.rhs, self.margin, self.detected))
+        return [{"lhs": l, "rhs": r, "margin": m, "detected": d}
+                for l, r, m, d in zip(lhs, rhs, margin, detected)]

@@ -11,8 +11,9 @@ observables (the Schmidt builder) are built for the whole stack by one
 batched SVD, and each criterion runs once on the stack.  A stack whose
 arrays would pass 32 MiB (many states of d_A, d_B >= 6) is split into
 several, so memory stays bounded.  Any other observable spec is built once
-per bipartition and reused.  A bisection probes one state at a time: the
-one-state case of the same evaluators.
+per bipartition and reused.  A bisection runs on the same path: one stack
+for its endpoints and spot checks, then one for each three levels of
+bisection midpoints.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .observables import (
     observables_from_spec,
     spec_requires_state,
 )
+from .report import Verdicts
 from .states import FAMILIES
 
 __all__ = [
@@ -265,6 +267,20 @@ def _stack_size(dims: tuple[int, int]) -> int:
     return max(1, _STACK_BYTES // (48 * (2 * n + 1) * (da * da + db * db)))
 
 
+def _evaluate_points(plan: Plan, family: str, points: list[dict],
+                     fixed_params: dict) -> list:
+    """Each criterion's ``Verdicts`` on the states at ``points`` (over
+    ``fixed_params``, all of one bipartition), built as one stack.  An error
+    names the failing point, or the stack when no one state failed."""
+    fam = FAMILIES[family]
+    try:
+        return plan.evaluate(fam.stack([{**fixed_params, **p} for p in points]))
+    except TlurkitError as exc:
+        where = (f"point {points[exc.state]}" if exc.state is not None
+                 else f"{len(points)}-point stack")
+        raise type(exc)(f"{exc} (at {family} {where})") from exc
+
+
 def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
           fixed_params: dict | None = None, seed: int = 0) -> ScanResult:
     """Evaluate criteria over the Cartesian grid; deterministic cell order.
@@ -284,21 +300,15 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
     names = [ax.name for ax in grid]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(ax.values() for ax in grid))]
-    merged = [{**fixed_params, **p} for p in points]
     cells = [{"params": {**p, **fixed_params}, "reports": {}} for p in points]
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, params in enumerate(merged):
-        groups.setdefault(fam.dims_for(params), []).append(i)
+    for i, p in enumerate(points):
+        groups.setdefault(fam.dims_for({**fixed_params, **p}), []).append(i)
     size = {dims: _stack_size(dims) for dims in groups}
     stacks = [idx[k:k + size[dims]] for dims, idx in groups.items()
               for k in range(0, len(idx), size[dims])]
     for idx in stacks:
-        try:
-            verdicts = plan.evaluate(fam.stack([merged[i] for i in idx]))
-        except TlurkitError as exc:
-            where = (f"point {points[idx[exc.state]]}" if exc.state is not None
-                     else f"{len(idx)}-point stack")
-            raise type(exc)(f"{exc} (at {family} {where})") from exc
+        verdicts = _evaluate_points(plan, family, [points[i] for i in idx], fixed_params)
         for entry, verdict in zip(plan.entries, verdicts):
             for i, summary in zip(idx, verdict.summaries()):
                 cells[i]["reports"][entry.name] = summary
@@ -307,6 +317,23 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
 
 
 _BISECT_SAMPLES = 16
+# bisection levels whose midpoints one stack holds: up to 2**3 - 1 = 7 states
+_BISECT_LEVELS = 3
+
+
+def _split(a: float, b: float, tol: float) -> float | None:
+    """The bisection midpoint of (a, b); None once the interval is within
+    ``tol`` or no float lies strictly inside it."""
+    mid = 0.5 * (a + b)
+    return mid if b - a > tol and a < mid < b else None
+
+
+def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
+    """The midpoints of the next ``levels`` levels of the bisection of (a, b)."""
+    mid = _split(a, b, tol) if levels else None
+    if mid is None:
+        return []
+    return [mid] + _midpoints(a, mid, tol, levels - 1) + _midpoints(mid, b, tol, levels - 1)
 
 
 def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: str,
@@ -317,47 +344,49 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     Endpoint verdicts must differ.  The verdict pattern is spot-checked at
     16 samples and must cross exactly once (margins themselves need not be
     monotone); extra crossings raise ``NonMonotonicMarginError`` naming the
-    offending sample pair.  The result is within ``tol`` of the crossing.
+    offending sample pair.  The result is within max(``tol``, the float
+    spacing at the crossing) of the crossing.
+
+    The endpoints and the samples are one stack; each later stack holds the
+    midpoints of the next three bisection levels, which are then walked in
+    order, so the result is that of bisecting one midpoint at a time.
     """
     if not hi > lo:
         raise ParameterRangeError(f"need hi > lo, got [{lo}, {hi}]")
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
     fixed_params = dict(fixed_params or {})
-    fam = _family(family, fixed_params)
+    _family(family, fixed_params)
     plan = Plan([criterion], obs_spec, seed)
 
-    def probe(x: float):
-        params = {param: float(x)}
-        try:
-            rep, = plan.evaluate(fam.instantiate(**{**fixed_params, **params}))
-        except TlurkitError as exc:
-            raise type(exc)(f"{exc} (at {family} point {params})") from exc
-        return rep.detected, rep.margin
+    def probe(xs) -> Verdicts:
+        verdict, = _evaluate_points(plan, family, [{param: float(x)} for x in xs],
+                                    fixed_params)
+        return verdict
 
-    v_lo, m_lo = probe(lo)
-    v_hi, m_hi = probe(hi)
+    samples = np.linspace(lo, hi, _BISECT_SAMPLES)
+    first = probe([lo, hi, *samples]).summaries()
+    (v_lo, m_lo), (v_hi, m_hi) = ((s["detected"], s["margin"]) for s in first[:2])
     if v_lo == v_hi:
         raise NoCrossingError(
             f"criterion '{criterion}' gives the same verdict (detected={v_lo}) "
             f"at {param}={lo} (margin {m_lo}) and {param}={hi} (margin {m_hi})")
 
-    samples = np.linspace(lo, hi, _BISECT_SAMPLES)
-    verdicts = [probe(x) for x in samples]
+    spots = first[2:]
     crossings = [i for i in range(len(samples) - 1)
-                 if verdicts[i][0] != verdicts[i + 1][0]]
+                 if spots[i]["detected"] != spots[i + 1]["detected"]]
     if len(crossings) != 1:
         i = crossings[1] if len(crossings) > 1 else 0
         raise NonMonotonicMarginError(
             f"verdict crosses {len(crossings)} times at 16 samples; offending pair "
-            f"{param}={samples[i]} (margin {verdicts[i][1]}) and "
-            f"{param}={samples[i + 1]} (margin {verdicts[i + 1][1]})")
+            f"{param}={samples[i]} (margin {spots[i]['margin']}) and "
+            f"{param}={samples[i + 1]} (margin {spots[i + 1]['margin']})")
 
     a, b = float(lo), float(hi)
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if probe(mid)[0] == v_lo:
-            a = mid
-        else:
-            b = mid
+    while mids := _midpoints(a, b, tol, _BISECT_LEVELS):
+        as_lo = dict(zip(mids, (probe(mids).detected == v_lo).tolist()))
+        # the walk meets the tree's midpoints in order; the first one past its
+        # levels lies inside a leaf interval, which holds none of them
+        while (mid := _split(a, b, tol)) in as_lo:
+            a, b = (mid, b) if as_lo[mid] else (a, mid)
     return 0.5 * (a + b)

@@ -7,6 +7,9 @@ obviously-correct code.
 
 import numpy as np
 
+from tlurkit.scan import evaluate_criterion
+from tlurkit.states import FAMILIES
+
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
 PY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -130,3 +133,25 @@ def oracle_loo_witness(rho_m, da, db, ops_a, ops_b):
             cross += np.trace(rho_m @ np.kron(ga, gb)).real
         mean_diff_sq += (mean_a - mean_b) ** 2
     return cross, mean_diff_sq, np.trace(ra @ ra).real, np.trace(rb @ rb).real
+
+
+def oracle_bisect(family, param, lo, hi, criterion, tol, fixed_params=None):
+    """The sequential bisection: one state a probe, one midpoint a step;
+    None when the endpoint verdicts agree."""
+    fam = FAMILIES[family]
+
+    def detected(x):
+        rho = fam.instantiate(**{**(fixed_params or {}), param: float(x)})
+        return evaluate_criterion(criterion, rho).detected
+
+    v_lo = detected(lo)
+    if detected(hi) == v_lo:
+        return None
+    a, b = float(lo), float(hi)
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if detected(mid) == v_lo:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -60,6 +62,26 @@ def test_bisect_cli(capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["threshold"] - 0.221) < 5e-3
+
+
+def test_bisect_cli_stops_at_the_float_spacing():
+    # a tol below the float spacing ends once no float lies inside the bracket;
+    # a subprocess, so that a bisection that never ends fails on the timeout
+    done = subprocess.run(
+        [sys.executable, "-m", "tlurkit.cli", "bisect", "--family", "noisy_singlet",
+         "--param", "p", "--criterion", "corollary1", "--lo", "0", "--hi", "1",
+         "--tol", "1e-300"], capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert abs(json.loads(done.stdout)["threshold"] - 0.221) < 1e-3
+
+
+def test_evaluate_loo_pair_naming_dim_a_on_a_3x2_state(capsys):
+    code, out, err = run(
+        capsys, "evaluate",
+        "--state", '{"family":"random_separable","params":{"dim_a":3,"dim_b":2}}',
+        "--criterion", "lur", "--obs", '{"builder":"loo_pair","params":{"dim_a":3}}')
+    assert code == 0 and err == ""
+    assert json.loads(out)["components"]["U_B"] == 1.0  # d_B - 1 of the state's B side
 
 
 def test_cv_evaluate_tmsv(capsys):

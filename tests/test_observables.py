@@ -276,6 +276,17 @@ def test_observables_from_spec_builders():
         observables_from_spec({"builder": "loo_pair"})
 
 
+def test_a_spec_naming_one_dimension_takes_the_other_from_the_state():
+    for builder in ("loo_pair", "su_pair"):
+        for params, dims in [({"dim_a": 3}, (3, 2)), ({"dim_b": 2}, (3, 2)),
+                             ({"dim_a": 2}, (2, 3))]:
+            obs = observables_from_spec({"builder": builder, "params": params}, dims=dims)
+            assert (obs.dim_a, obs.dim_b) == dims, (builder, params)
+        # with no state, dim_b still defaults to dim_a
+        obs = observables_from_spec({"builder": builder, "params": {"dim_a": 3}})
+        assert (obs.dim_a, obs.dim_b) == (3, 3)
+
+
 def test_observables_from_spec_rejects_non_integral_params():
     obs = observables_from_spec({"builder": "su_pair", "params": {"dim_a": 2.0, "dim_b": 3.0}})
     assert (obs.dim_a, obs.dim_b) == (2, 3)

@@ -8,11 +8,13 @@ from tlurkit.errors import (
     NoCrossingError, NonMonotonicMarginError, ParameterRangeError, ValidationError,
 )
 from tlurkit.observables import observables_from_spec
-from tlurkit.report import make_report
+from tlurkit.report import Verdicts
 from tlurkit.scan import (
     CriterionEntry, DV_CRITERIA, GridAxis, evaluate_criterion, resolve_workers,
 )
-from tlurkit.states import FAMILIES, noisy_singlet
+from tlurkit.states import FAMILIES, StateFamily, noisy_singlet
+
+from helpers import oracle_bisect
 
 
 def test_grid_axis_values():
@@ -160,15 +162,77 @@ def test_bisect_no_crossing():
 
 def test_bisect_rejects_multiple_crossings(monkeypatch):
     def wiggle(rho, obs):
-        p = -2.0 * np.asarray(rho.matrix)[1, 2].real  # invert noisy_singlet(p)
+        p = -2.0 * rho.states[:, 1, 2].real  # invert noisy_singlet(p), state by state
         margin = np.cos(3.0 * np.pi * p)
-        return make_report("wiggle", -margin, 0.0, margin)
+        return Verdicts("wiggle", -margin, 0.0, margin, {})
 
     monkeypatch.setitem(DV_CRITERIA, "wiggle",
                         CriterionEntry("wiggle", False, "test-only", wiggle))
     with pytest.raises(NonMonotonicMarginError) as err:
         bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "wiggle")
     assert "offending pair" in str(err.value)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.03, 0.97)])
+@pytest.mark.parametrize("criterion", ["nonlinear_witness", "corollary1", "ppt"])
+def test_bisect_equals_the_sequential_bisection(criterion, lo, hi, tol):
+    expected = oracle_bisect("noisy_singlet", "p", lo, hi, criterion, tol)
+    if expected is None:  # ppt detects on all of [0.03, 0.97]
+        with pytest.raises(NoCrossingError):
+            bisect_threshold("noisy_singlet", "p", lo, hi, criterion, tol=tol)
+    else:
+        assert bisect_threshold("noisy_singlet", "p", lo, hi, criterion, tol=tol) == expected
+
+
+def test_bisect_equals_the_sequential_bisection_on_schmidt_sets():
+    fixed = {"a": 0.5}
+    got = bisect_threshold("horodecki_noise", "p", 0.0, 1.0, "tlur", fixed_params=fixed)
+    assert got == oracle_bisect("horodecki_noise", "p", 0.0, 1.0, "tlur", 1e-4, fixed)
+
+
+def _count_builds(monkeypatch, limit=None):
+    """Counts of ``StateFamily.stack`` and ``instantiate`` calls; a call past
+    ``limit`` of either fails the test."""
+    counts = {"stack": 0, "instantiate": 0}
+
+    def counted(name):
+        original = getattr(StateFamily, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            if limit is not None and counts[name] > limit:
+                raise AssertionError(f"more than {limit} calls to {name}")
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(StateFamily, name, wrapper)
+
+    counted("stack")
+    counted("instantiate")
+    return counts
+
+
+def test_bisect_builds_six_stacks_and_no_single_state(monkeypatch):
+    # one stack for the endpoints and the 16 samples, then 14 levels three at a time
+    counts = _count_builds(monkeypatch)
+    bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
+    assert counts == {"stack": 6, "instantiate": 0}
+
+
+def test_bisect_below_the_float_spacing_stops(monkeypatch):
+    _count_builds(monkeypatch, limit=30)  # it takes 20 stacks
+    t = bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-300)
+    # the bracket is one float wide: its two sides straddle the flip
+    below, above = (evaluate_criterion("corollary1", noisy_singlet(x)).detected
+                    for x in (np.nextafter(t, 0.0), np.nextafter(t, 1.0)))
+    assert below != above
+
+
+def test_a_failing_probe_names_its_point_or_stack():
+    with pytest.raises(ParameterRangeError, match=r"\(at noisy_singlet point \{'p': 1.5\}\)"):
+        bisect_threshold("noisy_singlet", "p", 0.0, 1.5, "ppt")
+    # su_pair is not an LOO pair: the whole first stack fails, no one state
+    with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 18-point stack\)"):
+        bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", obs_spec="su_pair")
 
 
 def test_bisect_validates_interval():
