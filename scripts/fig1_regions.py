@@ -7,16 +7,34 @@ Writes two CSV files:
   using the conjugate-paired generator sets (the tightened estimate is the
   larger one everywhere).
 * ``regions.csv``: per-(a, p) verdicts of the plain and tightened variance
-  criteria with state-adapted Schmidt observables on the white-noise mixture;
-  a boundary summary (lowest detected p per a) is printed.
+  criteria with state-adapted Schmidt observables on the white-noise mixture.
+
+It then prints, per a, the noise threshold p* above which LUR, TLUR (both on
+Schmidt observables) and CCNR detect, bisected on [0, 1] to 1e-6: the flips
+lie in [0.994, 1], which the default p step of 0.01 cannot resolve.
 """
 
 import argparse
 import pathlib
 
 from tlurkit import (
-    GridAxis, entanglement_measures, horodecki33, su_pair, sweep,
+    GridAxis, bisect_threshold, entanglement_measures, horodecki33, su_pair, sweep,
 )
+from tlurkit.errors import NoCrossingError
+
+BOUNDARY_CRITERIA = ("lur", "tlur", "ccnr")
+BOUNDARY_TOL = 1e-6
+
+
+def threshold(a: float, criterion: str) -> str:
+    """p* of one criterion in the row a, or '-' when it never fires on [0, 1]."""
+    try:
+        p = bisect_threshold("horodecki_noise", "p", 0.0, 1.0, criterion,
+                             obs_spec="schmidt_loo_pair", tol=BOUNDARY_TOL,
+                             fixed_params={"a": a})
+    except NoCrossingError:
+        return "   -    "
+    return f"{p:.6f}"
 
 
 def main():
@@ -42,23 +60,11 @@ def main():
                    ["lur", "tlur"], obs_spec="schmidt_loo_pair")
     (out / "regions.csv").write_text(result.to_csv())
 
-    boundary = {}
-    for cell in result.cells:
-        a, p = cell["params"]["a"], cell["params"]["p"]
-        for name in ("lur", "tlur"):
-            if cell["reports"][name]["detected"]:
-                key = (name, a)
-                boundary[key] = min(boundary.get(key, 2.0), p)
-
     print(f"wrote {out / 'measures.csv'} and {out / 'regions.csv'}")
-    print("lowest detected p per a (blank = criterion never fires):")
-    print("a      lur     tlur")
+    print(f"threshold p* per a, bisected to {BOUNDARY_TOL:g} (- = never fires on [0, 1]):")
+    print("a     " + "  ".join(f"{name:<8}" for name in BOUNDARY_CRITERIA))
     for a in a_axis.values():
-        row = [f"{a:.2f}"]
-        for name in ("lur", "tlur"):
-            p = boundary.get((name, a))
-            row.append("  -   " if p is None else f"{p:.2f}  ")
-        print("  ".join(row))
+        print(f"{a:.2f}  " + "  ".join(threshold(a, name) for name in BOUNDARY_CRITERIA))
 
 
 if __name__ == "__main__":

@@ -115,8 +115,6 @@ def _report_text(report, fmt: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tlurkit",
                      description="variance-based entanglement detection toolkit")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed threaded through randomized paths")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -180,7 +178,7 @@ def _cmd_evaluate(args) -> str:
     if isinstance(spec, str):
         raise SpecParseError("state spec must be a JSON object", field="state")
     rho = state_from_spec(spec)
-    plan = Plan([args.criterion], _read_spec(args.obs, args.obs_file, "obs"), args.seed)
+    plan = Plan([args.criterion], _read_spec(args.obs, args.obs_file, "obs"))
     return _report_text(plan.evaluate(rho)[0], args.format)
 
 
@@ -192,7 +190,7 @@ def _cmd_scan(args) -> str:
     axis = GridAxis(args.param, args.min, args.max, args.step)
     result = sweep(args.family, [axis], args.criteria.split(","),
                    obs_spec=_read_spec(args.obs, args.obs_file, "obs"),
-                   fixed_params=_parse_fixes(args.fix), seed=args.seed)
+                   fixed_params=_parse_fixes(args.fix))
     return _scan_result_text(result, args.format)
 
 
@@ -202,7 +200,7 @@ def _cmd_sweep(args) -> str:
     result = sweep(args.family, [_parse_axis(a) for a in args.axis],
                    args.criteria.split(","),
                    obs_spec=_read_spec(args.obs, args.obs_file, "obs"),
-                   fixed_params=_parse_fixes(args.fix), seed=args.seed)
+                   fixed_params=_parse_fixes(args.fix))
     return _scan_result_text(result, args.format)
 
 
@@ -210,7 +208,7 @@ def _cmd_bisect(args) -> str:
     threshold = bisect_threshold(
         args.family, args.param, args.lo, args.hi, args.criterion,
         obs_spec=_read_spec(args.obs, args.obs_file, "obs"),
-        tol=args.tol, fixed_params=_parse_fixes(args.fix), seed=args.seed)
+        tol=args.tol, fixed_params=_parse_fixes(args.fix))
     payload = {
         "family": args.family, "param": args.param, "criterion": args.criterion,
         "lo": args.lo, "hi": args.hi, "tol": args.tol, "threshold": threshold,

@@ -216,6 +216,14 @@ def random_separable_gaussian(seed: int) -> GaussianState:
     return GaussianState(mean, cov)
 
 
+def _spec_mean(spec: dict) -> np.ndarray:
+    """The spec's ``"mean"`` as floats (zeros when absent)."""
+    try:
+        return np.asarray(spec.get("mean", [0.0, 0.0, 0.0, 0.0]), float)
+    except (TypeError, ValueError) as exc:
+        raise SpecParseError(str(exc), field="mean") from exc
+
+
 def gaussian_from_spec(spec: dict) -> GaussianState:
     """Build a Gaussian state from a JSON-style spec.
 
@@ -242,12 +250,12 @@ def gaussian_from_spec(spec: dict) -> GaussianState:
         except (TypeError, ValueError) as exc:
             raise SpecParseError(str(exc), field=kind) from exc
         if "mean" in spec:
-            state = displaced(state, spec["mean"])
+            state = displaced(state, _spec_mean(spec))
         return state
     if "cov" in spec:
-        mean = spec.get("mean", [0.0, 0.0, 0.0, 0.0])
+        mean = _spec_mean(spec)
         try:
-            return GaussianState(np.asarray(mean, float), np.asarray(spec["cov"], float))
+            return GaussianState(mean, np.asarray(spec["cov"], float))
         except UnphysicalStateError:
             raise
         except (TypeError, ValueError) as exc:

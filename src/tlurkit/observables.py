@@ -305,20 +305,13 @@ def loo_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") -
                               BoundProvenance("analytic"))
 
 
-def su_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate",
-            bound_mode: str = "analytic", seed: int = 0, restarts: int = 32) -> LocalObservableSet:
-    """Generator pair A_k = g_k, B_k = -g_k* (or -g_k), bounds 2(d-1)."""
+def su_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") -> LocalObservableSet:
+    """Generator pair A_k = g_k, B_k = -g_k* (or -g_k for 'direct'), with the
+    exact bounds 2(d_a - 1) and 2(d_b - 1) of generator sets."""
     dim_b = dim_a if dim_b is None else dim_b
     ops_a, ops_b = _paired(_su_stack(dim_a), _su_stack(dim_b), pairing)
-    if bound_mode == "analytic":
-        ba, bb = 2.0 * (dim_a - 1), 2.0 * (dim_b - 1)
-        prov = BoundProvenance("analytic")
-    elif bound_mode == "numeric":
-        ba, prov = uncertainty_bound(ops_a, mode="numeric", seed=seed, restarts=restarts)
-        bb, _ = uncertainty_bound(ops_b, mode="numeric", seed=seed, restarts=restarts)
-    else:
-        raise ParameterRangeError(f"bound_mode must be 'analytic' or 'numeric', got {bound_mode!r}")
-    return LocalObservableSet(ops_a, ops_b, ba, bb, prov)
+    return LocalObservableSet(ops_a, ops_b, 2.0 * (dim_a - 1), 2.0 * (dim_b - 1),
+                              BoundProvenance("analytic"))
 
 
 def operator_schmidt(rho):
@@ -459,7 +452,7 @@ def uncertainty_bound(ops, mode: str = "numeric", seed: int = 0,
 OBS_BUILDERS = {
     "pauli_loo_pair": "singlet-tuned qubit LOO pair, bounds 1/1",
     "loo_pair": "canonical full LOO pair (params: dim_a, dim_b, pairing)",
-    "su_pair": "generator pair (params: dim_a, dim_b, pairing, bound_mode, seed, restarts)",
+    "su_pair": "generator pair (params: dim_a, dim_b, pairing)",
     "schmidt_loo_pair": "state-adapted Schmidt operator pair (one set per state)",
 }
 
@@ -484,26 +477,21 @@ def _parse_op_list(entries, where: str):
     return ops
 
 
-def _integral(value, where: str) -> int:
-    """An integer parameter given as a JSON number: ``3`` and ``3.0``, not ``2.5``."""
+def _dimension(value, where: str) -> int:
+    """A builder dimension: an integral JSON number (``3`` or ``3.0``, not
+    ``2.5``) in [2, 16], the range ``random_separable`` declares (a set's
+    size grows as d^4)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not float(value).is_integer():
         raise SpecParseError(f"must be an integer, got {value!r}", field=where)
-    return int(value)
-
-
-def _dimension(value, where: str) -> int:
-    """A builder dimension in [2, 16], the range ``random_separable`` declares
-    (a set's size grows as d^4)."""
-    d = _integral(value, where)
+    d = int(value)
     if not 2 <= d <= 16:
         raise SpecParseError(f"must lie in [2, 16], got {d}", field=where)
     return d
 
 
 def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = None,
-                          dims: tuple[int, int] | None = None,
-                          default_seed: int = 0) -> LocalObservableSet:
+                          dims: tuple[int, int] | None = None) -> LocalObservableSet:
     """Build a LocalObservableSet from a JSON-style spec.
 
     Accepts a bare builder name, ``{"builder": name, "params": {...}}``, or
@@ -522,7 +510,10 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
         dims = (state.dim_a, state.dim_b)
     if "builder" in spec:
         name = spec["builder"]
-        params = dict(spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise SpecParseError("params must be an object", field="params")
+        params = dict(params)
         if name == "pauli_loo_pair":
             if params:
                 raise SpecParseError("pauli_loo_pair takes no parameters", field="params")
@@ -538,12 +529,9 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
                 params.setdefault("dim_b", dims[1])
             elif "dim_a" not in params:
                 raise SpecParseError(f"{name} needs dim_a (or a state)", field="params")
-            for key in ("dim_a", "dim_b", "seed", "restarts"):
+            for key in ("dim_a", "dim_b"):
                 if key in params:
-                    check = _dimension if key.startswith("dim") else _integral
-                    params[key] = check(params[key], f"params.{key}")
-            if name == "su_pair":
-                params.setdefault("seed", int(default_seed))
+                    params[key] = _dimension(params[key], f"params.{key}")
             try:
                 return loo_pair(**params) if name == "loo_pair" else su_pair(**params)
             except TypeError as exc:

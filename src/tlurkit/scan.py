@@ -12,8 +12,8 @@ batched SVD, and each criterion runs once on the stack.  A stack whose
 arrays would pass 32 MiB (many states of d_A, d_B >= 6) is split into
 several, so memory stays bounded.  Any other observable spec is built once
 per bipartition and reused.  A bisection runs on the same path: one stack
-for its endpoints and spot checks, then one for each three levels of
-bisection midpoints.
+for its 16 spot checks, the endpoints among them, then one for each three
+levels of bisection midpoints.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class Plan:
     ``LocalObservableSet`` is used as given.
     """
 
-    def __init__(self, criteria: list[str], obs_spec=None, seed: int = 0):
+    def __init__(self, criteria: list[str], obs_spec=None):
         self.entries = []
         for name in criteria:
             if name not in DV_CRITERIA:
@@ -113,7 +113,6 @@ class Plan:
             self.entries.append(DV_CRITERIA[name])
         self.needs_obs = any(e.needs_obs for e in self.entries)
         self.obs_spec = obs_spec
-        self.seed = seed
         self._sets: dict[tuple[int, int], LocalObservableSet] = {}
 
     def spec(self, dims: tuple[int, int]):
@@ -130,9 +129,9 @@ class Plan:
             return self._sets[dims]
         spec = self.spec(dims)
         if spec_requires_state(spec):
-            return observables_from_spec(spec, state=rho, default_seed=self.seed)
+            return observables_from_spec(spec, state=rho)
         if not isinstance(spec, LocalObservableSet):
-            spec = observables_from_spec(spec, dims=dims, default_seed=self.seed)
+            spec = observables_from_spec(spec, dims=dims)
         self._sets[dims] = spec
         return spec
 
@@ -212,7 +211,6 @@ class ScanResult:
     criteria: list[str]
     cells: list[dict]
     obs_spec: object = None
-    seed: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -221,7 +219,6 @@ class ScanResult:
             "axes": [ax.to_dict() for ax in self.axes],
             "criteria": list(self.criteria),
             "obs": self.obs_spec,
-            "seed": self.seed,
             "cells": self.cells,
         }
 
@@ -282,7 +279,7 @@ def _evaluate_points(plan: Plan, family: str, points: list[dict],
 
 
 def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
-          fixed_params: dict | None = None, seed: int = 0) -> ScanResult:
+          fixed_params: dict | None = None) -> ScanResult:
     """Evaluate criteria over the Cartesian grid; deterministic cell order.
 
     The points of each bipartition (one, unless an axis changes the
@@ -296,7 +293,7 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
         raise ParameterRangeError("need at least one grid axis")
     fixed_params = dict(fixed_params or {})
     fam = _family(family, fixed_params)
-    plan = Plan(criteria, obs_spec, seed)
+    plan = Plan(criteria, obs_spec)
     names = [ax.name for ax in grid]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(ax.values() for ax in grid))]
@@ -313,7 +310,7 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
             for i, summary in zip(idx, verdict.summaries()):
                 cells[i]["reports"][entry.name] = summary
     return ScanResult(family, fixed_params, list(grid), list(criteria), cells,
-                      obs_spec=plan.recorded_spec(groups), seed=seed)
+                      obs_spec=plan.recorded_spec(groups))
 
 
 _BISECT_SAMPLES = 16
@@ -338,7 +335,7 @@ def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
 
 def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: str,
                      obs_spec=None, tol: float = 1e-4,
-                     fixed_params: dict | None = None, seed: int = 0) -> float:
+                     fixed_params: dict | None = None) -> float:
     """Locate the verdict flip of one criterion along one parameter.
 
     Endpoint verdicts must differ.  The verdict pattern is spot-checked at
@@ -347,17 +344,18 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     offending sample pair.  The result is within max(``tol``, the float
     spacing at the crossing) of the crossing.
 
-    The endpoints and the samples are one stack; each later stack holds the
-    midpoints of the next three bisection levels, which are then walked in
-    order, so the result is that of bisecting one midpoint at a time.
+    The samples, the endpoints among them, are one stack; each later stack
+    holds the midpoints of the next three bisection levels, which are then
+    walked in order, so the result is that of bisecting one midpoint at a
+    time.
     """
-    if not hi > lo:
-        raise ParameterRangeError(f"need hi > lo, got [{lo}, {hi}]")
+    if not (np.isfinite([lo, hi]).all() and hi > lo):
+        raise ParameterRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
     if not (np.isfinite(tol) and tol > 0):
         raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
     fixed_params = dict(fixed_params or {})
     _family(family, fixed_params)
-    plan = Plan([criterion], obs_spec, seed)
+    plan = Plan([criterion], obs_spec)
 
     def probe(xs) -> Verdicts:
         verdict, = _evaluate_points(plan, family, [{param: float(x)} for x in xs],
@@ -365,14 +363,16 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
         return verdict
 
     samples = np.linspace(lo, hi, _BISECT_SAMPLES)
-    first = probe([lo, hi, *samples]).summaries()
+    # samples 0 and 15 are lo and hi; they lead the stack, so that an error in
+    # an out-of-range endpoint names that endpoint
+    first = probe([lo, hi, *samples[1:-1]]).summaries()
+    spots = [first[0], *first[2:], first[1]]
     (v_lo, m_lo), (v_hi, m_hi) = ((s["detected"], s["margin"]) for s in first[:2])
     if v_lo == v_hi:
         raise NoCrossingError(
             f"criterion '{criterion}' gives the same verdict (detected={v_lo}) "
             f"at {param}={lo} (margin {m_lo}) and {param}={hi} (margin {m_hi})")
 
-    spots = first[2:]
     crossings = [i for i in range(len(samples) - 1)
                  if spots[i]["detected"] != spots[i + 1]["detected"]]
     if len(crossings) != 1:

@@ -299,7 +299,7 @@ def state_from_spec(spec: dict) -> DensityMatrix:
         raise SpecParseError("state spec must be a JSON object", field="state")
     if "family" in spec:
         name = spec["family"]
-        fam = FAMILIES.get(name)
+        fam = FAMILIES.get(name) if isinstance(name, str) else None
         if fam is None:
             raise SpecParseError(f"unknown family {name!r}", field="family")
         params = spec.get("params", {})

@@ -57,9 +57,9 @@ def test_acceptance_02_maximal_singlet_violation():
 def test_acceptance_03_separable_soundness_suite():
     t0 = time.perf_counter()
     su_sets = {
-        (2, 2): su_pair(2, 2, bound_mode="numeric", seed=11),
-        (2, 3): su_pair(2, 3, bound_mode="numeric", seed=11),
-        (3, 3): su_pair(3, 3, bound_mode="numeric", seed=11),
+        (2, 2): su_pair(2, 2),
+        (2, 3): su_pair(2, 3),
+        (3, 3): su_pair(3, 3),
     }
     loo_sets = {dims: loo_pair(*dims) for dims in su_sets}
     dims_cycle = [(2, 2), (2, 3), (3, 3)]
@@ -227,12 +227,12 @@ def test_acceptance_10_cli_determinism(tmp_path):
     blobs = []
     for k in range(2):
         out_json = tmp_path / f"scan-{k}.json"
-        code = cli_main(["--seed", "7", "--out", str(out_json), "sweep",
+        code = cli_main(["--out", str(out_json), "sweep",
                          "--family", "noisy_singlet", "--axis", "p:0:1:0.05",
                          "--criteria", "corollary1,ppt,lemma1,tlur"])
         assert code == 0
         out_csv = tmp_path / f"fig-{k}.csv"
-        code = cli_main(["--seed", "7", "--format", "csv", "--out", str(out_csv),
+        code = cli_main(["--format", "csv", "--out", str(out_csv),
                          "sweep", "--family", "horodecki_noise",
                          "--axis", "a:0.2:0.8:0.2", "--axis", "p:0.9:1.0:0.05",
                          "--criteria", "lur,tlur", "--obs", "schmidt_loo_pair"])

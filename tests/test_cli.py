@@ -153,7 +153,7 @@ def test_sweep_cli_deterministic_across_runs(tmp_path, capsys):
     for k in range(2):
         target = tmp_path / f"out-{k}.csv"
         code, _, _ = run(
-            capsys, "--seed", "7", "--format", "csv", "--out", str(target),
+            capsys, "--format", "csv", "--out", str(target),
             "sweep", "--family", "noisy_singlet", "--axis", "p:0:1:0.1",
             "--criteria", "corollary1,ppt,lemma1")
         assert code == 0
@@ -176,6 +176,8 @@ def test_invalid_inputs_exit_2(capsys):
         ("cv-evaluate", "--state", '{"cov": [[1,0,0,0]]}', "--criterion", "duan"),
         ("--threads", "2", "sweep", "--family", "noisy_singlet",
          "--axis", "p:0:1:0.5", "--criteria", "ppt"),  # no such flag
+        ("--seed", "3", "evaluate", "--criterion", "ppt", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}'),  # no such flag
         ("evaluate", "--state", '{"family":"random_separable","params":{"dim_a":40}}',
          "--criterion", "ppt"),  # outside the declared range (2, 16)
         ("evaluate", "--state", '{"family":"random_separable","params":{"dim_a":2.5}}',
@@ -183,10 +185,6 @@ def test_invalid_inputs_exit_2(capsys):
         ("evaluate", "--obs", '{"builder":"su_pair","params":{"dim_a":2.5,"dim_b":3.9}}',
          "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
          "--criterion", "lur"),  # observable dimension not an integer
-        ("evaluate", "--obs",
-         '{"builder":"su_pair","params":{"bound_mode":"numeric","restarts":0}}',
-         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
-         "--criterion", "lur"),  # no minimizer start
         ("evaluate", "--obs", '{"builder":"su_pair","params":{"dim_a":17}}',
          "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
          "--criterion", "lur"),  # observable dimension outside [2, 16]
@@ -196,6 +194,10 @@ def test_invalid_inputs_exit_2(capsys):
          "--max", "inf", "--step", "0.1", "--criteria", "ppt"),
         ("bisect", "--family", "noisy_singlet", "--param", "p", "--lo", "0",
          "--hi", "1", "--criterion", "ppt", "--tol", "nan"),
+        ("bisect", "--family", "noisy_singlet", "--param", "p", "--lo", "0",
+         "--hi", "inf", "--criterion", "ppt"),  # no warning ahead of the diagnostic
+        ("bisect", "--family", "noisy_singlet", "--param", "p", "--lo=-inf",
+         "--hi", "1", "--criterion", "ppt"),
         ("cv-evaluate", "--state", '{"tmsv": 1}', "--criterion", "duan", "--a", "nan"),
         ("cv-evaluate", "--state", '{"tmsv": 1}', "--criterion", "duan",
          "--a", "1e-200"),  # a*a underflows to 0
@@ -207,6 +209,31 @@ def test_invalid_inputs_exit_2(capsys):
         ("cv-evaluate", "--state", '{"tmsv": 400}', "--criterion", "duan"),
         ("cv-evaluate", "--state", OVERFLOWING_COV, "--criterion", "duan"),  # mode sum
     ]
+    fields = {  # a malformed field of a spec is named in the detail
+        ("evaluate", "--obs", '{"builder":"loo_pair","params":"x"}', "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}', "--criterion", "lur"): "params",
+        ("evaluate", "--obs", '{"builder":"loo_pair","params":5}', "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}', "--criterion", "lur"): "params",
+        ("evaluate", "--obs", '{"builder":"loo_pair","params":[["pairing","direct"]]}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"): "params",
+        ("evaluate", "--state", '{"family":["x"]}', "--criterion", "ppt"): "family",
+        ("evaluate", "--state", '{"family":{"a":1}}', "--criterion", "ppt"): "family",
+        ("cv-evaluate", "--state", '{"tmsv":1,"mean":"x"}', "--criterion", "duan"): "mean",
+        ("cv-evaluate", "--state", '{"tmsv":1,"mean":{"a":1}}', "--criterion", "duan"): "mean",
+        ("cv-evaluate", "--state", '{"tmsv":1,"mean":[1,2,"a",4]}',
+         "--criterion", "duan"): "mean",
+        # su_pair always takes the exact bounds 2(d-1): no bound mode, seed or restarts
+        ("evaluate", "--obs", '{"builder":"su_pair","params":{"bound_mode":"numeric"}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"): "params",
+        ("evaluate", "--obs", '{"builder":"su_pair","params":{"seed":3}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"): "params",
+        ("evaluate", "--obs", '{"builder":"su_pair","params":{"restarts":4}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"): "params",
+    }
     named = {  # a family parameter that is not a number names the parameter
         ("evaluate", "--state", '{"family":"noisy_singlet","params":{"p":true}}',
          "--criterion", "ppt"): "p",
@@ -215,7 +242,7 @@ def test_invalid_inputs_exit_2(capsys):
         ("evaluate", "--state", '{"family":"noisy_singlet","params":{"p":"0.5"}}',
          "--criterion", "ppt"): "p",
     }
-    for argv in cases + list(named):
+    for argv in cases + list(fields) + list(named):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         diag = json.loads(err)
@@ -223,6 +250,8 @@ def test_invalid_inputs_exit_2(capsys):
         assert diag["detail"]
         if "dim_a" in argv[2]:
             assert "dim_a" in diag["detail"], argv  # names the parameter
+        if argv in fields:
+            assert diag["detail"].startswith(f"{fields[argv]}: "), argv
         if argv in named:
             assert diag["detail"].startswith(f"{named[argv]} must be a number"), argv
 
@@ -282,15 +311,3 @@ def test_usage_error_is_machine_parsable(capsys):
     assert code == 2
     assert json.loads(err)["error"] == "invalid-input"
 
-
-def test_seed_flag_threads_into_numeric_bounds(capsys):
-    spec = '{"builder":"su_pair","params":{"bound_mode":"numeric","restarts":4}}'
-    outs = []
-    for seed in ("3", "3", "4"):
-        code, out, _ = run(
-            capsys, "--seed", seed, "evaluate",
-            "--state", '{"family":"noisy_singlet","params":{"p":0.9}}',
-            "--criterion", "tlur", "--obs", spec)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]

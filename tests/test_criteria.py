@@ -7,7 +7,7 @@ from helpers import (
     oracle_variance_sums, random_dm_array, random_herm, witness_closed,
 )
 from tlurkit import (
-    DensityMatrix, entanglement_measures, eval_ccnr, eval_corollary1,
+    DensityMatrix, DensityStack, entanglement_measures, eval_ccnr, eval_corollary1,
     eval_lemma1, eval_lur, eval_nonlinear_witness, eval_ppt, eval_tlur,
     eval_tlur_dual, joint_variance_sum, loo_pair, partial_trace,
     pauli_loo_pair, schmidt_loo_pair, singlet, su_pair, variance,
@@ -15,6 +15,7 @@ from tlurkit import (
 from tlurkit.criteria import loo_bases_from_set
 from tlurkit.errors import DimensionMismatchError, InvalidBoundError, ValidationError
 from tlurkit.observables import BoundProvenance, LocalObservableSet
+from tlurkit.scan import DV_CRITERIA
 from tlurkit.linops import HermitianOperator
 from tlurkit.states import (
     horodecki33, noisy_singlet, random_mixed_state, random_separable,
@@ -282,6 +283,34 @@ def test_no_detection_on_random_separable_states(seed, dims, n_terms):
         assert not eval_corollary1(rho, obs).detected
     assert not eval_ppt(rho).detected
     assert not eval_ccnr(rho).detected
+
+
+PPT_EXACT_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 2)])
+SET_CRITERIA = [entry for entry in DV_CRITERIA.values() if entry.needs_obs]
+LOO_ONLY = {"corollary1", "nonlinear_witness"}  # defined on LOO pairs only
+
+
+@given(st.integers(0, 10**6), PPT_EXACT_DIMS, st.integers(1, 6))
+@settings(max_examples=60)
+def test_every_detection_implies_ppt_where_ppt_is_exact(seed, dims, rank):
+    # in 2x2 and 2x3 a state is separable iff its partial transpose is
+    # positive (Horodecki^3, PLA 223, 1 (1996)), so a sound criterion never
+    # detects a state that ppt misses; 50 random states of one rank a stack
+    da, db = dims
+    rng = np.random.default_rng(seed)
+    rho = DensityStack(da, db, np.array([random_mixed_state(da * db, rng, rank)
+                                         for _ in range(50)]))
+    ppt = eval_ppt(rho).detected
+    sets = [builder(da, db, pairing=pairing) for builder in (loo_pair, su_pair)
+            for pairing in ("conjugate", "direct")] + [schmidt_loo_pair(rho)]
+    if dims == (2, 2):
+        sets.append(pauli_loo_pair())
+    verdicts = [eval_ccnr(rho)] + [entry.evaluate(rho, obs) for obs in sets
+                                   for entry in SET_CRITERIA
+                                   if obs.is_loo_pair or entry.name not in LOO_ONLY]
+    for verdict in verdicts:
+        missed = verdict.detected & ~ppt
+        assert not missed.any(), (verdict.criterion, np.flatnonzero(missed))
 
 
 def test_margin_relations():

@@ -290,9 +290,8 @@ def test_a_spec_naming_one_dimension_takes_the_other_from_the_state():
 def test_observables_from_spec_rejects_non_integral_params():
     obs = observables_from_spec({"builder": "su_pair", "params": {"dim_a": 2.0, "dim_b": 3.0}})
     assert (obs.dim_a, obs.dim_b) == (2, 3)
-    for key, value in [("dim_a", 2.5), ("dim_b", 3.9), ("seed", 0.5), ("restarts", 2.5),
-                       ("dim_b", "3"), ("dim_a", True)]:
-        params = {"dim_a": 2, "dim_b": 3, "bound_mode": "numeric", "restarts": 2, key: value}
+    for key, value in [("dim_a", 2.5), ("dim_b", 3.9), ("dim_b", "3"), ("dim_a", True)]:
+        params = {"dim_a": 2, "dim_b": 3, key: value}
         with pytest.raises(SpecParseError, match=f"params.{key}"):
             observables_from_spec({"builder": "su_pair", "params": params})
 
@@ -350,9 +349,10 @@ def _schmidt_test_states():
 
 def test_builder_sets_are_certified_without_sampling(monkeypatch):
     # every library builder makes sets with a closed-form bound, so building
-    # them must not draw a single random state
-    numeric = [su_pair(da, db, pairing=pairing, bound_mode="numeric", restarts=2)
-               for da, db in [(2, 2), (2, 3)] for pairing in ("conjugate", "direct")]
+    # them must not draw a single random state; nor must certifying a generator
+    # set declared below its exact bound 2(d-1)
+    generator_sets = [su_pair(da, db, pairing=pairing) for da, db in [(2, 2), (2, 3), (3, 3)]
+                      for pairing in ("conjugate", "direct")]
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("a builder set drew a random state")
@@ -363,8 +363,9 @@ def test_builder_sets_are_certified_without_sampling(monkeypatch):
         for pairing in ("conjugate", "direct"):
             loo_pair(da, db, pairing=pairing)
             su_pair(da, db, pairing=pairing)
-    for obs in numeric:
-        LocalObservableSet(obs.stack_a, obs.stack_b, obs.bound_a, obs.bound_b, obs.provenance)
+    for obs in generator_sets:
+        LocalObservableSet(obs.stack_a, obs.stack_b, obs.bound_a - 1e-6, obs.bound_b - 1e-6,
+                           BoundProvenance("declared"))
     for rho in _schmidt_test_states():
         schmidt_loo_pair(rho)
         observables_from_spec("schmidt_loo_pair", state=rho)

@@ -192,15 +192,17 @@ def test_bisect_equals_the_sequential_bisection_on_schmidt_sets():
 
 
 def _count_builds(monkeypatch, limit=None):
-    """Counts of ``StateFamily.stack`` and ``instantiate`` calls; a call past
-    ``limit`` of either fails the test."""
-    counts = {"stack": 0, "instantiate": 0}
+    """Counts of ``StateFamily.stack`` and ``instantiate`` calls, and of the
+    states the stacks hold; a call past ``limit`` of either fails the test."""
+    counts = {"stack": 0, "instantiate": 0, "states": 0}
 
     def counted(name):
         original = getattr(StateFamily, name)
 
         def wrapper(self, *args, **kwargs):
             counts[name] += 1
+            if name == "stack":
+                counts["states"] += len(args[0])
             if limit is not None and counts[name] > limit:
                 raise AssertionError(f"more than {limit} calls to {name}")
             return original(self, *args, **kwargs)
@@ -212,10 +214,11 @@ def _count_builds(monkeypatch, limit=None):
 
 
 def test_bisect_builds_six_stacks_and_no_single_state(monkeypatch):
-    # one stack for the endpoints and the 16 samples, then 14 levels three at a time
+    # one stack for the 16 samples, the endpoints among them, then 14 levels
+    # three at a time: 16 + 7 + 7 + 7 + 7 + 3 states, none evaluated twice
     counts = _count_builds(monkeypatch)
     bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
-    assert counts == {"stack": 6, "instantiate": 0}
+    assert counts == {"stack": 6, "instantiate": 0, "states": 47}
 
 
 def test_bisect_below_the_float_spacing_stops(monkeypatch):
@@ -231,7 +234,7 @@ def test_a_failing_probe_names_its_point_or_stack():
     with pytest.raises(ParameterRangeError, match=r"\(at noisy_singlet point \{'p': 1.5\}\)"):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.5, "ppt")
     # su_pair is not an LOO pair: the whole first stack fails, no one state
-    with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 18-point stack\)"):
+    with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 16-point stack\)"):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", obs_spec="su_pair")
 
 

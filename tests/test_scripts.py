@@ -5,6 +5,8 @@ import pathlib
 import runpy
 import sys
 
+import numpy as np
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -19,6 +21,13 @@ def _csv(path):
         return list(csv.reader(fh))
 
 
+P_STAR = ["lur", "tlur", "ccnr"]
+# p* of horodecki_noise with Schmidt observables; a scan at step 1e-6 agrees to 1e-6
+P_STAR_ROWS = {"0.05": [0.997283, 0.996974, 0.997490],
+               "0.50": [0.996179, 0.996151, 0.996531],
+               "0.95": [0.999622, 0.999622, 0.999651]}
+
+
 def test_fig1_regions_script_writes_both_csvs(tmp_path, monkeypatch, capsys):
     _run(monkeypatch, tmp_path, "fig1_regions.py", "--step-a", "0.45", "--step-p", "0.5")
     measures = _csv(tmp_path / "fig1_data" / "measures.csv")
@@ -27,8 +36,15 @@ def test_fig1_regions_script_writes_both_csvs(tmp_path, monkeypatch, capsys):
     regions = _csv(tmp_path / "fig1_data" / "regions.csv")
     assert regions[0] == ["family", "a", "p", "criterion", "lhs", "rhs", "margin", "detected"]
     assert len(regions) == 1 + 3 * 3 * 2  # a in {0.05, 0.5, 0.95}, p in {0, 0.5, 1}, lur/tlur
-    out = capsys.readouterr().out
-    assert "lowest detected p per a" in out and "0.95" in out
+    # p* per row, bisected to 1e-6; the tightened test detects at least as much
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("threshold p* per a") and lines[2].split() == ["a", *P_STAR]
+    got = {row[0]: [float(x) for x in row[1:]] for row in map(str.split, lines[3:])}
+    assert list(got) == list(P_STAR_ROWS)
+    for a, want in P_STAR_ROWS.items():
+        assert np.allclose(got[a], want, rtol=0, atol=2e-6), (a, got[a])
+        lur, tlur, _ = got[a]
+        assert tlur <= lur
 
 
 def test_example2_thresholds_script_prints_the_three_thresholds(tmp_path, monkeypatch, capsys):
