@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -175,8 +176,6 @@ def _cmd_evaluate(args) -> str:
     spec = _read_spec(args.state, args.state_file, "state")
     if spec is None:
         raise UsageError("evaluate needs --state or --state-file")
-    if isinstance(spec, str):
-        raise SpecParseError("state spec must be a JSON object", field="state")
     rho = state_from_spec(spec)
     plan = Plan([args.criterion], _read_spec(args.obs, args.obs_file, "obs"))
     return _report_text(plan.evaluate(rho)[0], args.format)
@@ -224,8 +223,6 @@ def _cmd_cv_evaluate(args) -> str:
     spec = _read_spec(args.state, args.state_file, "state")
     if spec is None:
         raise UsageError("cv-evaluate needs --state or --state-file")
-    if isinstance(spec, str):
-        raise SpecParseError("cv state spec must be a JSON object", field="state")
     state = gaussian_from_spec(spec)
     report = CV_CRITERIA[args.criterion].evaluate(state, args.a)
     return _report_text(report, args.format)
@@ -275,9 +272,24 @@ def _diagnostic(kind: str, exc: Exception) -> None:
           file=sys.stderr)
 
 
+def _parse_args(argv):
+    """Parse ``argv``; an unknown flag ahead of the subcommand is named, not
+    reported as the bad subcommand argparse takes its value for."""
+    parser = build_parser()
+    try:
+        return parser.parse_args(argv)
+    except UsageError:
+        head = itertools.takewhile(lambda t: t not in _COMMANDS,
+                                   sys.argv[1:] if argv is None else argv)
+        for flag in (t.split("=", 1)[0] for t in head if t.startswith("-")):
+            if not any(known.startswith(flag) for known in parser._option_string_actions):
+                raise UsageError(f"unrecognized global flag {flag}") from None
+        raise
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         text = _COMMANDS[args.command](args)
         _emit(text, args.out)
     except _INVALID_INPUT as exc:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterRangeError, SpecParseError, UnphysicalStateError, ValidationError
 from .report import CriterionReport, make_report
+from .states import spec_array, spec_number
 
 __all__ = [
     "GaussianState", "vacuum", "tmsv", "thermal", "displaced",
@@ -216,48 +217,31 @@ def random_separable_gaussian(seed: int) -> GaussianState:
     return GaussianState(mean, cov)
 
 
-def _spec_mean(spec: dict) -> np.ndarray:
-    """The spec's ``"mean"`` as floats (zeros when absent)."""
-    try:
-        return np.asarray(spec.get("mean", [0.0, 0.0, 0.0, 0.0]), float)
-    except (TypeError, ValueError) as exc:
-        raise SpecParseError(str(exc), field="mean") from exc
-
-
 def gaussian_from_spec(spec: dict) -> GaussianState:
     """Build a Gaussian state from a JSON-style spec.
 
     Builders: ``{"vacuum": {}}``, ``{"tmsv": r}``, ``{"thermal": nbar_or_pair}``;
     or raw moments ``{"mean": [...4], "cov": [[...]x4]}``.  Any builder spec
-    may carry an optional ``"mean"`` displacement.
+    may carry an optional ``"mean"`` displacement.  Values follow
+    ``states.is_number``; a bad one names its field.
     """
     if not isinstance(spec, dict):
         raise SpecParseError("cv state spec must be a JSON object", field="state")
     builders = [k for k in ("vacuum", "tmsv", "thermal") if k in spec]
     if len(builders) > 1:
         raise SpecParseError(f"ambiguous builders {builders}", field="state")
-    if builders:
-        kind = builders[0]
-        try:
-            if kind == "vacuum":
-                state = vacuum()
-            elif kind == "tmsv":
-                state = tmsv(float(spec["tmsv"]))
-            else:
-                state = thermal(spec["thermal"])
-        except (UnphysicalStateError, ParameterRangeError):
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(str(exc), field=kind) from exc
-        if "mean" in spec:
-            state = displaced(state, _spec_mean(spec))
-        return state
-    if "cov" in spec:
-        mean = _spec_mean(spec)
-        try:
-            return GaussianState(mean, np.asarray(spec["cov"], float))
-        except UnphysicalStateError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(str(exc), field="cov") from exc
-    raise SpecParseError("cv state spec needs a builder or 'cov'", field="state")
+    if "tmsv" in spec:
+        state = tmsv(spec_number(spec["tmsv"], "tmsv"))
+    elif "thermal" in spec:
+        nbar = spec["thermal"]
+        state = thermal(spec_array(nbar, (2,), "thermal") if isinstance(nbar, (list, tuple))
+                        else spec_number(nbar, "thermal"))
+    elif "vacuum" in spec:
+        state = vacuum()
+    elif "cov" in spec:
+        state = GaussianState(np.zeros(4), spec_array(spec["cov"], (4, 4), "cov"))
+    else:
+        raise SpecParseError("cv state spec needs a builder or 'cov'", field="state")
+    if "mean" in spec:
+        state = displaced(state, spec_array(spec["mean"], (4,), "mean"))
+    return state

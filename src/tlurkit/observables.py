@@ -61,7 +61,7 @@ from .linops import (
     hermiticity_residual,
     realign,
 )
-from .states import parse_complex_matrix, random_pure_state
+from .states import parse_complex_matrix, random_pure_state, spec_integer, spec_number
 
 __all__ = [
     "BoundProvenance", "LocalObservableSet",
@@ -477,19 +477,6 @@ def _parse_op_list(entries, where: str):
     return ops
 
 
-def _dimension(value, where: str) -> int:
-    """A builder dimension: an integral JSON number (``3`` or ``3.0``, not
-    ``2.5``) in [2, 16], the range ``random_separable`` declares (a set's
-    size grows as d^4)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
-        raise SpecParseError(f"must be an integer, got {value!r}", field=where)
-    d = int(value)
-    if not 2 <= d <= 16:
-        raise SpecParseError(f"must lie in [2, 16], got {d}", field=where)
-    return d
-
-
 def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = None,
                           dims: tuple[int, int] | None = None) -> LocalObservableSet:
     """Build a LocalObservableSet from a JSON-style spec.
@@ -500,7 +487,8 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
     (or bare ``dims``) supplies each dimension a dimension-generic builder's
     spec leaves out (with neither, ``dim_b`` defaults to ``dim_a``); the
     Schmidt builder needs the state itself, and for a ``DensityStack`` builds
-    one set per state.
+    one set per state.  Values follow ``states.is_number`` (``dim_a``/``dim_b``:
+    integral); a bad one names its field.
     """
     if isinstance(spec, str):
         spec = {"builder": spec}
@@ -530,8 +518,8 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
             elif "dim_a" not in params:
                 raise SpecParseError(f"{name} needs dim_a (or a state)", field="params")
             for key in ("dim_a", "dim_b"):
-                if key in params:
-                    params[key] = _dimension(params[key], f"params.{key}")
+                if key in params:  # the range random_separable declares; sets grow as d^4
+                    params[key] = spec_integer(params[key], f"params.{key}", 2, 16)
             try:
                 return loo_pair(**params) if name == "loo_pair" else su_pair(**params)
             except TypeError as exc:
@@ -543,9 +531,7 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
                 raise SpecParseError(f"missing key {key!r}", field=key)
         ops_a = _parse_op_list(spec["opsA"], "opsA")
         ops_b = _parse_op_list(spec["opsB"], "opsB")
-        try:
-            ba, bb = float(spec["boundA"]), float(spec["boundB"])
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError("bounds must be numbers", field="boundA/boundB") from exc
-        return LocalObservableSet(ops_a, ops_b, ba, bb, BoundProvenance("declared"))
+        return LocalObservableSet(ops_a, ops_b, spec_number(spec["boundA"], "boundA"),
+                                  spec_number(spec["boundB"], "boundB"),
+                                  BoundProvenance("declared"))
     raise SpecParseError("observable spec needs 'builder' or explicit opsA/opsB", field="obs")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable
@@ -167,6 +168,25 @@ def resolve_workers() -> int:
     return 1
 
 
+# The most points a grid may hold, checked before any list is built: 52x the
+# 19 x 101 Fig. 1 grid, while a step such as 1e-12 on [0, 1] would ask for a
+# 10^12-element list and exhaust memory.
+MAX_GRID_POINTS = 100_000
+
+
+def _grid_size(grid: list[GridAxis]) -> int:
+    # floor, not round, so no value passes stop when step does not divide the
+    # interval; the slack absorbs round-off when it does.  In floats, a span
+    # past the float range reads inf instead of overflowing.
+    count = math.prod(float(np.floor((ax.stop - ax.start) / ax.step + 1e-9)) + 1
+                      for ax in grid)
+    if count > MAX_GRID_POINTS:
+        raise ParameterRangeError(
+            f"grid over axes {[ax.name for ax in grid]} has {count:.0f} points, "
+            f"more than the {MAX_GRID_POINTS} a grid may hold")
+    return int(count)
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """One swept parameter: values start, start+step, ..., stop (inclusive)."""
@@ -187,11 +207,9 @@ class GridAxis:
             raise ParameterRangeError(f"axis '{self.name}': stop below start")
 
     def values(self) -> list[float]:
-        # floor, not round, so no value passes stop when step does not divide
-        # the interval; the slack absorbs round-off when it does.  Each value
-        # is rounded to the decimal places of start and step (so 3 * 0.05 is
-        # 0.15, not 0.15000000000000002) and clamped to stop.
-        n = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        # Each value is rounded to the decimal places of start and step (so
+        # 3 * 0.05 is 0.15, not 0.15000000000000002) and clamped to stop.
+        n = _grid_size([self])
         places = max(0, -min(Decimal(repr(float(x))).as_tuple().exponent
                              for x in (self.start, self.step)))
         return [min(round(self.start + i * self.step, places), self.stop) for i in range(n)]
@@ -293,6 +311,7 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
         raise ParameterRangeError("need at least one grid axis")
     fixed_params = dict(fixed_params or {})
     fam = _family(family, fixed_params)
+    _grid_size(grid)
     plan = Plan(criteria, obs_spec)
     names = [ax.name for ax in grid]
     points = [dict(zip(names, combo))

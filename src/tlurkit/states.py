@@ -147,9 +147,6 @@ def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityM
     return DensityMatrix(da, db, _random_separable_matrix(da, db, n_terms, seed))
 
 
-_REAL = (int, float, np.integer, np.floating)  # bool is an int; check_params rejects it
-
-
 @dataclass(frozen=True)
 class StateFamily:
     """A named, parameterized family of states for scans and the CLI.
@@ -170,12 +167,11 @@ class StateFamily:
         ranges; a parameter whose declared bounds are both ``int`` must take an
         integral value (``2`` and ``2.0``, not ``2.5``).  A value must be a
         real number: a bool or a string names its parameter in the error."""
-        unknown = set(params) - set(self.params)
-        if unknown:
-            raise ParameterRangeError(
-                f"unknown parameter(s) {sorted(unknown)} for family '{self.name}'")
+        if not params.keys() <= self.params.keys():
+            unknown = sorted(params.keys() - self.params.keys())
+            raise ParameterRangeError(f"unknown parameter(s) {unknown} for family '{self.name}'")
         for name, value in params.items():
-            if isinstance(value, bool) or not isinstance(value, _REAL):
+            if not is_number(value):
                 raise ParameterRangeError(
                     f"{name} must be a number for family '{self.name}', got {value!r}")
             lo, hi = self.params[name]
@@ -266,15 +262,47 @@ _register(StateFamily(
 ))
 
 
-def _parse_complex_entry(entry, where: str) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+_REAL = (int, float, np.integer, np.floating)
+
+
+def is_number(value) -> bool:
+    """The one rule for a number in a spec: an int or a float, numpy integer
+    and floating scalars too, never a bool (an int subclass) or a string."""
+    return isinstance(value, _REAL) and not isinstance(value, bool)
+
+
+def spec_number(value, where: str) -> float:
+    """A spec number as a float, else ``SpecParseError`` naming ``where``."""
+    if is_number(value):
         try:
-            return complex(float(entry[0]), float(entry[1]))
-        except (TypeError, ValueError):
+            return float(value)
+        except OverflowError:  # an int past the float range
             pass
-    raise SpecParseError(f"expected number or [re, im] pair, got {entry!r}", field=where)
+    raise SpecParseError(f"must be a number, got {value!r}", field=where)
+
+
+def spec_integer(value, where: str, lo: int, hi: float) -> int:
+    """A spec number with an integral value (``2`` or ``2.0``, not ``2.5``)
+    in [lo, hi]."""
+    number = spec_number(value, where)
+    if not (number.is_integer() and lo <= number <= hi):
+        raise SpecParseError(f"must be an integer in [{lo}, {hi}], got {value!r}", field=where)
+    return int(number)
+
+
+def spec_array(value, shape: tuple[int, ...], where: str):
+    """Nested lists of spec numbers of the given shape, as floats."""
+    if not shape:
+        return spec_number(value, where)
+    if not isinstance(value, (list, tuple)) or len(value) != shape[0]:
+        raise SpecParseError(f"must be a list of {shape[0]}, got {value!r}", field=where)
+    return [spec_array(v, shape[1:], where) for v in value]
+
+
+def _parse_complex_entry(entry, where: str) -> complex:
+    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+        return complex(spec_number(entry[0], where), spec_number(entry[1], where))
+    return complex(spec_number(entry, where))
 
 
 def parse_complex_matrix(rows, where: str = "matrix") -> np.ndarray:
@@ -293,7 +321,8 @@ def state_from_spec(spec: dict) -> DensityMatrix:
     """Build a state from a JSON-style spec.
 
     Either ``{"family": name, "params": {...}}`` or
-    ``{"dims": [dim_a, dim_b], "matrix": [[[re, im], ...], ...]}``.
+    ``{"dims": [dim_a, dim_b], "matrix": [[[re, im], ...], ...]}``.  Values
+    follow ``is_number`` (``dims``: integral); a bad one names its field.
     """
     if not isinstance(spec, dict):
         raise SpecParseError("state spec must be a JSON object", field="state")
@@ -310,10 +339,7 @@ def state_from_spec(spec: dict) -> DensityMatrix:
         except TypeError as exc:
             raise SpecParseError(str(exc), field="params") from exc
     if "matrix" in spec:
-        dims = spec.get("dims")
-        if (not isinstance(dims, (list, tuple)) or len(dims) != 2
-                or not all(isinstance(d, int) and d > 0 for d in dims)):
-            raise SpecParseError("dims must be a pair of positive integers", field="dims")
-        m = parse_complex_matrix(spec["matrix"], where="matrix")
-        return DensityMatrix(int(dims[0]), int(dims[1]), m)
+        dim_a, dim_b = (spec_integer(d, "dims", 1, float("inf"))
+                        for d in spec_array(spec.get("dims"), (2,), "dims"))
+        return DensityMatrix(dim_a, dim_b, parse_complex_matrix(spec["matrix"], where="matrix"))
     raise SpecParseError("state spec needs either 'family' or 'matrix'", field="state")

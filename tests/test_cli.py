@@ -208,6 +208,8 @@ def test_invalid_inputs_exit_2(capsys):
          "--criterion", "corollary2", "--a", "1e10"),  # lhs overflows
         ("cv-evaluate", "--state", '{"tmsv": 400}', "--criterion", "duan"),
         ("cv-evaluate", "--state", OVERFLOWING_COV, "--criterion", "duan"),  # mode sum
+        ("scan", "--family", "noisy_singlet", "--param", "p", "--min", "0",
+         "--max", "1", "--step", "1e-12", "--criteria", "ppt"),  # refused before it is built
     ]
     fields = {  # a malformed field of a spec is named in the detail
         ("evaluate", "--obs", '{"builder":"loo_pair","params":"x"}', "--state",
@@ -233,6 +235,34 @@ def test_invalid_inputs_exit_2(capsys):
         ("evaluate", "--obs", '{"builder":"su_pair","params":{"restarts":4}}',
          "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
          "--criterion", "lur"): "params",
+        # one number rule for every spec value: no bool, no string
+        ("cv-evaluate", "--criterion", "duan", "--state",
+         '{"tmsv":"1","mean":["1","2","3","4"]}'): "tmsv",
+        ("cv-evaluate", "--criterion", "duan", "--state", '{"tmsv":true}'): "tmsv",
+        ("cv-evaluate", "--criterion", "duan", "--state", '{"thermal":[1,true]}'): "thermal",
+        ("cv-evaluate", "--criterion", "duan", "--state", '{"thermal":null}'): "thermal",
+        ("cv-evaluate", "--criterion", "duan", "--state",
+         '{"tmsv":1,"mean":["1",2,3,4]}'): "mean",
+        ("cv-evaluate", "--criterion", "duan", "--state",
+         '{"cov":[[0.5,0,0,0],[0,"0.5",0,0],[0,0,0.5,0],[0,0,0,0.5]]}'): "cov",
+        ("cv-evaluate", "--criterion", "duan", "--state",
+         '{"cov":[[0.5,0,0,0],[0,0.5,0,0],[0,0,true,0],[0,0,0,0.5]]}'): "cov",
+        ("cv-evaluate", "--criterion", "duan", "--state", '{"cov":[[0.5,0],[0,0.5]]}'): "cov",
+        ("evaluate", "--criterion", "lur", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--obs", PAULI_OBS.replace('"boundA":2', '"boundA":true')): "boundA",
+        ("evaluate", "--criterion", "lur", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--obs", PAULI_OBS.replace('"boundB":2', '"boundB":"2"')): "boundB",
+        ("evaluate", "--criterion", "lur", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--obs", PAULI_OBS.replace("[[1,0],[0,-1]]", '[[1,0],[0,"-1"]]', 1)): "opsA[2][1][1]",
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"dims":[true,2],"matrix":[[0.5,0],[0,0.5]]}'): "dims",
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"dims":[1,2],"matrix":[[0.5,true],[0,0.5]]}'): "matrix[0][1]",
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"dims":[1,2],"matrix":[[["0.5","0"],0],[0,0.5]]}'): "matrix[0][0]",
     }
     named = {  # a family parameter that is not a number names the parameter
         ("evaluate", "--state", '{"family":"noisy_singlet","params":{"p":true}}',
@@ -252,10 +282,16 @@ def test_invalid_inputs_exit_2(capsys):
             assert "dim_a" in diag["detail"], argv  # names the parameter
         if argv in fields:
             assert diag["detail"].startswith(f"{fields[argv]}: "), argv
+            assert "object is not" not in diag["detail"], argv  # no Python type error
+        if argv[0] in ("--threads", "--seed"):
+            assert diag["detail"] == f"unrecognized global flag {argv[0]}", argv
         if argv in named:
             assert diag["detail"].startswith(f"{named[argv]} must be a number"), argv
 
 
+PAULIS = "[[0,1],[1,0]]", "[[0,[0,-1]],[[0,1],0]]", "[[1,0],[0,-1]]"  # X, Y, Z
+PAULI_OBS = (f'{{"opsA":[{",".join(PAULIS)}],"opsB":[{",".join(PAULIS)}],'
+             '"boundA":2,"boundB":2}')
 OVERFLOWING_COV = '{"cov": [[1e308,0,0,0],[0,1e308,0,0],[0,0,1e308,0],[0,0,0,1e308]]}'
 
 

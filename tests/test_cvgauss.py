@@ -94,15 +94,21 @@ def test_corollary2_examples():
         assert abs(rep.components["M"]) < 1e-12
 
 
-@given(st.integers(0, 10**6))
-def test_corollary2_margin_adds_m_squared(seed):
-    state = random_separable_gaussian(seed)
+def noisy_tmsv(r, nbar):
+    """A two-mode squeezed vacuum with covariance tmsv(r).cov + nbar * I."""
+    return GaussianState(np.zeros(4), tmsv(r).cov + nbar * np.eye(4))
+
+
+@given(st.one_of(st.integers(0, 10**6).map(random_separable_gaussian),
+                 st.builds(noisy_tmsv, st.floats(0.0, 2.0), st.floats(0.0, 0.5))))
+def test_corollary2_margin_adds_m_squared(state):
     for a in (0.7, 1.0, 1.8):
         duan = eval_duan(state, a)
         cor = eval_corollary2(state, a)
         m = cor.components["M"]
         assert cor.rhs >= duan.rhs
         assert abs(cor.margin - (duan.margin + m * m)) < 1e-12
+        assert cor.detected or not duan.detected  # duan is contained in corollary2
 
 
 @given(st.integers(0, 10**6))
@@ -131,6 +137,9 @@ def test_gaussian_from_spec():
     state = gaussian_from_spec({"tmsv": 1.0})
     np.testing.assert_allclose(state.cov, tmsv(1.0).cov)
     state = gaussian_from_spec({"thermal": [1.0, 0.0]})
+    assert abs(mode_uncertainty_sum(state, 1) - 3.0) < 1e-12
+    # numpy integer and floating scalars are numbers too
+    state = gaussian_from_spec({"thermal": [np.int64(1), np.float32(0.0)]})
     assert abs(mode_uncertainty_sum(state, 1) - 3.0) < 1e-12
     state = gaussian_from_spec({"vacuum": {}, "mean": [1, 2, 3, 4]})
     np.testing.assert_allclose(state.mean, [1, 2, 3, 4])

@@ -10,7 +10,8 @@ from tlurkit.errors import (
 from tlurkit.observables import observables_from_spec
 from tlurkit.report import Verdicts
 from tlurkit.scan import (
-    CriterionEntry, DV_CRITERIA, GridAxis, evaluate_criterion, resolve_workers,
+    CriterionEntry, DV_CRITERIA, MAX_GRID_POINTS, GridAxis, evaluate_criterion,
+    resolve_workers,
 )
 from tlurkit.states import FAMILIES, StateFamily, noisy_singlet
 
@@ -43,6 +44,22 @@ def test_grid_axis_stops_short_when_step_does_not_divide():
         values = GridAxis("p", start, stop, step).values()
         assert max(len(repr(v)) for v in values) <= len(repr(step)), values
     assert GridAxis("a", 0.05, 0.95, 0.05).values()[2] == 0.15
+
+
+def test_a_grid_above_the_cap_is_refused_before_it_is_built():
+    assert len(GridAxis("n", 1, MAX_GRID_POINTS, 1).values()) == MAX_GRID_POINTS
+    with pytest.raises(ParameterRangeError, match=f"has {MAX_GRID_POINTS + 1} points"):
+        GridAxis("n", 0, MAX_GRID_POINTS, 1).values()
+    fine = GridAxis("p", 0.0, 1.0, 1e-12)
+    with pytest.raises(ParameterRangeError, match=r"\['p'\] has 1000000000001 points"):
+        fine.values()
+    with pytest.raises(ParameterRangeError, match=r"\['p'\] has 1000000000001 points"):
+        sweep("noisy_singlet", [fine], ["ppt"])
+    # each axis fits, their product does not
+    a, p = GridAxis("a", 0.0, 1.0, 1e-3), GridAxis("p", 0.0, 1.0, 1e-3)
+    assert len(a.values()) == len(p.values()) == 1001
+    with pytest.raises(ParameterRangeError, match=r"\['a', 'p'\] has 1002001 points"):
+        sweep("horodecki_noise", [a, p], ["ppt"])
 
 
 def test_sweep_noisy_singlet_endpoints():

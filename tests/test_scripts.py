@@ -1,13 +1,19 @@
-"""Smoke tests: the scripts under scripts/ run end to end on coarse inputs."""
+"""Smoke tests: the scripts under scripts/ run end to end on coarse inputs,
+and the README's examples run as written."""
 
 import csv
 import pathlib
+import re
 import runpy
+import shlex
 import sys
 
 import numpy as np
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+from tlurkit.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(monkeypatch, tmp_path, name, *args):
@@ -55,3 +61,16 @@ def test_example2_thresholds_script_prints_the_three_thresholds(tmp_path, monkey
     assert abs(got["nonlinear_witness"] - 0.25) <= 1e-2
     assert abs(got["corollary1"] - 0.221) <= 1e-2
     assert abs(got["ppt"]) <= 1e-2
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```(\w*)\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    (tour,) = [code for lang, code in blocks if lang == "python"]
+    exec(tour, {})
+    lines = [line for lang, code in blocks for line in code.replace("\\\n", " ").splitlines()
+             if line.startswith("tlurkit ")]
+    assert len(lines) == 7
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    assert (tmp_path / "regions.json").exists()

@@ -116,6 +116,8 @@ def test_state_from_spec_matrix():
     rho = state_from_spec(spec)
     assert isinstance(rho, DensityMatrix)
     assert abs(np.asarray(rho.matrix)[0, 1] - 0.5j) < 1e-15
+    # integral dims may be floats, as builder and family dimensions may
+    assert state_from_spec(dict(spec, dims=[1.0, 2])).dims == (1, 2)
 
 
 @pytest.mark.parametrize("spec,field", [
@@ -125,6 +127,9 @@ def test_state_from_spec_matrix():
     ({"dims": [1, 2], "matrix": [[1.0, 0.0], [0.0]]}, "matrix[1]"),
     ({"dims": [1, 2], "matrix": [["x", 0.0], [0.0, 0.0]]}, "matrix[0][0]"),
     ({}, "state"),
+    ({"dims": [1.5, 2], "matrix": [[1.0]]}, "dims"),
+    ({"dims": [1, "2"], "matrix": [[1.0]]}, "dims"),
+    ({"dims": [0, 2], "matrix": [[1.0]]}, "dims"),
 ])
 def test_state_from_spec_errors_name_the_field(spec, field):
     with pytest.raises((SpecParseError, ParameterRangeError)) as err:
