@@ -5,12 +5,19 @@ list-criteria.  Output is JSON by default or flat CSV with ``--format csv``;
 ``--out FILE`` writes to a file instead of stdout.  Errors are emitted as
 one-line JSON diagnostics on stderr; exit codes: 0 success, 2 invalid
 input, 1 internal/numerical failure.
+
+One parser serves every ``main`` call of a process: it is built at the first
+call, not at import, and argparse starts each parse from a fresh namespace.
+The ``--family`` and ``--criterion`` choices are read from ``FAMILIES`` and
+``DV_CRITERIA`` when it is built; nothing in the package registers an entry
+after import.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -46,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 _INVALID_INPUT = (
     UsageError, SpecParseError, ParameterRangeError, DimensionMismatchError,
     ValidationError, InvalidBoundError, NoCrossingError, NonMonotonicMarginError,
-    json.JSONDecodeError, OSError,
+    OSError,
 )
 
 
@@ -62,7 +69,10 @@ def _read_spec(inline: str | None, path: str | None, what: str):
     text = inline.strip()
     if not text.startswith("{"):
         return text  # builder-name shorthand
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer literal past 4300 digits
+        raise SpecParseError(str(exc), field=f"--{what}") from exc
 
 
 def _parse_fixes(pairs: list[str]) -> dict:
@@ -181,26 +191,18 @@ def _cmd_evaluate(args) -> str:
     return _report_text(plan.evaluate(rho)[0], args.format)
 
 
-def _scan_result_text(result, fmt: str) -> str:
-    return result.to_csv() if fmt == "csv" else result.to_json()
-
-
-def _cmd_scan(args) -> str:
-    axis = GridAxis(args.param, args.min, args.max, args.step)
-    result = sweep(args.family, [axis], args.criteria.split(","),
-                   obs_spec=_read_spec(args.obs, args.obs_file, "obs"),
-                   fixed_params=_parse_fixes(args.fix))
-    return _scan_result_text(result, args.format)
-
-
 def _cmd_sweep(args) -> str:
-    if not args.axis:
+    """A sweep over ``--axis`` axes, or, for ``scan``, over the one ``--param`` axis."""
+    if args.command == "scan":
+        axes = [GridAxis(args.param, args.min, args.max, args.step)]
+    elif args.axis:
+        axes = [_parse_axis(a) for a in args.axis]
+    else:
         raise UsageError("sweep needs at least one --axis")
-    result = sweep(args.family, [_parse_axis(a) for a in args.axis],
-                   args.criteria.split(","),
+    result = sweep(args.family, axes, args.criteria.split(","),
                    obs_spec=_read_spec(args.obs, args.obs_file, "obs"),
                    fixed_params=_parse_fixes(args.fix))
-    return _scan_result_text(result, args.format)
+    return result.to_csv() if args.format == "csv" else result.to_json()
 
 
 def _cmd_bisect(args) -> str:
@@ -258,7 +260,7 @@ def _cmd_list_criteria(args) -> str:
 
 _COMMANDS = {
     "evaluate": _cmd_evaluate,
-    "scan": _cmd_scan,
+    "scan": _cmd_sweep,
     "sweep": _cmd_sweep,
     "bisect": _cmd_bisect,
     "cv-evaluate": _cmd_cv_evaluate,
@@ -272,10 +274,16 @@ def _diagnostic(kind: str, exc: Exception) -> None:
           file=sys.stderr)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first call."""
+    return build_parser()
+
+
 def _parse_args(argv):
     """Parse ``argv``; an unknown flag ahead of the subcommand is named, not
     reported as the bad subcommand argparse takes its value for."""
-    parser = build_parser()
+    parser = _parser()
     try:
         return parser.parse_args(argv)
     except UsageError:

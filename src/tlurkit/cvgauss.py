@@ -222,12 +222,13 @@ def gaussian_from_spec(spec: dict) -> GaussianState:
 
     Builders: ``{"vacuum": {}}``, ``{"tmsv": r}``, ``{"thermal": nbar_or_pair}``;
     or raw moments ``{"mean": [...4], "cov": [[...]x4]}``.  Any builder spec
-    may carry an optional ``"mean"`` displacement.  Values follow
-    ``states.is_number``; a bad one names its field.
+    may carry an optional ``"mean"`` displacement; a spec naming two of the
+    builders and ``cov`` is ambiguous.  Values follow ``states.is_number``; a
+    bad one names its field.
     """
     if not isinstance(spec, dict):
         raise SpecParseError("cv state spec must be a JSON object", field="state")
-    builders = [k for k in ("vacuum", "tmsv", "thermal") if k in spec]
+    builders = [k for k in ("vacuum", "tmsv", "thermal", "cov") if k in spec]
     if len(builders) > 1:
         raise SpecParseError(f"ambiguous builders {builders}", field="state")
     if "tmsv" in spec:

@@ -271,25 +271,38 @@ def _loo_vec_matrix(d: int) -> np.ndarray:
     return np.ascontiguousarray(_loo_stack(d).reshape(d * d, d * d).T)
 
 
+@lru_cache(maxsize=1)
 def pauli_loo_pair() -> LocalObservableSet:
     """Qubit pair tuned to the singlet: A_k = G_k^A, B_k = -G_k^B with
     G^A = (-x, -y, -z, 1)/sqrt(2) and G^B = (x, y, z, 1)/sqrt(2).
 
     The four joint operators A_k (x) 1 + 1 (x) B_k all annihilate the
     singlet, so its joint variance sum is zero against bounds of 1 + 1.
+    Built once per process and shared, as a set is immutable.
     """
     gx, gy, gz, gi = _loo_stack(2)
     return LocalObservableSet(np.stack([-gx, -gy, -gz, gi]), -_loo_stack(2), 1.0, 1.0,
                               BoundProvenance("analytic"))
 
 
-def _paired(stack_a, stack_b, pairing: str):
+@lru_cache(maxsize=16)
+def _fixed_pair(stack, scale: float, dim_a: int, dim_b: int, pairing: str) -> LocalObservableSet:
+    """A_k = X_k, B_k = -X_k* (or -X_k for 'direct') of the ``stack`` operators,
+    with bounds ``scale`` (d - 1); built once per process for its arguments and
+    shared, as a set is immutable.  The caller checks ``pairing``."""
+    stack_a, stack_b = stack(dim_a), stack(dim_b)
     if pairing == "conjugate":
         stack_b = stack_b.conj()
-    elif pairing != "direct":
-        raise ParameterRangeError(f"pairing must be 'conjugate' or 'direct', got {pairing!r}")
     n = max(len(stack_a), len(stack_b))
-    return _zero_pad(stack_a, n), _zero_pad(-stack_b, n)
+    return LocalObservableSet(_zero_pad(stack_a, n), _zero_pad(-stack_b, n),
+                              scale * (dim_a - 1), scale * (dim_b - 1),
+                              BoundProvenance("analytic"))
+
+
+def _checked_pairing(pairing) -> str:
+    if pairing not in ("conjugate", "direct"):
+        raise ParameterRangeError(f"pairing must be 'conjugate' or 'direct', got {pairing!r}")
+    return pairing
 
 
 def loo_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") -> LocalObservableSet:
@@ -300,18 +313,14 @@ def loo_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") -
     d_a - 1 and d_b - 1.
     """
     dim_b = dim_a if dim_b is None else dim_b
-    ops_a, ops_b = _paired(_loo_stack(dim_a), _loo_stack(dim_b), pairing)
-    return LocalObservableSet(ops_a, ops_b, dim_a - 1.0, dim_b - 1.0,
-                              BoundProvenance("analytic"))
+    return _fixed_pair(_loo_stack, 1.0, dim_a, dim_b, _checked_pairing(pairing))
 
 
 def su_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") -> LocalObservableSet:
     """Generator pair A_k = g_k, B_k = -g_k* (or -g_k for 'direct'), with the
     exact bounds 2(d_a - 1) and 2(d_b - 1) of generator sets."""
     dim_b = dim_a if dim_b is None else dim_b
-    ops_a, ops_b = _paired(_su_stack(dim_a), _su_stack(dim_b), pairing)
-    return LocalObservableSet(ops_a, ops_b, 2.0 * (dim_a - 1), 2.0 * (dim_b - 1),
-                              BoundProvenance("analytic"))
+    return _fixed_pair(_su_stack, 2.0, dim_a, dim_b, _checked_pairing(pairing))
 
 
 def operator_schmidt(rho):

@@ -17,30 +17,20 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterRangeError, SpecParseError, TlurkitError
+from .errors import (
+    DimensionMismatchError,
+    ParameterRangeError,
+    SpecParseError,
+    TlurkitError,
+    raise_first,
+)
 from .linops import DensityMatrix, DensityStack
 
 __all__ = [
     "horodecki33", "white_noise_mix", "horodecki_noise", "noisy_singlet",
-    "singlet", "pure_state", "random_pure_state", "random_mixed_state",
+    "singlet", "random_pure_state", "random_mixed_state",
     "random_separable", "state_from_spec", "FAMILIES", "StateFamily",
 ]
-
-
-def pure_state(vec, dim_a: int, dim_b: int) -> DensityMatrix:
-    """Density matrix of a (normalized) bipartite ket."""
-    v = np.asarray(vec, dtype=complex).ravel()
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ParameterRangeError("zero vector cannot be normalized")
-    v = v / n
-    return DensityMatrix(dim_a, dim_b, np.outer(v, v.conj()))
-
-
-def _ket(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[index] = 1.0
-    return v
 
 
 def singlet() -> DensityMatrix:
@@ -52,31 +42,38 @@ _SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 _SINGLET = np.outer(_SINGLET_KET, _SINGLET_KET)
 
 
-def _product_ket(i: int, j: int) -> np.ndarray:
-    return np.kron(_ket(3, i), _ket(3, j))
-
-
-# the a-independent parts of horodecki33: the five product projectors and the
-# maximally entangled projector
-_H33_PRODUCTS = sum(np.outer(v, v) for v in (
-    _product_ket(i, j) for i, j in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1)]))
-_H33_EMAX = (_product_ket(0, 0) + _product_ket(1, 1) + _product_ket(2, 2)) / np.sqrt(3)
+# the a-independent parts of horodecki33: the five product projectors |01>, |02>,
+# |10>, |12>, |21> (diagonal, |ij> is basis index 3i + j) and the maximally
+# entangled projector
+_H33_PRODUCTS = np.diag([0.0, 1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+_H33_EMAX = np.zeros(9)
+_H33_EMAX[[0, 4, 8]] = 1.0 / np.sqrt(3)
 _H33_MAXENT = np.outer(_H33_EMAX, _H33_EMAX)
 
 
-def _horodecki33_matrix(a: float) -> np.ndarray:
-    if not 0.0 < a < 1.0:
-        raise ParameterRangeError(f"a must lie in (0,1), got {a}")
-    pi = np.zeros(9)
-    pi[6], pi[8] = np.sqrt((1 + a) / 2), np.sqrt((1 - a) / 2)  # on |20> and |22>
-    rho = a * _H33_PRODUCTS + 3 * a * _H33_MAXENT + np.outer(pi, pi)
+def _unit_interval(value, name: str, closed: bool) -> np.ndarray:
+    """``value``, a number or a column of them, as floats, each checked to lie
+    in [0,1] (``closed``) or (0,1); the error names the value as given."""
+    x = np.asarray(value, dtype=float)
+    inside = (0.0 <= x) & (x <= 1.0) if closed else (0.0 < x) & (x < 1.0)
+    raise_first(~inside, ParameterRangeError,
+                lambda k: f"{name} must lie in {'[0,1]' if closed else '(0,1)'}, "
+                          f"got {np.ravel(value)[k]}")
+    return x
+
+
+def _horodecki33_matrix(a) -> np.ndarray:
+    a = _unit_interval(a, "a", closed=False)
+    pi = np.zeros(a.shape + (9,))
+    pi[..., 6], pi[..., 8] = np.sqrt((1 + a) / 2), np.sqrt((1 - a) / 2)  # on |20> and |22>
+    a = a[..., None, None]
+    rho = a * _H33_PRODUCTS + 3 * a * _H33_MAXENT + pi[..., :, None] * pi[..., None, :]
     return rho / (1 + 8 * a)
 
 
-def _noise_mixed(m: np.ndarray, p: float) -> np.ndarray:
-    if not 0.0 <= p <= 1.0:
-        raise ParameterRangeError(f"p must lie in [0,1], got {p}")
-    d = len(m)
+def _noise_mixed(m: np.ndarray, p) -> np.ndarray:
+    p = _unit_interval(p, "p", closed=True)[..., None, None]
+    d = m.shape[-1]
     return p * m + (1.0 - p) * np.eye(d) / d
 
 
@@ -103,9 +100,8 @@ def horodecki_noise(a: float, p: float) -> DensityMatrix:
 _NOISY_SINGLET_SEP = np.diag([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
 
 
-def _noisy_singlet_matrix(p: float) -> np.ndarray:
-    if not 0.0 <= p <= 1.0:
-        raise ParameterRangeError(f"p must lie in [0,1], got {p}")
+def _noisy_singlet_matrix(p) -> np.ndarray:
+    p = _unit_interval(p, "p", closed=True)[..., None, None]
     return p * _SINGLET + (1.0 - p) * _NOISY_SINGLET_SEP
 
 
@@ -147,12 +143,23 @@ def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityM
     return DensityMatrix(da, db, _random_separable_matrix(da, db, n_terms, seed))
 
 
+def _random_separable_stack(dim_a, dim_b, n_terms, seed) -> np.ndarray:
+    """The family's matrices, one seeded draw per point: seeded draws do not
+    vectorise, so the points are looped here."""
+    points = np.broadcast(dim_a, dim_b, n_terms, seed)
+    mats = [_random_separable_matrix(*(int(v) for v in point)) for point in points]
+    return np.reshape(mats, points.shape + mats[0].shape)
+
+
 @dataclass(frozen=True)
 class StateFamily:
     """A named, parameterized family of states for scans and the CLI.
 
-    ``matrix`` maps parameters to the state's unvalidated density matrix;
-    ``instantiate`` validates one, ``stack`` a stack of them in one pass.
+    ``matrix`` takes each parameter as a column (an array of its values over
+    the points of a stack) and returns the (N, d, d) stack of unvalidated
+    density matrices; given numbers, it returns the one (d, d) matrix.
+    ``stack`` builds and validates the states of many points in one pass, and
+    ``instantiate`` is its one-point case.
     """
 
     name: str
@@ -166,7 +173,8 @@ class StateFamily:
         """Reject unknown parameters and values outside the declared inclusive
         ranges; a parameter whose declared bounds are both ``int`` must take an
         integral value (``2`` and ``2.0``, not ``2.5``).  A value must be a
-        real number: a bool or a string names its parameter in the error."""
+        real number: a bool or a string names its parameter in the error.
+        This checks one point; ``stack`` runs the same checks on columns."""
         if not params.keys() <= self.params.keys():
             unknown = sorted(params.keys() - self.params.keys())
             raise ParameterRangeError(f"unknown parameter(s) {unknown} for family '{self.name}'")
@@ -183,37 +191,73 @@ class StateFamily:
                 raise ParameterRangeError(
                     f"{name} must be an integer for family '{self.name}', got {value}")
 
-    def _merged(self, params: dict) -> dict:
-        """``params`` over the defaults, checked and complete."""
-        merged = {**self.defaults, **params}
-        self.check_params(merged)
-        missing = set(self.params) - set(merged)
-        if missing:
-            raise ParameterRangeError(
-                f"missing parameter(s) {sorted(missing)} for family '{self.name}'")
-        return merged
+    def _columns(self, merged: list[dict]) -> dict[str, np.ndarray] | None:
+        """The points (over the defaults) as one float column per parameter,
+        or None if any point fails a check of ``check_params``, misses a
+        parameter, or has dimensions other than the first point's."""
+        if not all(m.keys() == self.params.keys() and all(map(is_number, m.values()))
+                   for m in merged):
+            return None
+        try:
+            cols = {name: np.array([m[name] for m in merged], dtype=float) for name in self.params}
+        except OverflowError:  # an int past the float range
+            return None
+        for name, (lo, hi) in self.params.items():
+            col = cols[name]
+            bad = ~((lo <= col) & (col <= hi))
+            if isinstance(lo, int) and isinstance(hi, int):
+                bad |= col != np.floor(col)
+            if name in ("dim_a", "dim_b"):
+                bad |= col != col[0]
+            if bad.any():
+                return None
+        return cols
 
-    def instantiate(self, **params) -> DensityMatrix:
-        merged = self._merged(params)
-        return DensityMatrix(*self.dims_for(merged), self.matrix(**merged))
-
-    def stack(self, points: list[dict]) -> DensityStack:
-        """The states at ``points`` (parameter dicts, all of one bipartition),
-        validated in one pass.  A failure names the offending point's index
-        in ``error.state``."""
-        dims = self.dims_for(points[0] if points else None)
-        mats = []
+    def _raise_first_failure(self, points: list[dict]) -> None:
+        """Raise the error of the first point that fails its own checks (those
+        of ``check_params``, a full set of parameters, the first point's
+        dimensions, and ``matrix``'s), naming it in ``error.state``."""
+        dims = None
         for k, params in enumerate(points):
             try:
-                merged = self._merged(params)
+                merged = {**self.defaults, **params}
+                self.check_params(merged)
+                missing = self.params.keys() - merged.keys()
+                if missing:
+                    raise ParameterRangeError(
+                        f"missing parameter(s) {sorted(missing)} for family '{self.name}'")
+                dims = dims or self.dims_for(merged)
                 if self.dims_for(merged) != dims:
                     raise DimensionMismatchError(
                         f"a stack holds one bipartition: {self.dims_for(merged)} vs {dims}")
-                mats.append(self.matrix(**merged))
+                self.matrix(**merged)
             except TlurkitError as exc:
                 exc.state = k
                 raise
-        return DensityStack(*dims, np.array(mats))
+
+    def stack(self, points: list[dict]) -> DensityStack:
+        """The states at ``points`` (parameter dicts, all of one bipartition),
+        built from parameter columns and validated in one pass.  A failure
+        names the offending point's index in ``error.state``, with the
+        message that point's own checks give: the first failing point, in
+        point order, and its first failing check."""
+        if not points:
+            raise DimensionMismatchError("a stack needs at least one point")
+        merged = [{**self.defaults, **p} for p in points]
+        cols = self._columns(merged)
+        try:
+            if cols is None:
+                raise ParameterRangeError("a point of the stack fails its checks")
+            matrices = self.matrix(**cols)
+        except TlurkitError:
+            self._raise_first_failure(points)
+            raise
+        return DensityStack(*self.dims_for(merged[0]), matrices)
+
+    def instantiate(self, **params) -> DensityMatrix:
+        """The state at one point: the one-point case of ``stack``."""
+        one = self.stack([params])
+        return DensityMatrix(one.dim_a, one.dim_b, one.states[0])
 
     def dims_for(self, params: dict | None = None) -> tuple[int, int]:
         """Local dimensions: ``dim_a``/``dim_b`` when the family takes them."""
@@ -255,8 +299,7 @@ _register(StateFamily(
     name="random_separable",
     dims=(2, 2),
     params={"dim_a": (2, 16), "dim_b": (2, 16), "n_terms": (1, 1024), "seed": (0, 2**31)},
-    matrix=lambda dim_a, dim_b, n_terms, seed: _random_separable_matrix(
-        int(dim_a), int(dim_b), int(n_terms), int(seed)),
+    matrix=_random_separable_stack,
     description="seeded random mixture of pure product states",
     defaults={"dim_a": 2, "dim_b": 2, "n_terms": 4, "seed": 0},
 ))

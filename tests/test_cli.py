@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 
-from tlurkit.cli import main
+from tlurkit import cli
+from tlurkit.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -347,3 +348,73 @@ def test_usage_error_is_machine_parsable(capsys):
     assert code == 2
     assert json.loads(err)["error"] == "invalid-input"
 
+
+
+def test_a_json_integer_past_the_digit_limit_exits_2(capsys):
+    # json.loads raises a plain ValueError past 4300 digits, not a JSONDecodeError
+    long_int = "1" * 5000
+    for flag, argv in (
+            ("--state", ("cv-evaluate", "--criterion", "duan",
+                         "--state", f'{{"tmsv": {long_int}}}')),
+            ("--obs", ("evaluate", "--criterion", "lur", "--state",
+                       '{"family":"noisy_singlet","params":{"p":0.5}}',
+                       "--obs", f'{{"builder":"loo_pair","params":{{"dim_a":{long_int}}}}}'))):
+        code, out, err = run(capsys, *argv)
+        diag = json.loads(err)
+        assert code == 2 and out == ""
+        assert diag["error"] == "invalid-input" and diag["type"] == "SpecParseError"
+        assert diag["detail"].startswith(f"{flag}: "), diag
+
+
+def test_a_gaussian_spec_with_a_builder_and_cov_is_ambiguous(capsys):
+    cov = [[9, 0, 0, 0], [0, 9, 0, 0], [0, 0, 9, 0], [0, 0, 0, 9]]
+    code, out, err = run(capsys, "cv-evaluate", "--criterion", "duan",
+                         "--state", json.dumps({"tmsv": 1, "cov": cov}))
+    assert code == 2 and out == ""
+    assert json.loads(err)["detail"] == "state: ambiguous builders ['tmsv', 'cov']"
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        for argv in (["list-states"], ["--format", "csv", "list-criteria"], ["bogus"],
+                     ["list-states"]):
+            run(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+SCAN = ("scan", "--param", "p", "--min", "0.9", "--max", "1", "--step", "0.05",
+        "--criteria", "ppt")
+
+
+def test_a_fix_is_not_carried_to_the_next_call(capsys):
+    code, out, _ = run(capsys, *SCAN, "--family", "horodecki_noise", "--fix", "a=0.5")
+    assert code == 0 and json.loads(out)["fixed_params"] == {"a": 0.5}
+    code, out, _ = run(capsys, *SCAN, "--family", "noisy_singlet")
+    assert code == 0 and json.loads(out)["fixed_params"] == {}
+    code, _, err = run(capsys, *SCAN, "--family", "horodecki_noise")
+    assert code == 2 and "missing parameter(s) ['a']" in json.loads(err)["detail"]
+    code, out, _ = run(capsys, "sweep", "--family", "noisy_singlet",
+                       "--axis", "p:0:1:0.5", "--criteria", "ppt")
+    assert code == 0 and [ax["name"] for ax in json.loads(out)["axes"]] == ["p"]
+
+
+def test_a_call_after_a_failed_parse_prints_what_a_fresh_process_prints(capsys):
+    argv = ["--format", "csv", *SCAN, "--family", "horodecki_noise", "--fix", "a=0.25"]
+    fresh = subprocess.run([sys.executable, "-m", "tlurkit.cli", *argv],
+                           capture_output=True, text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    for bad in (["scan", "--family", "horodecki_noise", "--fix", "a=0.5"],  # no --param
+                ["--format", "xml", "list-states"], ["--seed", "3", "list-states"]):
+        code, _, _ = run(capsys, *bad)
+        assert code == 2
+        assert run(capsys, *argv) == (0, fresh.stdout, "")

@@ -105,6 +105,24 @@ def test_su_pair_pairing_modes():
         su_pair(3, pairing="sideways")
 
 
+def test_fixed_sets_are_built_once_and_shared():
+    assert pauli_loo_pair() is pauli_loo_pair()
+    assert loo_pair(2, 3) is loo_pair(2, 3, pairing="conjugate")
+    assert su_pair(3) is su_pair(3, 3) is observables_from_spec("su_pair", dims=(3, 3))
+    assert loo_pair(3) is not loo_pair(3, pairing="direct")
+    for obs in (pauli_loo_pair(), loo_pair(2, 3), su_pair(3)):  # so sharing is safe
+        for arr in (obs.stack_a, obs.stack_b, obs.rows_a, obs.rows_b):
+            assert not arr.flags.writeable
+    # the pairing is checked before the cache, so an unhashable one reads as before
+    for builder in (loo_pair, su_pair):
+        with pytest.raises(ParameterRangeError,
+                           match=r"^pairing must be 'conjugate' or 'direct', got \['x'\]$"):
+            builder(2, pairing=["x"])
+    with pytest.raises(ParameterRangeError, match="pairing must be"):
+        observables_from_spec({"builder": "loo_pair", "params": {"pairing": ["x"]}},
+                              dims=(2, 2))
+
+
 def test_operator_schmidt_singlet():
     coeffs, ops_a, ops_b = operator_schmidt(singlet())
     np.testing.assert_allclose(coeffs, [0.5, 0.5, 0.5, 0.5], atol=1e-12)

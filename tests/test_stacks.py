@@ -13,9 +13,11 @@ from tlurkit import (
     operator_schmidt, pauli_loo_pair, schmidt_loo_pair, su_pair, sweep,
 )
 from tlurkit.criteria import _moments
-from tlurkit.errors import DimensionMismatchError, ValidationError
+from tlurkit.errors import DimensionMismatchError, ParameterRangeError, ValidationError
 from tlurkit.linops import DensityStack
-from tlurkit.states import FAMILIES, StateFamily, random_mixed_state
+from tlurkit.states import FAMILIES, StateFamily, random_mixed_state, random_separable
+
+SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]
 SET_CRITERIA = {"lur": eval_lur, "tlur": eval_tlur, "tlur_dual": eval_tlur_dual,
@@ -160,14 +162,101 @@ def test_stack_validation_names_the_first_offending_state():
 
 
 def test_sweep_names_the_point_a_stack_check_rejects(monkeypatch):
-    def matrix(p):  # a trace of 2 at p = 0.5 only
-        return np.eye(4) / 4 * (2.0 if p == 0.5 else 1.0)
+    def matrix(p):  # a column of p in, a stack out: a trace of 2 at p = 0.5 only
+        return np.where(p == 0.5, 2.0, 1.0)[:, None, None] * np.eye(4) / 4
 
     family = StateFamily("trace_test", (2, 2), {"p": (0.0, 1.0)}, matrix)
     monkeypatch.setitem(FAMILIES, "trace_test", family)
     with pytest.raises(ValidationError) as err:
         sweep("trace_test", [GridAxis("p", 0.0, 1.0, 0.25)], ["ppt"])
     assert "point {'p': 0.5}" in str(err.value)
+
+
+RANGE_ENDS = [{"seed": s, "n_terms": n} for s, n in
+              ((0, 1), (2 ** 31, 1024), (7, 3), (7.0, 3.0), (11, 4))]
+# points of every registered family, the ends of each declared range among them
+# (horodecki's a lies in the open interval, so it takes the floats next to 0 and 1)
+FAMILY_POINTS = {
+    "horodecki": [{"a": a} for a in (5e-324, 1e-9, 0.05, 0.3, 0.5, 0.95,
+                                     np.nextafter(1.0, 0.0))],
+    "horodecki_noise": [{"a": a, "p": p} for a in (1e-9, 0.05, 0.5, 0.95)
+                        for p in (0, 0.0, 0.01, 0.37, 0.99, 1, 1.0)],
+    "noisy_singlet": [{"p": p} for p in (0, 0.0, 1e-300, 0.221, 0.25, 0.5, 1, 1.0)],
+    "random_separable": [dict(p, dim_a=2, dim_b=2) for p in RANGE_ENDS],
+    "random_separable 3x2": [dict(p, dim_a=3.0, dim_b=2) for p in RANGE_ENDS],
+}
+
+
+def _one_point_reference(family, a=None, p=None, dim_a=None, dim_b=None, n_terms=None,
+                         seed=None):
+    """The matrix of one point, built with Python floats one state at a time."""
+    if family == "random_separable":
+        return random_separable((dim_a, dim_b), int(n_terms), int(seed)).matrix
+    if family == "noisy_singlet":
+        sep = np.diag([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
+        return p * np.outer(SINGLET_KET, SINGLET_KET) + (1.0 - p) * sep
+    pi = np.zeros(9)
+    pi[6], pi[8] = np.sqrt((1 + a) / 2), np.sqrt((1 - a) / 2)
+    emax = np.zeros(9)
+    emax[[0, 4, 8]] = 1.0 / np.sqrt(3)
+    rho = (a * np.diag([0.0, 1, 1, 1, 0, 1, 0, 1, 0]) + 3 * a * np.outer(emax, emax)
+           + np.outer(pi, pi)) / (1 + 8 * a)
+    return rho if p is None else p * rho + (1.0 - p) * np.eye(9) / 9
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_POINTS))
+def test_a_family_stack_is_its_states_one_at_a_time_bit_for_bit(case):
+    assert {c.split()[0] for c in FAMILY_POINTS} == set(FAMILIES)  # every family is covered
+    name = case.split()[0]
+    fam, points = FAMILIES[name], FAMILY_POINTS[case]
+    stack = fam.stack(points)
+    assert stack.dims == fam.instantiate(**points[0]).dims
+    assert np.array_equal(stack.states,
+                          np.array([fam.instantiate(**p).matrix for p in points]))
+    assert np.array_equal(stack.states,
+                          np.array([_one_point_reference(name, **p) for p in points]))
+    # the one-point stack is instantiate's state
+    assert np.array_equal(fam.stack(points[-1:]).states[0], fam.instantiate(**points[-1]).matrix)
+
+
+GOOD = {"a": 0.5, "p": 0.5}
+# (family, points, k): point k is the first bad point; later points fail other checks
+BAD_STACKS = [
+    ("horodecki_noise", [GOOD] * 3 + [{"a": 1.0, "p": 0.3}, {"a": 0.5, "p": 2.0}], 3),
+    ("horodecki_noise", [GOOD, {"a": 0.5, "p": 1.5}, {"a": 0, "p": 0.2}], 1),
+    ("horodecki_noise", [GOOD, {"a": 0, "p": 0.5}, {"a": 0.5, "p": 1.5}], 1),
+    ("horodecki_noise", [GOOD, GOOD, {"a": 0.5, "p": "0.5"}, {"a": 2, "p": 0.5}], 2),
+    ("horodecki_noise", [GOOD, {"a": 0.5, "p": True}, {"p": 0.5}], 1),
+    ("horodecki_noise", [GOOD, {"p": 0.5}, {"a": 0.5, "p": 0.5, "q": 1}], 1),
+    ("horodecki_noise", [GOOD, {"a": 0.5, "p": 0.5, "q": 1}, {"a": 1.0, "p": 0.5}], 1),
+    ("horodecki_noise", [GOOD, {"a": float("nan"), "p": 0.5}, {"a": 0.5, "p": 7}], 1),
+    ("horodecki", [{"a": 0.2}, {"a": 0.4}, {"a": 1}, {"a": 0.5}], 2),
+    ("noisy_singlet", [{"p": 0.1}, {"p": -1}, {"p": None}], 1),
+    ("random_separable", [{"seed": 1}, {"seed": 10 ** 400}, {"n_terms": 2.5}], 1),
+    ("random_separable", [{"seed": 1}, {"n_terms": 2.5}, {"dim_a": 40}], 1),
+    ("random_separable", [{"seed": 1}, {"seed": 2}, {"dim_a": 2.0, "seed": 0.5}], 2),
+]
+
+
+@pytest.mark.parametrize("family,points,k", BAD_STACKS)
+def test_a_bad_point_raises_what_instantiate_raises_on_it(family, points, k):
+    fam = FAMILIES[family]
+    with pytest.raises(ParameterRangeError) as one:
+        fam.instantiate(**points[k])
+    with pytest.raises(type(one.value)) as err:
+        fam.stack(points)
+    assert str(err.value) == str(one.value)  # no "state k: " prefix, the value as given
+    assert err.value.state == k
+
+
+def test_a_point_of_another_bipartition_is_named():
+    fam = FAMILIES["random_separable"]
+    with pytest.raises(DimensionMismatchError) as err:
+        fam.stack([{"seed": 1}, {"seed": 2}, {"dim_a": 3}, {"dim_a": 2.5}])
+    assert str(err.value) == "a stack holds one bipartition: (3, 2) vs (2, 2)"
+    assert err.value.state == 2
+    with pytest.raises(DimensionMismatchError):
+        fam.stack([])
 
 
 def test_sweep_stacks_each_bipartition_apart():
