@@ -62,8 +62,11 @@ def _read_spec(inline: str | None, path: str | None, what: str):
     if inline and path:
         raise UsageError(f"give --{what} or --{what}-file, not both")
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            inline = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                inline = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SpecParseError(f"not UTF-8 text: {exc}", field=f"--{what}-file") from exc
     if inline is None:
         return None
     text = inline.strip()

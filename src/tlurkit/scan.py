@@ -12,8 +12,8 @@ batched SVD, and each criterion runs once on the stack.  A stack whose
 arrays would pass 32 MiB (many states of d_A, d_B >= 6) is split into
 several, so memory stays bounded.  Any other observable spec is built once
 per bipartition and reused.  A bisection runs on the same path: one stack
-for its 16 spot checks, the endpoints among them, then one for each three
-levels of bisection midpoints.
+for its 16 spot checks, the endpoints among them, and the midpoints of the
+first five bisection levels, then one for each five further levels.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def _evaluate_points(plan: Plan, family: str, points: list[dict],
     names the failing point, or the stack when no one state failed."""
     fam = FAMILIES[family]
     try:
-        return plan.evaluate(fam.stack([{**fixed_params, **p} for p in points]))
+        return plan.evaluate(fam.stack(points, fixed_params))
     except TlurkitError as exc:
         where = (f"point {points[exc.state]}" if exc.state is not None
                  else f"{len(points)}-point stack")
@@ -333,23 +333,26 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
 
 
 _BISECT_SAMPLES = 16
-# bisection levels whose midpoints one stack holds: up to 2**3 - 1 = 7 states
-_BISECT_LEVELS = 3
+# bisection levels one stack holds: up to 2**5 - 1 = 31 midpoints
+_BISECT_LEVELS = 5
 
 
-def _split(a: float, b: float, tol: float) -> float | None:
-    """The bisection midpoint of (a, b); None once the interval is within
-    ``tol`` or no float lies strictly inside it."""
-    mid = 0.5 * (a + b)
-    return mid if b - a > tol and a < mid < b else None
-
-
-def _midpoints(a: float, b: float, tol: float, levels: int) -> list[float]:
-    """The midpoints of the next ``levels`` levels of the bisection of (a, b)."""
-    mid = _split(a, b, tol) if levels else None
-    if mid is None:
-        return []
-    return [mid] + _midpoints(a, mid, tol, levels - 1) + _midpoints(mid, b, tol, levels - 1)
+def _midpoint_tree(a: float, b: float, tol: float) -> dict[int, float]:
+    """The midpoints of the next ``_BISECT_LEVELS`` levels of the bisection of
+    (a, b), built level by level and keyed by node: the halves of node i are
+    nodes 2i + 1 (below its midpoint) and 2i + 2 (above).  A node whose
+    interval is done (within ``tol``, or with no float strictly inside) is
+    absent, and so are the nodes below it."""
+    tree, level = {}, {0: (a, b)}
+    for _ in range(_BISECT_LEVELS):
+        below = {}
+        for i, (x, y) in level.items():
+            mid = 0.5 * (x + y)
+            if y - x > tol and x < mid < y:
+                tree[i] = mid
+                below[2 * i + 1], below[2 * i + 2] = (x, mid), (mid, y)
+        level = below
+    return tree
 
 
 def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: str,
@@ -363,10 +366,11 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     offending sample pair.  The result is within max(``tol``, the float
     spacing at the crossing) of the crossing.
 
-    The samples, the endpoints among them, are one stack; each later stack
-    holds the midpoints of the next three bisection levels, which are then
-    walked in order, so the result is that of bisecting one midpoint at a
-    time.
+    The midpoints of the first five bisection levels depend on no verdict:
+    they ride in one stack with the samples, after them, so that an error
+    names an out-of-range endpoint or sample first.  Each later stack holds
+    the midpoints of the next five levels.  Each tree is walked in order, so
+    the result is that of bisecting one midpoint at a time.
     """
     if not (np.isfinite([lo, hi]).all() and hi > lo):
         raise ParameterRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
@@ -381,31 +385,42 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
                                     fixed_params)
         return verdict
 
-    samples = np.linspace(lo, hi, _BISECT_SAMPLES)
+    n = _BISECT_SAMPLES
+    samples = np.linspace(lo, hi, n)
+    a, b = float(lo), float(hi)
+    tree = _midpoint_tree(a, b, tol)
     # samples 0 and 15 are lo and hi; they lead the stack, so that an error in
-    # an out-of-range endpoint names that endpoint
-    first = probe([lo, hi, *samples[1:-1]]).summaries()
-    spots = [first[0], *first[2:], first[1]]
-    (v_lo, m_lo), (v_hi, m_hi) = ((s["detected"], s["margin"]) for s in first[:2])
+    # an out-of-range endpoint names that endpoint, and the first tree follows
+    # the samples
+    first = probe([lo, hi, *samples[1:-1], *tree.values()])
+    detected = first.detected.tolist()
+    margin = first.margin[:n].tolist()  # the tree's margins are never read
+    spots = [(detected[k], margin[k]) for k in (0, *range(2, n), 1)]
+    (v_lo, m_lo), (v_hi, m_hi) = spots[0], spots[-1]
     if v_lo == v_hi:
         raise NoCrossingError(
             f"criterion '{criterion}' gives the same verdict (detected={v_lo}) "
             f"at {param}={lo} (margin {m_lo}) and {param}={hi} (margin {m_hi})")
 
-    crossings = [i for i in range(len(samples) - 1)
-                 if spots[i]["detected"] != spots[i + 1]["detected"]]
+    crossings = [i for i in range(n - 1) if spots[i][0] != spots[i + 1][0]]
     if len(crossings) != 1:
         i = crossings[1] if len(crossings) > 1 else 0
         raise NonMonotonicMarginError(
             f"verdict crosses {len(crossings)} times at 16 samples; offending pair "
-            f"{param}={samples[i]} (margin {spots[i]['margin']}) and "
-            f"{param}={samples[i + 1]} (margin {spots[i + 1]['margin']})")
+            f"{param}={samples[i]} (margin {spots[i][1]}) and "
+            f"{param}={samples[i + 1]} (margin {spots[i + 1][1]})")
 
-    a, b = float(lo), float(hi)
-    while mids := _midpoints(a, b, tol, _BISECT_LEVELS):
-        as_lo = dict(zip(mids, (probe(mids).detected == v_lo).tolist()))
-        # the walk meets the tree's midpoints in order; the first one past its
-        # levels lies inside a leaf interval, which holds none of them
-        while (mid := _split(a, b, tol)) in as_lo:
-            a, b = (mid, b) if as_lo[mid] else (a, mid)
+    detected = detected[n:]
+    while tree:
+        verdicts = dict(zip(tree, detected))
+        # the walk meets the tree's nodes in order; it leaves the tree below its
+        # last level or at a node whose interval is done
+        i = 0
+        while i in tree:
+            if verdicts[i] == v_lo:
+                a, i = tree[i], 2 * i + 2
+            else:
+                b, i = tree[i], 2 * i + 1
+        if tree := _midpoint_tree(a, b, tol):
+            detected = probe(tree.values()).detected.tolist()
     return 0.5 * (a + b)

@@ -191,19 +191,25 @@ class StateFamily:
                 raise ParameterRangeError(
                     f"{name} must be an integer for family '{self.name}', got {value}")
 
-    def _columns(self, merged: list[dict]) -> dict[str, np.ndarray] | None:
-        """The points (over the defaults) as one float column per parameter,
-        or None if any point fails a check of ``check_params``, misses a
-        parameter, or has dimensions other than the first point's."""
-        if not all(m.keys() == self.params.keys() and all(map(is_number, m.values()))
-                   for m in merged):
+    def _columns(self, points: list[dict], fixed: dict) -> dict[str, np.ndarray] | None:
+        """The points, over ``fixed`` and the defaults, as one float column per
+        parameter, or None if any point fails a check of ``check_params``,
+        misses a parameter, or has dimensions other than the first point's.
+        No merged dict is built per point, and each column's values are
+        checked by their types."""
+        base = {**self.defaults, **fixed}
+        if not base.keys() | set().union(*points) <= self.params.keys():
             return None
-        try:
-            cols = {name: np.array([m[name] for m in merged], dtype=float) for name in self.params}
-        except OverflowError:  # an int past the float range
-            return None
+        cols = {}
         for name, (lo, hi) in self.params.items():
-            col = cols[name]
+            default = base.get(name)  # None, not a number, where a point misses it
+            values = [p.get(name, default) for p in points]
+            if not all(map(_number_type, set(map(type, values)))):
+                return None
+            try:
+                col = cols[name] = np.array(values, dtype=float)
+            except OverflowError:  # an int past the float range
+                return None
             bad = ~((lo <= col) & (col <= hi))
             if isinstance(lo, int) and isinstance(hi, int):
                 bad |= col != np.floor(col)
@@ -213,14 +219,14 @@ class StateFamily:
                 return None
         return cols
 
-    def _raise_first_failure(self, points: list[dict]) -> None:
+    def _raise_first_failure(self, points: list[dict], fixed: dict) -> None:
         """Raise the error of the first point that fails its own checks (those
         of ``check_params``, a full set of parameters, the first point's
         dimensions, and ``matrix``'s), naming it in ``error.state``."""
         dims = None
         for k, params in enumerate(points):
             try:
-                merged = {**self.defaults, **params}
+                merged = {**self.defaults, **fixed, **params}
                 self.check_params(merged)
                 missing = self.params.keys() - merged.keys()
                 if missing:
@@ -235,29 +241,37 @@ class StateFamily:
                 exc.state = k
                 raise
 
-    def stack(self, points: list[dict]) -> DensityStack:
-        """The states at ``points`` (parameter dicts, all of one bipartition),
-        built from parameter columns and validated in one pass.  A failure
-        names the offending point's index in ``error.state``, with the
-        message that point's own checks give: the first failing point, in
-        point order, and its first failing check."""
+    def _matrices(self, points: list[dict], fixed: dict) -> tuple[tuple[int, int], np.ndarray]:
+        """The bipartition and the unvalidated (N, d, d) matrices of ``points``
+        over ``fixed``: the column checks and one ``matrix`` call, or the error
+        of the first failing point."""
         if not points:
             raise DimensionMismatchError("a stack needs at least one point")
-        merged = [{**self.defaults, **p} for p in points]
-        cols = self._columns(merged)
+        cols = self._columns(points, fixed)
         try:
             if cols is None:
                 raise ParameterRangeError("a point of the stack fails its checks")
             matrices = self.matrix(**cols)
         except TlurkitError:
-            self._raise_first_failure(points)
+            self._raise_first_failure(points, fixed)
             raise
-        return DensityStack(*self.dims_for(merged[0]), matrices)
+        return self.dims_for({**fixed, **points[0]}), matrices
+
+    def stack(self, points: list[dict], fixed: dict | None = None) -> DensityStack:
+        """The states at ``points`` (parameter dicts over the shared ``fixed``
+        ones, all of one bipartition), built from parameter columns and
+        validated in one pass.  A failure names the offending point's index
+        in ``error.state``, with the message that point's own checks give:
+        the first failing point, in point order, and its first failing
+        check."""
+        dims, matrices = self._matrices(points, fixed or {})
+        return DensityStack(*dims, matrices)
 
     def instantiate(self, **params) -> DensityMatrix:
-        """The state at one point: the one-point case of ``stack``."""
-        one = self.stack([params])
-        return DensityMatrix(one.dim_a, one.dim_b, one.states[0])
+        """The state at one point: the one-point case of ``stack``, through
+        the same checks and builder, validated once."""
+        dims, matrices = self._matrices([params], {})
+        return DensityMatrix(*dims, matrices[0])
 
     def dims_for(self, params: dict | None = None) -> tuple[int, int]:
         """Local dimensions: ``dim_a``/``dim_b`` when the family takes them."""
@@ -308,10 +322,14 @@ _register(StateFamily(
 _REAL = (int, float, np.integer, np.floating)
 
 
+def _number_type(kind: type) -> bool:
+    return issubclass(kind, _REAL) and not issubclass(kind, bool)
+
+
 def is_number(value) -> bool:
     """The one rule for a number in a spec: an int or a float, numpy integer
     and floating scalars too, never a bool (an int subclass) or a string."""
-    return isinstance(value, _REAL) and not isinstance(value, bool)
+    return _number_type(type(value))
 
 
 def spec_number(value, where: str) -> float:

@@ -162,7 +162,9 @@ def test_sweep_cli_deterministic_across_runs(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_invalid_inputs_exit_2(capsys):
+def test_invalid_inputs_exit_2(capsys, tmp_path):
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b'{"tmsv": 1\xff}')
     cases = [
         ("evaluate", "--criterion", "tlur"),  # missing state
         ("evaluate", "--state", "{not json", "--criterion", "tlur"),
@@ -264,6 +266,11 @@ def test_invalid_inputs_exit_2(capsys):
          '{"dims":[1,2],"matrix":[[0.5,true],[0,0.5]]}'): "matrix[0][1]",
         ("evaluate", "--criterion", "ppt", "--state",
          '{"dims":[1,2],"matrix":[[["0.5","0"],0],[0,0.5]]}'): "matrix[0][0]",
+        # a spec file that is not UTF-8 names its flag
+        ("cv-evaluate", "--criterion", "duan", "--state-file", str(not_utf8)): "--state-file",
+        ("evaluate", "--criterion", "lur", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--obs-file", str(not_utf8)): "--obs-file",
     }
     named = {  # a family parameter that is not a number names the parameter
         ("evaluate", "--state", '{"family":"noisy_singlet","params":{"p":true}}',

@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlurkit import bisect_threshold, sweep
 from tlurkit.errors import (
@@ -202,6 +203,20 @@ def test_bisect_equals_the_sequential_bisection(criterion, lo, hi, tol):
         assert bisect_threshold("noisy_singlet", "p", lo, hi, criterion, tol=tol) == expected
 
 
+@settings(max_examples=60)
+@given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True).map(sorted),
+       st.floats(1e-12, 0.3), st.sampled_from(["nonlinear_witness", "corollary1", "ppt"]))
+def test_bisect_on_any_subinterval_equals_the_sequential_bisection(ends, tol, criterion):
+    # a tol that leaves the interval mid-tree cuts a tree short inside its stack
+    lo, hi = ends
+    expected = oracle_bisect("noisy_singlet", "p", lo, hi, criterion, tol)
+    if expected is None:
+        with pytest.raises(NoCrossingError):
+            bisect_threshold("noisy_singlet", "p", lo, hi, criterion, tol=tol)
+    else:
+        assert bisect_threshold("noisy_singlet", "p", lo, hi, criterion, tol=tol) == expected
+
+
 def test_bisect_equals_the_sequential_bisection_on_schmidt_sets():
     fixed = {"a": 0.5}
     got = bisect_threshold("horodecki_noise", "p", 0.0, 1.0, "tlur", fixed_params=fixed)
@@ -230,16 +245,17 @@ def _count_builds(monkeypatch, limit=None):
     return counts
 
 
-def test_bisect_builds_six_stacks_and_no_single_state(monkeypatch):
-    # one stack for the 16 samples, the endpoints among them, then 14 levels
-    # three at a time: 16 + 7 + 7 + 7 + 7 + 3 states, none evaluated twice
+def test_bisect_builds_three_stacks_and_no_single_state(monkeypatch):
+    # one stack for the 16 samples, the endpoints among them, and the first five
+    # levels, then the other 9 of the 14 levels five at a time:
+    # 16 + 31 + 31 + 15 states, none evaluated twice
     counts = _count_builds(monkeypatch)
     bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
-    assert counts == {"stack": 6, "instantiate": 0, "states": 47}
+    assert counts == {"stack": 3, "instantiate": 0, "states": 93}
 
 
 def test_bisect_below_the_float_spacing_stops(monkeypatch):
-    _count_builds(monkeypatch, limit=30)  # it takes 20 stacks
+    _count_builds(monkeypatch, limit=30)  # it takes 11 stacks
     t = bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-300)
     # the bracket is one float wide: its two sides straddle the flip
     below, above = (evaluate_criterion("corollary1", noisy_singlet(x)).detected
@@ -251,7 +267,7 @@ def test_a_failing_probe_names_its_point_or_stack():
     with pytest.raises(ParameterRangeError, match=r"\(at noisy_singlet point \{'p': 1.5\}\)"):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.5, "ppt")
     # su_pair is not an LOO pair: the whole first stack fails, no one state
-    with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 16-point stack\)"):
+    with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 47-point stack\)"):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", obs_spec="su_pair")
 
 

@@ -12,6 +12,7 @@ from tlurkit import (
     eval_nonlinear_witness, eval_ppt, eval_tlur, eval_tlur_dual, loo_pair,
     operator_schmidt, pauli_loo_pair, schmidt_loo_pair, su_pair, sweep,
 )
+from tlurkit import linops
 from tlurkit.criteria import _moments
 from tlurkit.errors import DimensionMismatchError, ParameterRangeError, ValidationError
 from tlurkit.linops import DensityStack
@@ -217,6 +218,35 @@ def test_a_family_stack_is_its_states_one_at_a_time_bit_for_bit(case):
                           np.array([_one_point_reference(name, **p) for p in points]))
     # the one-point stack is instantiate's state
     assert np.array_equal(fam.stack(points[-1:]).states[0], fam.instantiate(**points[-1]).matrix)
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_POINTS))
+def test_instantiate_validates_its_state_once(case, monkeypatch):
+    calls, validated = [], linops._validated_states
+
+    def counted(*args):
+        calls.append(args[-1])
+        return validated(*args)
+
+    monkeypatch.setattr(linops, "_validated_states", counted)
+    fam = FAMILIES[case.split()[0]]
+    for k, point in enumerate(FAMILY_POINTS[case], 1):
+        fam.instantiate(**point)
+        assert calls == [2] * k  # one DensityMatrix check a state
+
+
+def test_fixed_params_are_shared_by_every_point():
+    fam = FAMILIES["horodecki_noise"]
+    points = [{"p": p} for p in (0.0, 0.3, 1.0)] + [{"a": 0.2, "p": 0.5}]
+    assert np.array_equal(fam.stack(points, {"a": 0.5}).states,
+                          fam.stack([{"a": 0.5, **p} for p in points]).states)
+    # a bad point or a bad fixed value fails as the merged point would
+    for bad, fixed, k in (({"p": 1.5}, {"a": 0.5}, 4), ({"p": 0.5}, {"a": 2.0}, 0)):
+        with pytest.raises(ParameterRangeError) as one:
+            fam.instantiate(**{**fixed, **(points + [bad])[k]})
+        with pytest.raises(ParameterRangeError) as err:
+            fam.stack(points + [bad], fixed)
+        assert str(err.value) == str(one.value) and err.value.state == k
 
 
 GOOD = {"a": 0.5, "p": 0.5}
