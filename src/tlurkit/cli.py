@@ -238,6 +238,7 @@ def _cmd_list_states(args) -> str:
         "family": fam.name,
         "dims": list(fam.dims),
         "params": {k: list(v) for k, v in fam.params.items()},
+        "open": sorted(fam.open_params),
         "defaults": fam.defaults,
         "description": fam.description,
     } for fam in FAMILIES.values()]

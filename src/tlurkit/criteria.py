@@ -22,7 +22,10 @@ margin is the amount of violation (positive means entanglement detected):
 Every set criterion reads one moment kernel, ``_moments``: from one reshape
 of the states it returns the per-k moments <A_k>, <B_k>, <A_k^2>, <B_k^2>
 and <A_k (x) B_k> of the operator stacks that observable sets carry.  Each
-variance is clipped at zero before it is summed.
+variance is clipped at zero before it is summed.  Inside a
+``shared_moments()`` block (``scan.Plan.evaluate`` opens one per call) the
+kernel runs once per pair of states and set, and every criterion on that
+pair reads the same read-only moments.
 
 Every evaluator takes a ``DensityMatrix`` and returns its
 ``CriterionReport``, or a ``DensityStack`` of N states and returns
@@ -36,6 +39,9 @@ error (the supplied bound cannot be a true bound).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -76,7 +82,36 @@ def _check_dims(rho, obs: LocalObservableSet):
             f"{len(obs.stack_a)} observable sets for states of shape {rho.states.shape}")
 
 
+# (id(rho), id(obs)) -> (rho, obs, moments) inside a ``shared_moments`` block;
+# a context variable, so threads and nested blocks each see their own
+_SHARED: ContextVar[dict | None] = ContextVar("shared_moments", default=None)
+
+
+@contextmanager
+def shared_moments():
+    """Within the block, ``_moments`` runs the kernel once per pair of states
+    and set: the criteria evaluated on the same ``rho`` and ``obs`` read the
+    same read-only moments.  Nothing is kept once the block exits."""
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _moments(rho, obs: LocalObservableSet):
+    """``_moment_kernel(rho, obs)``, computed once per block of
+    ``shared_moments`` and pair (``rho``, ``obs``)."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _moment_kernel(rho, obs)
+    key = (id(rho), id(obs))
+    if key not in shared:  # held with the moments, rho and obs keep their ids
+        shared[key] = (rho, obs, _moment_kernel(rho, obs))
+    return shared[key][2]
+
+
+def _moment_kernel(rho, obs: LocalObservableSet):
     """Per-k moments of the set's operator stacks on each state of ``rho``.
 
     Returns ``first`` and ``second``, (..., 3, n): <X_k> and <X_k^2> for X_k
@@ -105,6 +140,8 @@ def _moments(rho, obs: LocalObservableSet):
     out[..., 1, :] = (obs.rows_b @ x[..., -1, :, None])[..., :-1, 0].real
     np.add(out[..., 0, :], out[..., 1, :], out=out[..., 2, :])
     out[..., 2, n:] += 2.0 * cross
+    out.setflags(write=False)
+    cross.setflags(write=False)
     return out[..., :n], out[..., n:], cross
 
 

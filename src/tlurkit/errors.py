@@ -47,7 +47,8 @@ class InvalidBoundError(TlurkitError):
 
 
 class DegenerateDecompositionError(TlurkitError):
-    """Operator Schmidt factors could not be made Hermitian."""
+    """A state's operator Schmidt coefficient matrix is not real, so its
+    factors could not be made Hermitian."""
 
 
 class NumericalFailureError(TlurkitError):

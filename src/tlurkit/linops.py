@@ -72,21 +72,30 @@ def as_stack(ops) -> np.ndarray:
 
 
 def hermiticity_residual(s: np.ndarray) -> np.ndarray:
-    """max |s - s^dagger| of each matrix of a stack (a scalar for one matrix)."""
-    diff = s.conj()
+    """|s - s^dagger| entry by entry, of a matrix or a stack, as a new array."""
+    diff = np.conjugate(s)  # a new array also for a real s, whose s.conj() is s itself
     np.subtract(diff, s.swapaxes(-1, -2), out=diff)  # conj(s - s^dagger)
-    return np.abs(diff).max(axis=(-2, -1))
+    return np.abs(diff)
+
+
+def non_hermitian(s: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack (a 0-d array for one matrix) fails
+    ``HermitianOperator``'s tolerance: max |s - s^dagger| above 1e-10 times
+    max(its max-norm, 1).  That scale is at least 1, so a stack with no
+    residual entry above 1e-10 passes without the per-matrix norms."""
+    resid = hermiticity_residual(s)
+    if not (resid > HERMITICITY_RTOL).any():
+        return np.zeros(s.shape[:-2], dtype=bool)
+    scale = np.maximum(np.abs(s).max(axis=(-2, -1)), 1.0)
+    return resid.max(axis=(-2, -1)) > HERMITICITY_RTOL * scale
 
 
 def check_hermitian(s: np.ndarray) -> None:
     """Validate every operator of a stack in one pass, each with
-    ``HermitianOperator``'s own tolerance: residual at most 1e-10 times
-    max(its max-norm, 1)."""
+    ``HermitianOperator``'s own tolerance (``non_hermitian``)."""
     if not np.isfinite(s).all():
         raise ValidationError("operator has non-finite entries")
-    scale = np.maximum(np.abs(s).max(axis=(-2, -1)), 1.0)
-    resid = hermiticity_residual(s)
-    if (resid > HERMITICITY_RTOL * scale).any():
+    if non_hermitian(s).any():
         raise ValidationError("operator is not Hermitian within tolerance")
 
 
@@ -101,8 +110,20 @@ def hermitian_stack(ops) -> np.ndarray:
 def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
     """``m`` checked as density matrices in one pass, each with the same
     tolerances: one (d, d) matrix for ``ndim`` 2, a stack (N, d, d) for 3.
-    Returns a read-only complex copy."""
-    m = np.array(m, dtype=complex)
+    Returns a read-only complex copy.
+
+    A float64 input (the real families build real states) is checked in its
+    own real arithmetic: the residuals and norms equal those of its complex
+    copy, the trace is summed as in that copy (so a failed check prints it as
+    before, a complex number), and ``eigvalsh`` runs on the real symmetric
+    matrices.  It is copied to complex once it has passed.  Any other input
+    is copied to complex first and checked there, so a complex one is copied
+    once.
+    """
+    m = np.asarray(m)
+    real = m.dtype == np.float64
+    if not real:
+        m = np.array(m, dtype=complex)
     d = dim_a * dim_b
     if dim_a < 1 or dim_b < 1:
         raise DimensionMismatchError("local dimensions must be positive")
@@ -113,9 +134,8 @@ def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
     if not np.isfinite(m).all():
         raise_first(~np.isfinite(m).all(axis=(-2, -1)), ValidationError,
                     lambda k: "density matrix has non-finite entries")
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
-    bad_h = hermiticity_residual(m) > HERMITICITY_RTOL * scale
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad_h = non_hermitian(m)
+    tr = np.trace(m, axis1=-2, axis2=-1, dtype=complex)  # summed as in the complex copy
     bad_t = np.abs(tr - 1.0) > TRACE_ATOL
     w = min_eigenvalues(m)
     bad_w = w < -EIGENVALUE_CLIP
@@ -127,6 +147,8 @@ def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
         raise_first(bad_w, ValidationError,
                     lambda k: f"minimum eigenvalue {w.reshape(-1)[k]:.3e} below "
                               f"-{EIGENVALUE_CLIP}")
+    if real:
+        m = m.astype(complex)
     m.setflags(write=False)
     return m
 

@@ -58,7 +58,6 @@ from .linops import (
     as_stack,
     check_hermitian,
     hermitian_stack,
-    hermiticity_residual,
     realign,
 )
 from .states import parse_complex_matrix, random_pure_state, spec_integer, spec_number
@@ -330,7 +329,12 @@ def operator_schmidt(rho):
     where a Hermitian state has a real coefficient matrix; its real SVD then
     yields nonnegative coefficients with orthonormal *Hermitian* factors on
     both sides (real orthogonal mixes of Hermitian operators stay Hermitian),
-    and the full SVD factors already complete both LOO bases.
+    and the full SVD factors already complete both LOO bases.  The one check
+    here is that the coefficient matrix is real: an imaginary part above
+    1e-8 raises ``DegenerateDecompositionError``.  The factors are not
+    checked again; a ``LocalObservableSet`` built from them checks each
+    one's Hermiticity to 1e-10 times max(its max-norm, 1), and their norms
+    are at most 1.
 
     Returns ``(coeffs, ops_a, ops_b)`` with coeffs descending of length
     min(d_a^2, d_b^2) and the complete bases as (d_a^2, d_a, d_a) and
@@ -339,20 +343,21 @@ def operator_schmidt(rho):
     """
     da, db = rho.dim_a, rho.dim_b
     wa, wb = _loo_vec_matrix(da), _loo_vec_matrix(db)
-    coeff = wa.conj().T @ realign(rho.states, (da, db)) @ wb.conj()
+    left = wa.conj().T @ realign(rho.states, (da, db))
+    # the right factor is shared: one product over the rows of all N matrices
+    coeff = (left.reshape(-1, db * db) @ wb.conj()).reshape(left.shape)
     lead = coeff.shape[:-2]
-    imag = np.abs(coeff.imag).max(axis=(-2, -1))
-    o1, s, o2t = np.linalg.svd(coeff.real)
-    ops_a = (wa @ o1).swapaxes(-1, -2).reshape(lead + (da * da, da, da))
-    ops_b = (wb @ o2t.swapaxes(-1, -2)).swapaxes(-1, -2).reshape(lead + (db * db, db, db))
-    resid = np.maximum(*(hermiticity_residual(m).max(axis=-1) for m in (ops_a, ops_b)))
-    if ((imag > SYMMETRIZATION_ATOL) | (resid > SYMMETRIZATION_ATOL)).any():
+    imag = np.abs(coeff.imag)
+    if (imag > SYMMETRIZATION_ATOL).any():
+        imag = imag.max(axis=(-2, -1))
         raise_first(imag > SYMMETRIZATION_ATOL, DegenerateDecompositionError,
                     lambda k: f"coefficient matrix has imaginary residual "
                               f"{imag.reshape(-1)[k]:.2e}")
-        raise_first(resid > SYMMETRIZATION_ATOL, DegenerateDecompositionError,
-                    lambda k: f"Schmidt factors are non-Hermitian with residual "
-                              f"{resid.reshape(-1)[k]:.2e}")
+    o1, s, o2t = np.linalg.svd(coeff.real)
+    # column k of each product is vec G_k; the factors are views of it, with
+    # no copy before the set copies them into its rows
+    ops_a = np.moveaxis((wa @ o1).reshape(lead + (da, da, da * da)), -1, -3)
+    ops_b = np.moveaxis((wb @ o2t.swapaxes(-1, -2)).reshape(lead + (db, db, db * db)), -1, -3)
     return s, ops_a, ops_b
 
 

@@ -8,7 +8,8 @@ Sweeps, bisections and ``evaluate_criterion`` resolve their inputs in one
 sweep evaluates its grid as one batch: the states of one bipartition are
 built as one ``DensityStack`` and validated in one pass, state-adapted
 observables (the Schmidt builder) are built for the whole stack by one
-batched SVD, and each criterion runs once on the stack.  A stack whose
+batched SVD, and each criterion runs once on the stack, the set criteria
+reading one moment-kernel call between them.  A stack whose
 arrays would pass 32 MiB (many states of d_A, d_B >= 6) is split into
 several, so memory stays bounded.  Any other observable spec is built once
 per bipartition and reused.  A bisection runs on the same path: one stack
@@ -137,9 +138,12 @@ class Plan:
         return spec
 
     def evaluate(self, rho) -> list:
-        """Each criterion's ``CriterionReport`` on a state, or ``Verdicts`` on a stack."""
+        """Each criterion's ``CriterionReport`` on a state, or ``Verdicts`` on a
+        stack.  The set criteria share one moment-kernel call on ``rho`` and
+        its set, kept only for this call."""
         obs = self.observables(rho)
-        return [entry.evaluate(rho, obs) for entry in self.entries]
+        with _crit.shared_moments():
+            return [entry.evaluate(rho, obs) for entry in self.entries]
 
     def recorded_spec(self, bipartitions):
         """What a result records under ``obs``: the spec every bipartition
@@ -243,21 +247,31 @@ class ScanResult:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def csv_rows(self):
-        """One row per (grid point, criterion), flat for plotting tools."""
+    def _csv_lines(self):
+        """The one CSV formatter: the header, then one line per (grid point,
+        criterion), each float as its ``repr``.  A cell's family and parameter
+        fields are formatted once, as the prefix of its criteria's lines.  No
+        field holds a comma (names are registered, values are floats), so
+        fields are not quoted."""
         param_names = [ax.name for ax in self.axes] + sorted(self.fixed_params)
-        header = ["family"] + param_names + ["criterion", "lhs", "rhs", "margin", "detected"]
-        yield header
+        yield ",".join(["family", *param_names, "criterion", "lhs", "rhs", "margin",
+                        "detected"])
         for cell in self.cells:
+            params, reports = cell["params"], cell["reports"]
+            prefix = ",".join([self.family, *(repr(float(params[p])) for p in param_names)])
             for name in self.criteria:
-                rep = cell["reports"][name]
-                yield ([self.family]
-                       + [repr(float(cell["params"][p])) for p in param_names]
-                       + [name, repr(rep["lhs"]), repr(rep["rhs"]),
-                          repr(rep["margin"]), str(rep["detected"]).lower()])
+                rep = reports[name]
+                yield (f"{prefix},{name},{rep['lhs']!r},{rep['rhs']!r},{rep['margin']!r},"
+                       f"{'true' if rep['detected'] else 'false'}")
+
+    def csv_rows(self):
+        """One row per (grid point, criterion), flat for plotting tools: the
+        fields of ``to_csv``'s lines."""
+        for line in self._csv_lines():
+            yield line.split(",")
 
     def to_csv(self) -> str:
-        return "".join(",".join(row) + "\n" for row in self.csv_rows())
+        return "\n".join(self._csv_lines()) + "\n"
 
 
 def _family(family: str, fixed_params: dict):
@@ -303,7 +317,8 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
     The points of each bipartition (one, unless an axis changes the
     dimensions) form one stack, split only where its arrays would pass
     32 MiB: each criterion runs once on each stack, with the observable set
-    the plan gives that bipartition.
+    the plan gives that bipartition.  Each parameter is swept by one axis or
+    fixed, never both: ``ParameterRangeError`` names one that is not.
     """
     if not criteria:
         raise ParameterRangeError("need at least one criterion")
@@ -311,15 +326,20 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
         raise ParameterRangeError("need at least one grid axis")
     fixed_params = dict(fixed_params or {})
     fam = _family(family, fixed_params)
+    names = [ax.name for ax in grid]
+    for k, name in enumerate(names):  # a cell reports the values its state is built at
+        if name in fixed_params or name in names[:k]:
+            raise ParameterRangeError(
+                f"parameter '{name}' is swept and also "
+                f"{'fixed' if name in fixed_params else 'swept by another axis'}")
     _grid_size(grid)
     plan = Plan(criteria, obs_spec)
-    names = [ax.name for ax in grid]
     points = [dict(zip(names, combo))
               for combo in itertools.product(*(ax.values() for ax in grid))]
     cells = [{"params": {**p, **fixed_params}, "reports": {}} for p in points]
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(points):
-        groups.setdefault(fam.dims_for({**fixed_params, **p}), []).append(i)
+    for i, cell in enumerate(cells):
+        groups.setdefault(fam.dims_for(cell["params"]), []).append(i)
     size = {dims: _stack_size(dims) for dims in groups}
     stacks = [idx[k:k + size[dims]] for dims, idx in groups.items()
               for k in range(0, len(idx), size[dims])]
@@ -370,7 +390,8 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     they ride in one stack with the samples, after them, so that an error
     names an out-of-range endpoint or sample first.  Each later stack holds
     the midpoints of the next five levels.  Each tree is walked in order, so
-    the result is that of bisecting one midpoint at a time.
+    the result is that of bisecting one midpoint at a time.  ``param`` must
+    not be among ``fixed_params``.
     """
     if not (np.isfinite([lo, hi]).all() and hi > lo):
         raise ParameterRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
@@ -378,6 +399,8 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
         raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
     fixed_params = dict(fixed_params or {})
     _family(family, fixed_params)
+    if param in fixed_params:
+        raise ParameterRangeError(f"parameter '{param}' is bisected and also fixed")
     plan = Plan([criterion], obs_spec)
 
     def probe(xs) -> Verdicts:

@@ -159,18 +159,28 @@ class StateFamily:
     the points of a stack) and returns the (N, d, d) stack of unvalidated
     density matrices; given numbers, it returns the one (d, d) matrix.
     ``stack`` builds and validates the states of many points in one pass, and
-    ``instantiate`` is its one-point case.
+    ``instantiate`` is its one-point case.  ``params`` declares each
+    parameter's range (lo, hi): inclusive, or open at both ends for the
+    parameters named in ``open_params``, as the builder requires.
     """
 
     name: str
     dims: tuple[int, int]
-    params: dict[str, tuple[float, float]]  # name -> inclusive (lo, hi); int bounds: integral
+    params: dict[str, tuple[float, float]]  # name -> (lo, hi); int bounds: integral
     matrix: Callable[..., np.ndarray]
     description: str = ""
     defaults: dict[str, float] = field(default_factory=dict)
+    open_params: frozenset[str] = frozenset()
+
+    def _inside(self, name: str, value):
+        """Whether ``value`` (a number or a column) lies in the declared range."""
+        lo, hi = self.params[name]
+        if name in self.open_params:
+            return (lo < value) & (value < hi)
+        return (lo <= value) & (value <= hi)
 
     def check_params(self, params: dict) -> None:
-        """Reject unknown parameters and values outside the declared inclusive
+        """Reject unknown parameters and values outside the declared
         ranges; a parameter whose declared bounds are both ``int`` must take an
         integral value (``2`` and ``2.0``, not ``2.5``).  A value must be a
         real number: a bool or a string names its parameter in the error.
@@ -183,10 +193,10 @@ class StateFamily:
                 raise ParameterRangeError(
                     f"{name} must be a number for family '{self.name}', got {value!r}")
             lo, hi = self.params[name]
-            if not lo <= value <= hi:
+            if not self._inside(name, value):
+                span = f"({lo}, {hi})" if name in self.open_params else f"[{lo}, {hi}]"
                 raise ParameterRangeError(
-                    f"{name} must lie in [{lo}, {hi}] for family '{self.name}', "
-                    f"got {value}")
+                    f"{name} must lie in {span} for family '{self.name}', got {value}")
             if isinstance(lo, int) and isinstance(hi, int) and value != int(value):
                 raise ParameterRangeError(
                     f"{name} must be an integer for family '{self.name}', got {value}")
@@ -210,7 +220,7 @@ class StateFamily:
                 col = cols[name] = np.array(values, dtype=float)
             except OverflowError:  # an int past the float range
                 return None
-            bad = ~((lo <= col) & (col <= hi))
+            bad = ~self._inside(name, col)
             if isinstance(lo, int) and isinstance(hi, int):
                 bad |= col != np.floor(col)
             if name in ("dim_a", "dim_b"):
@@ -294,6 +304,7 @@ _register(StateFamily(
     params={"a": (0.0, 1.0)},
     matrix=_horodecki33_matrix,
     description="3x3 bound entangled family (PPT, entangled), a in (0,1)",
+    open_params=frozenset({"a"}),
 ))
 _register(StateFamily(
     name="horodecki_noise",
@@ -301,6 +312,7 @@ _register(StateFamily(
     params={"a": (0.0, 1.0), "p": (0.0, 1.0)},
     matrix=lambda a, p: _noise_mixed(_horodecki33_matrix(a), p),
     description="white-noise mixture p*horodecki(a) + (1-p)*I/9",
+    open_params=frozenset({"a"}),
 ))
 _register(StateFamily(
     name="noisy_singlet",

@@ -425,3 +425,26 @@ def test_a_call_after_a_failed_parse_prints_what_a_fresh_process_prints(capsys):
         code, _, _ = run(capsys, *bad)
         assert code == 2
         assert run(capsys, *argv) == (0, fresh.stdout, "")
+
+
+def test_a_swept_or_bisected_parameter_cannot_be_fixed(capsys):
+    fixes = ("--fix", "p=0.3", "--fix", "a=0.5")
+    for argv in (("sweep", "--family", "horodecki_noise", "--axis", "p:0:1:0.5",
+                  "--criteria", "ppt,ccnr", *fixes),
+                 ("scan", "--family", "horodecki_noise", "--param", "p", "--min", "0",
+                  "--max", "1", "--step", "0.5", "--criteria", "ppt", *fixes),
+                 ("bisect", "--family", "horodecki_noise", "--param", "p", "--lo", "0",
+                  "--hi", "1", "--criterion", "ccnr", *fixes)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["type"] == "ParameterRangeError"
+        assert "parameter 'p'" in diagnostic["detail"]
+
+
+def test_list_states_names_the_ranges_open_at_both_ends(capsys):
+    code, out, _ = run(capsys, "list-states")
+    assert code == 0
+    assert {row["family"]: row["open"] for row in json.loads(out)} == {
+        "horodecki": ["a"], "horodecki_noise": ["a"], "noisy_singlet": [],
+        "random_separable": []}

@@ -12,7 +12,8 @@ from tlurkit import (
     partial_transpose, purity, realign, singlet, trace_norm, variance,
 )
 from tlurkit.errors import DimensionMismatchError, ValidationError
-from tlurkit.states import horodecki33, random_separable
+from tlurkit.linops import DensityStack, hermiticity_residual, non_hermitian
+from tlurkit.states import FAMILIES, horodecki33, random_separable
 
 
 def test_partial_trace_singlet_is_maximally_mixed():
@@ -138,3 +139,79 @@ def test_hermitian_operator_validation():
     assert op.dim == 2
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0  # frozen storage
+
+
+def test_hermiticity_residual_leaves_its_input_unchanged():
+    # a real array's ndarray.conj() is the array itself, which must not be
+    # overwritten with s - s^T
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((3, 4, 4))
+    for m in (real, real.astype(complex), real + 1j * rng.standard_normal((3, 4, 4))):
+        before = m.copy()
+        resid = hermiticity_residual(m)
+        assert np.array_equal(m, before)
+        np.testing.assert_array_equal(resid, np.abs(m - m.conj().swapaxes(-1, -2)))
+    assert np.array_equal(hermiticity_residual(real), hermiticity_residual(real.astype(complex)))
+
+
+def test_non_hermitian_flags_each_matrix_against_its_own_scale():
+    # the residual may reach 1e-10 times the max-norm where that norm is above 1
+    sym = np.eye(3)[None].repeat(4, axis=0)
+    sym[1, 0, 1] += 5e-11  # within 1e-10 of scale 1
+    sym[2] *= 1e3
+    sym[2, 0, 1] += 5e-8  # within 1e-10 of scale 1e3, though above 1e-10
+    sym[3, 0, 1] += 2e-10  # above 1e-10 of scale 1
+    for m in (sym, sym.astype(complex)):
+        assert non_hermitian(m).tolist() == [False, False, False, True]
+        assert non_hermitian(m[:3]).tolist() == [False, False, False]
+        assert non_hermitian(m[3]).shape == () and non_hermitian(m[3])
+
+
+def _real_states(n):
+    return FAMILIES["horodecki_noise"].matrix(a=np.linspace(0.05, 0.95, n),
+                                              p=np.linspace(0.0, 1.0, n))
+
+
+def test_a_real_stack_validates_to_the_bytes_of_its_complex_copy():
+    raw = _real_states(11)
+    assert raw.dtype == np.float64
+    before = raw.copy()
+    for real, cplx in ((DensityStack(3, 3, raw), DensityStack(3, 3, raw.astype(complex))),
+                       (DensityMatrix(3, 3, raw[4]), DensityMatrix(3, 3, raw[4].astype(complex)))):
+        for out in (real.states, cplx.states):
+            assert out.dtype == complex and not out.flags.writeable
+        assert real.states.tobytes() == cplx.states.tobytes()
+    assert np.array_equal(raw, before)
+    given = raw.astype(complex)
+    stack = DensityStack(3, 3, given)
+    assert not np.shares_memory(stack.states, given)  # a copy, never the caller's array
+
+
+def _bad_states():
+    good = np.eye(9) / 9
+    nonfinite, nonherm, negeig = good.copy(), good.copy(), good.copy()
+    nonfinite[4, 4] = np.inf
+    nonherm[0, 1] = 0.01
+    negeig[0, 8] = negeig[8, 0] = 0.3
+    # a trace whose digits depend on the order of the sum
+    trace = np.diag(np.random.default_rng(2).uniform(0.05, 0.2, 9))
+    return {"non-finite": nonfinite, "non-Hermitian": nonherm, "trace": trace,
+            "negative eigenvalue": negeig}
+
+
+@pytest.mark.parametrize("case", sorted(_bad_states()))
+def test_a_bad_real_state_fails_as_its_complex_copy(case):
+    bad, good = _bad_states()[case], _real_states(2)
+    seen = {}
+    for dtype in (float, complex):
+        for kind, make in (("matrix", lambda: DensityMatrix(3, 3, bad.astype(dtype))),
+                           ("stack", lambda: DensityStack(
+                               3, 3, np.concatenate([good, bad[None]]).astype(dtype)))):
+            with pytest.raises(ValidationError) as err:
+                make()
+            seen.setdefault(kind, []).append((str(err.value), err.value.state))
+    for kind, (real, cplx) in seen.items():
+        assert real == cplx, kind
+    assert seen["stack"][0][1] == 2
+    if case == "trace":
+        assert "j)" in seen["matrix"][0][0]  # printed as a complex number

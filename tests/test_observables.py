@@ -9,7 +9,7 @@ from tlurkit import (
     su_generators, su_pair, trace_norm, realign, uncertainty_bound,
 )
 from tlurkit.errors import InvalidBoundError, ParameterRangeError, SpecParseError
-from tlurkit.linops import HermitianOperator
+from tlurkit.linops import DensityStack, HermitianOperator
 from tlurkit.observables import BoundProvenance, LocalObservableSet
 from tlurkit.states import (
     horodecki_noise, random_mixed_state, random_pure_state, random_separable,
@@ -411,3 +411,17 @@ def test_schmidt_lur_detects_whatever_ccnr_detects(seed, dims, rank):
     rho = DensityMatrix(da, db, random_mixed_state(da * db, np.random.default_rng(seed), rank))
     if eval_ccnr(rho).detected:
         assert eval_lur(rho, schmidt_loo_pair(rho)).detected
+
+
+def test_schmidt_factors_are_hermitian_well_inside_the_set_check():
+    # operator_schmidt does not check its factors; the set built from them
+    # holds each to 1e-10, and the factors are Hermitian by construction
+    rng = np.random.default_rng(9)
+    for da, db in ((2, 3), (3, 3), (4, 2)):
+        d = da * db
+        g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        m = g @ g.conj().swapaxes(1, 2)
+        rho = DensityStack(da, db, m / np.trace(m, axis1=1, axis2=2)[:, None, None])
+        _, ops_a, ops_b = operator_schmidt(rho)
+        for ops in (ops_a, ops_b):
+            assert np.abs(ops - ops.conj().swapaxes(-1, -2)).max() < 1e-14

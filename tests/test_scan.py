@@ -135,6 +135,46 @@ def test_sweep_csv_schema():
     assert rows[1][-1] in ("true", "false")
 
 
+def _reference_csv(result) -> str:
+    """The CSV of a result, each field formatted on its own with ``repr``."""
+    names = [ax.name for ax in result.axes] + sorted(result.fixed_params)
+    rows = [["family", *names, "criterion", "lhs", "rhs", "margin", "detected"]]
+    for cell in result.cells:
+        for criterion in result.criteria:
+            rep = cell["reports"][criterion]
+            rows.append([result.family] + [repr(float(cell["params"][n])) for n in names]
+                        + [criterion] + [repr(rep[f]) for f in ("lhs", "rhs", "margin")]
+                        + [str(rep["detected"]).lower()])
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("family,grid,names,fixed", [
+    ("horodecki_noise", [GridAxis("a", 0.05, 0.95, 0.45), GridAxis("p", 0.99, 1.0, 0.005)],
+     ["lur", "tlur", "ccnr", "ppt"], None),
+    ("horodecki_noise", [GridAxis("p", 0.0, 1.0, 0.25)], ["tlur", "lemma1", "c_tlur"],
+     {"a": 0.35}),
+    ("random_separable", [GridAxis("seed", 0, 2, 1), GridAxis("dim_b", 2, 3, 1)],
+     ["lur", "corollary1", "ppt"], {"n_terms": 2, "dim_a": 3}),
+])
+def test_sweep_csv_equals_a_field_by_field_formatter(family, grid, names, fixed):
+    result = sweep(family, grid, names, fixed_params=fixed)
+    text = result.to_csv()
+    assert text == _reference_csv(result)
+    assert list(result.csv_rows()) == [line.split(",") for line in text.splitlines()]
+
+
+def test_a_parameter_is_swept_or_fixed_never_both():
+    axis = GridAxis("p", 0.0, 1.0, 0.5)
+    for grid, fixed in (([axis], {"a": 0.5, "p": 0.3}), ([axis, axis], {"a": 0.5})):
+        with pytest.raises(ParameterRangeError) as err:
+            sweep("horodecki_noise", grid, ["ppt"], fixed_params=fixed)
+        assert "parameter 'p'" in str(err.value)
+    with pytest.raises(ParameterRangeError) as err:
+        bisect_threshold("horodecki_noise", "p", 0.0, 1.0, "ccnr",
+                         fixed_params={"a": 0.5, "p": 0.3})
+    assert "parameter 'p'" in str(err.value)
+
+
 def test_sweep_grid_order_row_major():
     grid = [GridAxis("a", 0.2, 0.4, 0.2), GridAxis("p", 0.0, 1.0, 1.0)]
     result = sweep("horodecki_noise", grid, ["ppt"])

@@ -12,10 +12,11 @@ from tlurkit import (
     eval_nonlinear_witness, eval_ppt, eval_tlur, eval_tlur_dual, loo_pair,
     operator_schmidt, pauli_loo_pair, schmidt_loo_pair, su_pair, sweep,
 )
-from tlurkit import linops
-from tlurkit.criteria import _moments
+from tlurkit import criteria, linops
+from tlurkit.criteria import _moments, shared_moments
 from tlurkit.errors import DimensionMismatchError, ParameterRangeError, ValidationError
 from tlurkit.linops import DensityStack
+from tlurkit.scan import Plan
 from tlurkit.states import FAMILIES, StateFamily, random_mixed_state, random_separable
 
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -314,3 +315,60 @@ def test_a_sweep_split_into_smaller_stacks_gives_the_same_cells(monkeypatch):
             np.testing.assert_allclose(
                 [a["reports"][name][f] for f in ("lhs", "rhs", "margin")],
                 [b["reports"][name][f] for f in ("lhs", "rhs", "margin")], rtol=0, atol=1e-12)
+
+
+MOMENT_CRITERIA = ["lur", "tlur", "tlur_dual", "lemma1", "c_lur", "c_tlur"]
+QUBIT_DECLARED = {"opsA": [[[0, 1], [1, 0]], [[1, 0], [0, -1]]],
+                  "opsB": [[[0, -1], [-1, 0]], [[-1, 0], [0, 1]]],
+                  "boundA": 1.0, "boundB": 1.0}
+# (family, stack points, set spec, criteria): Schmidt, loo_pair and declared sets
+SHARED_CASES = {
+    "schmidt": ("horodecki_noise", [{"a": a, "p": p} for a in (0.1, 0.6)
+                                    for p in (0.0, 0.5, 0.997, 1.0)],
+                "schmidt_loo_pair", MOMENT_CRITERIA + ["corollary1", "nonlinear_witness"]),
+    "loo_pair": ("horodecki_noise", [{"a": 0.4, "p": p} for p in (0.2, 0.9, 1.0)],
+                 "loo_pair", MOMENT_CRITERIA + ["corollary1", "nonlinear_witness", "ppt"]),
+    "declared": ("noisy_singlet", [{"p": p} for p in (0.0, 0.3, 1.0)],
+                 QUBIT_DECLARED, MOMENT_CRITERIA + ["ccnr"]),
+}
+
+
+def _assert_same_verdicts(got, want):
+    assert got.criterion == want.criterion
+    for field in ("lhs", "rhs", "margin"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.components.keys() == want.components.keys()
+    for key, value in got.components.items():
+        assert np.array_equal(value, want.components[key]), key
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_CASES))
+def test_criteria_sharing_moments_equal_each_criterion_alone(case, monkeypatch):
+    family, points, spec, names = SHARED_CASES[case]
+    rho = FAMILIES[family].stack(points)
+    calls = []
+    kernel = criteria._moment_kernel
+    monkeypatch.setattr(criteria, "_moment_kernel",
+                        lambda *args: calls.append(args) or kernel(*args))
+    together = Plan(names, spec).evaluate(rho)
+    assert len(calls) == 1  # one kernel call for the stack and its set
+    for name, verdicts in zip(names, together):
+        alone, = Plan([name], spec).evaluate(rho)
+        _assert_same_verdicts(verdicts, alone)
+
+
+def test_shared_moments_keep_each_stack_apart_and_nothing_after():
+    fam, obs = FAMILIES["horodecki_noise"], loo_pair(3)
+    stacks = [fam.stack([{"a": a, "p": p} for p in (0.5, 1.0)]) for a in (0.2, 0.7)]
+    plan = Plan(MOMENT_CRITERIA, obs)
+    fresh = [Plan(MOMENT_CRITERIA, obs).evaluate(rho) for rho in stacks]
+    for rho, want in zip(stacks + stacks, fresh + fresh):  # in turn, with one plan
+        for got, one in zip(plan.evaluate(rho), want):
+            _assert_same_verdicts(got, one)
+    with shared_moments():  # one block, two stacks, one set
+        for rho, want in zip(stacks, fresh):
+            _assert_same_verdicts(eval_tlur(rho, obs), want[1])
+    assert criteria._SHARED.get() is None
+    first = _moments(stacks[0], obs)
+    assert _moments(stacks[0], obs)[0] is not first[0]  # no block: computed per call
+    assert not first[0].flags.writeable

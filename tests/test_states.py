@@ -148,6 +148,22 @@ def test_family_registry():
     assert rho.dims == (2, 2)
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_declared_range_end_is_accepted_or_declared_open(name):
+    fam = FAMILIES[name]
+    inside = {**{k: (lo + hi) // 2 if isinstance(lo, int) else (lo + hi) / 2
+                 for k, (lo, hi) in fam.params.items()}, **fam.defaults}
+    for param, ends in fam.params.items():
+        for end in ends:
+            point = {**inside, param: end}
+            if param in fam.open_params:
+                with pytest.raises(ParameterRangeError) as err:
+                    fam.instantiate(**point)
+                assert f"{param} must lie in (" in str(err.value)
+            else:
+                assert fam.instantiate(**point).dims == fam.dims_for(point)
+
+
 def test_instantiate_enforces_declared_ranges():
     fam = FAMILIES["random_separable"]
     assert fam.instantiate(dim_a=16, n_terms=1).dims == (16, 2)  # bounds inclusive
