@@ -19,19 +19,18 @@ margin is the amount of violation (positive means entanglement detected):
   M^2, subtracts the purity-difference term M^2/2 and is never weaker.
 * ``eval_ppt`` / ``eval_ccnr``: standard comparators.
 
-Every set criterion reads one moment kernel, ``_moments``: from one reshape
-of the states it returns the per-k moments <A_k>, <B_k>, <A_k^2>, <B_k^2>
-and <A_k (x) B_k> of the operator stacks that observable sets carry.  Each
-variance is clipped at zero before it is summed.  Inside a
-``shared_moments()`` block (``scan.Plan.evaluate`` opens one per call) the
-kernel runs once per pair of states and set, and every criterion on that
-pair reads the same read-only moments.
+Every set criterion reads three sums per state, sum_k Var(A_k),
+sum_k Var(B_k) and sum_k Cov(A_k, B_k), from one function of the state's
+real LOO coefficient matrix C (``observables.loo_coefficients``) and the
+set: its coordinate rows, or the SVD of C for a ``SchmidtFrame``.  Inside a
+``shared_moments()`` block (``scan.Plan.evaluate`` opens one per call) C and
+the sums are computed once per pair of states and set.
 
 Every evaluator takes a ``DensityMatrix`` and returns its
 ``CriterionReport``, or a ``DensityStack`` of N states and returns
 ``Verdicts``, the N results as arrays; the one state is the N = 1 case of
-the same computation.  A set criterion on a stack takes one set for all N
-states or one set per state (``schmidt_loo_pair`` of the stack).
+the same computation.  A set criterion on a stack takes one set (or frame)
+for all N states.
 
 Local variance sums may round off slightly below a tight bound; deficits in
 [-1e-9, 0) are clipped to zero before square roots, anything worse is a hard
@@ -40,6 +39,7 @@ error (the supplied bound cannot be a true bound).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -53,7 +53,7 @@ from .errors import (
     raise_first,
 )
 from .linops import DensityStack, min_eigenvalues, partial_transpose, realign, trace_norms
-from .observables import LocalObservableSet, _nonzero
+from .observables import LocalObservableSet, SchmidtFrame, _nonzero, loo_coefficients
 from .report import DETECTION_TOL, Verdicts, make_report
 
 __all__ = [
@@ -64,6 +64,8 @@ __all__ = [
 
 _CLIP = 1e-9
 
+Observables = LocalObservableSet | SchmidtFrame
+
 
 def _result(rho, criterion: str, lhs, rhs, margin, components: dict):
     """``Verdicts`` for a stack of states, the one ``CriterionReport`` else."""
@@ -72,26 +74,17 @@ def _result(rho, criterion: str, lhs, rhs, margin, components: dict):
     return make_report(criterion, lhs, rhs, margin, components)
 
 
-def _check_dims(rho, obs: LocalObservableSet):
-    if (obs.dim_a, obs.dim_b) != (rho.dim_a, rho.dim_b):
-        raise DimensionMismatchError(
-            f"observables act on ({obs.dim_a},{obs.dim_b}) but state has "
-            f"({rho.dim_a},{rho.dim_b})")
-    if obs.stack_a.ndim == 4 and obs.stack_a.shape[:1] != rho.states.shape[:-2]:
-        raise DimensionMismatchError(
-            f"{len(obs.stack_a)} observable sets for states of shape {rho.states.shape}")
-
-
-# (id(rho), id(obs)) -> (rho, obs, moments) inside a ``shared_moments`` block;
+# (id(rho), id(obs)) -> (rho, obs, sums) inside a ``shared_moments`` block;
 # a context variable, so threads and nested blocks each see their own
 _SHARED: ContextVar[dict | None] = ContextVar("shared_moments", default=None)
 
 
 @contextmanager
 def shared_moments():
-    """Within the block, ``_moments`` runs the kernel once per pair of states
-    and set: the criteria evaluated on the same ``rho`` and ``obs`` read the
-    same read-only moments.  Nothing is kept once the block exits."""
+    """Within the block, ``_sums`` builds C and the variance sums once per
+    pair of states and set: the criteria evaluated on the same ``rho`` and
+    ``obs`` read the same read-only sums.  Nothing is kept once the block
+    exits."""
     token = _SHARED.set({})
     try:
         yield
@@ -99,62 +92,67 @@ def shared_moments():
         _SHARED.reset(token)
 
 
-def _moments(rho, obs: LocalObservableSet):
-    """``_moment_kernel(rho, obs)``, computed once per block of
-    ``shared_moments`` and pair (``rho``, ``obs``)."""
+def _sums(rho, obs: Observables) -> np.ndarray:
+    """``_variance_sums`` of ``rho``'s LOO coefficient matrix and ``obs``,
+    computed once per block of ``shared_moments`` and pair (``rho``, ``obs``)."""
     shared = _SHARED.get()
-    if shared is None:
-        return _moment_kernel(rho, obs)
     key = (id(rho), id(obs))
-    if key not in shared:  # held with the moments, rho and obs keep their ids
-        shared[key] = (rho, obs, _moment_kernel(rho, obs))
+    if shared is None or key not in shared:
+        if (obs.dim_a, obs.dim_b) != rho.dims:
+            raise DimensionMismatchError(
+                f"observables act on ({obs.dim_a},{obs.dim_b}) but state has "
+                f"({rho.dim_a},{rho.dim_b})")
+        sums = _variance_sums(loo_coefficients(rho), obs)
+        if shared is None:
+            return sums
+        shared[key] = (rho, obs, sums)  # held with the sums, rho and obs keep their ids
     return shared[key][2]
 
 
-def _moment_kernel(rho, obs: LocalObservableSet):
-    """Per-k moments of the set's operator stacks on each state of ``rho``.
+def _variance_sums(coeff: np.ndarray, obs: Observables) -> np.ndarray:
+    """(..., 4), read-only: sum_k Var(A_k), sum_k Var(B_k), the joint sum
+    local A + local B + 2 cov, and sum_k Cov(A_k, B_k) of each state whose LOO
+    coefficient matrix is in ``coeff``; all but the covariance sum clipped at 0.
 
-    Returns ``first`` and ``second``, (..., 3, n): <X_k> and <X_k^2> for X_k
-    = A_k, B_k and the joint A_k (x) 1 + 1 (x) B_k, whose square is
-    A_k^2 (x) 1 + 1 (x) B_k^2 + 2 A_k (x) B_k; and ``cross``, (..., n):
-    <A_k (x) B_k>.  The leading axes are those of ``rho.states``: none for
-    one state, (N,) for a stack.  The set holds (n, d, d) stacks, or
-    (N, n, d, d) stacks of one set per state.  With row-major vec,
-    <A (x) B> = (vec A)^T R(rho^T) vec B for any A and B, R the realignment
-    (a permutation of the entries of rho).  The set's rows (vec A_k,
-    vec A_k^2, then vec 1) give X = rows_A R(rho^T): its rows with vec 1
-    give the A side, its last row (1^T R(rho^T)) with rows_B the B side,
-    and its first n rows with those of rows_B the cross moments.
+    With a = sqrt(d_B) C[:, -1] = (<G_i>) and b = sqrt(d_A) C[-1, :], a set's
+    rows alpha, beta (``coords_a``, ``coords_b``, last rows sigma_A, sigma_B)
+    give sum Var A = sigma_A . a - |alpha a|^2, likewise for B, and
+    sum Cov = tr(alpha (C - a b^T) beta^T).  A ``SchmidtFrame`` gives d_X - |x|^2
+    and sum Cov = -T, T = sum_k s_k - (U^T a).(V^T b), with C = U S V^T.
     """
-    _check_dims(rho, obs)
-    da, db = rho.dim_a, rho.dim_b
-    n = obs.n
-    m = rho.states
-    lead = m.shape[:-2]
-    realigned_t = m.swapaxes(-1, -2).reshape(lead + (da, db, da, db)).swapaxes(-3, -2).reshape(
-        lead + (da * da, db * db))
-    x = obs.rows_a @ realigned_t  # (..., 2n+1, d_B^2)
-    cross = np.einsum("...kp,...kp->...k", x[..., :n, :], obs.rows_b[..., :n, :]).real
-    out = np.empty(x.shape[:-2] + (3, 2 * n))
-    out[..., 0, :] = (x @ obs.rows_b[..., -1, :, None])[..., :-1, 0].real
-    out[..., 1, :] = (obs.rows_b @ x[..., -1, :, None])[..., :-1, 0].real
-    np.add(out[..., 0, :], out[..., 1, :], out=out[..., 2, :])
-    out[..., 2, n:] += 2.0 * cross
+    da, db = obs.dim_a, obs.dim_b
+    lead = coeff.shape[:-2]
+    # each product has one state's shape and each sum runs over one state's
+    # last axis, so a state of a stack gets the bits it gets alone
+    a, b = math.sqrt(db) * coeff[..., None, :, -1], math.sqrt(da) * coeff[..., -1, :, None]
+    out = np.empty(lead + (4,))
+    if isinstance(obs, SchmidtFrame):
+        u, s, vt = np.linalg.svd(coeff, full_matrices=False)
+        out[..., 0] = da - _dot(a[..., 0, :], a[..., 0, :])
+        out[..., 1] = db - _dot(b[..., 0], b[..., 0])
+        out[..., 3] = _dot((a @ u)[..., 0, :], (vt @ b)[..., 0]) - s.sum(axis=-1)
+    else:
+        means_a = (a @ obs.coords_a.T)[..., 0, :]  # <A_k>, then sum_k <A_k^2>
+        means_b = (obs.coords_b @ b)[..., 0]
+        alpha, beta = means_a[..., :-1], means_b[..., :-1]
+        out[..., 0] = means_a[..., -1] - _dot(alpha, alpha)
+        out[..., 1] = means_b[..., -1] - _dot(beta, beta)
+        pair = obs.coords_a[:-1].T @ obs.coords_b[:-1]
+        out[..., 3] = _dot(coeff.reshape(lead + (-1,)), pair.reshape(-1)) - _dot(alpha, beta)
+    out[..., 2] = out[..., 0] + out[..., 1] + 2.0 * out[..., 3]
+    np.maximum(out[..., :3], 0.0, out=out[..., :3])
     out.setflags(write=False)
-    cross.setflags(write=False)
-    return out[..., :n], out[..., n:], cross
+    return out
 
 
-def _variance_sums(first, second) -> np.ndarray:
-    """(..., 3): sum_k Var(A_k), sum_k Var(B_k) and the joint sum, each
-    variance clipped to zero against round-off."""
-    return np.maximum(second - first * first, 0.0).sum(axis=-1)
+# sum over the last axis of x * y, one call per state
+_dot = getattr(np, "vecdot", lambda x, y: (x * y).sum(axis=-1))
 
 
-def joint_variance_sum(rho, obs: LocalObservableSet):
+def joint_variance_sum(rho, obs: Observables):
     """sum_k Var(A_k (x) 1 + 1 (x) B_k) on the joint state (per state of a
     stack)."""
-    lhs = _variance_sums(*_moments(rho, obs)[:2])[..., 2]
+    lhs = _sums(rho, obs)[..., 2]
     return lhs if isinstance(rho, DensityStack) else float(lhs)
 
 
@@ -172,19 +170,19 @@ def _excesses(local_sums: np.ndarray, bounds: tuple[float, float]) -> np.ndarray
     return np.maximum(deficit, 0.0)
 
 
-def eval_lur(rho, obs: LocalObservableSet):
+def eval_lur(rho, obs: Observables):
     """Original variance criterion: violation iff lhs < U_A + U_B."""
-    lhs = _variance_sums(*_moments(rho, obs)[:2])[..., 2]
+    lhs = _sums(rho, obs)[..., 2]
     rhs = obs.bound_a + obs.bound_b
     return _result(rho, "lur", lhs, rhs, rhs - lhs,
                    {"variance_sum": lhs, "U_A": obs.bound_a, "U_B": obs.bound_b})
 
 
-def _tlur_parts(rho, obs: LocalObservableSet, bounds=None) -> dict:
+def _tlur_parts(rho, obs: Observables, bounds=None) -> dict:
     """Joint and local variance sums, excesses and M against ``bounds``
     (U_A, U_B), by default the set's own; one entry per state."""
     u_a, u_b = bounds or (obs.bound_a, obs.bound_b)
-    sums = _variance_sums(*_moments(rho, obs)[:2])
+    sums = _sums(rho, obs)
     excess = _excesses(sums[..., :2], (u_a, u_b))
     roots = np.sqrt(excess)
     return {
@@ -199,26 +197,26 @@ def _tlur_parts(rho, obs: LocalObservableSet, bounds=None) -> dict:
     }
 
 
-def eval_tlur(rho, obs: LocalObservableSet):
+def eval_tlur(rho, obs: Observables):
     """Tightened criterion: separable bound raised by M^2."""
     c = _tlur_parts(rho, obs)
     rhs = c["U_A"] + c["U_B"] + c["M"] ** 2
     return _result(rho, "tlur", c["variance_sum"], rhs, rhs - c["variance_sum"], c)
 
 
-def eval_tlur_dual(rho, obs: LocalObservableSet):
+def eval_tlur_dual(rho, obs: Observables):
     """Dual upper bound; violation iff lhs exceeds U_A + U_B + (sqrt+sqrt)^2."""
     c = _tlur_parts(rho, obs)
     rhs = c["U_A"] + c["U_B"] + (np.sqrt(c["excess_A"]) + np.sqrt(c["excess_B"])) ** 2
     return _result(rho, "tlur_dual", c["variance_sum"], rhs, c["variance_sum"] - rhs, c)
 
 
-def eval_lemma1(rho, obs: LocalObservableSet):
+def eval_lemma1(rho, obs: Observables):
     """sqrt(excess_A * excess_B) +/- cross-covariance sum >= 0, both signs."""
-    first, second, cross = _moments(rho, obs)
-    excess = _excesses(_variance_sums(first, second)[..., :2], (obs.bound_a, obs.bound_b))
+    sums = _sums(rho, obs)
+    excess = _excesses(sums[..., :2], (obs.bound_a, obs.bound_b))
     ea, eb = excess[..., 0], excess[..., 1]
-    cov = (cross - first[..., 0, :] * first[..., 1, :]).sum(axis=-1)
+    cov = sums[..., 3]
     root = np.sqrt(ea * eb)
     value_plus, value_minus = root + cov, root - cov
     lhs = np.minimum(value_plus, value_minus)
@@ -231,7 +229,7 @@ def eval_lemma1(rho, obs: LocalObservableSet):
     return _result(rho, "lemma1", lhs, 0.0, -lhs, components)
 
 
-def _loo_parts(rho, obs: LocalObservableSet, name: str) -> dict:
+def _loo_parts(rho, obs: Observables, name: str) -> dict:
     """TLUR parts of an LOO pair against U_X = d_X - 1, the exact minimum of a
     complete LOO side (a declared side may carry a lower bound)."""
     if not obs.is_loo_pair:
@@ -239,7 +237,7 @@ def _loo_parts(rho, obs: LocalObservableSet, name: str) -> dict:
     return _tlur_parts(rho, obs, (obs.dim_a - 1.0, obs.dim_b - 1.0))
 
 
-def eval_nonlinear_witness(rho, obs: LocalObservableSet):
+def eval_nonlinear_witness(rho, obs: Observables):
     """LOO witness 1 - sum_k <G_k^A (x) G_k^B> - sum_k (<G_k^A> - <G_k^B>)^2 / 2
     on an LOO pair A_k = G_k^A, B_k = -G_k^B: half the LUR excess
     lhs - U_A - U_B.  Separable => value >= 0."""
@@ -248,7 +246,7 @@ def eval_nonlinear_witness(rho, obs: LocalObservableSet):
     return _result(rho, "nonlinear_witness", value, 0.0, -value, c)
 
 
-def eval_corollary1(rho, obs: LocalObservableSet):
+def eval_corollary1(rho, obs: Observables):
     """Corollary 1: the LOO witness less the purity-difference term
     (sqrt(1 - Tr rho_A^2) - sqrt(1 - Tr rho_B^2))^2 / 2, i.e. half the TLUR
     excess lhs - U_A - U_B - M^2.  Separable => value >= 0; never weaker than
@@ -271,7 +269,7 @@ def eval_ccnr(rho):
     return _result(rho, "ccnr", tn, 1.0, tn - 1.0, {"trace_norm": tn})
 
 
-def _measures(rho, obs: LocalObservableSet) -> tuple[np.ndarray, np.ndarray]:
+def _measures(rho, obs: Observables) -> tuple[np.ndarray, np.ndarray]:
     c = _tlur_parts(rho, obs)
     u_sum = c["U_A"] + c["U_B"]
     if u_sum <= 0.0:
@@ -281,7 +279,7 @@ def _measures(rho, obs: LocalObservableSet) -> tuple[np.ndarray, np.ndarray]:
     return c_lur, c_tlur
 
 
-def entanglement_measures(rho, obs: LocalObservableSet):
+def entanglement_measures(rho, obs: Observables):
     """Violation-normalized estimates (C_LUR, C_TLUR), as floats (as arrays
     for a stack).
 
@@ -295,7 +293,7 @@ def entanglement_measures(rho, obs: LocalObservableSet):
     return float(c_lur), float(c_tlur)
 
 
-def eval_measure(rho, obs: LocalObservableSet, which: str):
+def eval_measure(rho, obs: Observables, which: str):
     """The estimate ``which`` ("c_lur" or "c_tlur") as a criterion whose
     margin is the estimate itself."""
     c_lur, c_tlur = _measures(rho, obs)
@@ -303,10 +301,10 @@ def eval_measure(rho, obs: LocalObservableSet, which: str):
     return _result(rho, which, value, 0.0, value, {"c_lur": c_lur, "c_tlur": c_tlur})
 
 
-def loo_bases_from_set(obs: LocalObservableSet) -> tuple[np.ndarray, np.ndarray]:
+def loo_bases_from_set(obs: Observables) -> tuple[np.ndarray, np.ndarray]:
     """The LOO bases (G^A, G^B) of an LOO pair A_k = G_k^A, B_k = -G_k^B, zero
     padding dropped.  Nothing in the package calls it; the benchmark's tracer
     (``perfbench/tracing.py``) looks it up by name."""
-    if not obs.is_loo_pair:
-        raise ValidationError("the set is not built from complete LOO bases")
+    if not (isinstance(obs, LocalObservableSet) and obs.is_loo_pair):
+        raise ValidationError("the set holds no complete LOO bases as operators")
     return _nonzero(obs.stack_a), -_nonzero(obs.stack_b)

@@ -177,7 +177,12 @@ def eval_duan(state: GaussianState, a: float) -> CriterionReport:
 
 def eval_corollary2(state: GaussianState, a: float) -> CriterionReport:
     """Tightened bound a^2 + 1/a^2 + M^2 with
-    M = |a| sqrt(S1 - 1) - sqrt(S2 - 1)/|a|, S_j = Var(x_j) + Var(p_j)."""
+    M = |a| sqrt(S1 - 1) - sqrt(S2 - 1)/|a|, S_j = Var(x_j) + Var(p_j).
+
+    In closed form the margin is -2 sqrt((S1 - 1)(S2 - 1)) - 2 sign(a) c with
+    c = Cov(x1, x2) - Cov(p1, p2): the a^2 and 1/a^2 terms of Var(u) + Var(v)
+    cancel against those of the bound, so ``a`` acts only through its sign.
+    It is Duan's margin at the best |a| = ((S2 - 1)/(S1 - 1))^(1/4)."""
     a = _check_a(a)
     var_u, var_v = _quadrature_variances(state, a)
     lhs = var_u + var_v

@@ -57,20 +57,6 @@ class HermitianOperator:
         return self.matrix.shape[0]
 
 
-def as_stack(ops) -> np.ndarray:
-    """Operators (``HermitianOperator``s, matrices, or an (n, d, d) array, or
-    (N, n, d, d) for N stacks) as one complex array, unvalidated; an array
-    that already is one is not copied."""
-    if not isinstance(ops, np.ndarray):
-        ops = [as_array(op) for op in ops]
-        if len({op.shape for op in ops}) > 1:
-            raise DimensionMismatchError("operators must share one shape")
-    s = np.asarray(ops, dtype=complex)
-    if s.ndim not in (3, 4) or s.shape[-1] != s.shape[-2]:
-        raise DimensionMismatchError(f"operators must be square, got stack shape {s.shape}")
-    return s
-
-
 def hermiticity_residual(s: np.ndarray) -> np.ndarray:
     """|s - s^dagger| entry by entry, of a matrix or a stack, as a new array."""
     diff = np.conjugate(s)  # a new array also for a real s, whose s.conj() is s itself
@@ -100,8 +86,15 @@ def check_hermitian(s: np.ndarray) -> None:
 
 
 def hermitian_stack(ops) -> np.ndarray:
-    """Stack operators (see ``as_stack``) into a validated read-only copy."""
-    s = np.array(as_stack(ops))
+    """Operators (``HermitianOperator``s, matrices, or an (n, d, d) array) as
+    one validated read-only complex copy."""
+    if not isinstance(ops, np.ndarray):
+        ops = [as_array(op) for op in ops]
+        if len({op.shape for op in ops}) > 1:
+            raise DimensionMismatchError("operators must share one shape")
+    s = np.array(ops, dtype=complex)
+    if s.ndim != 3 or s.shape[-1] != s.shape[-2]:
+        raise DimensionMismatchError(f"operators must be square, got stack shape {s.shape}")
     check_hermitian(s)
     s.setflags(write=False)
     return s

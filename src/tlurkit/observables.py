@@ -4,13 +4,13 @@ A ``LocalObservableSet`` pairs equal-length lists {A_k} on subsystem A and
 {B_k} on subsystem B with lower bounds ``bound_a <= min_psi sum_k Var(A_k)``
 and likewise for B, the minimum running over pure states (the variance sum
 is concave in the state, so pure states attain the minimum).  Sets carry
-their operators as validated (n, d, d) stacks, built and checked as arrays,
-inside the rows (vec A_k, vec A_k^2, vec 1) through which every set
-criterion, the LOO witnesses included, reads them in the one moment kernel
-of ``criteria``.  A set
-may also hold one set per state of a ``DensityStack``, as (N, n, d, d)
-stacks: ``schmidt_loo_pair`` builds such a set for a stack in one batched
-SVD, and the certifier checks all N sets at once.
+their operators as validated (n, d, d) stacks, which the certifier reads,
+and the real coordinate rows the criteria read with a state's LOO
+coefficient matrix (``loo_coefficients``): alpha_k = coords(A_k) in the
+canonical LOO basis, then the coordinates of sum_k A_k^2, likewise for B.
+``schmidt_loo_pair(rho)`` adapts a set to one state; ``SchmidtFrame`` is
+that pair for any state, read from the SVD of its coefficient matrix, and
+is what ``scan.Plan`` resolves the ``"schmidt_loo_pair"`` spec to.
 
 Closed-form bounds used by the builders:
 
@@ -24,8 +24,7 @@ Closed-form bounds used by the builders:
 Every constructed set has both bounds checked by one certifier.  A side
 whose nonzero operators form one of the two sets above, up to signs (a
 Hilbert-Schmidt Gram-matrix test), is held to that exact minimum; every
-builder's sets are of this kind.  The sides of N sets are held to the least
-minimum over the N.  Any other qubit side is held to the exact
+builder's sets are of this kind.  Any other qubit side is held to the exact
 minimum sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T), where A_k = a_k0 1 +
 a_k . sigma.  Any other side, such as declared qutrit ``opsA``/``opsB``
 matrices, must not exceed the best of a few seeded starts of the minimizer
@@ -55,8 +54,6 @@ from .linops import (
     DensityMatrix,
     DensityStack,
     HermitianOperator,
-    as_stack,
-    check_hermitian,
     hermitian_stack,
     realign,
 )
@@ -65,8 +62,8 @@ from .states import parse_complex_matrix, random_pure_state, spec_integer, spec_
 __all__ = [
     "BoundProvenance", "LocalObservableSet",
     "su_generators", "loo_basis", "pauli_loo_pair", "loo_pair", "su_pair",
-    "operator_schmidt", "schmidt_loo_pair", "uncertainty_bound",
-    "observables_from_spec", "spec_requires_state", "OBS_BUILDERS",
+    "loo_coefficients", "operator_schmidt", "schmidt_loo_pair", "SchmidtFrame",
+    "uncertainty_bound", "observables_from_spec", "OBS_BUILDERS",
 ]
 
 SAFETY_MARGIN = 1e-6
@@ -77,59 +74,44 @@ _CERTIFY_STARTS = 4
 
 
 def _vecs(stack: np.ndarray) -> np.ndarray:
-    """Row-major vec of each operator: (..., n, d, d) -> (..., n, d^2)."""
-    return stack.reshape(stack.shape[:-2] + (-1,))
+    """Row-major vec of each operator: (n, d, d) -> (n, d^2)."""
+    return stack.reshape(len(stack), -1)
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of a stack of operators
-    (of each stack, for N stacks)."""
+    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of a stack of operators."""
     v = _vecs(stack)
-    return v.conj() @ v.swapaxes(-1, -2)
+    return v.conj() @ v.T
 
 
 def _is_complete_loo(stack: np.ndarray) -> bool:
-    """True for d^2 operators that are Hilbert-Schmidt orthonormal (in each
-    of N stacks)."""
+    """True for d^2 operators that are Hilbert-Schmidt orthonormal."""
     d = stack.shape[-1]
-    if stack.shape[-3] != d * d:
+    if len(stack) != d * d:
         return False
-    gram = _gram(stack)
-    gram -= np.eye(d * d)
-    return np.abs(gram).max() <= ORTHONORMALITY_ATOL
+    return np.abs(_gram(stack) - np.eye(d * d)).max() <= ORTHONORMALITY_ATOL
 
 
 def _nonzero(stack: np.ndarray) -> np.ndarray:
-    """The operators of a stack with nonzero Frobenius norm (drops zero
-    padding); of N stacks, the positions nonzero in any of them."""
-    norms = np.linalg.norm(_vecs(stack), axis=-1).reshape(-1, stack.shape[-3])
-    keep = norms.max(axis=0) > 1e-12
-    return stack if keep.all() else stack[..., keep, :, :]
+    """The operators of a stack with nonzero Frobenius norm (drops zero padding)."""
+    keep = np.linalg.norm(_vecs(stack), axis=-1) > 1e-12
+    return stack if keep.all() else stack[keep]
 
 
 def _zero_pad(stack: np.ndarray, n: int) -> np.ndarray:
-    """Append zero operators up to length n (to each of N stacks)."""
-    if stack.shape[-3] == n:
-        return stack
-    pad = np.zeros(stack.shape[:-3] + (n - stack.shape[-3],) + stack.shape[-2:], dtype=complex)
-    return np.concatenate([stack, pad], axis=-3)
+    """Append zero operators up to length n."""
+    return np.concatenate([stack, np.zeros((n - len(stack),) + stack.shape[1:], dtype=complex)])
 
 
-def _moment_rows(ops) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rows vec A_k, vec A_k^2, then vec 1 of operators (..., n, d, d):
-    (..., 2n + 1, d^2), and the operators as a view of the first n.  The
-    operators are copied into the rows and validated there, before they are
-    squared."""
-    ops = as_stack(ops)
-    n, d = ops.shape[-3], ops.shape[-1]
-    rows = np.empty(ops.shape[:-3] + (2 * n + 1, d * d), dtype=complex)
-    stack = rows[..., :n, :].reshape(ops.shape)
-    stack[...] = ops
-    check_hermitian(stack)
-    np.matmul(stack, stack, out=rows[..., n:-1, :].reshape(ops.shape))
-    rows[..., -1, :] = np.eye(d).reshape(-1)
-    rows.setflags(write=False)
-    return rows, rows[..., :n, :].reshape(ops.shape)
+def _coords(stack: np.ndarray) -> np.ndarray:
+    """Real coordinates Tr(G_i X) in the canonical LOO basis {G_i} of the
+    operators X_k of an (n, d, d) stack, then of sum_k X_k^2: (n + 1, d^2),
+    read-only.  Hermitian operators have real coordinates."""
+    d = stack.shape[-1]
+    vecs = np.concatenate([_vecs(stack), (stack @ stack).sum(axis=0).reshape(1, -1)])
+    coords = np.ascontiguousarray((vecs @ _loo_vec_matrix(d).conj()).real)
+    coords.setflags(write=False)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -155,15 +137,12 @@ class LocalObservableSet:
 
     ``stack_a`` (n, d_A, d_A) and ``stack_b`` (n, d_B, d_B) are the operators
     A_k and B_k, given as ``HermitianOperator``s, matrices or arrays and kept
-    as validated read-only stacks.  ``rows_a`` (2n + 1, d_A^2) holds vec A_k,
-    vec A_k^2 and vec 1 (row-major vec), the rows the moment kernel of
-    ``criteria`` applies to a state, and ``rows_b`` likewise; each stack is
-    a view of its first n rows.  ``is_loo_pair`` is
-    True when the certifier found the nonzero operators of both sides to be
-    complete LOO bases, so that the LOO witnesses apply.
-
-    Stacks of shape (N, n, d, d) hold one set per state of an N-state
-    ``DensityStack``; the bounds then hold for every one of the N sets.
+    as validated read-only stacks for the certifier.  The criteria read the
+    real coordinate rows instead: ``coords_a`` (n + 1, d_A^2) holds
+    alpha_k = coords(A_k) in the canonical LOO basis for k < n, then the
+    coordinates of sum_k A_k^2; ``coords_b`` likewise.
+    ``is_loo_pair`` is True when the certifier found the nonzero operators
+    of both sides to be complete LOO bases, so that the LOO witnesses apply.
     """
 
     stack_a: np.ndarray
@@ -171,19 +150,16 @@ class LocalObservableSet:
     bound_a: float
     bound_b: float
     provenance: BoundProvenance
-    rows_a: np.ndarray = field(init=False, repr=False, compare=False)
-    rows_b: np.ndarray = field(init=False, repr=False, compare=False)
+    coords_a: np.ndarray = field(init=False, repr=False, compare=False)
+    coords_b: np.ndarray = field(init=False, repr=False, compare=False)
     is_loo_pair: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stack_a) != len(self.stack_b) or not len(self.stack_a):
             raise ValidationError("stack_a and stack_b must be non-empty and of equal length")
-        (rows_a, a), (rows_b, b) = _moment_rows(self.stack_a), _moment_rows(self.stack_b)
-        if a.shape[:-2] != b.shape[:-2]:
-            raise ValidationError(
-                f"stack_a {a.shape[:-2]} and stack_b {b.shape[:-2]} hold different counts")
-        for name, value in (("rows_a", rows_a), ("rows_b", rows_b),
-                            ("stack_a", a), ("stack_b", b)):
+        a, b = hermitian_stack(self.stack_a), hermitian_stack(self.stack_b)
+        for name, value in (("stack_a", a), ("stack_b", b),
+                            ("coords_a", _coords(a)), ("coords_b", _coords(b))):
             object.__setattr__(self, name, value)
         if not (np.isfinite(self.bound_a) and np.isfinite(self.bound_b)):
             raise ValidationError("bounds must be finite")
@@ -194,8 +170,7 @@ class LocalObservableSet:
             # the one certifier: an exact minimum where a closed form exists,
             # else a variance sum the minimizer reaches from fixed seeded starts
             attained, form = _classify_analytic(stack) or (
-                min(_numeric_minimum(one, _CERTIFY_SEED, _CERTIFY_STARTS)
-                    for one in stack.reshape((-1,) + stack.shape[-3:])), None)
+                _numeric_minimum(stack, _CERTIFY_SEED, _CERTIFY_STARTS), None)
             if bound > attained + 1e-8:
                 raise InvalidBoundError(
                     f"declared bound {bound} on side {side} exceeds the variance "
@@ -205,7 +180,7 @@ class LocalObservableSet:
 
     @property
     def n(self) -> int:
-        return self.stack_a.shape[-3]
+        return len(self.stack_a)
 
     @property
     def dim_a(self) -> int:
@@ -253,9 +228,9 @@ def su_generators(d: int) -> list[HermitianOperator]:
 
 @lru_cache(maxsize=None)
 def _loo_stack(d: int) -> np.ndarray:
-    """The operators of ``loo_basis`` as one read-only stack."""
-    eye = np.eye(d, dtype=complex) / np.sqrt(d)
-    return hermitian_stack(np.concatenate([_su_stack(d) / np.sqrt(2.0), eye[None]]))
+    """The operators of ``loo_basis`` as one read-only stack (d = 1: the identity)."""
+    eye = np.eye(d, dtype=complex)[None] / np.sqrt(d)
+    return hermitian_stack(np.concatenate([_su_stack(d) / np.sqrt(2.0), eye]) if d > 1 else eye)
 
 
 def loo_basis(d: int) -> np.ndarray:
@@ -322,19 +297,49 @@ def su_pair(dim_a: int, dim_b: int | None = None, pairing: str = "conjugate") ->
     return _fixed_pair(_su_stack, 2.0, dim_a, dim_b, _checked_pairing(pairing))
 
 
+@lru_cache(maxsize=None)
+def _times_conj_vec(d: int) -> np.ndarray:
+    """Real (2d^2, 2d^2) matrix that multiplies complex rows, stored as
+    interleaved (re, im) pairs, by the conjugate of ``_loo_vec_matrix(d)``."""
+    w = _loo_vec_matrix(d).conj()
+    m = np.kron(w.real, np.eye(2)) + np.kron(w.imag, [[0.0, 1.0], [-1.0, 0.0]])
+    m.setflags(write=False)
+    return m
+
+
+def loo_coefficients(rho) -> np.ndarray:
+    """The real coefficient matrix C_ij = <G_i (x) H_j> of
+    rho = sum_ij C_ij G_i (x) H_j in the canonical LOO bases of A and B
+    (``loo_basis``), (d_A^2, d_B^2), with a leading N axis for a stack: the
+    realigned matrix in the LOO product basis.  The identity elements come
+    last, so a = sqrt(d_B) C[:, -1] and b = sqrt(d_A) C[-1, :] hold <G_i> and
+    <H_j>.  An imaginary residual above 1e-8 raises
+    ``DegenerateDecompositionError``."""
+    da, db = rho.dim_a, rho.dim_b
+    # C^T = (R W_B^*)^T W_A^*, R = R(rho): two real products per state, so a
+    # state of a stack gets the bits it gets alone
+    right = (realign(rho.states, (da, db)).view(np.float64) @ _times_conj_vec(db)).view(complex)
+    coeff_t = (np.ascontiguousarray(right.swapaxes(-1, -2)).view(np.float64)
+               @ _times_conj_vec(da)).view(complex)
+    imag = np.abs(coeff_t.imag)
+    if imag.max(initial=0.0) > SYMMETRIZATION_ATOL:
+        imag = imag.max(axis=(-2, -1))
+        raise_first(imag > SYMMETRIZATION_ATOL, DegenerateDecompositionError,
+                    lambda k: f"coefficient matrix has imaginary residual "
+                              f"{imag.reshape(-1)[k]:.2e}")
+    return np.ascontiguousarray(coeff_t.real.swapaxes(-1, -2))
+
+
 def operator_schmidt(rho):
     """Hermitian operator Schmidt decomposition rho = sum_k s_k G_k^A (x) G_k^B.
 
-    The realigned matrix is expressed in the canonical LOO product basis,
-    where a Hermitian state has a real coefficient matrix; its real SVD then
-    yields nonnegative coefficients with orthonormal *Hermitian* factors on
-    both sides (real orthogonal mixes of Hermitian operators stay Hermitian),
-    and the full SVD factors already complete both LOO bases.  The one check
-    here is that the coefficient matrix is real: an imaginary part above
-    1e-8 raises ``DegenerateDecompositionError``.  The factors are not
-    checked again; a ``LocalObservableSet`` built from them checks each
-    one's Hermiticity to 1e-10 times max(its max-norm, 1), and their norms
-    are at most 1.
+    The real SVD C = U S V^T of ``loo_coefficients(rho)`` yields nonnegative
+    coefficients with orthonormal *Hermitian* factors G_k^A = sum_i U_ik G_i
+    and G_k^B = sum_j V_jk H_j (real orthogonal mixes of Hermitian operators
+    stay Hermitian), and the full SVD's factors already complete both LOO
+    bases.  The factors are not checked again; a ``LocalObservableSet``
+    built from them checks each one's Hermiticity to 1e-10 times max(its
+    max-norm, 1), and their norms are at most 1.
 
     Returns ``(coeffs, ops_a, ops_b)`` with coeffs descending of length
     min(d_a^2, d_b^2) and the complete bases as (d_a^2, d_a, d_a) and
@@ -342,39 +347,46 @@ def operator_schmidt(rho):
     by one batched SVD, and each output gains a leading N axis.
     """
     da, db = rho.dim_a, rho.dim_b
-    wa, wb = _loo_vec_matrix(da), _loo_vec_matrix(db)
-    left = wa.conj().T @ realign(rho.states, (da, db))
-    # the right factor is shared: one product over the rows of all N matrices
-    coeff = (left.reshape(-1, db * db) @ wb.conj()).reshape(left.shape)
-    lead = coeff.shape[:-2]
-    imag = np.abs(coeff.imag)
-    if (imag > SYMMETRIZATION_ATOL).any():
-        imag = imag.max(axis=(-2, -1))
-        raise_first(imag > SYMMETRIZATION_ATOL, DegenerateDecompositionError,
-                    lambda k: f"coefficient matrix has imaginary residual "
-                              f"{imag.reshape(-1)[k]:.2e}")
-    o1, s, o2t = np.linalg.svd(coeff.real)
-    # column k of each product is vec G_k; the factors are views of it, with
-    # no copy before the set copies them into its rows
-    ops_a = np.moveaxis((wa @ o1).reshape(lead + (da, da, da * da)), -1, -3)
-    ops_b = np.moveaxis((wb @ o2t.swapaxes(-1, -2)).reshape(lead + (db, db, db * db)), -1, -3)
+    o1, s, o2t = np.linalg.svd(loo_coefficients(rho))
+    lead = s.shape[:-1]
+    # column k of each product is vec G_k; the factors are views of it
+    ops_a = np.moveaxis((_loo_vec_matrix(da) @ o1).reshape(lead + (da, da, da * da)), -1, -3)
+    ops_b = np.moveaxis((_loo_vec_matrix(db) @ o2t.swapaxes(-1, -2)).reshape(
+        lead + (db, db, db * db)), -1, -3)
     return s, ops_a, ops_b
 
 
-def schmidt_loo_pair(rho) -> LocalObservableSet:
-    """Observables adapted to ``rho``: its Schmidt operators, paired with signs
-    A_k = G_k^A, B_k = -G_k^B, extended to complete LOO bases.
+def schmidt_loo_pair(rho: DensityMatrix) -> LocalObservableSet:
+    """Observables adapted to one state: its Schmidt operators, paired with
+    signs A_k = G_k^A, B_k = -G_k^B, extended to complete LOO bases.
 
     With these observables the joint variance sum equals
     d_a + d_b - 2 sum_k s_k - sum_k (<G_k^A> - <G_k^B>)^2, so a violation is
-    at least as easy as a realignment (CCNR) violation.  For a
-    ``DensityStack`` the set holds one such set per state, (N, n, d, d).
+    at least as easy as a realignment (CCNR) violation.  A ``DensityStack``
+    raises ``ValidationError``: its states read the ``SchmidtFrame``.
     """
+    if isinstance(rho, DensityStack):
+        raise ValidationError("schmidt_loo_pair adapts to one state; a sweep's Schmidt frame "
+                              "is resolved by scan.Plan (SchmidtFrame)")
     _, ops_a, ops_b = operator_schmidt(rho)
-    n = max(ops_a.shape[-3], ops_b.shape[-3])
-    return LocalObservableSet(_zero_pad(ops_a, n), _zero_pad(np.negative(ops_b, out=ops_b), n),
+    n = max(len(ops_a), len(ops_b))
+    return LocalObservableSet(_zero_pad(ops_a, n), _zero_pad(-ops_b, n),
                               rho.dim_a - 1.0, rho.dim_b - 1.0,
                               BoundProvenance("analytic"))
+
+
+@dataclass(frozen=True)
+class SchmidtFrame:
+    """``schmidt_loo_pair`` of whichever state it is evaluated on, holding no
+    operators: an LOO pair by construction, with the exact bounds d_X - 1.
+    ``criteria`` reads its sums from the SVD of the state's
+    ``loo_coefficients``."""
+
+    dim_a: int
+    dim_b: int
+    is_loo_pair = True
+    bound_a = property(lambda self: self.dim_a - 1.0)
+    bound_b = property(lambda self: self.dim_b - 1.0)
 
 
 def _classify_analytic(stack: np.ndarray) -> tuple[float, str] | None:
@@ -382,10 +394,9 @@ def _classify_analytic(stack: np.ndarray) -> tuple[float, str] | None:
     with the form that matched: "loo" for full LOO sets (-> d-1), "generators"
     for generator sets (-> 2(d-1)), "qubit" for every other qubit side
     (-> sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T) for A_k = a_k0 1 + a_k . sigma)
-    and "zero" for a side of zero operators (-> 0).  For the sides of N sets,
-    (N, n, d, d), a form must match all N, and the minimum is the least."""
+    and "zero" for a side of zero operators (-> 0)."""
     nonzero = _nonzero(stack)
-    n, d = nonzero.shape[-3], stack.shape[-1]
+    n, d = len(nonzero), stack.shape[-1]
     if not n:
         return 0.0, "zero"
     if _is_complete_loo(nonzero):
@@ -395,10 +406,9 @@ def _classify_analytic(stack: np.ndarray) -> tuple[float, str] | None:
             and np.abs(_gram(nonzero) - 2.0 * np.eye(n)).max() <= 2 * ORTHONORMALITY_ATOL):
         return float(2 * (d - 1)), "generators"
     if d == 2:
-        bloch = 0.5 * np.einsum("...kij,pji->...kp", nonzero, _su_stack(2)).real
-        m = bloch.swapaxes(-1, -2) @ bloch
-        least = (np.trace(m, axis1=-2, axis2=-1) - np.linalg.eigvalsh(m)[..., -1]).min()
-        return max(float(least), 0.0), "qubit"
+        bloch = 0.5 * np.einsum("kij,pji->kp", nonzero, _su_stack(2)).real
+        m = bloch.T @ bloch
+        return max(float(np.trace(m) - np.linalg.eigvalsh(m)[-1]), 0.0), "qubit"
     return None
 
 
@@ -467,15 +477,8 @@ OBS_BUILDERS = {
     "pauli_loo_pair": "singlet-tuned qubit LOO pair, bounds 1/1",
     "loo_pair": "canonical full LOO pair (params: dim_a, dim_b, pairing)",
     "su_pair": "generator pair (params: dim_a, dim_b, pairing)",
-    "schmidt_loo_pair": "state-adapted Schmidt operator pair (one set per state)",
+    "schmidt_loo_pair": "state-adapted Schmidt operator pair (read from each state's SVD)",
 }
-
-
-def spec_requires_state(spec) -> bool:
-    """True when the observable spec must be rebuilt from each evaluated state."""
-    if isinstance(spec, str):
-        return spec == "schmidt_loo_pair"
-    return isinstance(spec, dict) and spec.get("builder") == "schmidt_loo_pair"
 
 
 def _parse_op_list(entries, where: str):
@@ -492,16 +495,18 @@ def _parse_op_list(entries, where: str):
 
 
 def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = None,
-                          dims: tuple[int, int] | None = None) -> LocalObservableSet:
+                          dims: tuple[int, int] | None = None
+                          ) -> LocalObservableSet | SchmidtFrame:
     """Build a LocalObservableSet from a JSON-style spec.
 
     Accepts a bare builder name, ``{"builder": name, "params": {...}}``, or
     explicit matrices ``{"opsA": [...], "opsB": [...], "boundA": x,
     "boundB": y}`` whose declared bounds are checked on construction.  ``state``
     (or bare ``dims``) supplies each dimension a dimension-generic builder's
-    spec leaves out (with neither, ``dim_b`` defaults to ``dim_a``); the
-    Schmidt builder needs the state itself, and for a ``DensityStack`` builds
-    one set per state.  Values follow ``states.is_number`` (``dim_a``/``dim_b``:
+    spec leaves out (with neither, ``dim_b`` defaults to ``dim_a``).  The
+    Schmidt builder gives ``schmidt_loo_pair(state)`` for one state, and the
+    ``SchmidtFrame`` of ``dims`` when no state is given; a ``DensityStack``
+    raises ``ValidationError``.  Values follow ``states.is_number`` (``dim_a``/``dim_b``:
     integral); a bad one names its field.
     """
     if isinstance(spec, str):
@@ -521,10 +526,9 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
                 raise SpecParseError("pauli_loo_pair takes no parameters", field="params")
             return pauli_loo_pair()
         if name == "schmidt_loo_pair":
-            if state is None:
-                raise SpecParseError("schmidt_loo_pair requires a state to adapt to",
-                                     field="builder")
-            return schmidt_loo_pair(state)
+            if dims is None:
+                raise SpecParseError("schmidt_loo_pair requires a state or dims", field="builder")
+            return SchmidtFrame(*dims) if state is None else schmidt_loo_pair(state)
         if name in ("loo_pair", "su_pair"):
             if dims is not None:  # a missing dimension is the state's
                 params.setdefault("dim_a", dims[0])

@@ -4,17 +4,17 @@ Grids are Cartesian products of axes, first axis slowest; cells come out
 in grid order, so output is byte-identical across runs.
 
 Sweeps, bisections and ``evaluate_criterion`` resolve their inputs in one
-``Plan``: the criteria, and the observable set of each bipartition.  A
-sweep evaluates its grid as one batch: the states of one bipartition are
-built as one ``DensityStack`` and validated in one pass, state-adapted
-observables (the Schmidt builder) are built for the whole stack by one
-batched SVD, and each criterion runs once on the stack, the set criteria
-reading one moment-kernel call between them.  A stack whose
-arrays would pass 32 MiB (many states of d_A, d_B >= 6) is split into
-several, so memory stays bounded.  Any other observable spec is built once
-per bipartition and reused.  A bisection runs on the same path: one stack
-for its 16 spot checks, the endpoints among them, and the midpoints of the
-first five bisection levels, then one for each five further levels.
+``Plan``: the criteria, and the observable set of each bipartition, built
+once per bipartition and reused; the Schmidt builder resolves to a
+``SchmidtFrame``, which holds no operators.  A sweep evaluates its grid as
+one batch: the states of one bipartition are built as one ``DensityStack``
+and validated in one pass, and each criterion runs once on the stack, the
+set criteria reading the three variance sums of one real LOO coefficient
+matrix per state between them.  A stack whose arrays would pass 32 MiB
+(many states of d_A, d_B >= 6) is split into several, so memory stays
+bounded.  A bisection runs on the same path: one stack for its 16 spot
+checks, the endpoints among them, and the midpoints of the first five
+bisection levels, then one for each five further levels.
 """
 
 from __future__ import annotations
@@ -36,11 +36,7 @@ from .errors import (
     ParameterRangeError,
     TlurkitError,
 )
-from .observables import (
-    LocalObservableSet,
-    observables_from_spec,
-    spec_requires_state,
-)
+from .observables import LocalObservableSet, SchmidtFrame, observables_from_spec
 from .report import Verdicts
 from .states import FAMILIES
 
@@ -100,10 +96,11 @@ class Plan:
     ``entries`` are the criteria's registry entries.  ``observables(rho)``
     gives a state or a stack the set for its own bipartition, from
     ``obs_spec`` or, when that is None, from the default for its dimensions
-    (``pauli_loo_pair`` for 2x2, ``schmidt_loo_pair`` otherwise).  A spec
-    adapted to the state (``schmidt_loo_pair``) is built for each state or
-    stack; any other spec once per bipartition, then reused; a
-    ``LocalObservableSet`` is used as given.
+    (``pauli_loo_pair`` for 2x2, ``schmidt_loo_pair`` otherwise).  Every spec
+    is built once per bipartition, then reused: ``schmidt_loo_pair`` gives
+    the bipartition's ``SchmidtFrame``, which reads each state's Schmidt
+    pair from the SVD of its coefficient matrix.  A ``LocalObservableSet``
+    or ``SchmidtFrame`` is used as given.
     """
 
     def __init__(self, criteria: list[str], obs_spec=None):
@@ -115,7 +112,7 @@ class Plan:
             self.entries.append(DV_CRITERIA[name])
         self.needs_obs = any(e.needs_obs for e in self.entries)
         self.obs_spec = obs_spec
-        self._sets: dict[tuple[int, int], LocalObservableSet] = {}
+        self._sets: dict[tuple[int, int], LocalObservableSet | SchmidtFrame] = {}
 
     def spec(self, dims: tuple[int, int]):
         """The spec the states of bipartition ``dims`` get."""
@@ -123,24 +120,21 @@ class Plan:
             return "pauli_loo_pair" if dims == (2, 2) else "schmidt_loo_pair"
         return self.obs_spec
 
-    def observables(self, rho) -> LocalObservableSet | None:
+    def observables(self, rho) -> LocalObservableSet | SchmidtFrame | None:
         if not self.needs_obs:
             return None
         dims = rho.dims
-        if dims in self._sets:
-            return self._sets[dims]
-        spec = self.spec(dims)
-        if spec_requires_state(spec):
-            return observables_from_spec(spec, state=rho)
-        if not isinstance(spec, LocalObservableSet):
-            spec = observables_from_spec(spec, dims=dims)
-        self._sets[dims] = spec
-        return spec
+        if dims not in self._sets:
+            spec = self.spec(dims)
+            if not isinstance(spec, (LocalObservableSet, SchmidtFrame)):
+                spec = observables_from_spec(spec, dims=dims)
+            self._sets[dims] = spec
+        return self._sets[dims]
 
     def evaluate(self, rho) -> list:
         """Each criterion's ``CriterionReport`` on a state, or ``Verdicts`` on a
-        stack.  The set criteria share one moment-kernel call on ``rho`` and
-        its set, kept only for this call."""
+        stack.  The set criteria share one coefficient matrix per state of
+        ``rho`` and the variance sums on its set, kept only for this call."""
         obs = self.observables(rho)
         with _crit.shared_moments():
             return [entry.evaluate(rho, obs) for entry in self.entries]
@@ -151,7 +145,7 @@ class Plan:
         the spec of each."""
         specs = {f"{da}x{db}": self.spec((da, db)) for da, db in bipartitions}
         first = next(iter(specs.values()))
-        if isinstance(first, LocalObservableSet):
+        if isinstance(first, (LocalObservableSet, SchmidtFrame)):
             return "explicit"
         return first if all(s == first for s in specs.values()) else specs
 
@@ -283,17 +277,18 @@ def _family(family: str, fixed_params: dict):
     return fam
 
 
-# working set of one stack; Fig. 1's 3x3 grid is one stack, 16x16 states go two at a time
+# working set of one stack; Fig. 1's 3x3 grid is one stack, 16x16 states go five at a time
 _STACK_BYTES = 32 << 20
 
 
 def _stack_size(dims: tuple[int, int]) -> int:
-    """States per stack: about 48 bytes for each entry of the moment rows of a
-    Schmidt set, (2n + 1) x (d_A^2 + d_B^2) with n = max(d_A^2, d_B^2), the
-    largest arrays a stack holds for each state."""
+    """States per stack: 96 bytes for each of the d^2 = d_A^2 d_B^2 entries of
+    a state, a bound on what a stack holds per state at once: the complex
+    state (16), at most three complex arrays of its size while C is formed
+    from its realignment (48), C and its imaginary residual (16), and U and V
+    of C's SVD (at most 16: d_A^2 m + m d_B^2 entries, m = min(d_A^2, d_B^2))."""
     da, db = dims
-    n = max(da, db) ** 2
-    return max(1, _STACK_BYTES // (48 * (2 * n + 1) * (da * da + db * db)))
+    return max(1, _STACK_BYTES // (96 * (da * db) ** 2))
 
 
 def _evaluate_points(plan: Plan, family: str, points: list[dict],

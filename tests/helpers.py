@@ -155,3 +155,42 @@ def oracle_bisect(family, param, lo, hi, criterion, tol, fixed_params=None):
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def _moment_rows(ops):
+    """Rows vec A_k, vec A_k^2, then vec 1 of operators (n, d, d): (2n + 1, d^2)."""
+    ops = np.asarray([np.asarray(getattr(op, "matrix", op), dtype=complex) for op in ops])
+    n, d = ops.shape[0], ops.shape[-1]
+    return np.concatenate([ops.reshape(n, -1), (ops @ ops).reshape(n, -1),
+                           np.eye(d).reshape(1, -1)])
+
+
+def oracle_moments(states, da, db, ops_a, ops_b):
+    """The moment kernel the set criteria read before they read LOO coefficient
+    matrices, kept as an oracle, with its per-k clipping: (local sum A, local
+    sum B, joint sum, covariance sum) of the paired operators, one entry per
+    state of ``states`` (a matrix, or a stack (N, d, d)).
+
+    With row-major vec, <A (x) B> = (vec A)^T R(rho^T) vec B, R the
+    realignment.  The rows (vec A_k, vec A_k^2, then vec 1) give
+    X = rows_A R(rho^T): its rows with vec 1 give the A side, its last row
+    with rows_B the B side, and its first n rows with those of rows_B the
+    cross moments.  Each variance is clipped at zero before it is summed.
+    """
+    rows_a, rows_b = _moment_rows(ops_a), _moment_rows(ops_b)
+    n = len(ops_a)
+    m = np.asarray(states)
+    lead = m.shape[:-2]
+    realigned_t = m.swapaxes(-1, -2).reshape(lead + (da, db, da, db)).swapaxes(-3, -2).reshape(
+        lead + (da * da, db * db))
+    x = rows_a @ realigned_t  # (..., 2n+1, d_B^2)
+    cross = np.einsum("...kp,...kp->...k", x[..., :n, :], rows_b[..., :n, :]).real
+    out = np.empty(x.shape[:-2] + (3, 2 * n))
+    out[..., 0, :] = (x @ rows_b[..., -1, :, None])[..., :-1, 0].real
+    out[..., 1, :] = (rows_b @ x[..., -1, :, None])[..., :-1, 0].real
+    np.add(out[..., 0, :], out[..., 1, :], out=out[..., 2, :])
+    out[..., 2, n:] += 2.0 * cross
+    first, second = out[..., :n], out[..., n:]
+    sums = np.maximum(second - first * first, 0.0).sum(axis=-1)
+    cov = (cross - first[..., 0, :] * first[..., 1, :]).sum(axis=-1)
+    return sums[..., 0], sums[..., 1], sums[..., 2], cov

@@ -9,7 +9,7 @@ from helpers import (
 from tlurkit import (
     DensityMatrix, DensityStack, entanglement_measures, eval_ccnr, eval_corollary1,
     eval_lemma1, eval_lur, eval_nonlinear_witness, eval_ppt, eval_tlur,
-    eval_tlur_dual, joint_variance_sum, loo_pair, partial_trace,
+    eval_tlur_dual, joint_variance_sum, loo_pair, observables_from_spec, partial_trace,
     pauli_loo_pair, schmidt_loo_pair, singlet, su_pair, variance,
 )
 from tlurkit.criteria import loo_bases_from_set
@@ -302,7 +302,8 @@ def test_every_detection_implies_ppt_where_ppt_is_exact(seed, dims, rank):
                                          for _ in range(50)]))
     ppt = eval_ppt(rho).detected
     sets = [builder(da, db, pairing=pairing) for builder in (loo_pair, su_pair)
-            for pairing in ("conjugate", "direct")] + [schmidt_loo_pair(rho)]
+            for pairing in ("conjugate", "direct")]
+    sets.append(observables_from_spec("schmidt_loo_pair", dims=dims))  # the Schmidt frame
     if dims == (2, 2):
         sets.append(pauli_loo_pair())
     verdicts = [eval_ccnr(rho)] + [entry.evaluate(rho, obs) for obs in sets

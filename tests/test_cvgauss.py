@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tlurkit import (
     GaussianState, combo_variance, eval_corollary2, eval_duan,
@@ -99,8 +99,11 @@ def noisy_tmsv(r, nbar):
     return GaussianState(np.zeros(4), tmsv(r).cov + nbar * np.eye(4))
 
 
-@given(st.one_of(st.integers(0, 10**6).map(random_separable_gaussian),
-                 st.builds(noisy_tmsv, st.floats(0.0, 2.0), st.floats(0.0, 0.5))))
+GAUSSIAN_STATES = st.one_of(st.integers(0, 10**6).map(random_separable_gaussian),
+                           st.builds(noisy_tmsv, st.floats(0.0, 2.0), st.floats(0.0, 0.5)))
+
+
+@given(GAUSSIAN_STATES)
 def test_corollary2_margin_adds_m_squared(state):
     for a in (0.7, 1.0, 1.8):
         duan = eval_duan(state, a)
@@ -109,6 +112,29 @@ def test_corollary2_margin_adds_m_squared(state):
         assert cor.rhs >= duan.rhs
         assert abs(cor.margin - (duan.margin + m * m)) < 1e-12
         assert cor.detected or not duan.detected  # duan is contained in corollary2
+
+
+def _closed_form_parts(state):
+    s1, s2 = mode_uncertainty_sum(state, 1), mode_uncertainty_sum(state, 2)
+    return s1, s2, state.cov[0, 2] - state.cov[1, 3]
+
+
+@given(GAUSSIAN_STATES, st.sampled_from([1.0, -1.0]))
+def test_corollary2_margin_depends_on_a_only_through_its_sign(state, sign):
+    # margin = -2 sqrt((S1 - 1)(S2 - 1)) - 2 sign(a) c, whatever |a|
+    s1, s2, c = _closed_form_parts(state)
+    closed = -2.0 * np.sqrt(max(s1 - 1.0, 0.0) * max(s2 - 1.0, 0.0)) - 2.0 * sign * c
+    for a in (0.2, 0.5, 1.0, 2.0, 5.0):
+        margin = eval_corollary2(state, sign * a).margin
+        assert abs(margin - closed) <= 1e-11 * max(abs(closed), 1.0), (a, margin, closed)
+
+
+@given(GAUSSIAN_STATES, st.sampled_from([1.0, -1.0]))
+def test_corollary2_margin_is_duans_at_the_best_abs_a(state, sign):
+    s1, s2, _ = _closed_form_parts(state)
+    assume(s1 > 1.0 + 1e-9 and s2 > 1.0 + 1e-9)
+    best = sign * ((s2 - 1.0) / (s1 - 1.0)) ** 0.25
+    assert abs(eval_duan(state, best).margin - eval_corollary2(state, sign).margin) <= 1e-12
 
 
 @given(st.integers(0, 10**6))

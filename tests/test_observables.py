@@ -111,7 +111,7 @@ def test_fixed_sets_are_built_once_and_shared():
     assert su_pair(3) is su_pair(3, 3) is observables_from_spec("su_pair", dims=(3, 3))
     assert loo_pair(3) is not loo_pair(3, pairing="direct")
     for obs in (pauli_loo_pair(), loo_pair(2, 3), su_pair(3)):  # so sharing is safe
-        for arr in (obs.stack_a, obs.stack_b, obs.rows_a, obs.rows_b):
+        for arr in (obs.stack_a, obs.stack_b, obs.coords_a, obs.coords_b):
             assert not arr.flags.writeable
     # the pairing is checked before the cache, so an unhashable one reads as before
     for builder in (loo_pair, su_pair):

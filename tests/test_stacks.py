@@ -2,20 +2,24 @@
 per-observable oracle of ``helpers``, and against the same states evaluated
 one at a time."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import oracle_partial_trace, oracle_variance_sums
+from helpers import oracle_moments, oracle_partial_trace, oracle_variance_sums, random_herm
 from tlurkit import (
     DensityMatrix, GridAxis, eval_ccnr, eval_corollary1, eval_lemma1, eval_lur,
     eval_nonlinear_witness, eval_ppt, eval_tlur, eval_tlur_dual, loo_pair,
-    operator_schmidt, pauli_loo_pair, schmidt_loo_pair, su_pair, sweep,
+    observables_from_spec, operator_schmidt, pauli_loo_pair, schmidt_loo_pair, su_pair, sweep,
+    uncertainty_bound,
 )
-from tlurkit import criteria, linops
-from tlurkit.criteria import _moments, shared_moments
+from tlurkit import criteria, linops, observables
+from tlurkit.criteria import _sums, shared_moments
 from tlurkit.errors import DimensionMismatchError, ParameterRangeError, ValidationError
 from tlurkit.linops import DensityStack
+from tlurkit.observables import BoundProvenance, LocalObservableSet, SchmidtFrame
 from tlurkit.scan import Plan
 from tlurkit.states import FAMILIES, StateFamily, random_mixed_state, random_separable
 
@@ -36,7 +40,7 @@ def _stack(seed, dims, ranks):
 
 
 def _sets(rho):
-    sets = {"schmidt_loo_pair": schmidt_loo_pair(rho),
+    sets = {"schmidt_loo_pair": observables_from_spec("schmidt_loo_pair", dims=rho.dims),
             "loo_pair-conjugate": loo_pair(*rho.dims),
             "loo_pair-direct": loo_pair(*rho.dims, pairing="direct"),
             "su_pair": su_pair(*rho.dims)}
@@ -45,10 +49,11 @@ def _sets(rho):
     return sets
 
 
-def _operators(obs, i):
-    """The operators the set applies to state i (one set per state, or one for all)."""
-    if obs.stack_a.ndim == 4:
-        return obs.stack_a[i], obs.stack_b[i]
+def _operators(rho, obs, i):
+    """The operators the set applies to state i: the Schmidt frame's are the
+    state's own Schmidt pair (``schmidt_loo_pair`` of the one state)."""
+    if isinstance(obs, SchmidtFrame):
+        obs = schmidt_loo_pair(DensityMatrix(*rho.dims, rho.states[i]))
     return obs.stack_a, obs.stack_b
 
 
@@ -83,7 +88,7 @@ def test_stack_evaluators_match_per_observable_oracle(seed, dims, ranks):
         criteria = dict(SET_CRITERIA, **(LOO_CRITERIA if obs.is_loo_pair else {}))
         got = {c: evaluate(rho, obs) for c, evaluate in criteria.items()}
         for i, m in enumerate(rho.states):
-            want = _oracle(m, da, db, obs, *_operators(obs, i))
+            want = _oracle(m, da, db, obs, *_operators(rho, obs, i))
             for c, verdicts in got.items():
                 rhs = np.broadcast_to(verdicts.rhs, verdicts.lhs.shape)[i]
                 np.testing.assert_allclose([verdicts.lhs[i], rhs], want[c], rtol=0,
@@ -92,34 +97,46 @@ def test_stack_evaluators_match_per_observable_oracle(seed, dims, ranks):
 
 @pytest.mark.parametrize("dims", DIMS)
 def test_schmidt_factors_and_means_of_a_stack(dims):
-    # unequal sides pad the shorter basis with zero operators; the kernel's
-    # means there must be zero and elsewhere Tr(rho_X X_k)
+    # operator_schmidt of a stack gives each state its own factors; the Schmidt
+    # frame's sums are those of the pair A_k = G_k^A, B_k = -G_k^B they make
     da, db = dims
     rho = _stack(7 * da + db, dims, [1, 3, da * db])
     coeffs, ops_a, ops_b = operator_schmidt(rho)
-    obs = schmidt_loo_pair(rho)
-    n = max(da, db) ** 2
-    assert obs.stack_a.shape == (3, n, da, da) and obs.stack_b.shape == (3, n, db, db)
-    assert obs.is_loo_pair
-    first, _, _ = _moments(rho, obs)
+    assert ops_a.shape == (3, da ** 2, da, da) and ops_b.shape == (3, db ** 2, db, db)
+    frame = observables_from_spec("schmidt_loo_pair", dims=dims)
+    assert frame == SchmidtFrame(da, db) and frame.is_loo_pair
+    tlur, lemma1 = eval_tlur(rho, frame), eval_lemma1(rho, frame)
     for i, m in enumerate(rho.states):
         np.testing.assert_allclose(
             sum(s * np.kron(a, b) for s, a, b in zip(coeffs[i], ops_a[i], ops_b[i])), m,
             atol=1e-12)
-        for stack, d in ((obs.stack_a[i], da), (obs.stack_b[i], db)):
-            assert not stack[d * d:].any()  # the padding is exactly zero
-            vecs = stack[:d * d].reshape(d * d, -1)
+        one = operator_schmidt(DensityMatrix(da, db, m))
+        for got, want in zip((coeffs[i], ops_a[i], ops_b[i]), one):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for stack, d in ((ops_a[i], da), (ops_b[i], db)):
+            vecs = stack.reshape(d * d, -1)
             np.testing.assert_allclose(vecs.conj() @ vecs.T, np.eye(d * d), atol=1e-12)
         ra = oracle_partial_trace(m, da, db, "B")
         rb = oracle_partial_trace(m, da, db, "A")
-        np.testing.assert_allclose(first[i, 0], [np.trace(ra @ a).real for a in obs.stack_a[i]],
-                                   atol=1e-12)
-        np.testing.assert_allclose(first[i, 1], [np.trace(rb @ b).real for b in obs.stack_b[i]],
-                                   atol=1e-12)
+        means_a = np.array([np.trace(ra @ a).real for a in ops_a[i]])
+        means_b = np.array([np.trace(rb @ b).real for b in ops_b[i]])
+        k = min(da, db) ** 2  # the paired factors; the others pair with zero
+        cov = -(coeffs[i].sum() - means_a[:k] @ means_b[:k])
+        np.testing.assert_allclose(
+            [tlur.components["local_variance_sum_A"][i], tlur.components["local_variance_sum_B"][i],
+             lemma1.components["covariance_sum"][i]],
+            [da - means_a @ means_a, db - means_b @ means_b, cov], rtol=0, atol=1e-12)
+
+
+def _summary(report) -> dict:
+    return {"lhs": report.lhs, "rhs": report.rhs, "margin": report.margin,
+            "detected": report.detected}
 
 
 @pytest.mark.parametrize("dims", DIMS)
 def test_a_stack_gives_the_values_of_its_states_one_at_a_time(dims):
+    # bit for bit with the same set (a bisection's verdicts are a lone state's);
+    # the Schmidt frame also against the set built from the one state's factors
     rho = _stack(11 * dims[0] + dims[1], dims, [1, 2, 5, 12])
     for name, obs in _sets(rho).items():
         criteria = dict(SET_CRITERIA, **(LOO_CRITERIA if obs.is_loo_pair else {}))
@@ -127,9 +144,11 @@ def test_a_stack_gives_the_values_of_its_states_one_at_a_time(dims):
             stacked = evaluate(rho, obs)
             for i, m in enumerate(rho.states):
                 one = DensityMatrix(*dims, m)
-                single_obs = schmidt_loo_pair(one) if name == "schmidt_loo_pair" else obs
-                report = evaluate(one, single_obs)
                 summary = stacked.summaries()[i]
+                assert summary == _summary(evaluate(one, obs)), f"{name} {c} state {i}"
+                if name != "schmidt_loo_pair":
+                    continue
+                report = evaluate(one, schmidt_loo_pair(one))
                 np.testing.assert_allclose(
                     [summary["lhs"], summary["rhs"], summary["margin"]],
                     [report.lhs, report.rhs, report.margin], rtol=0, atol=1e-12,
@@ -138,18 +157,31 @@ def test_a_stack_gives_the_values_of_its_states_one_at_a_time(dims):
     for evaluate in (eval_ppt, eval_ccnr):
         stacked = evaluate(rho).summaries()
         for i, m in enumerate(rho.states):
-            report = evaluate(DensityMatrix(*dims, m))
-            assert stacked[i] == {"lhs": report.lhs, "rhs": report.rhs,
-                                  "margin": report.margin, "detected": report.detected}
+            assert stacked[i] == _summary(evaluate(DensityMatrix(*dims, m)))
 
 
-def test_a_set_per_state_needs_as_many_states():
-    rho = _stack(3, (2, 2), [1, 2, 4])
-    obs = schmidt_loo_pair(rho)
+def test_a_stack_reads_the_schmidt_frame_plan_resolves(monkeypatch):
+    # a stack has no one Schmidt set: schmidt_loo_pair and the spec with the
+    # stack as its state refuse it and name Plan; a sweep's Plan resolves the
+    # spec once per bipartition to a frame and builds no operator stack
+    rho = _stack(3, (3, 3), [1, 2, 9])
+    for build in (schmidt_loo_pair, lambda r: observables_from_spec("schmidt_loo_pair", state=r)):
+        with pytest.raises(ValidationError, match="resolved by scan.Plan"):
+            build(rho)
     with pytest.raises(DimensionMismatchError):
-        eval_lur(DensityMatrix(2, 2, rho.states[0]), obs)
-    with pytest.raises(DimensionMismatchError):
-        eval_lur(DensityStack(2, 2, rho.states[:2]), obs)
+        eval_lur(rho, SchmidtFrame(2, 2))
+
+    def no_stacks(*args, **kwargs):
+        raise AssertionError("a sweep built Schmidt operators")
+
+    built = []
+    monkeypatch.setattr(observables, "operator_schmidt", no_stacks)
+    monkeypatch.setattr("tlurkit.scan.observables_from_spec",
+                        lambda spec, **kw: built.append(kw["dims"]) or observables_from_spec(spec, **kw))
+    monkeypatch.setattr("tlurkit.scan._STACK_BYTES", 1)  # one state a stack
+    result = sweep("horodecki_noise", [GridAxis("p", 0.0, 1.0, 0.5)], ["lur", "tlur"],
+                   obs_spec="schmidt_loo_pair", fixed_params={"a": 0.3})
+    assert built == [(3, 3)] and len(result.cells) == 3
 
 
 def test_stack_validation_names_the_first_offending_state():
@@ -346,12 +378,16 @@ def _assert_same_verdicts(got, want):
 def test_criteria_sharing_moments_equal_each_criterion_alone(case, monkeypatch):
     family, points, spec, names = SHARED_CASES[case]
     rho = FAMILIES[family].stack(points)
-    calls = []
-    kernel = criteria._moment_kernel
-    monkeypatch.setattr(criteria, "_moment_kernel",
-                        lambda *args: calls.append(args) or kernel(*args))
+    calls = {"sums": 0, "coefficients": 0}
+    sums, coefficients = criteria._variance_sums, criteria.loo_coefficients
+
+    def counted(name, fn):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+    monkeypatch.setattr(criteria, "_variance_sums", counted("sums", sums))
+    monkeypatch.setattr(criteria, "loo_coefficients", counted("coefficients", coefficients))
     together = Plan(names, spec).evaluate(rho)
-    assert len(calls) == 1  # one kernel call for the stack and its set
+    assert calls == {"sums": 1, "coefficients": 1}  # one C and one set of sums for the stack
     for name, verdicts in zip(names, together):
         alone, = Plan([name], spec).evaluate(rho)
         _assert_same_verdicts(verdicts, alone)
@@ -369,6 +405,91 @@ def test_shared_moments_keep_each_stack_apart_and_nothing_after():
         for rho, want in zip(stacks, fresh):
             _assert_same_verdicts(eval_tlur(rho, obs), want[1])
     assert criteria._SHARED.get() is None
-    first = _moments(stacks[0], obs)
-    assert _moments(stacks[0], obs)[0] is not first[0]  # no block: computed per call
-    assert not first[0].flags.writeable
+    first = _sums(stacks[0], obs)
+    assert _sums(stacks[0], obs) is not first  # no block: computed per call
+    assert not first.flags.writeable
+
+
+ALL_SET_CRITERIA = ["lur", "tlur", "tlur_dual", "lemma1", "c_lur", "c_tlur",
+                    "nonlinear_witness", "corollary1"]
+
+
+@functools.lru_cache(maxsize=None)
+def _declared_set(d):
+    """Random Hermitian qubit or qutrit operators, declared with the bounds
+    ``uncertainty_bound`` gives them (the qutrit sides are certified by the
+    seeded minimizer: built once)."""
+    rng = np.random.default_rng(40 + d)
+    ops = [[random_herm(d, rng) for _ in range(3)] for _ in "AB"]
+    bounds = [uncertainty_bound(side, mode="analytic" if d == 2 else "numeric", restarts=4)[0]
+              for side in ops]
+    assert min(bounds) > 0.0
+    return LocalObservableSet(*ops, *bounds, BoundProvenance("declared"))
+
+
+def _oracle_summaries(sums, u, dims, loo):
+    """{criterion: (lhs, rhs, margin)} from the oracle's (local A, local B,
+    joint, cov) against bounds u = (U_A, U_B); the LOO witnesses read d - 1."""
+    local_a, local_b, joint, cov = sums
+
+    def excess(bounds):
+        ea, eb = np.maximum(local_a - bounds[0], 0.0), np.maximum(local_b - bounds[1], 0.0)
+        return ea, eb, np.sqrt(ea) - np.sqrt(eb)
+
+    ea, eb, m = excess(u)
+    u_sum = u[0] + u[1]
+    root = np.sqrt(ea * eb)
+    lemma = np.minimum(root + cov, root - cov)
+    c_lur, c_tlur = 1.0 - joint / u_sum, 1.0 - (joint - m * m) / u_sum
+    dual = u_sum + (np.sqrt(ea) + np.sqrt(eb)) ** 2
+    out = {"lur": (joint, u_sum, u_sum - joint),
+           "tlur": (joint, u_sum + m * m, u_sum + m * m - joint),
+           "tlur_dual": (joint, dual, joint - dual),
+           "lemma1": (lemma, 0.0, -lemma),
+           "c_lur": (c_lur, 0.0, c_lur), "c_tlur": (c_tlur, 0.0, c_tlur)}
+    if loo:
+        d_sum = dims[0] + dims[1] - 2.0
+        _, _, m_loo = excess((dims[0] - 1.0, dims[1] - 1.0))
+        witness = (joint - d_sum) / 2
+        corollary = (joint - d_sum - m_loo * m_loo) / 2
+        out["nonlinear_witness"] = (witness, 0.0, -witness)
+        out["corollary1"] = (corollary, 0.0, -corollary)
+    return out
+
+
+def _assert_matches_oracle(verdicts, want, names, label):
+    for name, got in zip(names, verdicts):
+        lhs, rhs, margin = (np.broadcast_to(x, got.lhs.shape) for x in want[name])
+        np.testing.assert_allclose(
+            [got.lhs, np.broadcast_to(got.rhs, got.lhs.shape), got.margin], [lhs, rhs, margin],
+            rtol=0, atol=1e-12, err_msg=f"{label} {name}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(DIMS), st.data())
+def test_every_set_criterion_matches_the_moment_kernel_oracle(seed, dims, data):
+    # the criteria read three sums of one LOO coefficient matrix per state; the
+    # per-k moment kernel they replaced gives the same lhs, rhs and margin
+    da, db = dims
+    ranks = data.draw(st.lists(st.integers(1, da * db), min_size=1, max_size=4), label="ranks")
+    rho = _stack(seed, dims, ranks)
+    sets = {f"{builder.__name__}-{pairing}": builder(da, db, pairing=pairing)
+            for builder in (loo_pair, su_pair) for pairing in ("conjugate", "direct")}
+    if dims == (2, 2):
+        sets["pauli_loo_pair"] = pauli_loo_pair()
+    if da == db:
+        sets["declared"] = _declared_set(da)
+    for label, obs in sets.items():
+        names = [n for n in ALL_SET_CRITERIA if obs.is_loo_pair or n not in LOO_CRITERIA]
+        sums = oracle_moments(rho.states, da, db, obs.stack_a, obs.stack_b)
+        want = _oracle_summaries(sums, (obs.bound_a, obs.bound_b), dims, obs.is_loo_pair)
+        _assert_matches_oracle(Plan(names, obs).evaluate(rho), want, names, label)
+    # the Schmidt spec through Plan, against the pair of operator_schmidt's factors
+    _, ops_a, ops_b = operator_schmidt(rho)
+    n = max(da, db) ** 2
+    pad = [np.zeros((len(rho.states), n - ops.shape[1]) + ops.shape[2:]) for ops in (ops_a, ops_b)]
+    pairs = np.concatenate([ops_a, pad[0]], axis=1), -np.concatenate([ops_b, pad[1]], axis=1)
+    sums = np.transpose([oracle_moments(m, da, db, a, b) for m, a, b in zip(rho.states, *pairs)])
+    want = _oracle_summaries(sums, (da - 1.0, db - 1.0), dims, True)
+    _assert_matches_oracle(Plan(ALL_SET_CRITERIA, "schmidt_loo_pair").evaluate(rho), want,
+                           ALL_SET_CRITERIA, "schmidt_loo_pair")
