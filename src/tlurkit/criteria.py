@@ -145,8 +145,9 @@ def _variance_sums(coeff: np.ndarray, obs: Observables) -> np.ndarray:
     return out
 
 
-# sum over the last axis of x * y, one call per state
-_dot = getattr(np, "vecdot", lambda x, y: (x * y).sum(axis=-1))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of x * y, per state of a stack."""
+    return (x * y).sum(axis=-1)
 
 
 def joint_variance_sum(rho, obs: Observables):

@@ -317,7 +317,9 @@ def loo_coefficients(rho) -> np.ndarray:
     ``DegenerateDecompositionError``."""
     da, db = rho.dim_a, rho.dim_b
     # C^T = (R W_B^*)^T W_A^*, R = R(rho): two real products per state, so a
-    # state of a stack gets the bits it gets alone
+    # state of a stack gets the bits it gets alone.  The complex form
+    # W_A^H @ R @ W_B^* does too, but takes up to twice as long on 2x2 stacks
+    # of 3 to 63 states (17-45 us against 9-21 us, one BLAS thread)
     right = (realign(rho.states, (da, db)).view(np.float64) @ _times_conj_vec(db)).view(complex)
     coeff_t = (np.ascontiguousarray(right.swapaxes(-1, -2)).view(np.float64)
                @ _times_conj_vec(da)).view(complex)

@@ -457,12 +457,12 @@ def _oracle_summaries(sums, u, dims, loo):
     return out
 
 
-def _assert_matches_oracle(verdicts, want, names, label):
+def _assert_matches_oracle(verdicts, want, names, label, atol=1e-12):
     for name, got in zip(names, verdicts):
         lhs, rhs, margin = (np.broadcast_to(x, got.lhs.shape) for x in want[name])
         np.testing.assert_allclose(
             [got.lhs, np.broadcast_to(got.rhs, got.lhs.shape), got.margin], [lhs, rhs, margin],
-            rtol=0, atol=1e-12, err_msg=f"{label} {name}")
+            rtol=0, atol=atol, err_msg=f"{label} {name}")
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,12 +484,45 @@ def test_every_set_criterion_matches_the_moment_kernel_oracle(seed, dims, data):
         sums = oracle_moments(rho.states, da, db, obs.stack_a, obs.stack_b)
         want = _oracle_summaries(sums, (obs.bound_a, obs.bound_b), dims, obs.is_loo_pair)
         _assert_matches_oracle(Plan(names, obs).evaluate(rho), want, names, label)
-    # the Schmidt spec through Plan, against the pair of operator_schmidt's factors
+    _assert_schmidt_frame_matches_oracle(Plan(ALL_SET_CRITERIA, "schmidt_loo_pair"), rho)
+
+
+def _assert_schmidt_frame_matches_oracle(plan, rho, atol=1e-12):
+    """The Schmidt spec through ``plan``, against the pair of operator_schmidt's
+    factors; the oracle's four sums are returned."""
+    da, db = rho.dims
     _, ops_a, ops_b = operator_schmidt(rho)
     n = max(da, db) ** 2
     pad = [np.zeros((len(rho.states), n - ops.shape[1]) + ops.shape[2:]) for ops in (ops_a, ops_b)]
     pairs = np.concatenate([ops_a, pad[0]], axis=1), -np.concatenate([ops_b, pad[1]], axis=1)
     sums = np.transpose([oracle_moments(m, da, db, a, b) for m, a, b in zip(rho.states, *pairs)])
-    want = _oracle_summaries(sums, (da - 1.0, db - 1.0), dims, True)
-    _assert_matches_oracle(Plan(ALL_SET_CRITERIA, "schmidt_loo_pair").evaluate(rho), want,
-                           ALL_SET_CRITERIA, "schmidt_loo_pair")
+    want = _oracle_summaries(sums, (da - 1.0, db - 1.0), rho.dims, True)
+    _assert_matches_oracle(plan.evaluate(rho), want, ALL_SET_CRITERIA, "schmidt_loo_pair", atol)
+    return sums
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 1), (1, 3)])
+def test_a_side_of_dimension_one_matches_the_moment_kernel_oracle(dims):
+    # a 1x1 side's LOO basis is the 1x1 identity: a declared set with such a
+    # side, and the default Schmidt frame of such a bipartition, evaluate
+    # like any other.  Every operator on that side has variance 0, up to
+    # round-off whose square root (in the excess terms) reaches 1.5e-8, so
+    # the three sums are held to 1e-12 and the criteria to 1e-7
+    da, db = dims
+    rho = _stack(7, dims, [1, 2, da * db])
+    rng = np.random.default_rng(11)
+    ops = [[random_herm(d, rng) for _ in range(3)] for d in dims]
+    bounds = [0.0 if d == 1 else uncertainty_bound(side, mode="analytic" if d == 2 else "numeric",
+                                                    restarts=4)[0]
+              for side, d in zip(ops, dims)]
+    obs = LocalObservableSet(*ops, *bounds, BoundProvenance("declared"))
+    names = [n for n in ALL_SET_CRITERIA if n not in LOO_CRITERIA]
+    sums = oracle_moments(rho.states, da, db, obs.stack_a, obs.stack_b)
+    np.testing.assert_allclose(_sums(rho, obs), np.transpose(sums),
+                               rtol=0, atol=1e-12)
+    want = _oracle_summaries(sums, (obs.bound_a, obs.bound_b), dims, False)
+    _assert_matches_oracle(Plan(names, obs).evaluate(rho), want, names, "declared", 1e-7)
+    # the default spec of the bipartition is its Schmidt frame
+    sums = _assert_schmidt_frame_matches_oracle(Plan(ALL_SET_CRITERIA), rho, 1e-7)
+    frame = observables_from_spec("schmidt_loo_pair", dims=dims)
+    np.testing.assert_allclose(_sums(rho, frame), np.transpose(sums), rtol=0, atol=1e-12)
