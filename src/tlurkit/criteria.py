@@ -118,7 +118,8 @@ def _variance_sums(coeff: np.ndarray, obs: Observables) -> np.ndarray:
     rows alpha, beta (``coords_a``, ``coords_b``, last rows sigma_A, sigma_B)
     give sum Var A = sigma_A . a - |alpha a|^2, likewise for B, and
     sum Cov = tr(alpha (C - a b^T) beta^T).  A ``SchmidtFrame`` gives d_X - |x|^2
-    and sum Cov = -T, T = sum_k s_k - (U^T a).(V^T b), with C = U S V^T.
+    and sum Cov = -T, T = sum_k s_k - (U^T a).(V^T b), with C = U S V^T.  The
+    local sum of a side of dimension 1 is exactly 0, not its round-off.
     """
     da, db = obs.dim_a, obs.dim_b
     lead = coeff.shape[:-2]
@@ -139,6 +140,9 @@ def _variance_sums(coeff: np.ndarray, obs: Observables) -> np.ndarray:
         out[..., 1] = means_b[..., -1] - _dot(beta, beta)
         pair = obs.coords_a[:-1].T @ obs.coords_b[:-1]
         out[..., 3] = _dot(coeff.reshape(lead + (-1,)), pair.reshape(-1)) - _dot(alpha, beta)
+    for side, d in enumerate((da, db)):
+        if d == 1:  # only multiples of 1 act on the side: their variances are 0
+            out[..., side] = 0.0
     out[..., 2] = out[..., 0] + out[..., 1] + 2.0 * out[..., 3]
     np.maximum(out[..., :3], 0.0, out=out[..., :3])
     out.setflags(write=False)

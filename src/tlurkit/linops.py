@@ -108,10 +108,15 @@ def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
     A float64 input (the real families build real states) is checked in its
     own real arithmetic: the residuals and norms equal those of its complex
     copy, the trace is summed as in that copy (so a failed check prints it as
-    before, a complex number), and ``eigvalsh`` runs on the real symmetric
-    matrices.  It is copied to complex once it has passed.  Any other input
-    is copied to complex first and checked there, so a complex one is copied
-    once.
+    before, a complex number), and the positivity check runs on the real
+    symmetric matrices.  It is copied to complex once it has passed.  Any
+    other input is copied to complex first and checked there, so a complex
+    one is copied once.
+
+    Positivity is one batched Cholesky factorisation of m + 1e-10 * 1, which
+    succeeds only where every eigenvalue of m lies above -1e-10.  Only when it
+    fails does ``min_eigenvalues`` run, so the rule (smallest eigenvalue below
+    -1e-10) decides each failing state, and names it, as ``eigvalsh`` reads it.
     """
     m = np.asarray(m)
     real = m.dtype == np.float64
@@ -130,8 +135,12 @@ def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
     bad_h = non_hermitian(m)
     tr = np.trace(m, axis1=-2, axis2=-1, dtype=complex)  # summed as in the complex copy
     bad_t = np.abs(tr - 1.0) > TRACE_ATOL
-    w = min_eigenvalues(m)
-    bad_w = w < -EIGENVALUE_CLIP
+    bad_w = np.zeros(m.shape[:-2], dtype=bool)
+    try:
+        np.linalg.cholesky(m + EIGENVALUE_CLIP * np.eye(d))
+    except np.linalg.LinAlgError:  # a state may lie below the clip: eigvalsh decides
+        w = min_eigenvalues(m)
+        bad_w = w < -EIGENVALUE_CLIP
     if (bad_h | bad_t | bad_w).any():  # one test; the checks keep their order
         raise_first(bad_h, ValidationError,
                     lambda k: "density matrix is not Hermitian within tolerance")

@@ -6,15 +6,19 @@ in grid order, so output is byte-identical across runs.
 Sweeps, bisections and ``evaluate_criterion`` resolve their inputs in one
 ``Plan``: the criteria, and the observable set of each bipartition, built
 once per bipartition and reused; the Schmidt builder resolves to a
-``SchmidtFrame``, which holds no operators.  A sweep evaluates its grid as
-one batch: the states of one bipartition are built as one ``DensityStack``
-and validated in one pass, and each criterion runs once on the stack, the
-set criteria reading the three variance sums of one real LOO coefficient
-matrix per state between them.  A stack whose arrays would pass 32 MiB
-(many states of d_A, d_B >= 6) is split into several, so memory stays
-bounded.  A bisection runs on the same path: one stack for its 16 spot
-checks, the endpoints among them, and the midpoints of the first five
-bisection levels, then one for each five further levels.
+``SchmidtFrame``, which holds no operators.  Parameter columns are all
+that passes from a grid to its states: a sweep turns each axis into one
+column over the grid's points, and no dict is built per point.  It
+evaluates its grid as one batch: the states of one bipartition, taken from
+the columns by index, are built as one ``DensityStack`` and validated in
+one pass, and each criterion runs once on the stack, the set criteria
+reading the three variance sums of one real LOO coefficient matrix per
+state between them; each cell's reports are read from the stack's
+verdicts.  A stack whose arrays would pass 32 MiB (many states of d_A, d_B
+>= 6) is split into several, so memory stays bounded.  A bisection runs on
+the same path, each probe one column of its parameter: one stack for its
+16 spot checks, the endpoints among them, and the midpoints of the first
+five bisection levels, then one for each five further levels.
 """
 
 from __future__ import annotations
@@ -291,29 +295,47 @@ def _stack_size(dims: tuple[int, int]) -> int:
     return max(1, _STACK_BYTES // (96 * (da * db) ** 2))
 
 
-def _evaluate_points(plan: Plan, family: str, points: list[dict],
-                     fixed_params: dict) -> list:
-    """Each criterion's ``Verdicts`` on the states at ``points`` (over
-    ``fixed_params``, all of one bipartition), built as one stack.  An error
-    names the failing point, or the stack when no one state failed."""
-    fam = FAMILIES[family]
+def _evaluate_stack(plan: Plan, family: str, columns: dict, fixed_params: dict) -> list:
+    """Each criterion's ``Verdicts`` on the states at the points of
+    ``columns`` (over ``fixed_params``, all of one bipartition), built as one
+    stack.  An error names the failing point, or the stack when no one state
+    failed."""
     try:
-        return plan.evaluate(fam.stack(points, fixed_params))
+        return plan.evaluate(FAMILIES[family].stack(columns, fixed_params))
     except TlurkitError as exc:
-        where = (f"point {points[exc.state]}" if exc.state is not None
-                 else f"{len(points)}-point stack")
+        if exc.state is None:
+            where = f"{len(next(iter(columns.values())))}-point stack"
+        else:  # the point's values as Python numbers, as the axis gave them
+            point = {name: col.tolist()[exc.state] for name, col in columns.items()}
+            where = f"point {point}"
         raise type(exc)(f"{exc} (at {family} {where})") from exc
+
+
+def _bipartitions(fam, columns: dict, fixed_params: dict, n: int) -> dict:
+    """The indices of the n points of ``columns`` by bipartition, in order of
+    first appearance: one group unless an axis sweeps ``dim_a`` or ``dim_b``."""
+    swept = [name for name in ("dim_a", "dim_b") if name in columns]
+    if not swept:
+        return {fam.dims_for(fixed_params): np.arange(n)}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, values in enumerate(zip(*(columns[name].tolist() for name in swept))):
+        dims = fam.dims_for({**fixed_params, **dict(zip(swept, values))})
+        groups.setdefault(dims, []).append(i)
+    return {dims: np.array(idx) for dims, idx in groups.items()}
 
 
 def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
           fixed_params: dict | None = None) -> ScanResult:
     """Evaluate criteria over the Cartesian grid; deterministic cell order.
 
-    The points of each bipartition (one, unless an axis changes the
-    dimensions) form one stack, split only where its arrays would pass
-    32 MiB: each criterion runs once on each stack, with the observable set
-    the plan gives that bipartition.  Each parameter is swept by one axis or
-    fixed, never both: ``ParameterRangeError`` names one that is not.
+    Each axis becomes one parameter column over the grid's points.  The
+    points of each bipartition (one, unless an axis changes the dimensions)
+    form one stack, taken from the columns by index and split only where its
+    arrays would pass 32 MiB: each criterion runs once on each stack, with
+    the observable set the plan gives that bipartition, and each cell's
+    reports are read from the stack's verdicts.  Each parameter is swept by
+    one axis or fixed, never both: ``ParameterRangeError`` names one that is
+    not.
     """
     if not criteria:
         raise ParameterRangeError("need at least one criterion")
@@ -329,20 +351,24 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
                 f"{'fixed' if name in fixed_params else 'swept by another axis'}")
     _grid_size(grid)
     plan = Plan(criteria, obs_spec)
-    points = [dict(zip(names, combo))
-              for combo in itertools.product(*(ax.values() for ax in grid))]
-    cells = [{"params": {**p, **fixed_params}, "reports": {}} for p in points]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, cell in enumerate(cells):
-        groups.setdefault(fam.dims_for(cell["params"]), []).append(i)
+    values = [ax.values() for ax in grid]
+    # the grid's points in grid order (first axis slowest), as each axis's index
+    index = np.indices([len(v) for v in values]).reshape(len(grid), -1)
+    columns = {name: np.asarray(v)[i] for name, v, i in zip(names, values, index)}
+    n = index.shape[1]
+    groups = _bipartitions(fam, columns, fixed_params, n)
     size = {dims: _stack_size(dims) for dims in groups}
     stacks = [idx[k:k + size[dims]] for dims, idx in groups.items()
               for k in range(0, len(idx), size[dims])]
+    reports = [None] * n
     for idx in stacks:
-        verdicts = _evaluate_points(plan, family, [points[i] for i in idx], fixed_params)
-        for entry, verdict in zip(plan.entries, verdicts):
-            for i, summary in zip(idx, verdict.summaries()):
-                cells[i]["reports"][entry.name] = summary
+        verdicts = _evaluate_stack(plan, family, {name: col[idx] for name, col in columns.items()},
+                                   fixed_params)
+        per_state = zip(*(verdict.summaries() for verdict in verdicts))
+        for i, summaries in zip(idx.tolist(), per_state):
+            reports[i] = dict(zip(criteria, summaries))
+    cells = [{"params": {**dict(zip(names, point)), **fixed_params}, "reports": r}
+             for point, r in zip(itertools.product(*values), reports)]
     return ScanResult(family, fixed_params, list(grid), list(criteria), cells,
                       obs_spec=plan.recorded_spec(groups))
 
@@ -399,8 +425,8 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     plan = Plan([criterion], obs_spec)
 
     def probe(xs) -> Verdicts:
-        verdict, = _evaluate_points(plan, family, [{param: float(x)} for x in xs],
-                                    fixed_params)
+        verdict, = _evaluate_stack(plan, family, {param: np.fromiter(xs, float)},
+                                   fixed_params)
         return verdict
 
     n = _BISECT_SAMPLES

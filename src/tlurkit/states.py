@@ -155,12 +155,16 @@ def _random_separable_stack(dim_a, dim_b, n_terms, seed) -> np.ndarray:
 class StateFamily:
     """A named, parameterized family of states for scans and the CLI.
 
-    ``matrix`` takes each parameter as a column (an array of its values over
-    the points of a stack) and returns the (N, d, d) stack of unvalidated
-    density matrices; given numbers, it returns the one (d, d) matrix.
-    ``stack`` builds and validates the states of many points in one pass, and
-    ``instantiate`` is its one-point case.  ``params`` declares each
-    parameter's range (lo, hi): inclusive, or open at both ends for the
+    Parameter columns are what passes between a grid and a stack: each
+    varying parameter is one 1-D column of its values over the points.
+    ``stack`` checks the columns as columns (``check_params``'s rules, a full
+    set of parameters, one bipartition), builds the (N, d, d) matrices with
+    one ``matrix`` call and validates them in one pass; only when a check
+    fails does it walk the points, to name the first failing one.
+    ``instantiate`` is its one-point case.  ``matrix`` takes each parameter
+    as a float column and returns the stack of unvalidated density matrices;
+    given numbers, it returns the one (d, d) matrix.  ``params`` declares
+    each parameter's range (lo, hi): inclusive, or open at both ends for the
     parameters named in ``open_params``, as the builder requires.
     """
 
@@ -201,23 +205,22 @@ class StateFamily:
                 raise ParameterRangeError(
                     f"{name} must be an integer for family '{self.name}', got {value}")
 
-    def _columns(self, points: list[dict], fixed: dict) -> dict[str, np.ndarray] | None:
-        """The points, over ``fixed`` and the defaults, as one float column per
-        parameter, or None if any point fails a check of ``check_params``,
-        misses a parameter, or has dimensions other than the first point's.
-        No merged dict is built per point, and each column's values are
-        checked by their types."""
+    def _columns(self, columns: dict, fixed: dict, n: int) -> dict[str, np.ndarray] | None:
+        """One float column of the n points per parameter (its column in
+        ``columns``, else its value in ``fixed`` or the defaults, repeated),
+        or None if any value fails a check of ``check_params``, a parameter
+        is missing, or the dimensions vary.  A column's values are checked
+        by their types, an array of numbers by its dtype."""
         base = {**self.defaults, **fixed}
-        if not base.keys() | set().union(*points) <= self.params.keys():
+        if columns.keys() | base.keys() != self.params.keys():
             return None
         cols = {}
         for name, (lo, hi) in self.params.items():
-            default = base.get(name)  # None, not a number, where a point misses it
-            values = [p.get(name, default) for p in points]
-            if not all(map(_number_type, set(map(type, values)))):
+            values = columns[name] if name in columns else [base[name]]
+            if not _number_column(values):
                 return None
             try:
-                col = cols[name] = np.array(values, dtype=float)
+                col = np.asarray(values, dtype=float)
             except OverflowError:  # an int past the float range
                 return None
             bad = ~self._inside(name, col)
@@ -227,16 +230,20 @@ class StateFamily:
                 bad |= col != col[0]
             if bad.any():
                 return None
+            cols[name] = col if name in columns else np.full(n, col[0])
         return cols
 
-    def _raise_first_failure(self, points: list[dict], fixed: dict) -> None:
+    def _raise_first_failure(self, columns: dict, fixed: dict, n: int) -> None:
         """Raise the error of the first point that fails its own checks (those
         of ``check_params``, a full set of parameters, the first point's
-        dimensions, and ``matrix``'s), naming it in ``error.state``."""
+        dimensions, and ``matrix``'s), naming it in ``error.state``.  A point
+        holds its values as given: an array column's as Python numbers."""
+        lists = {name: col.tolist() if isinstance(col, np.ndarray) else list(col)
+                 for name, col in columns.items()}
         dims = None
-        for k, params in enumerate(points):
+        for k in range(n):
             try:
-                merged = {**self.defaults, **fixed, **params}
+                merged = {**self.defaults, **fixed, **{name: v[k] for name, v in lists.items()}}
                 self.check_params(merged)
                 missing = self.params.keys() - merged.keys()
                 if missing:
@@ -251,36 +258,43 @@ class StateFamily:
                 exc.state = k
                 raise
 
-    def _matrices(self, points: list[dict], fixed: dict) -> tuple[tuple[int, int], np.ndarray]:
-        """The bipartition and the unvalidated (N, d, d) matrices of ``points``
-        over ``fixed``: the column checks and one ``matrix`` call, or the error
-        of the first failing point."""
-        if not points:
+    def _matrices(self, columns: dict, fixed: dict,
+                  n: int) -> tuple[tuple[int, int], np.ndarray]:
+        """The bipartition and the unvalidated (n, d, d) matrices of the n
+        points of ``columns`` over ``fixed``: the column checks and one
+        ``matrix`` call, or the error of the first failing point."""
+        if not n:
             raise DimensionMismatchError("a stack needs at least one point")
-        cols = self._columns(points, fixed)
+        cols = self._columns(columns, fixed, n)
         try:
             if cols is None:
                 raise ParameterRangeError("a point of the stack fails its checks")
             matrices = self.matrix(**cols)
         except TlurkitError:
-            self._raise_first_failure(points, fixed)
+            self._raise_first_failure(columns, fixed, n)
             raise
-        return self.dims_for({**fixed, **points[0]}), matrices
+        return self.dims_for({name: col[0] for name, col in cols.items()}), matrices
 
-    def stack(self, points: list[dict], fixed: dict | None = None) -> DensityStack:
-        """The states at ``points`` (parameter dicts over the shared ``fixed``
-        ones, all of one bipartition), built from parameter columns and
-        validated in one pass.  A failure names the offending point's index
-        in ``error.state``, with the message that point's own checks give:
-        the first failing point, in point order, and its first failing
-        check."""
-        dims, matrices = self._matrices(points, fixed or {})
+    def stack(self, columns: dict, fixed: dict | None = None) -> DensityStack:
+        """The states at the points whose parameters are ``columns`` (one 1-D
+        column of values per varying parameter, all of one length) over the
+        shared ``fixed`` ones, all of one bipartition: built from float
+        columns and validated in one pass.  A failure names the offending
+        point's index in ``error.state``, with the message that point's own
+        checks give: the first failing point, in point order, and its first
+        failing check."""
+        shapes = {np.shape(col) for col in columns.values()}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise DimensionMismatchError(
+                f"a stack's columns are 1-D and of one length, got shapes {sorted(shapes)}")
+        n = shapes.pop()[0] if shapes else 0
+        dims, matrices = self._matrices(columns, fixed or {}, n)
         return DensityStack(*dims, matrices)
 
     def instantiate(self, **params) -> DensityMatrix:
         """The state at one point: the one-point case of ``stack``, through
         the same checks and builder, validated once."""
-        dims, matrices = self._matrices([params], {})
+        dims, matrices = self._matrices({}, params, 1)
         return DensityMatrix(*dims, matrices[0])
 
     def dims_for(self, params: dict | None = None) -> tuple[int, int]:
@@ -336,6 +350,13 @@ _REAL = (int, float, np.integer, np.floating)
 
 def _number_type(kind: type) -> bool:
     return issubclass(kind, _REAL) and not issubclass(kind, bool)
+
+
+def _number_column(values) -> bool:
+    """Whether every value of a column follows ``is_number``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return True
+    return all(map(_number_type, set(map(type, values))))
 
 
 def is_number(value) -> bool:

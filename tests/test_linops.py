@@ -11,6 +11,7 @@ from tlurkit import (
     DensityMatrix, HermitianOperator, min_eigenvalue, partial_trace,
     partial_transpose, purity, realign, singlet, trace_norm, variance,
 )
+from tlurkit import linops
 from tlurkit.errors import DimensionMismatchError, ValidationError
 from tlurkit.linops import DensityStack, hermiticity_residual, non_hermitian
 from tlurkit.states import FAMILIES, horodecki33, random_separable
@@ -215,3 +216,51 @@ def test_a_bad_real_state_fails_as_its_complex_copy(case):
     assert seen["stack"][0][1] == 2
     if case == "trace":
         assert "j)" in seen["matrix"][0][0]  # printed as a complex number
+
+
+def _count_min_eigenvalues(monkeypatch) -> list:
+    """The number of matrices each ``min_eigenvalues`` call of the validation
+    takes."""
+    calls, original = [], linops.min_eigenvalues
+
+    def counted(m):
+        calls.append(len(m) if m.ndim == 3 else 1)
+        return original(m)
+
+    monkeypatch.setattr(linops, "min_eigenvalues", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_positivity_fails_only_below_the_clip_and_eigvalsh_names_the_state(dtype, monkeypatch):
+    calls = _count_min_eigenvalues(monkeypatch)
+    # at exactly -1e-10, m + 1e-10 * 1 is singular: the Cholesky pass fails,
+    # and the rule (below -1e-10) passes the state
+    edge = np.diag([0.5, 0.5, 1e-10, -1e-10]).astype(dtype)
+    DensityMatrix(2, 2, edge)
+    assert calls == [1]
+    below = np.diag([0.5, 0.5, 2e-10, -2e-10]).astype(dtype)
+    with pytest.raises(ValidationError) as err:
+        DensityMatrix(2, 2, below)
+    assert str(err.value) == "minimum eigenvalue -2.000e-10 below -1e-10"
+    with pytest.raises(ValidationError) as err:
+        DensityStack(2, 2, np.array([np.eye(4) / 4, edge, below, below]))
+    assert str(err.value) == "state 2: minimum eigenvalue -2.000e-10 below -1e-10"
+    assert err.value.state == 2 and calls == [1, 1, 4]
+
+
+def test_valid_states_pass_one_cholesky_pass_without_eigvalsh(monkeypatch):
+    calls = _count_min_eigenvalues(monkeypatch)
+    rng = np.random.default_rng(9)
+    for da, db in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]:  # rank-1 pure states
+        real = rng.standard_normal((4, da * db))
+        for kets in (real, real + 1j * rng.standard_normal(real.shape)):
+            pure = np.einsum("ki,kj->kij", kets, kets.conj())
+            pure /= np.trace(pure, axis1=1, axis2=2)[:, None, None]
+            DensityStack(da, db, pure)
+            for m in pure:
+                DensityMatrix(da, db, m)
+    FAMILIES["horodecki_noise"].stack({"a": np.full(101, 0.05),
+                                      "p": np.linspace(0.0, 1.0, 101)})
+    DensityStack(3, 3, np.array([random_dm_array(9, rng) for _ in range(5)]))
+    assert calls == []

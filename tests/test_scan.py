@@ -8,10 +8,10 @@ from tlurkit import bisect_threshold, sweep
 from tlurkit.errors import (
     NoCrossingError, NonMonotonicMarginError, ParameterRangeError, ValidationError,
 )
-from tlurkit.observables import observables_from_spec
+from tlurkit.observables import SchmidtFrame, observables_from_spec
 from tlurkit.report import Verdicts
 from tlurkit.scan import (
-    CriterionEntry, DV_CRITERIA, MAX_GRID_POINTS, GridAxis, evaluate_criterion,
+    CriterionEntry, DV_CRITERIA, MAX_GRID_POINTS, GridAxis, Plan, evaluate_criterion,
     resolve_workers,
 )
 from tlurkit.states import FAMILIES, StateFamily, noisy_singlet
@@ -274,7 +274,7 @@ def _count_builds(monkeypatch, limit=None):
         def wrapper(self, *args, **kwargs):
             counts[name] += 1
             if name == "stack":
-                counts["states"] += len(args[0])
+                counts["states"] += len(next(iter(args[0].values())))  # a column's length
             if limit is not None and counts[name] > limit:
                 raise AssertionError(f"more than {limit} calls to {name}")
             return original(self, *args, **kwargs)
@@ -309,6 +309,51 @@ def test_a_failing_probe_names_its_point_or_stack():
     # su_pair is not an LOO pair: the whole first stack fails, no one state
     with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 47-point stack\)"):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", obs_spec="su_pair")
+
+
+def _same_bits(summary: dict, report) -> bool:
+    """A cell's summary has the verdict, and lhs, rhs and margin to the bit, of
+    a one-state report."""
+    fields = ("lhs", "rhs", "margin")
+    return (np.array([summary[f] for f in fields]).tobytes()
+            == np.array([getattr(report, f) for f in fields]).tobytes()
+            and summary["detected"] == report.detected)
+
+
+def test_a_fig1_row_is_its_states_one_at_a_time_bit_for_bit():
+    # the row's column path against one state per cell, on the same machine
+    fam, frame = FAMILIES["horodecki_noise"], SchmidtFrame(3, 3)
+    result = sweep("horodecki_noise", [GridAxis("a", 0.05, 0.05, 0.05),
+                                       GridAxis("p", 0.0, 1.0, 0.01)],
+                   ["lur", "tlur"], obs_spec="schmidt_loo_pair")
+    assert len(result.cells) == 101
+    for cell in result.cells:
+        rho = fam.instantiate(**cell["params"])
+        for name in ("lur", "tlur"):
+            assert _same_bits(cell["reports"][name], evaluate_criterion(name, rho, frame))
+
+
+def test_a_bisection_probe_stack_is_its_states_one_at_a_time_bit_for_bit(monkeypatch):
+    # each probe stack's p column and the verdicts the bisection read on it
+    columns, seen, stack, evaluate = [], [], StateFamily.stack, Plan.evaluate
+
+    def stack_columns(self, cols, fixed=None):
+        columns.append(cols["p"].tolist())
+        return stack(self, cols, fixed)
+
+    def evaluate_seen(self, rho):
+        seen.append(evaluate(self, rho)[0])
+        return seen[-1:]
+
+    monkeypatch.setattr(StateFamily, "stack", stack_columns)
+    monkeypatch.setattr(Plan, "evaluate", evaluate_seen)
+    bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
+    monkeypatch.undo()
+    assert [len(ps) for ps in columns] == [47, 31, 15]
+    for ps, verdicts in zip(columns, seen, strict=True):
+        for p, summary in zip(ps, verdicts.summaries()):
+            one = evaluate_criterion("corollary1", FAMILIES["noisy_singlet"].instantiate(p=p))
+            assert _same_bits(summary, one)
 
 
 def test_bisect_validates_interval():

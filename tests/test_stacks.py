@@ -39,6 +39,14 @@ def _stack(seed, dims, ranks):
                                           for r in ranks]))
 
 
+def _columns(points, fill=None):
+    """The points as ``StateFamily.stack``'s columns, one per parameter; a
+    point without a parameter takes its value in ``fill``, else None."""
+    names = dict.fromkeys(name for point in points for name in point)
+    return {name: [point.get(name, (fill or {}).get(name)) for point in points]
+            for name in names}
+
+
 def _sets(rho):
     sets = {"schmidt_loo_pair": observables_from_spec("schmidt_loo_pair", dims=rho.dims),
             "loo_pair-conjugate": loo_pair(*rho.dims),
@@ -243,14 +251,15 @@ def test_a_family_stack_is_its_states_one_at_a_time_bit_for_bit(case):
     assert {c.split()[0] for c in FAMILY_POINTS} == set(FAMILIES)  # every family is covered
     name = case.split()[0]
     fam, points = FAMILIES[name], FAMILY_POINTS[case]
-    stack = fam.stack(points)
+    stack = fam.stack(_columns(points))
     assert stack.dims == fam.instantiate(**points[0]).dims
     assert np.array_equal(stack.states,
                           np.array([fam.instantiate(**p).matrix for p in points]))
     assert np.array_equal(stack.states,
                           np.array([_one_point_reference(name, **p) for p in points]))
     # the one-point stack is instantiate's state
-    assert np.array_equal(fam.stack(points[-1:]).states[0], fam.instantiate(**points[-1]).matrix)
+    assert np.array_equal(fam.stack(_columns(points[-1:])).states[0],
+                          fam.instantiate(**points[-1]).matrix)
 
 
 @pytest.mark.parametrize("case", sorted(FAMILY_POINTS))
@@ -270,28 +279,33 @@ def test_instantiate_validates_its_state_once(case, monkeypatch):
 
 def test_fixed_params_are_shared_by_every_point():
     fam = FAMILIES["horodecki_noise"]
-    points = [{"p": p} for p in (0.0, 0.3, 1.0)] + [{"a": 0.2, "p": 0.5}]
-    assert np.array_equal(fam.stack(points, {"a": 0.5}).states,
-                          fam.stack([{"a": 0.5, **p} for p in points]).states)
+    ps = [0.0, 0.3, 1.0, 0.5]
+    assert np.array_equal(fam.stack({"p": ps}, {"a": 0.5}).states,
+                          fam.stack({"a": [0.5] * 4, "p": ps}).states)
+    # a column's value takes precedence over a fixed one, as in a merged point
+    assert np.array_equal(fam.stack({"a": [0.2] * 4, "p": ps}, {"a": 0.5}).states,
+                          fam.stack({"a": [0.2] * 4, "p": ps}).states)
     # a bad point or a bad fixed value fails as the merged point would
-    for bad, fixed, k in (({"p": 1.5}, {"a": 0.5}, 4), ({"p": 0.5}, {"a": 2.0}, 0)):
+    for bad, fixed, k in ((1.5, {"a": 0.5}, 4), (0.5, {"a": 2.0}, 0)):
         with pytest.raises(ParameterRangeError) as one:
-            fam.instantiate(**{**fixed, **(points + [bad])[k]})
+            fam.instantiate(**fixed, p=(ps + [bad])[k])
         with pytest.raises(ParameterRangeError) as err:
-            fam.stack(points + [bad], fixed)
+            fam.stack({"p": ps + [bad]}, fixed)
         assert str(err.value) == str(one.value) and err.value.state == k
 
 
 GOOD = {"a": 0.5, "p": 0.5}
-# (family, points, k): point k is the first bad point; later points fail other checks
+# (family, points, k): point k is the first bad point; later points fail other
+# checks.  The points go in as columns, a value a point omits being the family's
+# default or else None
 BAD_STACKS = [
     ("horodecki_noise", [GOOD] * 3 + [{"a": 1.0, "p": 0.3}, {"a": 0.5, "p": 2.0}], 3),
     ("horodecki_noise", [GOOD, {"a": 0.5, "p": 1.5}, {"a": 0, "p": 0.2}], 1),
     ("horodecki_noise", [GOOD, {"a": 0, "p": 0.5}, {"a": 0.5, "p": 1.5}], 1),
     ("horodecki_noise", [GOOD, GOOD, {"a": 0.5, "p": "0.5"}, {"a": 2, "p": 0.5}], 2),
     ("horodecki_noise", [GOOD, {"a": 0.5, "p": True}, {"p": 0.5}], 1),
-    ("horodecki_noise", [GOOD, {"p": 0.5}, {"a": 0.5, "p": 0.5, "q": 1}], 1),
-    ("horodecki_noise", [GOOD, {"a": 0.5, "p": 0.5, "q": 1}, {"a": 1.0, "p": 0.5}], 1),
+    ("horodecki_noise", [GOOD, {"a": 0.5, "p": 10 ** 400}, {"a": 0, "p": 0.5}], 1),
+    ("horodecki_noise", [GOOD, {"a": 0.5, "p": -1e-300}, {"a": 1.0, "p": 0.5}], 1),
     ("horodecki_noise", [GOOD, {"a": float("nan"), "p": 0.5}, {"a": 0.5, "p": 7}], 1),
     ("horodecki", [{"a": 0.2}, {"a": 0.4}, {"a": 1}, {"a": 0.5}], 2),
     ("noisy_singlet", [{"p": 0.1}, {"p": -1}, {"p": None}], 1),
@@ -307,7 +321,7 @@ def test_a_bad_point_raises_what_instantiate_raises_on_it(family, points, k):
     with pytest.raises(ParameterRangeError) as one:
         fam.instantiate(**points[k])
     with pytest.raises(type(one.value)) as err:
-        fam.stack(points)
+        fam.stack(_columns(points, fam.defaults))
     assert str(err.value) == str(one.value)  # no "state k: " prefix, the value as given
     assert err.value.state == k
 
@@ -315,11 +329,42 @@ def test_a_bad_point_raises_what_instantiate_raises_on_it(family, points, k):
 def test_a_point_of_another_bipartition_is_named():
     fam = FAMILIES["random_separable"]
     with pytest.raises(DimensionMismatchError) as err:
-        fam.stack([{"seed": 1}, {"seed": 2}, {"dim_a": 3}, {"dim_a": 2.5}])
+        fam.stack(_columns([{"seed": 1}, {"seed": 2}, {"dim_a": 3}, {"dim_a": 2.5}],
+                           fam.defaults))
     assert str(err.value) == "a stack holds one bipartition: (3, 2) vs (2, 2)"
     assert err.value.state == 2
-    with pytest.raises(DimensionMismatchError):
-        fam.stack([])
+    for columns in ({}, {"seed": []}):
+        with pytest.raises(DimensionMismatchError, match="at least one point"):
+            fam.stack(columns)
+
+
+def test_columns_name_the_point_a_check_rejects():
+    fam = FAMILIES["horodecki_noise"]
+    # a missing or an unknown column fails at the first point, as instantiate does
+    for columns, point in (({"p": [0.5, 0.7]}, {"p": 0.5}),
+                           ({"a": [0.5, 0.5], "p": [0.5, 0.7], "q": [1, 2]},
+                            {"a": 0.5, "p": 0.5, "q": 1})):
+        with pytest.raises(ParameterRangeError) as one:
+            fam.instantiate(**point)
+        with pytest.raises(ParameterRangeError) as err:
+            fam.stack(columns)
+        assert str(err.value) == str(one.value) and err.value.state == 0
+    # an array column is checked by its dtype; its failing value prints as a
+    # Python number, and a bool array names its parameter
+    for columns, message in (
+            ({"a": np.array([0.5, 2.0]), "p": np.array([1, 1])},
+             "a must lie in (0.0, 1.0) for family 'horodecki_noise', got 2.0"),
+            ({"a": np.array([0.5, 0.5]), "p": np.array([1, 7])},
+             "p must lie in [0.0, 1.0] for family 'horodecki_noise', got 7"),
+            ({"a": np.array([0.5, 0.5]), "p": np.array([True, False])},
+             "p must be a number for family 'horodecki_noise', got True")):
+        with pytest.raises(ParameterRangeError) as err:
+            fam.stack(columns)
+        assert str(err.value) == message
+    for columns in ({"a": [0.5, 0.5], "p": [0.5]}, {"a": 0.5, "p": [0.5]},
+                    {"a": [[0.5]], "p": [[0.5]]}):
+        with pytest.raises(DimensionMismatchError, match="1-D and of one length"):
+            fam.stack(columns)
 
 
 def test_sweep_stacks_each_bipartition_apart():
@@ -338,8 +383,17 @@ def test_sweep_stacks_each_bipartition_apart():
 def test_a_sweep_split_into_smaller_stacks_gives_the_same_cells(monkeypatch):
     grid = [GridAxis("a", 0.3, 0.6, 0.3), GridAxis("p", 0.0, 1.0, 0.1)]
     whole = sweep("horodecki_noise", grid, ["lur", "tlur"], obs_spec="schmidt_loo_pair")
-    monkeypatch.setattr("tlurkit.scan._STACK_BYTES", 5 * 48 * 19 * 18)  # 3x3: 5 a stack
+    # _stack_size's rule: 96 bytes for each of the 9^2 entries of a 3x3 state
+    monkeypatch.setattr("tlurkit.scan._STACK_BYTES", 5 * 96 * 9 ** 2)
+    sizes, stack = [], StateFamily.stack
+
+    def sized(self, columns, fixed=None):
+        sizes.append(len(columns["p"]))
+        return stack(self, columns, fixed)
+
+    monkeypatch.setattr(StateFamily, "stack", sized)
     split = sweep("horodecki_noise", grid, ["lur", "tlur"], obs_spec="schmidt_loo_pair")
+    assert sizes == [5, 5, 5, 5, 2]  # the 22 points, 5 a stack
     assert [c["params"] for c in split.cells] == [c["params"] for c in whole.cells]
     for a, b in zip(whole.cells, split.cells):
         for name in ("lur", "tlur"):
@@ -377,7 +431,7 @@ def _assert_same_verdicts(got, want):
 @pytest.mark.parametrize("case", sorted(SHARED_CASES))
 def test_criteria_sharing_moments_equal_each_criterion_alone(case, monkeypatch):
     family, points, spec, names = SHARED_CASES[case]
-    rho = FAMILIES[family].stack(points)
+    rho = FAMILIES[family].stack(_columns(points))
     calls = {"sums": 0, "coefficients": 0}
     sums, coefficients = criteria._variance_sums, criteria.loo_coefficients
 
@@ -395,7 +449,7 @@ def test_criteria_sharing_moments_equal_each_criterion_alone(case, monkeypatch):
 
 def test_shared_moments_keep_each_stack_apart_and_nothing_after():
     fam, obs = FAMILIES["horodecki_noise"], loo_pair(3)
-    stacks = [fam.stack([{"a": a, "p": p} for p in (0.5, 1.0)]) for a in (0.2, 0.7)]
+    stacks = [fam.stack({"p": [0.5, 1.0]}, {"a": a}) for a in (0.2, 0.7)]
     plan = Plan(MOMENT_CRITERIA, obs)
     fresh = [Plan(MOMENT_CRITERIA, obs).evaluate(rho) for rho in stacks]
     for rho, want in zip(stacks + stacks, fresh + fresh):  # in turn, with one plan
@@ -429,8 +483,11 @@ def _declared_set(d):
 
 def _oracle_summaries(sums, u, dims, loo):
     """{criterion: (lhs, rhs, margin)} from the oracle's (local A, local B,
-    joint, cov) against bounds u = (U_A, U_B); the LOO witnesses read d - 1."""
-    local_a, local_b, joint, cov = sums
+    joint, cov) against bounds u = (U_A, U_B); the LOO witnesses read d - 1.
+    The local sum of a side of dimension 1 is taken at its exact value 0 (only
+    multiples of 1 act there), not at the oracle's round-off."""
+    local_a, local_b, joint, cov = (np.zeros_like(x) if k < 2 and dims[k] == 1 else x
+                                    for k, x in enumerate(sums))
 
     def excess(bounds):
         ea, eb = np.maximum(local_a - bounds[0], 0.0), np.maximum(local_b - bounds[1], 0.0)
@@ -457,12 +514,12 @@ def _oracle_summaries(sums, u, dims, loo):
     return out
 
 
-def _assert_matches_oracle(verdicts, want, names, label, atol=1e-12):
+def _assert_matches_oracle(verdicts, want, names, label):
     for name, got in zip(names, verdicts):
         lhs, rhs, margin = (np.broadcast_to(x, got.lhs.shape) for x in want[name])
         np.testing.assert_allclose(
             [got.lhs, np.broadcast_to(got.rhs, got.lhs.shape), got.margin], [lhs, rhs, margin],
-            rtol=0, atol=atol, err_msg=f"{label} {name}")
+            rtol=0, atol=1e-12, err_msg=f"{label} {name}")
 
 
 @settings(max_examples=40, deadline=None)
@@ -487,7 +544,7 @@ def test_every_set_criterion_matches_the_moment_kernel_oracle(seed, dims, data):
     _assert_schmidt_frame_matches_oracle(Plan(ALL_SET_CRITERIA, "schmidt_loo_pair"), rho)
 
 
-def _assert_schmidt_frame_matches_oracle(plan, rho, atol=1e-12):
+def _assert_schmidt_frame_matches_oracle(plan, rho):
     """The Schmidt spec through ``plan``, against the pair of operator_schmidt's
     factors; the oracle's four sums are returned."""
     da, db = rho.dims
@@ -497,7 +554,7 @@ def _assert_schmidt_frame_matches_oracle(plan, rho, atol=1e-12):
     pairs = np.concatenate([ops_a, pad[0]], axis=1), -np.concatenate([ops_b, pad[1]], axis=1)
     sums = np.transpose([oracle_moments(m, da, db, a, b) for m, a, b in zip(rho.states, *pairs)])
     want = _oracle_summaries(sums, (da - 1.0, db - 1.0), rho.dims, True)
-    _assert_matches_oracle(plan.evaluate(rho), want, ALL_SET_CRITERIA, "schmidt_loo_pair", atol)
+    _assert_matches_oracle(plan.evaluate(rho), want, ALL_SET_CRITERIA, "schmidt_loo_pair")
     return sums
 
 
@@ -505,10 +562,12 @@ def _assert_schmidt_frame_matches_oracle(plan, rho, atol=1e-12):
 def test_a_side_of_dimension_one_matches_the_moment_kernel_oracle(dims):
     # a 1x1 side's LOO basis is the 1x1 identity: a declared set with such a
     # side, and the default Schmidt frame of such a bipartition, evaluate
-    # like any other.  Every operator on that side has variance 0, up to
-    # round-off whose square root (in the excess terms) reaches 1.5e-8, so
-    # the three sums are held to 1e-12 and the criteria to 1e-7
+    # like any other.  Every operator on that side has variance exactly 0, so
+    # its local sum is 0.0, not round-off whose square root (in the excess
+    # terms) would reach 1e-7; against the oracle's sums, taken at that exact
+    # 0, the criteria agree to 1e-12
     da, db = dims
+    side = dims.index(1)
     rho = _stack(7, dims, [1, 2, da * db])
     rng = np.random.default_rng(11)
     ops = [[random_herm(d, rng) for _ in range(3)] for d in dims]
@@ -520,9 +579,11 @@ def test_a_side_of_dimension_one_matches_the_moment_kernel_oracle(dims):
     sums = oracle_moments(rho.states, da, db, obs.stack_a, obs.stack_b)
     np.testing.assert_allclose(_sums(rho, obs), np.transpose(sums),
                                rtol=0, atol=1e-12)
+    assert (_sums(rho, obs)[:, side] == 0.0).all()
     want = _oracle_summaries(sums, (obs.bound_a, obs.bound_b), dims, False)
-    _assert_matches_oracle(Plan(names, obs).evaluate(rho), want, names, "declared", 1e-7)
+    _assert_matches_oracle(Plan(names, obs).evaluate(rho), want, names, "declared")
     # the default spec of the bipartition is its Schmidt frame
-    sums = _assert_schmidt_frame_matches_oracle(Plan(ALL_SET_CRITERIA), rho, 1e-7)
+    sums = _assert_schmidt_frame_matches_oracle(Plan(ALL_SET_CRITERIA), rho)
     frame = observables_from_spec("schmidt_loo_pair", dims=dims)
     np.testing.assert_allclose(_sums(rho, frame), np.transpose(sums), rtol=0, atol=1e-12)
+    assert (_sums(rho, frame)[:, side] == 0.0).all()
