@@ -113,10 +113,16 @@ def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
     other input is copied to complex first and checked there, so a complex
     one is copied once.
 
-    Positivity is one batched Cholesky factorisation of m + 1e-10 * 1, which
-    succeeds only where every eigenvalue of m lies above -1e-10.  Only when it
-    fails does ``min_eigenvalues`` run, so the rule (smallest eigenvalue below
-    -1e-10) decides each failing state, and names it, as ``eigvalsh`` reads it.
+    Positivity is one batched Cholesky factorisation of m + s * 1, with the
+    shift s a margin of 16 (d + 1) eps short of the clip 1e-10.  Cholesky is
+    backward stable: it can succeed on a matrix whose smallest eigenvalue
+    lies below 0 by up to about (d + 1) eps times its trace, and ``eigvalsh``
+    reads an eigenvalue to a few d eps.  The margin exceeds both, so a
+    success means every state's smallest eigenvalue lies above -1e-10 as
+    ``eigvalsh`` reads it (for the states that pass the trace check, whose
+    error comes first).  Only when it fails does ``min_eigenvalues`` run, so
+    the rule (smallest eigenvalue below -1e-10) decides each failing state,
+    and names it, as ``eigvalsh`` reads it.
     """
     m = np.asarray(m)
     real = m.dtype == np.float64
@@ -136,8 +142,9 @@ def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
     tr = np.trace(m, axis1=-2, axis2=-1, dtype=complex)  # summed as in the complex copy
     bad_t = np.abs(tr - 1.0) > TRACE_ATOL
     bad_w = np.zeros(m.shape[:-2], dtype=bool)
+    shift = EIGENVALUE_CLIP - 16 * (d + 1) * np.finfo(float).eps
     try:
-        np.linalg.cholesky(m + EIGENVALUE_CLIP * np.eye(d))
+        np.linalg.cholesky(m + shift * np.eye(d))
     except np.linalg.LinAlgError:  # a state may lie below the clip: eigvalsh decides
         w = min_eigenvalues(m)
         bad_w = w < -EIGENVALUE_CLIP

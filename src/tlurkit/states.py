@@ -210,14 +210,14 @@ class StateFamily:
         ``columns``, else its value in ``fixed`` or the defaults, repeated),
         or None if any value fails a check of ``check_params``, a parameter
         is missing, or the dimensions vary.  A column's values are checked
-        by their types, an array of numbers by its dtype."""
+        by their types, a list's and an array's alike."""
         base = {**self.defaults, **fixed}
         if columns.keys() | base.keys() != self.params.keys():
             return None
         cols = {}
         for name, (lo, hi) in self.params.items():
             values = columns[name] if name in columns else [base[name]]
-            if not _number_column(values):
+            if not all(map(_number_type, set(map(type, values)))):
                 return None
             try:
                 col = np.asarray(values, dtype=float)
@@ -350,13 +350,6 @@ _REAL = (int, float, np.integer, np.floating)
 
 def _number_type(kind: type) -> bool:
     return issubclass(kind, _REAL) and not issubclass(kind, bool)
-
-
-def _number_column(values) -> bool:
-    """Whether every value of a column follows ``is_number``."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return True
-    return all(map(_number_type, set(map(type, values))))
 
 
 def is_number(value) -> bool:

@@ -234,8 +234,8 @@ def _count_min_eigenvalues(monkeypatch) -> list:
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_positivity_fails_only_below_the_clip_and_eigvalsh_names_the_state(dtype, monkeypatch):
     calls = _count_min_eigenvalues(monkeypatch)
-    # at exactly -1e-10, m + 1e-10 * 1 is singular: the Cholesky pass fails,
-    # and the rule (below -1e-10) passes the state
+    # at exactly -1e-10, m + s * 1 (s short of 1e-10) is indefinite: the
+    # Cholesky pass fails, and the rule (below -1e-10) passes the state
     edge = np.diag([0.5, 0.5, 1e-10, -1e-10]).astype(dtype)
     DensityMatrix(2, 2, edge)
     assert calls == [1]
@@ -247,6 +247,20 @@ def test_positivity_fails_only_below_the_clip_and_eigvalsh_names_the_state(dtype
         DensityStack(2, 2, np.array([np.eye(4) / 4, edge, below, below]))
     assert str(err.value) == "state 2: minimum eigenvalue -2.000e-10 below -1e-10"
     assert err.value.state == 2 and calls == [1, 1, 4]
+    # 1e-13 below the clip, in a random basis whose every entry carries
+    # round-off, a state of each bipartition still fails as eigvalsh reads it
+    for d in (4, 9, 16):
+        rng = np.random.default_rng(d)
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) if dtype is float else
+                            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        lam = rng.uniform(0.1, 1.0, d)
+        lam *= (1 + 1e-10 + 1e-13) / (lam.sum() - lam[0])
+        lam[0] = -1e-10 - 1e-13
+        m = (u * lam) @ u.conj().T
+        m = (m + m.conj().T) / 2
+        with pytest.raises(ValidationError) as err:
+            DensityStack(int(d ** 0.5), int(d ** 0.5), np.array([np.eye(d) / d, m]))
+        assert str(err.value) == "state 1: minimum eigenvalue -1.001e-10 below -1e-10"
 
 
 def test_valid_states_pass_one_cholesky_pass_without_eigvalsh(monkeypatch):

@@ -349,8 +349,9 @@ def test_columns_name_the_point_a_check_rejects():
         with pytest.raises(ParameterRangeError) as err:
             fam.stack(columns)
         assert str(err.value) == str(one.value) and err.value.state == 0
-    # an array column is checked by its dtype; its failing value prints as a
-    # Python number, and a bool array names its parameter
+    # an array column is checked by its values' types, as a list is; its
+    # failing value prints as a Python number, and a bool array names its
+    # parameter
     for columns, message in (
             ({"a": np.array([0.5, 2.0]), "p": np.array([1, 1])},
              "a must lie in (0.0, 1.0) for family 'horodecki_noise', got 2.0"),
@@ -483,11 +484,8 @@ def _declared_set(d):
 
 def _oracle_summaries(sums, u, dims, loo):
     """{criterion: (lhs, rhs, margin)} from the oracle's (local A, local B,
-    joint, cov) against bounds u = (U_A, U_B); the LOO witnesses read d - 1.
-    The local sum of a side of dimension 1 is taken at its exact value 0 (only
-    multiples of 1 act there), not at the oracle's round-off."""
-    local_a, local_b, joint, cov = (np.zeros_like(x) if k < 2 and dims[k] == 1 else x
-                                    for k, x in enumerate(sums))
+    joint, cov) against bounds u = (U_A, U_B); the LOO witnesses read d - 1."""
+    local_a, local_b, joint, cov = sums
 
     def excess(bounds):
         ea, eb = np.maximum(local_a - bounds[0], 0.0), np.maximum(local_b - bounds[1], 0.0)
@@ -544,18 +542,27 @@ def test_every_set_criterion_matches_the_moment_kernel_oracle(seed, dims, data):
     _assert_schmidt_frame_matches_oracle(Plan(ALL_SET_CRITERIA, "schmidt_loo_pair"), rho)
 
 
-def _assert_schmidt_frame_matches_oracle(plan, rho):
-    """The Schmidt spec through ``plan``, against the pair of operator_schmidt's
-    factors; the oracle's four sums are returned."""
+def _schmidt_frame_sums(rho):
+    """The oracle's four sums of the Schmidt spec: those of the pair of
+    operator_schmidt's factors."""
     da, db = rho.dims
     _, ops_a, ops_b = operator_schmidt(rho)
     n = max(da, db) ** 2
     pad = [np.zeros((len(rho.states), n - ops.shape[1]) + ops.shape[2:]) for ops in (ops_a, ops_b)]
     pairs = np.concatenate([ops_a, pad[0]], axis=1), -np.concatenate([ops_b, pad[1]], axis=1)
-    sums = np.transpose([oracle_moments(m, da, db, a, b) for m, a, b in zip(rho.states, *pairs)])
-    want = _oracle_summaries(sums, (da - 1.0, db - 1.0), rho.dims, True)
+    return np.transpose([oracle_moments(m, da, db, a, b) for m, a, b in zip(rho.states, *pairs)])
+
+
+def _assert_schmidt_frame_matches_oracle(plan, rho):
+    """The Schmidt spec through ``plan``, against the oracle."""
+    want = _oracle_summaries(_schmidt_frame_sums(rho), np.subtract(rho.dims, 1.0), rho.dims, True)
     _assert_matches_oracle(plan.evaluate(rho), want, ALL_SET_CRITERIA, "schmidt_loo_pair")
-    return sums
+
+
+def _exact_side(sums, dims):
+    """The oracle's sums with the local sum of a side of dimension 1 at its
+    exact value 0 (only multiples of 1 act there), not at round-off."""
+    return [np.zeros_like(x) if k < 2 and dims[k] == 1 else x for k, x in enumerate(sums)]
 
 
 @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (1, 3)])
@@ -563,9 +570,10 @@ def test_a_side_of_dimension_one_matches_the_moment_kernel_oracle(dims):
     # a 1x1 side's LOO basis is the 1x1 identity: a declared set with such a
     # side, and the default Schmidt frame of such a bipartition, evaluate
     # like any other.  Every operator on that side has variance exactly 0, so
-    # its local sum is 0.0, not round-off whose square root (in the excess
-    # terms) would reach 1e-7; against the oracle's sums, taken at that exact
-    # 0, the criteria agree to 1e-12
+    # its local sum is 0.0.  The oracle's is round-off (below 1e-15), which
+    # its own square roots (in the excess terms) lift to 1.1e-7 at 1x3; the
+    # criteria are held to 1e-12 against the oracle's sums with that one sum
+    # at its exact 0, the other three sums as the oracle gives them
     da, db = dims
     side = dims.index(1)
     rho = _stack(7, dims, [1, 2, da * db])
@@ -575,15 +583,16 @@ def test_a_side_of_dimension_one_matches_the_moment_kernel_oracle(dims):
                                                     restarts=4)[0]
               for side, d in zip(ops, dims)]
     obs = LocalObservableSet(*ops, *bounds, BoundProvenance("declared"))
-    names = [n for n in ALL_SET_CRITERIA if n not in LOO_CRITERIA]
-    sums = oracle_moments(rho.states, da, db, obs.stack_a, obs.stack_b)
-    np.testing.assert_allclose(_sums(rho, obs), np.transpose(sums),
-                               rtol=0, atol=1e-12)
-    assert (_sums(rho, obs)[:, side] == 0.0).all()
-    want = _oracle_summaries(sums, (obs.bound_a, obs.bound_b), dims, False)
-    _assert_matches_oracle(Plan(names, obs).evaluate(rho), want, names, "declared")
+    declared = [n for n in ALL_SET_CRITERIA if n not in LOO_CRITERIA]
     # the default spec of the bipartition is its Schmidt frame
-    sums = _assert_schmidt_frame_matches_oracle(Plan(ALL_SET_CRITERIA), rho)
-    frame = observables_from_spec("schmidt_loo_pair", dims=dims)
-    np.testing.assert_allclose(_sums(rho, frame), np.transpose(sums), rtol=0, atol=1e-12)
-    assert (_sums(rho, frame)[:, side] == 0.0).all()
+    for label, names, plan, oset, sums, u in (
+            ("declared", declared, Plan(declared, obs), obs,
+             oracle_moments(rho.states, da, db, obs.stack_a, obs.stack_b), bounds),
+            ("schmidt_loo_pair", ALL_SET_CRITERIA, Plan(ALL_SET_CRITERIA),
+             observables_from_spec("schmidt_loo_pair", dims=dims),
+             _schmidt_frame_sums(rho), np.subtract(dims, 1.0))):
+        got = _sums(rho, oset)
+        np.testing.assert_allclose(got, np.transpose(sums), rtol=0, atol=1e-12)
+        assert (got[:, side] == 0.0).all() and (np.abs(sums[side]) < 1e-15).all()
+        want = _oracle_summaries(_exact_side(sums, dims), u, dims, oset.is_loo_pair)
+        _assert_matches_oracle(plan.evaluate(rho), want, names, label)
