@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterRangeError, SpecParseError, UnphysicalStateError, ValidationError
+from .linops import non_hermitian
 from .report import CriterionReport, make_report
 from .states import spec_array, spec_number
 
@@ -60,7 +61,7 @@ class GaussianState:
         if not all(map(math.isfinite, sums)):
             raise UnphysicalStateError(
                 f"mode sums Var(x)+Var(p) = {sums} are not finite")
-        if np.abs(cov - cov.T).max() > 1e-10 * max(np.abs(cov).max(), 1.0):
+        if non_hermitian(cov):
             raise UnphysicalStateError("covariance matrix is not symmetric")
         herm = cov + 0.5j * OMEGA
         if np.linalg.eigvalsh(herm).min() < -PHYSICALITY_TOL:

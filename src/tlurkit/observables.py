@@ -12,26 +12,22 @@ canonical LOO basis, then the coordinates of sum_k A_k^2, likewise for B.
 that pair for any state, read from the SVD of its coefficient matrix, and
 is what ``scan.Plan`` resolves the ``"schmidt_loo_pair"`` spec to.
 
-Closed-form bounds used by the builders:
+Closed-form bounds (Hofmann & Takeuchi, PRA 68, 032103 (2003)): a complete
+set of local orthogonal observables (LOO: d^2 Hermitian operators with
+Tr(G_k G_l) = delta_kl) has sum-variance d - Tr(rho^2), hence bound d - 1,
+and the d^2-1 generators (Tr(g_i g_j) = 2 delta_ij) twice that, hence
+2(d-1).  Both are one fact: variances ignore multiples of 1, so a side
+whose traceless coordinate Gram is c 1 has the exact bound c (d - 1).
 
-* a complete set of local orthogonal observables (LOO: d^2 Hermitian
-  operators with Tr(G_k G_l) = delta_kl) has sum-variance d - Tr(rho^2),
-  hence bound d - 1;
-* the d^2-1 generators normalized to Tr(g_i g_j) = 2 delta_ij have constant
-  sum <g_k^2> = 2(d^2-1)/d and sum <g_k>^2 = 2(Tr rho^2 - 1/d), hence
-  bound 2(d-1).
-
-Every constructed set has both bounds checked by one certifier.  A side
-whose nonzero operators form one of the two sets above, up to signs (a
-Hilbert-Schmidt Gram-matrix test), is held to that exact minimum; every
-builder's sets are of this kind.  Any other qubit side is held to the exact
-minimum sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T), where A_k = a_k0 1 +
-a_k . sigma.  Any other side, such as declared qutrit ``opsA``/``opsB``
-matrices, must not exceed the best of a few seeded starts of the minimizer
-that ``uncertainty_bound(mode="numeric")`` runs.  The certifier also records
-whether both sides are complete LOO bases (``is_loo_pair``): the set is then
-an LOO pair A_k = G_k^A, B_k = -G_k^B, on which the LOO witnesses are
-defined.
+Every constructed set has both bounds checked by one certifier: a side of
+that kind (every builder's sides are) is held to c (d - 1); any other qubit
+side to the exact minimum sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T),
+where A_k = a_k0 1 + a_k . sigma.  Any other side, such as declared qutrit
+``opsA``/``opsB`` matrices, must not exceed the best of a few seeded starts
+of the minimizer that ``uncertainty_bound(mode="numeric")`` runs.  The
+certifier also records whether both sides are LOO sides, of coordinate
+Gram 1 (``is_loo_pair``): an LOO pair A_k = G_k^A, B_k = -G_k^B or an
+overcomplete tight frame of one, on which the LOO witnesses are defined.
 """
 
 from __future__ import annotations
@@ -76,20 +72,6 @@ _CERTIFY_STARTS = 4
 def _vecs(stack: np.ndarray) -> np.ndarray:
     """Row-major vec of each operator: (n, d, d) -> (n, d^2)."""
     return stack.reshape(len(stack), -1)
-
-
-def _gram(stack: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix Tr(a_i^dagger a_j) of a stack of operators."""
-    v = _vecs(stack)
-    return v.conj() @ v.T
-
-
-def _is_complete_loo(stack: np.ndarray) -> bool:
-    """True for d^2 operators that are Hilbert-Schmidt orthonormal."""
-    d = stack.shape[-1]
-    if len(stack) != d * d:
-        return False
-    return np.abs(_gram(stack) - np.eye(d * d)).max() <= ORTHONORMALITY_ATOL
 
 
 def _nonzero(stack: np.ndarray) -> np.ndarray:
@@ -141,8 +123,8 @@ class LocalObservableSet:
     real coordinate rows instead: ``coords_a`` (n + 1, d_A^2) holds
     alpha_k = coords(A_k) in the canonical LOO basis for k < n, then the
     coordinates of sum_k A_k^2; ``coords_b`` likewise.
-    ``is_loo_pair`` is True when the certifier found the nonzero operators
-    of both sides to be complete LOO bases, so that the LOO witnesses apply.
+    ``is_loo_pair`` is True when the certifier found both sides to be LOO
+    sides (coordinate Gram 1), so that the LOO witnesses apply.
     """
 
     stack_a: np.ndarray
@@ -165,18 +147,20 @@ class LocalObservableSet:
             raise ValidationError("bounds must be finite")
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValidationError("bounds must be nonnegative")
-        forms = []
-        for side, stack, bound in (("A", a, self.bound_a), ("B", b, self.bound_b)):
+        loo = True
+        for side, stack, coords, bound in (("A", a, self.coords_a, self.bound_a),
+                                           ("B", b, self.coords_b, self.bound_b)):
             # the one certifier: an exact minimum where a closed form exists,
             # else a variance sum the minimizer reaches from fixed seeded starts
-            attained, form = _classify_analytic(stack) or (
-                _numeric_minimum(stack, _CERTIFY_SEED, _CERTIFY_STARTS), None)
+            attained, is_loo = _closed_form(stack, coords)
+            if attained is None:
+                attained = _numeric_minimum(stack, _CERTIFY_SEED, _CERTIFY_STARTS)
             if bound > attained + 1e-8:
                 raise InvalidBoundError(
                     f"declared bound {bound} on side {side} exceeds the variance "
                     f"sum {attained} that a pure state attains")
-            forms.append(form)
-        object.__setattr__(self, "is_loo_pair", forms == ["loo", "loo"])
+            loo = loo and is_loo
+        object.__setattr__(self, "is_loo_pair", loo)
 
     @property
     def n(self) -> int:
@@ -391,27 +375,26 @@ class SchmidtFrame:
     bound_b = property(lambda self: self.dim_b - 1.0)
 
 
-def _classify_analytic(stack: np.ndarray) -> tuple[float, str] | None:
-    """Exact pure-state minimum of sum_k Var(A_k) where a closed form exists,
-    with the form that matched: "loo" for full LOO sets (-> d-1), "generators"
-    for generator sets (-> 2(d-1)), "qubit" for every other qubit side
-    (-> sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T) for A_k = a_k0 1 + a_k . sigma)
-    and "zero" for a side of zero operators (-> 0)."""
-    nonzero = _nonzero(stack)
-    n, d = len(nonzero), stack.shape[-1]
-    if not n:
-        return 0.0, "zero"
-    if _is_complete_loo(nonzero):
-        return float(d - 1), "loo"
-    if (n == d * d - 1
-            and np.abs(np.trace(nonzero, axis1=-2, axis2=-1)).max() <= 1e-10
-            and np.abs(_gram(nonzero) - 2.0 * np.eye(n)).max() <= 2 * ORTHONORMALITY_ATOL):
-        return float(2 * (d - 1)), "generators"
+def _closed_form(stack: np.ndarray, coords: np.ndarray) -> tuple[float | None, bool]:
+    """The exact pure-state minimum of sum_k Var(A_k) over a side (None where
+    no closed form applies) and whether it is an LOO side, both read from the
+    Gram g = alpha^T alpha of its coordinate rows alpha.  Variances ignore
+    multiples of 1, so a traceless block c 1 of g (c its mean diagonal to 10
+    places) gives sum_k Var(A_k) = c (d - Tr rho^2), minimum c (d - 1); g = 1
+    is an LOO side.  Any other qubit side has the Bloch minimum
+    sum_k |a_k|^2 - lambda_max(sum_k a_k a_k^T), A_k = a_k0 1 + a_k . sigma."""
+    d = stack.shape[-1]
+    g = coords[:-1].T @ coords[:-1]
+    is_loo = bool(np.abs(g - np.eye(d * d)).max() <= ORTHONORMALITY_ATOL)
+    block = g[:-1, :-1]
+    c = round(float(np.trace(block)) / max(len(block), 1), 10)
+    if np.abs(block - c * np.eye(len(block))).max(initial=0.0) <= ORTHONORMALITY_ATOL * max(c, 1):
+        return c * (d - 1), is_loo
     if d == 2:
-        bloch = 0.5 * np.einsum("kij,pji->kp", nonzero, _su_stack(2)).real
+        bloch = 0.5 * np.einsum("kij,pji->kp", _nonzero(stack), _su_stack(2)).real
         m = bloch.T @ bloch
-        return max(float(np.trace(m) - np.linalg.eigvalsh(m)[-1]), 0.0), "qubit"
-    return None
+        return max(float(np.trace(m) - np.linalg.eigvalsh(m)[-1]), 0.0), is_loo
+    return None, is_loo
 
 
 def _minimize_variance_sum(stack, sq_sum, psi, tol=1e-12, max_iter=1000) -> float:
@@ -451,8 +434,9 @@ def uncertainty_bound(ops, mode: str = "numeric", seed: int = 0,
                       restarts: int = 32) -> tuple[float, BoundProvenance]:
     """Certified lower bound on the pure-state minimum of sum_k Var(op_k).
 
-    ``mode='analytic'`` uses the closed forms of ``_classify_analytic`` (full
-    LOO sets, generator sets, any qubit set); ``mode='numeric'`` runs
+    ``mode='analytic'`` uses the closed forms of ``_closed_form`` (a set whose
+    traceless coordinate Gram is c 1, such as an LOO basis or the generators,
+    and any qubit set); ``mode='numeric'`` runs
     ``restarts`` seeded starts of ``_minimize_variance_sum`` and
     subtracts a safety margin of 1e-6 (the result is clamped at 0, which is
     always a valid bound for a sum of variances).
@@ -462,11 +446,11 @@ def uncertainty_bound(ops, mode: str = "numeric", seed: int = 0,
         raise ParameterRangeError("need at least one observable")
     stack = hermitian_stack(ops)
     if mode == "analytic":
-        closed = _classify_analytic(stack)
-        if closed is None:
+        exact, _ = _closed_form(stack, _coords(stack))
+        if exact is None:
             raise ParameterRangeError(
                 "no closed form for this set; use mode='numeric'")
-        return closed[0], BoundProvenance("analytic")
+        return exact, BoundProvenance("analytic")
     if mode != "numeric":
         raise ParameterRangeError(f"mode must be 'analytic' or 'numeric', got {mode!r}")
     if restarts < 1:
@@ -496,27 +480,24 @@ def _parse_op_list(entries, where: str):
     return ops
 
 
-def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = None,
-                          dims: tuple[int, int] | None = None
+def observables_from_spec(spec, dims: tuple[int, int] | None = None
                           ) -> LocalObservableSet | SchmidtFrame:
     """Build a LocalObservableSet from a JSON-style spec.
 
     Accepts a bare builder name, ``{"builder": name, "params": {...}}``, or
     explicit matrices ``{"opsA": [...], "opsB": [...], "boundA": x,
-    "boundB": y}`` whose declared bounds are checked on construction.  ``state``
-    (or bare ``dims``) supplies each dimension a dimension-generic builder's
-    spec leaves out (with neither, ``dim_b`` defaults to ``dim_a``).  The
-    Schmidt builder gives ``schmidt_loo_pair(state)`` for one state, and the
-    ``SchmidtFrame`` of ``dims`` when no state is given; a ``DensityStack``
-    raises ``ValidationError``.  Values follow ``states.is_number`` (``dim_a``/``dim_b``:
-    integral); a bad one names its field.
+    "boundB": y}`` whose declared bounds are checked on construction.  The
+    bipartition ``dims`` supplies each dimension a dimension-generic builder's
+    spec leaves out (without it, ``dim_b`` defaults to ``dim_a``), and the
+    Schmidt builder needs it: the spec resolves to the ``SchmidtFrame`` of
+    ``dims``.  One state's own operator set is ``schmidt_loo_pair(rho)``.
+    Values follow ``states.is_number`` (``dim_a``/``dim_b``: integral); a bad
+    one names its field.
     """
     if isinstance(spec, str):
         spec = {"builder": spec}
     if not isinstance(spec, dict):
         raise SpecParseError("observable spec must be a name or JSON object", field="obs")
-    if state is not None and dims is None:
-        dims = (state.dim_a, state.dim_b)
     if "builder" in spec:
         name = spec["builder"]
         params = spec.get("params", {})
@@ -529,14 +510,14 @@ def observables_from_spec(spec, state: DensityMatrix | DensityStack | None = Non
             return pauli_loo_pair()
         if name == "schmidt_loo_pair":
             if dims is None:
-                raise SpecParseError("schmidt_loo_pair requires a state or dims", field="builder")
-            return SchmidtFrame(*dims) if state is None else schmidt_loo_pair(state)
+                raise SpecParseError("schmidt_loo_pair requires dims", field="builder")
+            return SchmidtFrame(*dims)
         if name in ("loo_pair", "su_pair"):
-            if dims is not None:  # a missing dimension is the state's
+            if dims is not None:  # a missing dimension is the bipartition's
                 params.setdefault("dim_a", dims[0])
                 params.setdefault("dim_b", dims[1])
             elif "dim_a" not in params:
-                raise SpecParseError(f"{name} needs dim_a (or a state)", field="params")
+                raise SpecParseError(f"{name} needs dim_a (or dims)", field="params")
             for key in ("dim_a", "dim_b"):
                 if key in params:  # the range random_separable declares; sets grow as d^4
                     params[key] = spec_integer(params[key], f"params.{key}", 2, 16)

@@ -189,6 +189,14 @@ def _grid_size(grid: list[GridAxis]) -> int:
     return int(count)
 
 
+def _finite(value) -> bool:
+    """Whether a number reads as a finite float (an int past its range does not)."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class GridAxis:
     """One swept parameter: values start, start+step, ..., stop (inclusive)."""
@@ -200,7 +208,7 @@ class GridAxis:
 
     def __post_init__(self):
         for key in ("start", "stop", "step"):
-            if not np.isfinite(getattr(self, key)):
+            if not _finite(getattr(self, key)):
                 raise ParameterRangeError(
                     f"axis '{self.name}': {key} must be finite, got {getattr(self, key)}")
         if self.step <= 0:
@@ -414,9 +422,9 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     the result is that of bisecting one midpoint at a time.  ``param`` must
     not be among ``fixed_params``.
     """
-    if not (np.isfinite([lo, hi]).all() and hi > lo):
+    if not (_finite(lo) and _finite(hi) and hi > lo):
         raise ParameterRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
-    if not (np.isfinite(tol) and tol > 0):
+    if not (_finite(tol) and tol > 0):
         raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
     fixed_params = dict(fixed_params or {})
     _family(family, fixed_params)
@@ -430,8 +438,8 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
         return verdict
 
     n = _BISECT_SAMPLES
-    samples = np.linspace(lo, hi, n)
     a, b = float(lo), float(hi)
+    samples = np.linspace(a, b, n)
     tree = _midpoint_tree(a, b, tol)
     # samples 0 and 15 are lo and hi; they lead the stack, so that an error in
     # an out-of-range endpoint names that endpoint, and the first tree follows

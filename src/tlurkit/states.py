@@ -53,7 +53,8 @@ _H33_MAXENT = np.outer(_H33_EMAX, _H33_EMAX)
 
 def _unit_interval(value, name: str, closed: bool) -> np.ndarray:
     """``value``, a number or a column of them, as floats, each checked to lie
-    in [0,1] (``closed``) or (0,1); the error names the value as given."""
+    in [0,1] (``closed``) or (0,1); the error names the value as given.  The
+    matrix builders take checked values: a family checks its columns first."""
     x = np.asarray(value, dtype=float)
     inside = (0.0 <= x) & (x <= 1.0) if closed else (0.0 < x) & (x < 1.0)
     raise_first(~inside, ParameterRangeError,
@@ -63,7 +64,7 @@ def _unit_interval(value, name: str, closed: bool) -> np.ndarray:
 
 
 def _horodecki33_matrix(a) -> np.ndarray:
-    a = _unit_interval(a, "a", closed=False)
+    a = np.asarray(a, dtype=float)
     pi = np.zeros(a.shape + (9,))
     pi[..., 6], pi[..., 8] = np.sqrt((1 + a) / 2), np.sqrt((1 - a) / 2)  # on |20> and |22>
     a = a[..., None, None]
@@ -72,7 +73,7 @@ def _horodecki33_matrix(a) -> np.ndarray:
 
 
 def _noise_mixed(m: np.ndarray, p) -> np.ndarray:
-    p = _unit_interval(p, "p", closed=True)[..., None, None]
+    p = np.asarray(p, dtype=float)[..., None, None]
     d = m.shape[-1]
     return p * m + (1.0 - p) * np.eye(d) / d
 
@@ -84,16 +85,19 @@ def horodecki33(a: float) -> DensityMatrix:
     entangled projector and 1/(1+8a) on the a-dependent |Pi> projector;
     the weights sum to one exactly.
     """
-    return DensityMatrix(3, 3, _horodecki33_matrix(a))
+    return DensityMatrix(3, 3, _horodecki33_matrix(_unit_interval(a, "a", closed=False)))
 
 
 def white_noise_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
     """p * rho + (1-p) * identity / (dim_a dim_b)."""
+    p = _unit_interval(p, "p", closed=True)
     return DensityMatrix(rho.dim_a, rho.dim_b, _noise_mixed(np.asarray(rho.matrix), p))
 
 
 def horodecki_noise(a: float, p: float) -> DensityMatrix:
     """White-noise mixture of the 3x3 bound entangled state, validated once."""
+    a = _unit_interval(a, "a", closed=False)
+    p = _unit_interval(p, "p", closed=True)
     return DensityMatrix(3, 3, _noise_mixed(_horodecki33_matrix(a), p))
 
 
@@ -101,13 +105,13 @@ _NOISY_SINGLET_SEP = np.diag([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
 
 
 def _noisy_singlet_matrix(p) -> np.ndarray:
-    p = _unit_interval(p, "p", closed=True)[..., None, None]
+    p = np.asarray(p, dtype=float)[..., None, None]
     return p * _SINGLET + (1.0 - p) * _NOISY_SINGLET_SEP
 
 
 def noisy_singlet(p: float) -> DensityMatrix:
     """p |psi_s><psi_s| + (1-p) (2/3 |00><00| + 1/3 |01><01|); entangled for all p > 0."""
-    return DensityMatrix(2, 2, _noisy_singlet_matrix(p))
+    return DensityMatrix(2, 2, _noisy_singlet_matrix(_unit_interval(p, "p", closed=True)))
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:

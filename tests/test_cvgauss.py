@@ -51,8 +51,18 @@ def test_unphysical_covariances_rejected():
         GaussianState(np.zeros(4), 0.1 * np.eye(4))
     asym = 0.5 * np.eye(4)
     asym[0, 1] = 0.3
-    with pytest.raises(UnphysicalStateError):
+    with pytest.raises(UnphysicalStateError, match="not symmetric"):
         GaussianState(np.zeros(4), asym)
+    # the tolerance of a Hermitian operator: 1e-10 times max(max |cov|, 1)
+    for scale, off, ok in [(0.5, 5e-11, True), (0.5, 2e-10, False),
+                           (1e3, 5e-8, True), (1e3, 2e-7, False)]:
+        cov = scale * np.eye(4)
+        cov[0, 1] = off
+        if ok:
+            GaussianState(np.zeros(4), cov)
+        else:
+            with pytest.raises(UnphysicalStateError, match="not symmetric"):
+                GaussianState(np.zeros(4), cov)
     with pytest.raises(ParameterRangeError):
         thermal(-0.5)
 

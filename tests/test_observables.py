@@ -10,7 +10,7 @@ from tlurkit import (
 )
 from tlurkit.errors import InvalidBoundError, ParameterRangeError, SpecParseError
 from tlurkit.linops import DensityStack, HermitianOperator
-from tlurkit.observables import BoundProvenance, LocalObservableSet
+from tlurkit.observables import BoundProvenance, LocalObservableSet, SchmidtFrame
 from tlurkit.states import (
     horodecki_noise, random_mixed_state, random_pure_state, random_separable,
 )
@@ -282,10 +282,10 @@ def test_observables_from_spec_builders():
     assert obs.n == 4
     obs = observables_from_spec({"builder": "loo_pair", "params": {"dim_a": 3}})
     assert obs.dim_a == 3
-    obs = observables_from_spec({"builder": "su_pair"}, state=singlet())
+    obs = observables_from_spec({"builder": "su_pair"}, dims=singlet().dims)
     assert obs.dim_a == 2
-    obs = observables_from_spec("schmidt_loo_pair", state=singlet())
-    assert obs.n == 4
+    assert observables_from_spec("schmidt_loo_pair", dims=(2, 3)) == SchmidtFrame(2, 3)
+    assert schmidt_loo_pair(singlet()).n == 4
     with pytest.raises(SpecParseError):
         observables_from_spec("schmidt_loo_pair")
     with pytest.raises(SpecParseError):
@@ -386,7 +386,7 @@ def test_builder_sets_are_certified_without_sampling(monkeypatch):
                            BoundProvenance("declared"))
     for rho in _schmidt_test_states():
         schmidt_loo_pair(rho)
-        observables_from_spec("schmidt_loo_pair", state=rho)
+        observables_from_spec("schmidt_loo_pair", dims=rho.dims)
 
 
 @pytest.mark.parametrize("ops,exact", [
@@ -425,3 +425,78 @@ def test_schmidt_factors_are_hermitian_well_inside_the_set_check():
         _, ops_a, ops_b = operator_schmidt(rho)
         for ops in (ops_a, ops_b):
             assert np.abs(ops - ops.conj().swapaxes(-1, -2)).max() < 1e-14
+
+
+def _orthogonal(m: int, rng) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((m, m)))[0]
+
+
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]), st.sampled_from(["loo", "su"]),
+       st.integers(0, 24), st.integers(0, 2), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_a_side_whose_traceless_gram_is_c_times_1_has_the_exact_bound_c_d_minus_1(
+        seed, d, kind, eighths, copies, padding):
+    # an LOO basis or the generators, their traceless elements mixed by an
+    # orthogonal matrix, signed, shifted by multiples of 1 and scaled by s
+    # (s^2 has few decimals, so the exact value has too), the identity
+    # element dropped or repeated, zero-padded: the one closed form holds
+    rng = np.random.default_rng(seed)
+    traceless = (np.asarray([g.matrix for g in su_generators(d)]) if kind == "su"
+                 else loo_basis(d)[:-1])
+    m = len(traceless)
+    signs = rng.choice([-1.0, 1.0], m)[:, None]
+    mixed = np.einsum("ij,jkl->ikl", signs * _orthogonal(m, rng), traceless)
+    mixed = mixed + rng.uniform(-2.0, 2.0, m)[:, None, None] * np.eye(d)
+    ident = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(d), copies, axis=0)
+    s = eighths / 8
+    side = s * np.concatenate([mixed, ident, np.zeros((padding, d, d))])
+    side = side[rng.permutation(len(side))]
+    exact = s * s * (2.0 if kind == "su" else 1.0) * (d - 1)
+
+    analytic, prov = uncertainty_bound(side, mode="analytic")
+    assert prov.mode == "analytic" and abs(analytic - exact) <= 1e-12
+    numeric, _ = uncertainty_bound(side, mode="numeric", seed=seed, restarts=4)
+    assert analytic <= numeric + 1e-6 + 1e-9
+    declared = BoundProvenance("declared")
+    assert LocalObservableSet(side, side, analytic, analytic, declared).bound_a == analytic
+    with pytest.raises(InvalidBoundError):
+        LocalObservableSet(side, side, analytic + 1e-6, 0.0, declared)
+
+
+def test_is_loo_pair_on_every_builder_set():
+    # loo_pair's and pauli_loo_pair's sides are LOO bases, zero-padded or
+    # not; generator sides are not LOO sides; a Schmidt set completes both
+    # bases
+    assert pauli_loo_pair().is_loo_pair
+    for pairing in ("conjugate", "direct"):
+        for da in range(1, 5):
+            for db in range(1, 5):
+                assert loo_pair(da, db, pairing=pairing).is_loo_pair, (da, db, pairing)
+        for da in range(2, 5):
+            for db in range(2, 5):
+                assert not su_pair(da, db, pairing=pairing).is_loo_pair, (da, db, pairing)
+    for rho in _schmidt_test_states():
+        assert schmidt_loo_pair(rho).is_loo_pair, rho.dims
+
+
+def test_an_loo_pair_stacked_with_itself_and_mixed_is_an_loo_pair_of_equal_values():
+    # stacking a pair with a copy of itself, mixing both sides by one
+    # orthogonal matrix and scaling by 1/sqrt(2) keeps every coordinate Gram:
+    # an overcomplete tight frame, an LOO pair with the pair's values
+    from tlurkit import eval_corollary1, eval_lur, eval_nonlinear_witness, eval_tlur
+
+    rng = np.random.default_rng(4)
+    for obs in (loo_pair(3), loo_pair(2, 3), pauli_loo_pair()):
+        mix = _orthogonal(2 * obs.n, rng) / np.sqrt(2.0)
+        wide = LocalObservableSet(
+            *(np.einsum("ij,jkl->ikl", mix, np.concatenate([stack, stack]))
+              for stack in (obs.stack_a, obs.stack_b)),
+            obs.bound_a, obs.bound_b, BoundProvenance("declared"))
+        assert wide.is_loo_pair and wide.n == 2 * obs.n
+        for seed in range(5):
+            da, db = obs.dim_a, obs.dim_b
+            rho = DensityMatrix(da, db, random_mixed_state(da * db, rng, 1 + seed % 3))
+            for evaluate in (eval_lur, eval_tlur, eval_nonlinear_witness, eval_corollary1):
+                got, want = evaluate(rho, wide), evaluate(rho, obs)
+                assert abs(got.lhs - want.lhs) <= 1e-12 and abs(got.rhs - want.rhs) <= 1e-12
+                assert abs(got.margin - want.margin) <= 1e-12

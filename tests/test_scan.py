@@ -8,7 +8,7 @@ from tlurkit import bisect_threshold, sweep
 from tlurkit.errors import (
     NoCrossingError, NonMonotonicMarginError, ParameterRangeError, ValidationError,
 )
-from tlurkit.observables import SchmidtFrame, observables_from_spec
+from tlurkit.observables import SchmidtFrame, observables_from_spec, schmidt_loo_pair
 from tlurkit.report import Verdicts
 from tlurkit.scan import (
     CriterionEntry, DV_CRITERIA, MAX_GRID_POINTS, GridAxis, Plan, evaluate_criterion,
@@ -27,6 +27,13 @@ def test_grid_axis_values():
         GridAxis("p", 0.0, 1.0, -0.1)
     with pytest.raises(ParameterRangeError):
         GridAxis("p", 1.0, 0.0, 0.1)
+    # an int past the float range is not finite; one inside it reads as its
+    # float and meets the family's own range check
+    for start, stop, step in [(0, 10**400, 1), (-10**400, 0, 1), (0, 1, 10**400)]:
+        with pytest.raises(ParameterRangeError, match="must be finite"):
+            GridAxis("p", start, stop, step)
+    with pytest.raises(ParameterRangeError, match="seed must lie in"):
+        sweep("random_separable", [GridAxis("seed", 10**20, 10**20 + 2, 1)], ["ppt"])
 
 
 def test_grid_axis_stops_short_when_step_does_not_divide():
@@ -361,6 +368,12 @@ def test_bisect_validates_interval():
         bisect_threshold("noisy_singlet", "p", 0.8, 0.2, "ppt")
     with pytest.raises(ParameterRangeError):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "ppt", tol=0.0)
+    with pytest.raises(ParameterRangeError, match="need finite hi > lo"):
+        bisect_threshold("noisy_singlet", "p", 0, 10**400, "ppt")
+    with pytest.raises(ParameterRangeError, match="tol must be finite"):
+        bisect_threshold("noisy_singlet", "p", 0, 1, "ppt", tol=10**400)
+    with pytest.raises(ParameterRangeError, match=r"p must lie in .*got 1e\+20"):
+        bisect_threshold("noisy_singlet", "p", 0, 10**20, "ppt")
 
 
 def test_resolve_workers():
@@ -391,8 +404,10 @@ def test_an_axis_may_change_the_dimensions(axis, spec):
     assert [c["params"][axis] for c in result.cells] == [2, 2, 2, 3, 3, 3]
     for cell in result.cells:
         rho = FAMILIES["random_separable"].instantiate(**cell["params"])
-        default = "pauli_loo_pair" if rho.dims == (2, 2) else "schmidt_loo_pair"
-        obs = observables_from_spec(spec or default, state=rho)
+        which = spec or ("pauli_loo_pair" if rho.dims == (2, 2) else "schmidt_loo_pair")
+        # the state's Schmidt operators, an oracle apart from the sweep's frame
+        obs = (schmidt_loo_pair(rho) if which == "schmidt_loo_pair"
+               else observables_from_spec(which, dims=rho.dims))
         for name in criteria:
             rep = evaluate_criterion(name, rho, obs)
             got = cell["reports"][name]
@@ -424,6 +439,6 @@ def test_evaluate_criterion_defaults_to_the_set_of_the_bipartition():
     rho = noisy_singlet(0.5)
     assert evaluate_criterion("tlur", rho) == evaluate_criterion("tlur", rho, _pauli())
     assert evaluate_criterion("tlur", rho, "loo_pair") \
-        == evaluate_criterion("tlur", rho, observables_from_spec("loo_pair", state=rho))
+        == evaluate_criterion("tlur", rho, observables_from_spec("loo_pair", dims=rho.dims))
     with pytest.raises(ParameterRangeError, match="unknown criterion 'nope'"):
         evaluate_criterion("nope", rho)

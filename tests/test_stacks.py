@@ -169,13 +169,15 @@ def test_a_stack_gives_the_values_of_its_states_one_at_a_time(dims):
 
 
 def test_a_stack_reads_the_schmidt_frame_plan_resolves(monkeypatch):
-    # a stack has no one Schmidt set: schmidt_loo_pair and the spec with the
-    # stack as its state refuse it and name Plan; a sweep's Plan resolves the
-    # spec once per bipartition to a frame and builds no operator stack
+    # a stack has no one Schmidt set: schmidt_loo_pair refuses it and names
+    # Plan, and the spec takes a bipartition, never a state; a sweep's Plan
+    # resolves the spec once per bipartition to a frame and builds no
+    # operator stack
     rho = _stack(3, (3, 3), [1, 2, 9])
-    for build in (schmidt_loo_pair, lambda r: observables_from_spec("schmidt_loo_pair", state=r)):
-        with pytest.raises(ValidationError, match="resolved by scan.Plan"):
-            build(rho)
+    with pytest.raises(ValidationError, match="resolved by scan.Plan"):
+        schmidt_loo_pair(rho)
+    with pytest.raises(TypeError):
+        observables_from_spec("schmidt_loo_pair", state=rho)
     with pytest.raises(DimensionMismatchError):
         eval_lur(rho, SchmidtFrame(2, 2))
 
