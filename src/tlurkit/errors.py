@@ -70,6 +70,17 @@ class NonMonotonicMarginError(TlurkitError):
     """The sampled verdict pattern has more than one crossing."""
 
 
+def shown(value, form=str) -> str:
+    """``form(value)`` (``str`` or ``repr``) for an error message, or, where
+    that fails on an int past Python's limit on the digits of an int-to-str
+    conversion, the value's type and size: showing a value never fails."""
+    try:
+        return form(value)
+    except ValueError:
+        size = f" of {value.bit_length()} bits" if isinstance(value, int) else ""
+        return f"<{type(value).__name__}{size}>"
+
+
 def raise_first(bad, error, message) -> None:
     """Raise ``error(message(k), state=k)`` for the first k with ``bad[k]``, a
     boolean per state of a stack (a single boolean for one state); the

@@ -53,7 +53,7 @@ from .linops import (
     hermitian_stack,
     realign,
 )
-from .states import parse_complex_matrix, random_pure_state, spec_integer, spec_number
+from .states import is_finite, parse_complex_matrix, random_pure_state, spec_integer, spec_number
 
 __all__ = [
     "BoundProvenance", "LocalObservableSet",
@@ -143,7 +143,7 @@ class LocalObservableSet:
         for name, value in (("stack_a", a), ("stack_b", b),
                             ("coords_a", _coords(a)), ("coords_b", _coords(b))):
             object.__setattr__(self, name, value)
-        if not (np.isfinite(self.bound_a) and np.isfinite(self.bound_b)):
+        if not (is_finite(self.bound_a) and is_finite(self.bound_b)):
             raise ValidationError("bounds must be finite")
         if self.bound_a < 0 or self.bound_b < 0:
             raise ValidationError("bounds must be nonnegative")

@@ -39,10 +39,11 @@ from .errors import (
     NonMonotonicMarginError,
     ParameterRangeError,
     TlurkitError,
+    shown,
 )
 from .observables import LocalObservableSet, SchmidtFrame, observables_from_spec
 from .report import Verdicts
-from .states import FAMILIES
+from .states import FAMILIES, is_finite
 
 __all__ = [
     "GridAxis", "ScanResult", "sweep", "bisect_threshold",
@@ -189,14 +190,6 @@ def _grid_size(grid: list[GridAxis]) -> int:
     return int(count)
 
 
-def _finite(value) -> bool:
-    """Whether a number reads as a finite float (an int past its range does not)."""
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class GridAxis:
     """One swept parameter: values start, start+step, ..., stop (inclusive)."""
@@ -208,9 +201,9 @@ class GridAxis:
 
     def __post_init__(self):
         for key in ("start", "stop", "step"):
-            if not _finite(getattr(self, key)):
+            if not is_finite(getattr(self, key)):
                 raise ParameterRangeError(
-                    f"axis '{self.name}': {key} must be finite, got {getattr(self, key)}")
+                    f"axis '{self.name}': {key} must be finite, got {shown(getattr(self, key))}")
         if self.step <= 0:
             raise ParameterRangeError(f"axis '{self.name}': step must be positive")
         if self.stop < self.start:
@@ -422,10 +415,10 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     the result is that of bisecting one midpoint at a time.  ``param`` must
     not be among ``fixed_params``.
     """
-    if not (_finite(lo) and _finite(hi) and hi > lo):
-        raise ParameterRangeError(f"need finite hi > lo, got [{lo}, {hi}]")
-    if not (_finite(tol) and tol > 0):
-        raise ParameterRangeError(f"tol must be finite and positive, got {tol}")
+    if not (is_finite(lo) and is_finite(hi) and hi > lo):
+        raise ParameterRangeError(f"need finite hi > lo, got [{shown(lo)}, {shown(hi)}]")
+    if not (is_finite(tol) and tol > 0):
+        raise ParameterRangeError(f"tol must be finite and positive, got {shown(tol)}")
     fixed_params = dict(fixed_params or {})
     _family(family, fixed_params)
     if param in fixed_params:

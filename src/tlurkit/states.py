@@ -12,6 +12,8 @@ factor followed by the B factor.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,6 +25,7 @@ from .errors import (
     SpecParseError,
     TlurkitError,
     raise_first,
+    shown,
 )
 from .linops import DensityMatrix, DensityStack
 
@@ -199,12 +202,13 @@ class StateFamily:
         for name, value in params.items():
             if not is_number(value):
                 raise ParameterRangeError(
-                    f"{name} must be a number for family '{self.name}', got {value!r}")
+                    f"{name} must be a number for family '{self.name}', "
+                    f"got {shown(value, repr)}")
             lo, hi = self.params[name]
             if not self._inside(name, value):
                 span = f"({lo}, {hi})" if name in self.open_params else f"[{lo}, {hi}]"
                 raise ParameterRangeError(
-                    f"{name} must lie in {span} for family '{self.name}', got {value}")
+                    f"{name} must lie in {span} for family '{self.name}', got {shown(value)}")
             if isinstance(lo, int) and isinstance(hi, int) and value != int(value):
                 raise ParameterRangeError(
                     f"{name} must be an integer for family '{self.name}', got {value}")
@@ -221,7 +225,7 @@ class StateFamily:
         cols = {}
         for name, (lo, hi) in self.params.items():
             values = columns[name] if name in columns else [base[name]]
-            if not all(map(_number_type, set(map(type, values)))):
+            if not _numbers(values):
                 return None
             try:
                 col = np.asarray(values, dtype=float)
@@ -356,10 +360,24 @@ def _number_type(kind: type) -> bool:
     return issubclass(kind, _REAL) and not issubclass(kind, bool)
 
 
+def _numbers(items) -> bool:
+    """Whether every item is a number by ``is_number``'s rule, read from the
+    set of their types."""
+    return all(map(_number_type, set(map(type, items))))
+
+
 def is_number(value) -> bool:
     """The one rule for a number in a spec: an int or a float, numpy integer
     and floating scalars too, never a bool (an int subclass) or a string."""
     return _number_type(type(value))
+
+
+def is_finite(value) -> bool:
+    """Whether a number reads as a finite float (an int past its range does not)."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 def spec_number(value, where: str) -> float:
@@ -369,7 +387,7 @@ def spec_number(value, where: str) -> float:
             return float(value)
         except OverflowError:  # an int past the float range
             pass
-    raise SpecParseError(f"must be a number, got {value!r}", field=where)
+    raise SpecParseError(f"must be a number, got {shown(value, repr)}", field=where)
 
 
 def spec_integer(value, where: str, lo: int, hi: float) -> int:
@@ -386,7 +404,8 @@ def spec_array(value, shape: tuple[int, ...], where: str):
     if not shape:
         return spec_number(value, where)
     if not isinstance(value, (list, tuple)) or len(value) != shape[0]:
-        raise SpecParseError(f"must be a list of {shape[0]}, got {value!r}", field=where)
+        raise SpecParseError(f"must be a list of {shape[0]}, got {shown(value, repr)}",
+                             field=where)
     return [spec_array(v, shape[1:], where) for v in value]
 
 
@@ -396,7 +415,9 @@ def _parse_complex_entry(entry, where: str) -> complex:
     return complex(spec_number(entry, where))
 
 
-def parse_complex_matrix(rows, where: str = "matrix") -> np.ndarray:
+def _walk_complex_matrix(rows, where: str) -> np.ndarray:
+    """The matrix read entry by entry, as a spec that fails a check of the
+    one-pass read is: its first failing check names the row or entry."""
     if not isinstance(rows, (list, tuple)) or not rows:
         raise SpecParseError("expected a non-empty list of rows", field=where)
     parsed = []
@@ -406,6 +427,42 @@ def parse_complex_matrix(rows, where: str = "matrix") -> np.ndarray:
         parsed.append([_parse_complex_entry(e, f"{where}[{i}][{j}]")
                        for j, e in enumerate(row)])
     return np.array(parsed, dtype=complex)
+
+
+def _sequences(items) -> bool:
+    return all(issubclass(kind, (list, tuple)) for kind in set(map(type, items)))
+
+
+def _complex_matrix_in_one_pass(rows) -> np.ndarray | None:
+    """The matrix of a square spec whose entries are all numbers or all
+    ``[re, im]`` pairs, through one float conversion of its flattened
+    numbers; None when a check of the walk would fail (or might: mixed
+    entries) or a number overflows."""
+    if not (isinstance(rows, (list, tuple)) and rows and _sequences(rows)
+            and set(map(len, rows)) == {len(rows)}):
+        return None
+    entries = list(itertools.chain.from_iterable(rows))
+    pairs = _sequences(entries)
+    if pairs and set(map(len, entries)) != {2}:
+        return None
+    numbers = list(itertools.chain.from_iterable(entries)) if pairs else entries
+    if not _numbers(numbers):
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    matrix = values.view(complex) if pairs else values.astype(complex)
+    return matrix.reshape(len(rows), len(rows))
+
+
+def parse_complex_matrix(rows, where: str = "matrix") -> np.ndarray:
+    """A square spec matrix of numbers or ``[re, im]`` pairs as a complex
+    array, read in one array pass; a spec that fails a check is walked entry
+    by entry, so that the error names its row (``where[i]``) or entry
+    (``where[i][j]``)."""
+    matrix = _complex_matrix_in_one_pass(rows)
+    return _walk_complex_matrix(rows, where) if matrix is None else matrix
 
 
 def state_from_spec(spec: dict) -> DensityMatrix:

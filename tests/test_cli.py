@@ -29,6 +29,18 @@ def test_evaluate_singlet_tlur(capsys):
     assert abs(rep["rhs"] - 2.0) < 1e-12
 
 
+def test_a_mixed_matrix_spec_evaluates_as_its_all_pairs_form(capsys):
+    pairs = [[[0, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0.5, 0], [-0.5, 0], [0, 0]],
+             [[0, 0], [-0.5, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [0, 0]]]
+    mixed = [[re if im == 0 and (i + j) % 2 else [re, im] for j, (re, im) in enumerate(row)]
+             for i, row in enumerate(pairs)]
+    outs = [run(capsys, "evaluate", "--criterion", "tlur", "--state",
+                json.dumps({"dims": [2, 2], "matrix": matrix}))
+            for matrix in (pairs, mixed)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    assert json.loads(outs[0][1])["detected"] is True
+
+
 def test_evaluate_defaults_obs_by_dims(capsys):
     code, out, _ = run(
         capsys, "evaluate", "--state", '{"family":"horodecki","params":{"a":0.5}}',
@@ -266,6 +278,14 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
          '{"dims":[1,2],"matrix":[[0.5,true],[0,0.5]]}'): "matrix[0][1]",
         ("evaluate", "--criterion", "ppt", "--state",
          '{"dims":[1,2],"matrix":[[["0.5","0"],0],[0,0.5]]}'): "matrix[0][0]",
+        # an all-pairs matrix fails the one-pass read and is walked to the entry
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"dims":[1,2],"matrix":[[[0.5,0],[0,true]],[[0,0],[0.5,0]]]}'): "matrix[0][1]",
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"dims":[1,2],"matrix":[[[0.5,0,0],[0,0]],[[0,0],[0.5,0]]]}'): "matrix[0][0]",
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"dims":[1,2],"matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,1%s]]]}' % ("0" * 400)):
+            "matrix[1][1]",
         # a spec file that is not UTF-8 names its flag
         ("cv-evaluate", "--criterion", "duan", "--state-file", str(not_utf8)): "--state-file",
         ("evaluate", "--criterion", "lur", "--state",

@@ -8,7 +8,9 @@ from tlurkit import (
     operator_schmidt, pauli_loo_pair, schmidt_loo_pair, singlet,
     su_generators, su_pair, trace_norm, realign, uncertainty_bound,
 )
-from tlurkit.errors import InvalidBoundError, ParameterRangeError, SpecParseError
+from tlurkit.errors import (
+    InvalidBoundError, ParameterRangeError, SpecParseError, ValidationError,
+)
 from tlurkit.linops import DensityStack, HermitianOperator
 from tlurkit.observables import BoundProvenance, LocalObservableSet, SchmidtFrame
 from tlurkit.states import (
@@ -246,6 +248,13 @@ def test_declared_bound_beaten_by_sampling_is_rejected():
     ops = [HermitianOperator(PZ)]
     with pytest.raises(InvalidBoundError):
         LocalObservableSet(ops, ops, 0.5, 0.5, BoundProvenance("analytic"))
+
+
+@pytest.mark.parametrize("bounds", [(10**400, 1.0), (1.0, 10**5000)])
+def test_a_bound_past_the_float_range_is_not_finite(bounds):
+    ops = [HermitianOperator(PZ)]
+    with pytest.raises(ValidationError, match="^bounds must be finite$"):
+        LocalObservableSet(ops, ops, *bounds, BoundProvenance("declared"))
 
 
 def test_declared_qutrit_bound_above_an_eigenstate_is_rejected():

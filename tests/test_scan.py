@@ -36,6 +36,23 @@ def test_grid_axis_values():
         sweep("random_separable", [GridAxis("seed", 10**20, 10**20 + 2, 1)], ["ppt"])
 
 
+def test_an_int_too_long_to_print_is_refused_by_name():
+    # past Python's limit on int-to-str digits, so the message shows its size
+    huge = 10**5000
+    shown = f"<int of {huge.bit_length()} bits>"
+    cases = [
+        (lambda: GridAxis("p", 0, huge, 1), f"axis 'p': stop must be finite, got {shown}"),
+        (lambda: bisect_threshold("noisy_singlet", "p", 0, huge, "ppt"),
+         f"need finite hi > lo, got [0, {shown}]"),
+        (lambda: bisect_threshold("noisy_singlet", "p", 0, 1, "ppt", tol=huge),
+         f"tol must be finite and positive, got {shown}"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterRangeError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_grid_axis_stops_short_when_step_does_not_divide():
     axis = GridAxis("p", 0.0, 1.0, 0.35)
     assert axis.values() == [0.0, 0.35, 0.7]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tlurkit import (
     DensityMatrix, min_eigenvalue, partial_transpose, purity, singlet,
@@ -8,8 +8,9 @@ from tlurkit import (
 )
 from tlurkit.errors import ParameterRangeError, SpecParseError
 from tlurkit.states import (
-    FAMILIES, horodecki33, horodecki_noise, noisy_singlet,
-    random_separable, white_noise_mix,
+    FAMILIES, _complex_matrix_in_one_pass, _walk_complex_matrix, horodecki33,
+    horodecki_noise, noisy_singlet, parse_complex_matrix, random_separable,
+    white_noise_mix,
 )
 
 
@@ -136,6 +137,76 @@ def test_state_from_spec_errors_name_the_field(spec, field):
         state_from_spec(spec)
     if field is not None and isinstance(err.value, SpecParseError):
         assert err.value.field == field
+
+
+# spec numbers of every kind the number rule admits: floats with -0.0, NaN and
+# the infinities, ints past 2**53 and past int64, numpy scalars
+_NUMBERS = st.one_of(
+    st.floats(), st.integers(-2**70, 2**70),
+    st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(-1e300, 1e300).map(np.longdouble),
+)
+_PAIRS = st.builds(lambda re, im, kind: kind((re, im)), _NUMBERS, _NUMBERS,
+                   st.sampled_from([list, tuple]))
+_BAD_LEAVES = st.one_of(st.sampled_from([True, False, "1", None]),
+                        st.builds(lambda sign, k: sign * (10**400 + k),  # past the float range
+                                  st.sampled_from([1, -1]), st.integers(0, 10**6)))
+
+
+@st.composite
+def _square_specs(draw, entries):
+    n = draw(st.integers(1, 4))
+    return [draw(st.sampled_from([list, tuple]))(draw(st.lists(entries, min_size=n, max_size=n)))
+            for _ in range(n)]
+
+
+@st.composite
+def _flawed_specs(draw):
+    # all pairs or all numbers, which the one-pass read takes when they are valid
+    rows = [list(row) for row in draw(st.sampled_from([_PAIRS, _NUMBERS]).flatmap(_square_specs))]
+    n = len(rows)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    flaw = draw(st.sampled_from(["leaf", "entry", "row", "rows"]))
+    if flaw == "leaf":
+        if isinstance(rows[i][j], (list, tuple)):
+            rows[i][j] = list(rows[i][j])
+            rows[i][j][draw(st.integers(0, 1))] = draw(_BAD_LEAVES)
+        else:
+            rows[i][j] = draw(_BAD_LEAVES)
+    elif flaw == "entry":
+        rows[i][j] = draw(st.one_of(st.lists(_NUMBERS, min_size=1, max_size=1),
+                                    st.lists(_NUMBERS, min_size=3, max_size=3)))
+    elif flaw == "row":
+        rows[i] = draw(st.one_of(st.sampled_from([[], rows[i][:-1], rows[i] + [0.0], "ab"]),
+                                 _BAD_LEAVES))
+    else:
+        rows = draw(st.sampled_from([[], (), None, "rows", [[]], rows[:-1] or [[0.0, 0.0]]]))
+    return rows
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([_PAIRS, _NUMBERS, st.one_of(_PAIRS, _NUMBERS)]).flatmap(_square_specs))
+def test_the_one_pass_reader_matches_the_walk_bit_for_bit(rows):
+    n = len(rows)
+    got, want = parse_complex_matrix(rows), _walk_complex_matrix(rows, "matrix")
+    assert got.dtype == want.dtype == complex and got.shape == want.shape == (n, n)
+    # every bit: the sign of a zero and the payload of a NaN too
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # only a spec that mixes pairs and plain numbers is walked
+    kinds = {isinstance(entry, (list, tuple)) for row in rows for entry in row}
+    assert (_complex_matrix_in_one_pass(rows) is None) == (len(kinds) == 2)
+
+
+@settings(max_examples=200)
+@given(_flawed_specs())
+def test_the_one_pass_reader_raises_what_the_walk_raises(rows):
+    with pytest.raises(SpecParseError) as want:
+        _walk_complex_matrix(rows, "opsA[1]")
+    with pytest.raises(SpecParseError) as got:
+        parse_complex_matrix(rows, "opsA[1]")
+    assert type(got.value) is type(want.value)
+    assert (str(got.value), got.value.field) == (str(want.value), want.value.field)
+    assert got.value.field.startswith("opsA[1]")
 
 
 def test_family_registry():
