@@ -45,6 +45,7 @@ from .errors import (
     SpecParseError,
     ValidationError,
     raise_first,
+    shown,
 )
 from .linops import (
     DensityMatrix,
@@ -53,7 +54,9 @@ from .linops import (
     hermitian_stack,
     realign,
 )
-from .states import is_finite, parse_complex_matrix, random_pure_state, spec_integer, spec_number
+from .states import (
+    is_finite, is_number, parse_complex_matrix, random_pure_state, spec_integer, spec_number,
+)
 
 __all__ = [
     "BoundProvenance", "LocalObservableSet",
@@ -143,6 +146,10 @@ class LocalObservableSet:
         for name, value in (("stack_a", a), ("stack_b", b),
                             ("coords_a", _coords(a)), ("coords_b", _coords(b))):
             object.__setattr__(self, name, value)
+        for key in ("bound_a", "bound_b"):
+            if not is_number(getattr(self, key)):
+                raise ValidationError(
+                    f"{key} must be a number, got {shown(getattr(self, key), repr)}")
         if not (is_finite(self.bound_a) and is_finite(self.bound_b)):
             raise ValidationError("bounds must be finite")
         if self.bound_a < 0 or self.bound_b < 0:

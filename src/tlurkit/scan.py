@@ -18,7 +18,12 @@ verdicts.  A stack whose arrays would pass 32 MiB (many states of d_A, d_B
 >= 6) is split into several, so memory stays bounded.  A bisection runs on
 the same path, each probe one column of its parameter: one stack for its
 16 spot checks, the endpoints among them, and the midpoints of the first
-five bisection levels, then one for each five further levels.
+five bisection levels.  Each later stack holds at most 31 midpoints: the
+nodes of the next levels whose intervals lie near the crossing that the
+margins at the bracket's ends predict, or, where that guess is not finite
+or has just missed, the next five whole levels.  The walk reads only the
+verdicts on its own path, so thresholds are those of bisecting one
+midpoint at a time.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from .errors import (
     shown,
 )
 from .observables import LocalObservableSet, SchmidtFrame, observables_from_spec
-from .report import Verdicts
-from .states import FAMILIES, is_finite
+from .report import DETECTION_TOL, Verdicts
+from .states import FAMILIES, is_finite, is_number
 
 __all__ = [
     "GridAxis", "ScanResult", "sweep", "bisect_threshold",
@@ -201,9 +206,13 @@ class GridAxis:
 
     def __post_init__(self):
         for key in ("start", "stop", "step"):
-            if not is_finite(getattr(self, key)):
+            value = getattr(self, key)
+            if not is_number(value):
                 raise ParameterRangeError(
-                    f"axis '{self.name}': {key} must be finite, got {shown(getattr(self, key))}")
+                    f"axis '{self.name}': {key} must be a number, got {shown(value, repr)}")
+            if not is_finite(value):
+                raise ParameterRangeError(
+                    f"axis '{self.name}': {key} must be finite, got {shown(value)}")
         if self.step <= 0:
             raise ParameterRangeError(f"axis '{self.name}': step must be positive")
         if self.stop < self.start:
@@ -375,26 +384,48 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
 
 
 _BISECT_SAMPLES = 16
-# bisection levels one stack holds: up to 2**5 - 1 = 31 midpoints
-_BISECT_LEVELS = 5
+# the most midpoints one stack holds: the 2**5 - 1 of five whole levels
+_BISECT_MIDPOINTS = 31
+# a windowed tree holds the nodes within (b - a) / 64 of the guessed crossing
+_BISECT_WINDOW = 1 / 64
+_NO_WINDOW = (-math.inf, math.inf)
 
 
-def _midpoint_tree(a: float, b: float, tol: float) -> dict[int, float]:
-    """The midpoints of the next ``_BISECT_LEVELS`` levels of the bisection of
-    (a, b), built level by level and keyed by node: the halves of node i are
-    nodes 2i + 1 (below its midpoint) and 2i + 2 (above).  A node whose
-    interval is done (within ``tol``, or with no float strictly inside) is
-    absent, and so are the nodes below it."""
+def _midpoint_tree(a: float, b: float, tol: float,
+                   window: tuple[float, float] = _NO_WINDOW) -> dict[int, float]:
+    """The midpoints of the next levels of the bisection of (a, b), built level
+    by level and keyed by node: the halves of node i are nodes 2i + 1 (below
+    its midpoint) and 2i + 2 (above).  Below the root, a node is held only if
+    its interval meets ``window``; a level is added only while the tree stays
+    within ``_BISECT_MIDPOINTS``, so with no window the tree is five whole
+    levels.  A node whose interval is done (within ``tol``, or with no float
+    strictly inside) is absent, and so are the nodes below it."""
+    w_lo, w_hi = window
     tree, level = {}, {0: (a, b)}
-    for _ in range(_BISECT_LEVELS):
+    while level and len(tree) + len(level) <= _BISECT_MIDPOINTS:
         below = {}
         for i, (x, y) in level.items():
             mid = 0.5 * (x + y)
             if y - x > tol and x < mid < y:
                 tree[i] = mid
-                below[2 * i + 1], below[2 * i + 2] = (x, mid), (mid, y)
+                if x <= w_hi and mid >= w_lo:
+                    below[2 * i + 1] = (x, mid)
+                if mid <= w_hi and y >= w_lo:
+                    below[2 * i + 2] = (mid, y)
         level = below
     return tree
+
+
+def _window(a: float, m_a: float, b: float, m_b: float) -> tuple[float, float]:
+    """The window around the crossing that the margins at a and b predict, by
+    linear interpolation to ``DETECTION_TOL``; no window where the guess is
+    not finite (an infinite or NaN margin).  The verdicts at a and b differ,
+    so their margins do too."""
+    guess = a + (b - a) * ((DETECTION_TOL - m_a) / (m_b - m_a))
+    if not math.isfinite(guess):
+        return _NO_WINDOW
+    half = (b - a) * _BISECT_WINDOW
+    return guess - half, guess + half
 
 
 def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: str,
@@ -410,11 +441,21 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
 
     The midpoints of the first five bisection levels depend on no verdict:
     they ride in one stack with the samples, after them, so that an error
-    names an out-of-range endpoint or sample first.  Each later stack holds
-    the midpoints of the next five levels.  Each tree is walked in order, so
-    the result is that of bisecting one midpoint at a time.  ``param`` must
+    names an out-of-range endpoint or sample first.  Each walk through a
+    tree leaves a bracket (a, b) whose ends were probed with opposite
+    verdicts; the next stack holds, level by level, only the nodes below
+    (a, b) whose intervals meet a window of half-width (b - a)/64 around the
+    crossing that the margins at a and b predict, down to the done intervals
+    or 31 midpoints.  Where that guess is not finite, or the last walk left a
+    windowed tree above its deepest level (the guess missed), the next stack
+    holds the next five whole levels.  The walk reads only the verdicts of
+    the nodes on its own path, in order, so the result is that of bisecting
+    one midpoint at a time, whichever nodes a stack held.  ``param`` must
     not be among ``fixed_params``.
     """
+    for key, value in (("lo", lo), ("hi", hi), ("tol", tol)):
+        if not is_number(value):
+            raise ParameterRangeError(f"{key} must be a number, got {shown(value, repr)}")
     if not (is_finite(lo) and is_finite(hi) and hi > lo):
         raise ParameterRangeError(f"need finite hi > lo, got [{shown(lo)}, {shown(hi)}]")
     if not (is_finite(tol) and tol > 0):
@@ -438,8 +479,7 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     # an out-of-range endpoint names that endpoint, and the first tree follows
     # the samples
     first = probe([lo, hi, *samples[1:-1], *tree.values()])
-    detected = first.detected.tolist()
-    margin = first.margin[:n].tolist()  # the tree's margins are never read
+    detected, margin = first.detected.tolist(), first.margin.tolist()
     spots = [(detected[k], margin[k]) for k in (0, *range(2, n), 1)]
     (v_lo, m_lo), (v_hi, m_hi) = spots[0], spots[-1]
     if v_lo == v_hi:
@@ -455,17 +495,24 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
             f"{param}={samples[i]} (margin {spots[i][1]}) and "
             f"{param}={samples[i + 1]} (margin {spots[i + 1][1]})")
 
-    detected = detected[n:]
+    m_a, m_b = m_lo, m_hi
+    probed = zip(detected[n:], margin[n:])
     while tree:
-        verdicts = dict(zip(tree, detected))
+        probes = dict(zip(tree, probed))
         # the walk meets the tree's nodes in order; it leaves the tree below its
-        # last level or at a node whose interval is done
+        # deepest level, at a node outside the window, or at one that is done
         i = 0
         while i in tree:
-            if verdicts[i] == v_lo:
-                a, i = tree[i], 2 * i + 2
+            verdict, m = probes[i]
+            if verdict == v_lo:
+                a, m_a, i = tree[i], m, 2 * i + 2
             else:
-                b, i = tree[i], 2 * i + 1
-        if tree := _midpoint_tree(a, b, tol):
-            detected = probe(tree.values()).detected.tolist()
+                b, m_b, i = tree[i], m, 2 * i + 1
+        # node i lies (i + 1).bit_length() - 1 levels down; the walk passed the
+        # tree if it left below the deepest level, where the largest node lies
+        passed = (i + 1).bit_length() > (max(tree) + 1).bit_length()
+        window = _window(a, m_a, b, m_b) if passed else _NO_WINDOW
+        if tree := _midpoint_tree(a, b, tol, window):
+            verdicts = probe(tree.values())
+            probed = zip(verdicts.detected.tolist(), verdicts.margin.tolist())
     return 0.5 * (a + b)

@@ -136,8 +136,9 @@ def oracle_loo_witness(rho_m, da, db, ops_a, ops_b):
 
 
 def oracle_bisect(family, param, lo, hi, criterion, tol, fixed_params=None):
-    """The sequential bisection: one state a probe, one midpoint a step;
-    None when the endpoint verdicts agree."""
+    """The sequential bisection: one state a probe, one midpoint a step, until
+    the bracket is within ``tol`` or holds no float strictly inside; None when
+    the endpoint verdicts agree."""
     fam = FAMILIES[family]
 
     def detected(x):
@@ -148,7 +149,7 @@ def oracle_bisect(family, param, lo, hi, criterion, tol, fixed_params=None):
     if detected(hi) == v_lo:
         return None
     a, b = float(lo), float(hi)
-    while b - a > tol:
+    while b - a > tol and a < 0.5 * (a + b) < b:
         mid = 0.5 * (a + b)
         if detected(mid) == v_lo:
             a = mid

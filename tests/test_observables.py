@@ -257,6 +257,17 @@ def test_a_bound_past_the_float_range_is_not_finite(bounds):
         LocalObservableSet(ops, ops, *bounds, BoundProvenance("declared"))
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((True, 1.0), "bound_a must be a number, got True"),
+    ((1.0, "1"), "bound_b must be a number, got '1'"),
+])
+def test_a_bound_that_is_not_a_number_is_refused_by_name(bounds, message):
+    ops = [HermitianOperator(PZ)]
+    with pytest.raises(ValidationError) as err:
+        LocalObservableSet(ops, ops, *bounds, BoundProvenance("declared"))
+    assert str(err.value) == message
+
+
 def test_declared_qutrit_bound_above_an_eigenstate_is_rejected():
     # diag(1, 0, -1) has zero variance on its eigenstates, so any positive
     # declared bound is invalid; the minimizer's starts reach an eigenstate

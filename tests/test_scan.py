@@ -53,6 +53,27 @@ def test_an_int_too_long_to_print_is_refused_by_name():
         assert str(err.value) == message
 
 
+def test_a_string_or_bool_is_not_a_number_to_scan():
+    cases = [
+        (lambda: GridAxis("p", "0", "1", "0.5"), "axis 'p': start must be a number, got '0'"),
+        (lambda: GridAxis("p", True, 1, 0.5), "axis 'p': start must be a number, got True"),
+        (lambda: GridAxis("p", 0, 1, False), "axis 'p': step must be a number, got False"),
+        (lambda: bisect_threshold("noisy_singlet", "p", "0", "1", "ppt"),
+         "lo must be a number, got '0'"),
+        (lambda: bisect_threshold("noisy_singlet", "p", 0, True, "ppt"),
+         "hi must be a number, got True"),
+        (lambda: bisect_threshold("noisy_singlet", "p", 0, 1, "ppt", tol="1e-4"),
+         "tol must be a number, got '1e-4'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterRangeError) as err:
+            call()
+        assert str(err.value) == message
+    # numpy scalars are numbers
+    axis = GridAxis("p", np.float32(0.0), np.int64(1), np.float64(0.5))
+    assert axis.values() == [0.0, 0.5, 1.0]
+
+
 def test_grid_axis_stops_short_when_step_does_not_divide():
     axis = GridAxis("p", 0.0, 1.0, 0.35)
     assert axis.values() == [0.0, 0.35, 0.7]
@@ -309,17 +330,17 @@ def _count_builds(monkeypatch, limit=None):
     return counts
 
 
-def test_bisect_builds_three_stacks_and_no_single_state(monkeypatch):
+def test_bisect_builds_two_stacks_and_no_single_state(monkeypatch):
     # one stack for the 16 samples, the endpoints among them, and the first five
-    # levels, then the other 9 of the 14 levels five at a time:
-    # 16 + 31 + 31 + 15 states, none evaluated twice
+    # levels; then one for the other 9 of the 14 levels, windowed around the
+    # crossing the margins predict: 16 + 31 + 25 states, none evaluated twice
     counts = _count_builds(monkeypatch)
     bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
-    assert counts == {"stack": 3, "instantiate": 0, "states": 93}
+    assert counts == {"stack": 2, "instantiate": 0, "states": 72}
 
 
 def test_bisect_below_the_float_spacing_stops(monkeypatch):
-    _count_builds(monkeypatch, limit=30)  # it takes 11 stacks
+    _count_builds(monkeypatch, limit=30)  # it takes 7 stacks
     t = bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-300)
     # the bracket is one float wide: its two sides straddle the flip
     below, above = (evaluate_criterion("corollary1", noisy_singlet(x)).detected
@@ -373,11 +394,85 @@ def test_a_bisection_probe_stack_is_its_states_one_at_a_time_bit_for_bit(monkeyp
     monkeypatch.setattr(Plan, "evaluate", evaluate_seen)
     bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
     monkeypatch.undo()
-    assert [len(ps) for ps in columns] == [47, 31, 15]
+    assert [len(ps) for ps in columns] == [47, 25]
     for ps, verdicts in zip(columns, seen, strict=True):
         for p, summary in zip(ps, verdicts.summaries()):
             one = evaluate_criterion("corollary1", FAMILIES["noisy_singlet"].instantiate(p=p))
             assert _same_bits(summary, one)
+
+
+def _stack_sizes(monkeypatch) -> list[int]:
+    """The number of states of each stack built, in order."""
+    sizes, stack = [], StateFamily.stack
+
+    def counted(self, cols, fixed=None):
+        sizes.append(len(next(iter(cols.values()))))
+        return stack(self, cols, fixed)
+
+    monkeypatch.setattr(StateFamily, "stack", counted)
+    return sizes
+
+
+def _plain_sizes(monkeypatch, *args, **kwargs) -> list[int]:
+    """The stack sizes of a bisection whose every later stack holds five whole
+    levels, the tree a missed or non-finite guess falls back to."""
+    with monkeypatch.context() as m:
+        sizes = _stack_sizes(m)
+        m.setattr("tlurkit.scan._window", lambda *ends: (-np.inf, np.inf))
+        bisect_threshold(*args, **kwargs)
+    return sizes
+
+
+def _register_step(monkeypatch, below: float, above: float) -> str:
+    """A test-only criterion on noisy_singlet whose margin is ``below`` up to
+    p = 1/e and ``above`` past it: its interpolated guess is the bracket's
+    midpoint, wherever the flip lies."""
+    def step(rho, obs):
+        p = -2.0 * rho.states[..., 1, 2].real  # invert noisy_singlet(p), state by state
+        margin = np.where(p > 1 / np.e, above, below)
+        return Verdicts("step", -margin, 0.0, margin, {})
+
+    monkeypatch.setitem(DV_CRITERIA, "step", CriterionEntry("step", False, "test-only", step))
+    return "step"
+
+
+@pytest.mark.parametrize("tol, stacks", [(1e-4, 4), (1e-9, 8), (1e-300, 15)])
+def test_a_missed_guess_costs_at_most_one_more_stack(monkeypatch, tol, stacks):
+    # a windowed tree that the walk leaves early is followed by a plain one, and
+    # each tree takes the walk at least five levels down; five whole levels a
+    # stack take 3, 6 and 11 stacks
+    step = _register_step(monkeypatch, -1.0, 1.0)
+    args = ("noisy_singlet", "p", 0.0, 1.0, step)
+    plain = _plain_sizes(monkeypatch, *args, tol=tol)
+    sizes = _stack_sizes(monkeypatch)
+    got = bisect_threshold(*args, tol=tol)
+    assert got == oracle_bisect(*args, tol)
+    assert sizes[0] == plain[0] == 47 and max(sizes[1:]) <= 31
+    assert len(sizes) == stacks and len(sizes) - 1 <= 2 * (len(plain) - 1)
+
+
+def test_infinite_margins_bisect_on_plain_trees(monkeypatch):
+    # margins of -inf and +inf predict no finite crossing
+    step = _register_step(monkeypatch, -np.inf, np.inf)
+    args = ("noisy_singlet", "p", 0.0, 1.0, step)
+    plain = _plain_sizes(monkeypatch, *args, tol=1e-4)
+    sizes = _stack_sizes(monkeypatch)
+    assert bisect_threshold(*args, tol=1e-4) == oracle_bisect(*args, 1e-4)
+    assert sizes == plain == [47, 31, 15]
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("criterion", ["lur", "tlur", "ccnr"])
+def test_fig1_bisections_take_one_windowed_stack_and_a_tail(monkeypatch, a, criterion):
+    # the default set of a 3x3 state is its Schmidt frame; five whole levels a
+    # stack would take 47 + 31 + 31 + 3 states
+    fixed = {"a": a}
+    expected = oracle_bisect("horodecki_noise", "p", 0.9, 1.0, criterion, 1e-6, fixed)
+    sizes = _stack_sizes(monkeypatch)
+    got = bisect_threshold("horodecki_noise", "p", 0.9, 1.0, criterion, tol=1e-6,
+                           fixed_params=fixed)
+    assert got == expected
+    assert sizes[0] == 47 and len(sizes) <= 3 and max(sizes[1:]) <= 31
 
 
 def test_bisect_validates_interval():
