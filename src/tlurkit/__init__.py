@@ -3,10 +3,10 @@
 Core objects: ``DensityMatrix`` / ``HermitianOperator`` (validated matrix
 wrappers), ``DensityStack`` (N states validated in one pass; every
 evaluator takes one state or a stack), ``LocalObservableSet`` (paired local
-observables with certified sum-uncertainty bounds), ``CriterionReport``
-(uniform verdict record; ``Verdicts`` for a stack),
-``GaussianState`` (two-mode covariance data), plus grid sweeps, threshold
-bisection and a CLI.
+observables with certified bounds) and ``observables.SchmidtFrame``, the
+frames whose ``moments(rho)`` record every set criterion reads,
+``CriterionReport`` (uniform verdict record; ``Verdicts`` for a stack),
+``GaussianState`` (two-mode covariance data), plus sweeps, bisection, a CLI.
 """
 
 from .cvgauss import (

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterRangeError, SpecParseError, UnphysicalStateError, ValidationError
 from .linops import non_hermitian
 from .report import CriterionReport, make_report
-from .states import spec_array, spec_number
+from .states import integer_argument, number_argument, spec_array, spec_number
 
 __all__ = [
     "GaussianState", "vacuum", "tmsv", "thermal", "displaced",
@@ -87,6 +87,7 @@ _TMSV_R_MAX = math.log(np.finfo(float).max) / 2.0
 
 def tmsv(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with Var(x1+x2) = Var(p1-p2) = exp(-2r)."""
+    r = number_argument(r, "r")
     if not abs(r) <= _TMSV_R_MAX:
         raise ParameterRangeError(
             f"r must satisfy |r| <= {_TMSV_R_MAX:.6g}, where cosh(2r) stays finite, got {r}")
@@ -105,6 +106,7 @@ def thermal(nbar) -> GaussianState:
     pair = (nbar, nbar) if np.isscalar(nbar) else tuple(nbar)
     if len(pair) != 2:
         raise ParameterRangeError("thermal takes one occupation or a pair")
+    pair = tuple(number_argument(n, "nbar") for n in pair)
     if any(n < 0 for n in pair):
         raise ParameterRangeError(f"mean occupations must be >= 0, got {pair}")
     diag = [(2.0 * pair[0] + 1.0) / 2.0] * 2 + [(2.0 * pair[1] + 1.0) / 2.0] * 2
@@ -142,7 +144,7 @@ def v_coeffs(a: float) -> np.ndarray:
 
 def _check_a(a: float) -> float:
     """``a`` as a float whose a^2 and 1/a^2 are finite and positive."""
-    a = float(a)
+    a = number_argument(a, "a")
     aa = a * a
     if not (math.isfinite(aa) and aa > 0.0 and math.isfinite(1.0 / aa)):
         raise ParameterRangeError(
@@ -205,7 +207,7 @@ def random_separable_gaussian(seed: int) -> GaussianState:
     Gaussian and separable while adding an arbitrary PSD term to the
     covariance matrix.
     """
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(integer_argument(seed, "seed"))
     blocks = []
     for _ in range(2):
         theta = rng.uniform(0.0, np.pi)

@@ -5,12 +5,14 @@ A ``LocalObservableSet`` pairs equal-length lists {A_k} on subsystem A and
 and likewise for B, the minimum running over pure states (the variance sum
 is concave in the state, so pure states attain the minimum).  Sets carry
 their operators as validated (n, d, d) stacks, which the certifier reads,
-and the real coordinate rows the criteria read with a state's LOO
-coefficient matrix (``loo_coefficients``): alpha_k = coords(A_k) in the
-canonical LOO basis, then the coordinates of sum_k A_k^2, likewise for B.
+and real coordinate rows: alpha_k = coords(A_k) in the canonical LOO
+basis, then the coordinates of sum_k A_k^2, likewise for B.
 ``schmidt_loo_pair(rho)`` adapts a set to one state; ``SchmidtFrame`` is
 that pair for any state, read from the SVD of its coefficient matrix, and
-is what ``scan.Plan`` resolves the ``"schmidt_loo_pair"`` spec to.
+is what ``scan.Plan`` resolves the ``"schmidt_loo_pair"`` spec to.  Both
+are frames: ``moments(rho)`` maps a state or a stack, by its LOO
+coefficient matrix (``loo_coefficients``), to the ``Moments`` record that
+every set criterion reads.
 
 Closed-form bounds (Hofmann & Takeuchi, PRA 68, 032103 (2003)): a complete
 set of local orthogonal observables (LOO: d^2 Hermitian operators with
@@ -32,6 +34,7 @@ overcomplete tight frame of one, on which the LOO witnesses are defined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,6 +42,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDecompositionError,
+    DimensionMismatchError,
     InvalidBoundError,
     NumericalFailureError,
     ParameterRangeError,
@@ -49,7 +53,6 @@ from .errors import (
 )
 from .linops import (
     DensityMatrix,
-    DensityStack,
     HermitianOperator,
     hermitian_stack,
     realign,
@@ -59,7 +62,7 @@ from .states import (
 )
 
 __all__ = [
-    "BoundProvenance", "LocalObservableSet",
+    "BoundProvenance", "Frame", "LocalObservableSet", "Moments",
     "su_generators", "loo_basis", "pauli_loo_pair", "loo_pair", "su_pair",
     "loo_coefficients", "operator_schmidt", "schmidt_loo_pair", "SchmidtFrame",
     "uncertainty_bound", "observables_from_spec", "OBS_BUILDERS",
@@ -116,8 +119,39 @@ class BoundProvenance:
         return out
 
 
+class Frame:
+    """An observable set as the criteria see it: ``moments(rho)`` maps a state
+    or a stack to its ``Moments``.  A frame has ``dim_a``, ``dim_b``,
+    ``bound_a``, ``bound_b``, ``is_loo_pair`` and ``_local_sums``."""
+
+    def moments(self, rho) -> Moments:
+        """The ``Moments`` of ``rho`` (a state or a stack).  The frame's
+        ``_local_sums(coeff, a, b)`` gives sum Var A, sum Var B and sum Cov of
+        each state from its LOO coefficient matrix C, with a = sqrt(d_B) C[:, -1]
+        = (<G_i>) as a row and b = sqrt(d_A) C[-1, :] = (<H_j>) as a column.  The
+        local sum of a side of dimension 1 is exactly 0, not its round-off."""
+        if (self.dim_a, self.dim_b) != rho.dims:
+            raise DimensionMismatchError(
+                f"observables act on ({self.dim_a},{self.dim_b}) but state has "
+                f"({rho.dim_a},{rho.dim_b})")
+        da, db = rho.dims
+        coeff = loo_coefficients(rho)
+        # each product has one state's shape and each sum runs over one state's
+        # last axis, so a state of a stack gets the bits it gets alone
+        a, b = math.sqrt(db) * coeff[..., None, :, -1], math.sqrt(da) * coeff[..., -1, :, None]
+        sums = np.empty(coeff.shape[:-2] + (4,))
+        sums[..., 0], sums[..., 1], sums[..., 3] = self._local_sums(coeff, a, b)
+        for side, d in enumerate((da, db)):
+            if d == 1:  # only multiples of 1 act on the side: their variances are 0
+                sums[..., side] = 0.0
+        sums[..., 2] = sums[..., 0] + sums[..., 1] + 2.0 * sums[..., 3]
+        np.maximum(sums[..., :3], 0.0, out=sums[..., :3])
+        sums.setflags(write=False)
+        return Moments(rho, sums, self.bound_a, self.bound_b, da, db, self.is_loo_pair)
+
+
 @dataclass(frozen=True)
-class LocalObservableSet:
+class LocalObservableSet(Frame):
     """Paired local observables with certified sum-uncertainty bounds.
 
     ``stack_a`` (n, d_A, d_A) and ``stack_b`` (n, d_B, d_B) are the operators
@@ -168,6 +202,17 @@ class LocalObservableSet:
                     f"sum {attained} that a pure state attains")
             loo = loo and is_loo
         object.__setattr__(self, "is_loo_pair", loo)
+
+    def _local_sums(self, coeff, a, b):
+        """The rows alpha, beta (last rows sigma_A, sigma_B) give sum Var A =
+        sigma_A . a - |alpha a|^2, likewise for B, and
+        sum Cov = tr(alpha (C - a b^T) beta^T)."""
+        means_a = (a @ self.coords_a.T)[..., 0, :]  # <A_k>, then sum_k <A_k^2>
+        means_b = (self.coords_b @ b)[..., 0]
+        alpha, beta = means_a[..., :-1], means_b[..., :-1]
+        pair = self.coords_a[:-1].T @ self.coords_b[:-1]
+        cov = _dot(coeff.reshape(coeff.shape[:-2] + (-1,)), pair.reshape(-1)) - _dot(alpha, beta)
+        return means_a[..., -1] - _dot(alpha, alpha), means_b[..., -1] - _dot(beta, beta), cov
 
     @property
     def n(self) -> int:
@@ -358,7 +403,7 @@ def schmidt_loo_pair(rho: DensityMatrix) -> LocalObservableSet:
     at least as easy as a realignment (CCNR) violation.  A ``DensityStack``
     raises ``ValidationError``: its states read the ``SchmidtFrame``.
     """
-    if isinstance(rho, DensityStack):
+    if not isinstance(rho, DensityMatrix):
         raise ValidationError("schmidt_loo_pair adapts to one state; a sweep's Schmidt frame "
                               "is resolved by scan.Plan (SchmidtFrame)")
     _, ops_a, ops_b = operator_schmidt(rho)
@@ -369,17 +414,52 @@ def schmidt_loo_pair(rho: DensityMatrix) -> LocalObservableSet:
 
 
 @dataclass(frozen=True)
-class SchmidtFrame:
+class SchmidtFrame(Frame):
     """``schmidt_loo_pair`` of whichever state it is evaluated on, holding no
-    operators: an LOO pair by construction, with the exact bounds d_X - 1.
-    ``criteria`` reads its sums from the SVD of the state's
-    ``loo_coefficients``."""
+    operators: an LOO pair by construction, with the exact bounds d_X - 1."""
 
     dim_a: int
     dim_b: int
     is_loo_pair = True
     bound_a = property(lambda self: self.dim_a - 1.0)
     bound_b = property(lambda self: self.dim_b - 1.0)
+
+    def _local_sums(self, coeff, a, b):
+        """Each state on its own Schmidt pair: with C = U S V^T,
+        sum Var A = d_A - |a|^2, likewise for B, and sum Cov = -T,
+        T = sum_k s_k - (U^T a).(V^T b)."""
+        u, s, vt = np.linalg.svd(coeff, full_matrices=False)
+        cov = _dot((a @ u)[..., 0, :], (vt @ b)[..., 0]) - s.sum(axis=-1)
+        a, b = a[..., 0, :], b[..., 0]
+        return self.dim_a - _dot(a, a), self.dim_b - _dot(b, b), cov
+
+
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """A frame's record of a state or a stack; every set criterion is a closed
+    form of it.  ``sums`` (..., 4), read-only: sum_k Var(A_k), sum_k Var(B_k),
+    the joint sum local A + local B + 2 cov, and sum_k Cov(A_k, B_k) of each
+    state, all but the covariance sum clipped at 0; with the frame's bounds,
+    dims and ``is_loo_pair``.  ``moments(rho)`` returns the record itself for
+    the state it was read from, so a criterion takes a frame or its record."""
+
+    state: object = field(repr=False)
+    sums: np.ndarray = field(repr=False)
+    bound_a: float
+    bound_b: float
+    dim_a: int
+    dim_b: int
+    is_loo_pair: bool
+
+    def moments(self, rho) -> Moments:
+        if rho is not self.state:
+            raise ValidationError("these moments were read from another state")
+        return self
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of x * y, per state of a stack."""
+    return (x * y).sum(axis=-1)
 
 
 def _closed_form(stack: np.ndarray, coords: np.ndarray) -> tuple[float | None, bool]:

@@ -12,10 +12,10 @@ column over the grid's points, and no dict is built per point.  It
 evaluates its grid as one batch: the states of one bipartition, taken from
 the columns by index, are built as one ``DensityStack`` and validated in
 one pass, and each criterion runs once on the stack, the set criteria
-reading the three variance sums of one real LOO coefficient matrix per
-state between them; each cell's reports are read from the stack's
-verdicts.  A stack whose arrays would pass 32 MiB (many states of d_A, d_B
->= 6) is split into several, so memory stays bounded.  A bisection runs on
+reading one record, the set's ``Moments`` of the stack, between them; each
+cell's reports are read from the stack's verdicts.  A stack whose arrays
+would pass 32 MiB (many states of d_A, d_B >= 6) is split into several, so
+memory stays bounded.  A bisection runs on
 the same path, each probe one column of its parameter: one stack for its
 16 spot checks, the endpoints among them, and the midpoints of the first
 five bisection levels.  Each later stack holds at most 31 midpoints: the
@@ -46,9 +46,9 @@ from .errors import (
     TlurkitError,
     shown,
 )
-from .observables import LocalObservableSet, SchmidtFrame, observables_from_spec
+from .observables import Frame, observables_from_spec
 from .report import DETECTION_TOL, Verdicts
-from .states import FAMILIES, is_finite, is_number
+from .states import FAMILIES, is_finite, is_number, number_argument
 
 __all__ = [
     "GridAxis", "ScanResult", "sweep", "bisect_threshold",
@@ -59,7 +59,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CriterionEntry:
     """``evaluate(rho, obs)`` gives the ``CriterionReport`` of a
-    ``DensityMatrix``, or the ``Verdicts`` of a ``DensityStack``."""
+    ``DensityMatrix``, or the ``Verdicts`` of a ``DensityStack``; ``obs`` is
+    a set, or its ``Moments`` of ``rho``."""
 
     name: str
     needs_obs: bool
@@ -106,11 +107,11 @@ class Plan:
     ``entries`` are the criteria's registry entries.  ``observables(rho)``
     gives a state or a stack the set for its own bipartition, from
     ``obs_spec`` or, when that is None, from the default for its dimensions
-    (``pauli_loo_pair`` for 2x2, ``schmidt_loo_pair`` otherwise).  Every spec
-    is built once per bipartition, then reused: ``schmidt_loo_pair`` gives
-    the bipartition's ``SchmidtFrame``, which reads each state's Schmidt
-    pair from the SVD of its coefficient matrix.  A ``LocalObservableSet``
-    or ``SchmidtFrame`` is used as given.
+    (``pauli_loo_pair`` for 2x2, ``schmidt_loo_pair`` otherwise) if a
+    criterion reads a set.  Every spec is built once per bipartition, read or
+    not, so a bad one is named: ``schmidt_loo_pair`` gives the bipartition's
+    ``SchmidtFrame``, which reads each state's Schmidt pair from the SVD of
+    its coefficient matrix.  A ``Frame`` is used as given.
     """
 
     def __init__(self, criteria: list[str], obs_spec=None):
@@ -122,7 +123,7 @@ class Plan:
             self.entries.append(DV_CRITERIA[name])
         self.needs_obs = any(e.needs_obs for e in self.entries)
         self.obs_spec = obs_spec
-        self._sets: dict[tuple[int, int], LocalObservableSet | SchmidtFrame] = {}
+        self._sets: dict[tuple[int, int], Frame | None] = {}
 
     def spec(self, dims: tuple[int, int]):
         """The spec the states of bipartition ``dims`` get."""
@@ -130,24 +131,23 @@ class Plan:
             return "pauli_loo_pair" if dims == (2, 2) else "schmidt_loo_pair"
         return self.obs_spec
 
-    def observables(self, rho) -> LocalObservableSet | SchmidtFrame | None:
-        if not self.needs_obs:
-            return None
+    def observables(self, rho) -> Frame | None:
         dims = rho.dims
         if dims not in self._sets:
             spec = self.spec(dims)
-            if not isinstance(spec, (LocalObservableSet, SchmidtFrame)):
+            if not (spec is None or isinstance(spec, Frame)):
                 spec = observables_from_spec(spec, dims=dims)
             self._sets[dims] = spec
         return self._sets[dims]
 
     def evaluate(self, rho) -> list:
         """Each criterion's ``CriterionReport`` on a state, or ``Verdicts`` on a
-        stack.  The set criteria share one coefficient matrix per state of
-        ``rho`` and the variance sums on its set, kept only for this call."""
+        stack.  When a criterion reads a set, the set's ``Moments`` of ``rho``
+        are read once and passed to every criterion in its place."""
         obs = self.observables(rho)
-        with _crit.shared_moments():
-            return [entry.evaluate(rho, obs) for entry in self.entries]
+        if self.needs_obs:
+            obs = obs.moments(rho)
+        return [entry.evaluate(rho, obs) for entry in self.entries]
 
     def recorded_spec(self, bipartitions):
         """What a result records under ``obs``: the spec every bipartition
@@ -155,7 +155,7 @@ class Plan:
         the spec of each."""
         specs = {f"{da}x{db}": self.spec((da, db)) for da, db in bipartitions}
         first = next(iter(specs.values()))
-        if isinstance(first, (LocalObservableSet, SchmidtFrame)):
+        if isinstance(first, Frame):
             return "explicit"
         return first if all(s == first for s in specs.values()) else specs
 
@@ -206,13 +206,7 @@ class GridAxis:
 
     def __post_init__(self):
         for key in ("start", "stop", "step"):
-            value = getattr(self, key)
-            if not is_number(value):
-                raise ParameterRangeError(
-                    f"axis '{self.name}': {key} must be a number, got {shown(value, repr)}")
-            if not is_finite(value):
-                raise ParameterRangeError(
-                    f"axis '{self.name}': {key} must be finite, got {shown(value)}")
+            number_argument(getattr(self, key), f"axis '{self.name}': {key}")
         if self.step <= 0:
             raise ParameterRangeError(f"axis '{self.name}': step must be positive")
         if self.stop < self.start:

@@ -147,6 +147,7 @@ def _random_separable_matrix(da: int, db: int, n_terms: int, seed: int) -> np.nd
 def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityMatrix:
     """Convex mixture of ``n_terms`` random pure product states."""
     da, db = int(dims[0]), int(dims[1])
+    n_terms, seed = integer_argument(n_terms, "n_terms"), integer_argument(seed, "seed")
     return DensityMatrix(da, db, _random_separable_matrix(da, db, n_terms, seed))
 
 
@@ -378,6 +379,24 @@ def is_finite(value) -> bool:
         return math.isfinite(float(value))
     except OverflowError:
         return False
+
+
+def number_argument(value, name: str) -> float:
+    """A library argument as a float by the one number rule: ``is_number``,
+    then finite; else ``ParameterRangeError`` naming ``name``."""
+    if not is_number(value):
+        raise ParameterRangeError(f"{name} must be a number, got {shown(value, repr)}")
+    if not is_finite(value):
+        raise ParameterRangeError(f"{name} must be finite, got {shown(value)}")
+    return float(value)
+
+
+def integer_argument(value, name: str) -> int:
+    """``number_argument`` with an integral value (``2`` or ``2.0``, not
+    ``2.5``), as an int."""
+    if not number_argument(value, name).is_integer():
+        raise ParameterRangeError(f"{name} must be an integer, got {shown(value)}")
+    return int(value)
 
 
 def spec_number(value, where: str) -> float:

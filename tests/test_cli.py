@@ -57,6 +57,25 @@ def test_evaluate_ppt_needs_no_obs(capsys):
     assert json.loads(out)["detected"] is False
 
 
+def test_an_obs_spec_is_checked_when_no_criterion_reads_a_set(capsys):
+    state = '{"family":"noisy_singlet","params":{"p":0.5}}'
+    scan = ("scan", "--family", "noisy_singlet", "--param", "p", "--min", "0", "--max", "1",
+            "--step", "0.5", "--criteria", "ppt")
+    for obs in ("nonsense", '{"builder": "zzz"}'):
+        for argv in (("evaluate", "--criterion", "ppt", "--state", state), scan):
+            code, out, err = run(capsys, *argv, "--obs", obs)
+            assert code == 2 and out == "", argv
+            assert json.loads(err)["detail"].startswith("builder: unknown builder"), argv
+    # a valid spec prints what no spec prints, but for the scan's "obs" field
+    plain = run(capsys, "evaluate", "--criterion", "ppt", "--state", state)
+    for obs in ("loo_pair", "schmidt_loo_pair", PAULI_OBS):
+        assert run(capsys, "evaluate", "--criterion", "ppt", "--state", state,
+                   "--obs", obs) == plain
+    code, out, _ = run(capsys, *scan, "--obs", "loo_pair")
+    assert code == 0 and json.loads(out)["obs"] == "loo_pair"
+    assert json.loads(out)["cells"] == json.loads(run(capsys, *scan)[1])["cells"]
+
+
 def test_evaluate_csv_format(capsys):
     code, out, _ = run(
         capsys, "--format", "csv", "evaluate",

@@ -84,6 +84,31 @@ def test_duan_examples():
         eval_duan(vacuum(), 0.0)
 
 
+HUGE = 10**400  # an int past the float range
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eval_duan(vacuum(), "2"), "a must be a number, got '2'"),
+    (lambda: eval_corollary2(tmsv(0.5), True), "a must be a number, got True"),
+    (lambda: eval_duan(vacuum(), HUGE), f"a must be finite, got {HUGE}"),
+    (lambda: tmsv(True), "r must be a number, got True"),
+    (lambda: tmsv("0.5"), "r must be a number, got '0.5'"),
+    (lambda: thermal(True), "nbar must be a number, got True"),
+    (lambda: thermal("1"), "nbar must be a number, got '1'"),
+    (lambda: thermal((1, "2")), "nbar must be a number, got '2'"),
+    (lambda: thermal(HUGE), f"nbar must be finite, got {HUGE}"),
+    (lambda: random_separable_gaussian("3"), "seed must be a number, got '3'"),
+    (lambda: random_separable_gaussian(1.5), "seed must be an integer, got 1.5"),
+], ids=["duan-str", "corollary2-bool", "duan-huge", "tmsv-bool", "tmsv-str", "thermal-bool",
+        "thermal-str", "thermal-pair-str", "thermal-huge", "gaussian-seed-str",
+        "gaussian-seed-fractional"])
+def test_a_cv_argument_follows_the_one_number_rule(call, message):
+    # a bool or a string is no number, and a number must be finite, as in a spec
+    with pytest.raises(ParameterRangeError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_corollary2_examples():
     rep = eval_corollary2(tmsv(1.0), 1.0)
     assert abs(rep.components["M"]) < 1e-12

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from tlurkit import bisect_threshold, sweep
 from tlurkit.errors import (
-    NoCrossingError, NonMonotonicMarginError, ParameterRangeError, ValidationError,
+    NoCrossingError, NonMonotonicMarginError, ParameterRangeError, SpecParseError,
+    ValidationError,
 )
 from tlurkit.observables import SchmidtFrame, observables_from_spec, schmidt_loo_pair
 from tlurkit.report import Verdicts
@@ -545,6 +546,23 @@ def test_a_spec_is_built_once_per_bipartition(monkeypatch):
     built.clear()
     bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-2)
     assert built == [(2, 2)]  # the default pauli_loo_pair, for every probe
+
+
+def test_a_spec_no_criterion_reads_is_still_checked_and_reads_no_record(monkeypatch):
+    # a bad spec names its field though only ppt runs; a good one is resolved
+    # per bipartition but no record is read, and the result is unchanged
+    grid = [GridAxis("p", 0.0, 1.0, 0.5)]
+    for run in (lambda spec: sweep("noisy_singlet", grid, ["ppt", "ccnr"], obs_spec=spec),
+                lambda spec: bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "ppt",
+                                              obs_spec=spec)):
+        for spec in ("nonsense", {"builder": "zzz"}):
+            with pytest.raises(SpecParseError, match="^builder: unknown builder"):
+                run(spec)
+    monkeypatch.setattr("tlurkit.observables.Moments",
+                        lambda *args: pytest.fail("a record was read"))
+    plain = sweep("noisy_singlet", grid, ["ppt", "ccnr"])
+    result = sweep("noisy_singlet", grid, ["ppt", "ccnr"], obs_spec="loo_pair")
+    assert result.cells == plain.cells and result.obs_spec == "loo_pair"
 
 
 def test_evaluate_criterion_defaults_to_the_set_of_the_bipartition():

@@ -15,8 +15,7 @@ from tlurkit import (
     observables_from_spec, operator_schmidt, pauli_loo_pair, schmidt_loo_pair, su_pair, sweep,
     uncertainty_bound,
 )
-from tlurkit import criteria, linops, observables
-from tlurkit.criteria import _sums, shared_moments
+from tlurkit import linops, observables
 from tlurkit.errors import DimensionMismatchError, ParameterRangeError, ValidationError
 from tlurkit.linops import DensityStack
 from tlurkit.observables import BoundProvenance, LocalObservableSet, SchmidtFrame
@@ -435,22 +434,22 @@ def _assert_same_verdicts(got, want):
 def test_criteria_sharing_moments_equal_each_criterion_alone(case, monkeypatch):
     family, points, spec, names = SHARED_CASES[case]
     rho = FAMILIES[family].stack(_columns(points))
-    calls = {"sums": 0, "coefficients": 0}
-    sums, coefficients = criteria._variance_sums, criteria.loo_coefficients
+    calls = {"records": 0, "coefficients": 0}
+    records, coefficients = observables.Moments, observables.loo_coefficients
 
     def counted(name, fn):
         return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
 
-    monkeypatch.setattr(criteria, "_variance_sums", counted("sums", sums))
-    monkeypatch.setattr(criteria, "loo_coefficients", counted("coefficients", coefficients))
+    monkeypatch.setattr(observables, "Moments", counted("records", records))
+    monkeypatch.setattr(observables, "loo_coefficients", counted("coefficients", coefficients))
     together = Plan(names, spec).evaluate(rho)
-    assert calls == {"sums": 1, "coefficients": 1}  # one C and one set of sums for the stack
+    assert calls == {"records": 1, "coefficients": 1}  # one C and one record for the stack
     for name, verdicts in zip(names, together):
         alone, = Plan([name], spec).evaluate(rho)
         _assert_same_verdicts(verdicts, alone)
 
 
-def test_shared_moments_keep_each_stack_apart_and_nothing_after():
+def test_a_plan_reads_each_stack_its_own_read_only_record():
     fam, obs = FAMILIES["horodecki_noise"], loo_pair(3)
     stacks = [fam.stack({"p": [0.5, 1.0]}, {"a": a}) for a in (0.2, 0.7)]
     plan = Plan(MOMENT_CRITERIA, obs)
@@ -458,13 +457,17 @@ def test_shared_moments_keep_each_stack_apart_and_nothing_after():
     for rho, want in zip(stacks + stacks, fresh + fresh):  # in turn, with one plan
         for got, one in zip(plan.evaluate(rho), want):
             _assert_same_verdicts(got, one)
-    with shared_moments():  # one block, two stacks, one set
-        for rho, want in zip(stacks, fresh):
-            _assert_same_verdicts(eval_tlur(rho, obs), want[1])
-    assert criteria._SHARED.get() is None
-    first = _sums(stacks[0], obs)
-    assert _sums(stacks[0], obs) is not first  # no block: computed per call
-    assert not first.flags.writeable
+    record = obs.moments(stacks[0])
+    assert record.moments(stacks[0]) is record
+    assert not record.sums.flags.writeable
+    with pytest.raises(AttributeError):
+        record.sums = np.zeros_like(record.sums)
+    _assert_same_verdicts(eval_tlur(stacks[0], record), fresh[0][1])
+    # a record answers only for the state it was read from, even an equal one
+    twin = fam.stack({"p": [0.5, 1.0]}, {"a": 0.2})
+    for rho in (stacks[1], twin):
+        with pytest.raises(ValidationError, match="another state"):
+            eval_tlur(rho, record)
 
 
 ALL_SET_CRITERIA = ["lur", "tlur", "tlur_dual", "lemma1", "c_lur", "c_tlur",
@@ -593,7 +596,7 @@ def test_a_side_of_dimension_one_matches_the_moment_kernel_oracle(dims):
             ("schmidt_loo_pair", ALL_SET_CRITERIA, Plan(ALL_SET_CRITERIA),
              observables_from_spec("schmidt_loo_pair", dims=dims),
              _schmidt_frame_sums(rho), np.subtract(dims, 1.0))):
-        got = _sums(rho, oset)
+        got = oset.moments(rho).sums
         np.testing.assert_allclose(got, np.transpose(sums), rtol=0, atol=1e-12)
         assert (got[:, side] == 0.0).all() and (np.abs(sums[side]) < 1e-15).all()
         want = _oracle_summaries(_exact_side(sums, dims), u, dims, oset.is_loo_pair)

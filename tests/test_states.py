@@ -106,6 +106,21 @@ def test_random_separable_determinism():
         random_separable((2, 2), 0, seed=1)
 
 
+@pytest.mark.parametrize("n_terms, seed, message", [
+    (2, "1", "seed must be a number, got '1'"),
+    (2, True, "seed must be a number, got True"),
+    ("2", 1, "n_terms must be a number, got '2'"),
+    (2.5, 1, "n_terms must be an integer, got 2.5"),
+    (2, 10**400, f"seed must be finite, got {10**400}"),
+], ids=["str-seed", "bool-seed", "str-n_terms", "fractional-n_terms", "huge-seed"])
+def test_random_separable_arguments_follow_the_one_number_rule(n_terms, seed, message):
+    with pytest.raises(ParameterRangeError) as err:
+        random_separable((2, 2), n_terms, seed)
+    assert str(err.value) == message
+    assert np.array_equal(random_separable((2, 2), 2.0, 1.0).matrix,
+                          random_separable((2, 2), 2, 1).matrix)
+
+
 def test_state_from_spec_family():
     rho = state_from_spec({"family": "noisy_singlet", "params": {"p": 1.0}})
     np.testing.assert_allclose(rho.matrix, singlet().matrix, atol=1e-14)
