@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Writes the reference outputs that CI keeps and diffs against a change's
 # base commit: the Fig. 1 region data and its p* table
-# (scripts/fig1_regions.py), and the three Example 2 bisections as JSON,
-# floats in full repr.  Run it from the root of a checkout, with the output
+# (scripts/fig1_regions.py), the three Example 2 bisections as JSON, floats
+# in full repr, and single-state reports in JSON and CSV: `evaluate` of tlur
+# (default Schmidt set), lur (su_pair) and ppt, and `cv-evaluate` of duan and
+# corollary2 at a = 1 and a = -0.7.  Run it from the root of a checkout, with the output
 # directory relative to that root, so that the lines naming it read the same
 # in every checkout:
 #
@@ -14,4 +16,21 @@ PYTHONPATH=src python scripts/fig1_regions.py --out-dir "$out" > "$out/fig1_thre
 for criterion in nonlinear_witness corollary1 ppt; do
   PYTHONPATH=src python -m tlurkit.cli --out "$out/example2-$criterion.json" \
     bisect --family noisy_singlet --param p --lo 0 --hi 1 --criterion "$criterion"
+done
+tlur_state='{"family": "horodecki_noise", "params": {"a": 0.5, "p": 0.999}}'
+singlet_state='{"family": "noisy_singlet", "params": {"p": 0.5}}'
+for format in json csv; do
+  cli=(env PYTHONPATH=src python -m tlurkit.cli --format "$format")
+  "${cli[@]}" --out "$out/evaluate-tlur.$format" \
+    evaluate --criterion tlur --state "$tlur_state"
+  "${cli[@]}" --out "$out/evaluate-lur-su_pair.$format" \
+    evaluate --criterion lur --state "$singlet_state" --obs su_pair
+  "${cli[@]}" --out "$out/evaluate-ppt.$format" \
+    evaluate --criterion ppt --state "$singlet_state"
+  for criterion in duan corollary2; do
+    for a in 1 -0.7; do
+      "${cli[@]}" --out "$out/cv-evaluate-$criterion-a$a.$format" \
+        cv-evaluate --criterion "$criterion" --a="$a" --state '{"tmsv": 0.5}'
+    done
+  done
 done

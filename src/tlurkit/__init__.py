@@ -5,7 +5,7 @@ wrappers), ``DensityStack`` (N states validated in one pass; every
 evaluator takes one state or a stack), ``LocalObservableSet`` (paired local
 observables with certified bounds) and ``observables.SchmidtFrame``, the
 frames whose ``moments(rho)`` record every set criterion reads,
-``CriterionReport`` (uniform verdict record; ``Verdicts`` for a stack),
+``CriterionReport`` (uniform verdict record, for a state or a stack),
 ``GaussianState`` (two-mode covariance data), plus sweeps, bisection, a CLI.
 """
 
@@ -57,7 +57,7 @@ from .observables import (
     su_pair,
     uncertainty_bound,
 )
-from .report import DETECTION_TOL, CriterionReport, Verdicts
+from .report import DETECTION_TOL, CriterionReport
 from .scan import GridAxis, ScanResult, bisect_threshold, evaluate_criterion, sweep
 from .states import (
     FAMILIES,

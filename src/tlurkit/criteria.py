@@ -1,7 +1,7 @@
 """Discrete-variable separability criteria.
 
-All evaluators return a ``CriterionReport`` (``Verdicts`` for a stack) whose
-margin is the amount of violation (positive means entanglement detected):
+All evaluators return a ``CriterionReport`` whose margin is the amount of
+violation (positive means entanglement detected):
 
 * ``eval_lur``: joint variance sum against the sum of local bounds,
   sum_k Var(A_k (x) 1 + 1 (x) B_k) >= U_A + U_B for separable states.
@@ -26,11 +26,10 @@ joint sum and sum_k Cov(A_k, B_k), read by the frame ``obs`` (a
 coefficient matrix.  ``obs`` may also be that record, which is how
 ``scan.Plan.evaluate`` reads it once for all its criteria.
 
-Every evaluator takes a ``DensityMatrix`` and returns its
-``CriterionReport``, or a ``DensityStack`` of N states and returns
-``Verdicts``, the N results as arrays; the one state is the N = 1 case of
-the same computation, and only ``_result`` tells them apart.  A set
-criterion on a stack takes one set (or frame) for all N states.
+Every evaluator takes a ``DensityMatrix`` or a ``DensityStack`` of N states
+and runs the same closed forms on either: the report holds the N results as
+arrays, or the one state's as Python numbers.  A set criterion on a stack
+takes one set (or frame) for all N states.
 
 Local variance sums may round off slightly below a tight bound; deficits in
 [-1e-9, 0) are clipped to zero before square roots, anything worse is a hard
@@ -47,9 +46,9 @@ from .errors import (
     ValidationError,
     raise_first,
 )
-from .linops import DensityStack, min_eigenvalues, partial_transpose, realign, trace_norms
+from .linops import min_eigenvalues, partial_transpose, realign, trace_norms
 from .observables import Frame, LocalObservableSet, Moments, _nonzero
-from .report import DETECTION_TOL, Verdicts, make_report
+from .report import DETECTION_TOL, CriterionReport
 
 __all__ = [
     "eval_lur", "eval_tlur", "eval_tlur_dual", "eval_lemma1",
@@ -60,13 +59,6 @@ __all__ = [
 _CLIP = 1e-9
 
 Observables = Frame | Moments
-
-
-def _result(rho, criterion: str, lhs, rhs, margin, components: dict):
-    """``Verdicts`` for a stack of states, the one ``CriterionReport`` else."""
-    if isinstance(rho, DensityStack):
-        return Verdicts(criterion, lhs, rhs, margin, components)
-    return make_report(criterion, lhs, rhs, margin, components)
 
 
 def joint_variance_sum(rho, obs: Observables):
@@ -80,8 +72,8 @@ def eval_lur(rho, obs: Observables):
     m = obs.moments(rho)
     lhs = m.sums[..., 2]
     rhs = m.bound_a + m.bound_b
-    return _result(rho, "lur", lhs, rhs, rhs - lhs,
-                   {"variance_sum": lhs, "U_A": m.bound_a, "U_B": m.bound_b})
+    return CriterionReport("lur", lhs, rhs, rhs - lhs,
+                           {"variance_sum": lhs, "U_A": m.bound_a, "U_B": m.bound_b})
 
 
 def _tlur_parts(m: Moments, bounds=None) -> dict:
@@ -116,14 +108,14 @@ def eval_tlur(rho, obs: Observables):
     """Tightened criterion: separable bound raised by M^2."""
     c = _tlur_parts(obs.moments(rho))
     rhs = c["U_A"] + c["U_B"] + c["M"] ** 2
-    return _result(rho, "tlur", c["variance_sum"], rhs, rhs - c["variance_sum"], c)
+    return CriterionReport("tlur", c["variance_sum"], rhs, rhs - c["variance_sum"], c)
 
 
 def eval_tlur_dual(rho, obs: Observables):
     """Dual upper bound; violation iff lhs exceeds U_A + U_B + (sqrt+sqrt)^2."""
     c = _tlur_parts(obs.moments(rho))
     rhs = c["U_A"] + c["U_B"] + (np.sqrt(c["excess_A"]) + np.sqrt(c["excess_B"])) ** 2
-    return _result(rho, "tlur_dual", c["variance_sum"], rhs, c["variance_sum"] - rhs, c)
+    return CriterionReport("tlur_dual", c["variance_sum"], rhs, c["variance_sum"] - rhs, c)
 
 
 def eval_lemma1(rho, obs: Observables):
@@ -140,7 +132,7 @@ def eval_lemma1(rho, obs: Observables):
         "excess_A": ea, "excess_B": eb,
         "product_lhs": ea * eb, "product_rhs": cov * cov,
     }
-    return _result(rho, "lemma1", lhs, 0.0, -lhs, components)
+    return CriterionReport("lemma1", lhs, 0.0, -lhs, components)
 
 
 def _loo_parts(m: Moments, name: str) -> dict:
@@ -157,7 +149,7 @@ def eval_nonlinear_witness(rho, obs: Observables):
     lhs - U_A - U_B.  Separable => value >= 0."""
     c = _loo_parts(obs.moments(rho), "nonlinear_witness")
     value = (c["variance_sum"] - c["U_A"] - c["U_B"]) / 2
-    return _result(rho, "nonlinear_witness", value, 0.0, -value, c)
+    return CriterionReport("nonlinear_witness", value, 0.0, -value, c)
 
 
 def eval_corollary1(rho, obs: Observables):
@@ -167,20 +159,20 @@ def eval_corollary1(rho, obs: Observables):
     ``eval_nonlinear_witness``."""
     c = _loo_parts(obs.moments(rho), "corollary1")
     value = (c["variance_sum"] - c["U_A"] - c["U_B"] - c["M"] ** 2) / 2
-    return _result(rho, "corollary1", value, 0.0, -value, c)
+    return CriterionReport("corollary1", value, 0.0, -value, c)
 
 
 def eval_ppt(rho):
     """Negative partial transpose test; margin is -min eigenvalue.  rho^{T_A}
     and rho^{T_B} have the same spectrum, so B is transposed."""
     lam = min_eigenvalues(partial_transpose(rho))
-    return _result(rho, "ppt", lam, 0.0, -lam, {"min_eigenvalue": lam})
+    return CriterionReport("ppt", lam, 0.0, -lam, {"min_eigenvalue": lam})
 
 
 def eval_ccnr(rho):
     """Realignment test; separable states keep trace norm <= 1."""
     tn = trace_norms(realign(rho))
-    return _result(rho, "ccnr", tn, 1.0, tn - 1.0, {"trace_norm": tn})
+    return CriterionReport("ccnr", tn, 1.0, tn - 1.0, {"trace_norm": tn})
 
 
 def eval_measure(rho, obs: Observables, which: str):
@@ -193,7 +185,7 @@ def eval_measure(rho, obs: Observables, which: str):
     c_lur = 1.0 - c["variance_sum"] / u_sum
     c_tlur = 1.0 - (c["variance_sum"] - c["M"] ** 2) / u_sum
     value = c_lur if which == "c_lur" else c_tlur
-    return _result(rho, which, value, 0.0, value, {"c_lur": c_lur, "c_tlur": c_tlur})
+    return CriterionReport(which, value, 0.0, value, {"c_lur": c_lur, "c_tlur": c_tlur})
 
 
 def entanglement_measures(rho, obs: Observables):

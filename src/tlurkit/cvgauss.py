@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterRangeError, SpecParseError, UnphysicalStateError, ValidationError
 from .linops import non_hermitian
-from .report import CriterionReport, make_report
+from .report import CriterionReport
 from .states import integer_argument, number_argument, spec_array, spec_number
 
 __all__ = [
@@ -166,7 +166,7 @@ def _report(criterion: str, a: float, lhs: float, rhs: float,
         raise ValidationError(
             f"{criterion} at a = {a}: lhs {lhs}, rhs {rhs} and margin {margin} are not "
             f"all finite; a or the covariance is too large")
-    return make_report(criterion, lhs, rhs, margin, components)
+    return CriterionReport(criterion, lhs, rhs, margin, components)
 
 
 def eval_duan(state: GaussianState, a: float) -> CriterionReport:

@@ -124,16 +124,20 @@ class Frame:
     or a stack to its ``Moments``.  A frame has ``dim_a``, ``dim_b``,
     ``bound_a``, ``bound_b``, ``is_loo_pair`` and ``_local_sums``."""
 
+    def check_dims(self, dims: tuple[int, int]) -> None:
+        """Refuse the states of a bipartition the frame does not act on."""
+        if (self.dim_a, self.dim_b) != dims:
+            raise DimensionMismatchError(
+                f"observables act on ({self.dim_a},{self.dim_b}) but state has "
+                f"({dims[0]},{dims[1]})")
+
     def moments(self, rho) -> Moments:
         """The ``Moments`` of ``rho`` (a state or a stack).  The frame's
         ``_local_sums(coeff, a, b)`` gives sum Var A, sum Var B and sum Cov of
         each state from its LOO coefficient matrix C, with a = sqrt(d_B) C[:, -1]
         = (<G_i>) as a row and b = sqrt(d_A) C[-1, :] = (<H_j>) as a column.  The
         local sum of a side of dimension 1 is exactly 0, not its round-off."""
-        if (self.dim_a, self.dim_b) != rho.dims:
-            raise DimensionMismatchError(
-                f"observables act on ({self.dim_a},{self.dim_b}) but state has "
-                f"({rho.dim_a},{rho.dim_b})")
+        self.check_dims(rho.dims)
         da, db = rho.dims
         coeff = loo_coefficients(rho)
         # each product has one state's shape and each sum runs over one state's
@@ -591,9 +595,9 @@ def observables_from_spec(spec, dims: tuple[int, int] | None = None
         if not isinstance(params, dict):
             raise SpecParseError("params must be an object", field="params")
         params = dict(params)
+        if name in ("pauli_loo_pair", "schmidt_loo_pair") and params:
+            raise SpecParseError(f"{name} takes no parameters", field="params")
         if name == "pauli_loo_pair":
-            if params:
-                raise SpecParseError("pauli_loo_pair takes no parameters", field="params")
             return pauli_loo_pair()
         if name == "schmidt_loo_pair":
             if dims is None:

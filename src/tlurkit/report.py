@@ -3,36 +3,44 @@
 ``margin`` is always the amount of violation, oriented so that a positive
 margin means entanglement was detected; scanning code can therefore treat
 all criteria alike.  Detection uses a uniform deadband of 1e-9 against
-floating-point noise on exact inequalities.  ``Verdicts`` holds one
-criterion's results on a stack of N states as arrays; a ``CriterionReport``
-is its one-state case.
+floating-point noise on exact inequalities.  A ``CriterionReport`` holds
+one criterion's result on one state, as Python numbers, or on a stack of N
+states, as arrays: the one state is the N = 1 case of the same record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-
-from .errors import ValidationError
 
 DETECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """One criterion on one state or on a stack of N states.
+
+    On a stack, ``lhs``, ``rhs``, ``margin`` and each component are (N,)
+    arrays, or scalars that hold for all N, and ``detected`` is the (N,)
+    verdicts.  On one state (a margin of no dimensions) every value is
+    converted once to a Python float, and ``detected`` is a Python bool.
+    """
+
     criterion: str
-    lhs: float
-    rhs: float
-    margin: float
-    detected: bool
-    components: dict[str, float] = field(default_factory=dict)
+    lhs: np.ndarray | float
+    rhs: np.ndarray | float
+    margin: np.ndarray | float
+    detected: np.ndarray | bool = field(init=False)
+    components: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.detected != (self.margin > DETECTION_TOL):
-            raise ValidationError(
-                f"inconsistent report: detected={self.detected} but margin={self.margin}")
+        if np.ndim(self.margin) == 0:
+            for name in ("lhs", "rhs", "margin"):
+                object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, "components",
+                               {k: float(v) for k, v in self.components.items()})
+        object.__setattr__(self, "detected", self.margin > DETECTION_TOL)
 
     def to_dict(self) -> dict:
         return {
@@ -44,32 +52,10 @@ class CriterionReport:
             "components": dict(self.components),
         }
 
-
-def make_report(criterion: str, lhs: float, rhs: float, margin: float,
-                components: dict | None = None) -> CriterionReport:
-    return CriterionReport(criterion, float(lhs), float(rhs), float(margin),
-                           bool(margin > DETECTION_TOL),
-                           {k: float(v) for k, v in (components or {}).items()})
-
-
-class Verdicts(NamedTuple):
-    """One criterion on a stack of N states: ``lhs``, ``rhs``, ``margin`` and
-    each component are (N,) arrays, or scalars that hold for all N."""
-
-    criterion: str
-    lhs: np.ndarray | float
-    rhs: np.ndarray | float
-    margin: np.ndarray
-    components: dict
-
-    @property
-    def detected(self) -> np.ndarray:
-        """The verdict of each state: ``margin > DETECTION_TOL``."""
-        return self.margin > DETECTION_TOL
-
     def summaries(self) -> list[dict]:
-        """lhs, rhs, margin and detected of each state, as plain floats and bools."""
-        n = len(self.margin)
+        """lhs, rhs, margin and detected of each state, as plain floats and
+        bools (one entry for one state)."""
+        n = np.size(self.margin)
         lhs, rhs, margin, detected = (np.broadcast_to(v, (n,)).tolist() for v in
                                       (self.lhs, self.rhs, self.margin, self.detected))
         return [{"lhs": l, "rhs": r, "margin": m, "detected": d}

@@ -5,17 +5,19 @@ in grid order, so output is byte-identical across runs.
 
 Sweeps, bisections and ``evaluate_criterion`` resolve their inputs in one
 ``Plan``: the criteria, and the observable set of each bipartition, built
-once per bipartition and reused; the Schmidt builder resolves to a
-``SchmidtFrame``, which holds no operators.  Parameter columns are all
-that passes from a grid to its states: a sweep turns each axis into one
-column over the grid's points, and no dict is built per point.  It
-evaluates its grid as one batch: the states of one bipartition, taken from
-the columns by index, are built as one ``DensityStack`` and validated in
-one pass, and each criterion runs once on the stack, the set criteria
-reading one record, the set's ``Moments`` of the stack, between them; each
-cell's reports are read from the stack's verdicts.  A stack whose arrays
-would pass 32 MiB (many states of d_A, d_B >= 6) is split into several, so
-memory stays bounded.  A bisection runs on
+once per bipartition, before any state of it, and reused; the Schmidt
+builder resolves to a ``SchmidtFrame``, which holds no operators.
+Parameter columns are all that passes from a grid to its states: a sweep
+turns each axis into one column over the grid's points, and no dict is
+built per point.  It evaluates its grid as one batch: the states of one
+bipartition, taken from the columns by index, are built as one
+``DensityStack`` and validated in one pass, and each criterion runs once on
+the stack, the set criteria reading one record, the set's ``Moments`` of
+the stack, between them.  A criterion gives one ``CriterionReport`` of
+arrays for the stack, and each cell's reports are its rows
+(``CriterionReport.summaries``).  A stack whose arrays would pass 32 MiB
+(many states of d_A, d_B >= 6) is split into several, so memory stays
+bounded.  A bisection runs on
 the same path, each probe one column of its parameter: one stack for its
 16 spot checks, the endpoints among them, and the midpoints of the first
 five bisection levels.  Each later stack holds at most 31 midpoints: the
@@ -47,7 +49,7 @@ from .errors import (
     shown,
 )
 from .observables import Frame, observables_from_spec
-from .report import DETECTION_TOL, Verdicts
+from .report import DETECTION_TOL, CriterionReport
 from .states import FAMILIES, is_finite, is_number, number_argument
 
 __all__ = [
@@ -59,8 +61,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CriterionEntry:
     """``evaluate(rho, obs)`` gives the ``CriterionReport`` of a
-    ``DensityMatrix``, or the ``Verdicts`` of a ``DensityStack``; ``obs`` is
-    a set, or its ``Moments`` of ``rho``."""
+    ``DensityMatrix`` or a ``DensityStack``; ``obs`` is a set, or its
+    ``Moments`` of ``rho``."""
 
     name: str
     needs_obs: bool
@@ -104,14 +106,14 @@ CV_CRITERIA: dict[str, CriterionEntry] = {
 class Plan:
     """What a run evaluates: the criteria and the observable set each state gets.
 
-    ``entries`` are the criteria's registry entries.  ``observables(rho)``
-    gives a state or a stack the set for its own bipartition, from
-    ``obs_spec`` or, when that is None, from the default for its dimensions
-    (``pauli_loo_pair`` for 2x2, ``schmidt_loo_pair`` otherwise) if a
-    criterion reads a set.  Every spec is built once per bipartition, read or
-    not, so a bad one is named: ``schmidt_loo_pair`` gives the bipartition's
-    ``SchmidtFrame``, which reads each state's Schmidt pair from the SVD of
-    its coefficient matrix.  A ``Frame`` is used as given.
+    ``entries`` are the criteria's registry entries.  ``observables(dims)``
+    gives the states of a bipartition their set, from ``obs_spec`` or, when
+    that is None, from the default for the dimensions (``pauli_loo_pair`` for
+    2x2, ``schmidt_loo_pair`` otherwise) if a criterion reads a set.  Every
+    spec is built once per bipartition, read or not, so a bad one, or one
+    that acts on other dimensions, is named: ``schmidt_loo_pair`` gives the
+    bipartition's ``SchmidtFrame``, which reads each state's Schmidt pair
+    from the SVD of its coefficient matrix.  A ``Frame`` is used as given.
     """
 
     def __init__(self, criteria: list[str], obs_spec=None):
@@ -131,20 +133,21 @@ class Plan:
             return "pauli_loo_pair" if dims == (2, 2) else "schmidt_loo_pair"
         return self.obs_spec
 
-    def observables(self, rho) -> Frame | None:
-        dims = rho.dims
+    def observables(self, dims: tuple[int, int]) -> Frame | None:
         if dims not in self._sets:
             spec = self.spec(dims)
             if not (spec is None or isinstance(spec, Frame)):
                 spec = observables_from_spec(spec, dims=dims)
+            if spec is not None:
+                spec.check_dims(dims)
             self._sets[dims] = spec
         return self._sets[dims]
 
-    def evaluate(self, rho) -> list:
-        """Each criterion's ``CriterionReport`` on a state, or ``Verdicts`` on a
-        stack.  When a criterion reads a set, the set's ``Moments`` of ``rho``
-        are read once and passed to every criterion in its place."""
-        obs = self.observables(rho)
+    def evaluate(self, rho) -> list[CriterionReport]:
+        """Each criterion's ``CriterionReport`` on a state or a stack.  When a
+        criterion reads a set, the set's ``Moments`` of ``rho`` are read once
+        and passed to every criterion in its place."""
+        obs = self.observables(rho.dims)
         if self.needs_obs:
             obs = obs.moments(rho)
         return [entry.evaluate(rho, obs) for entry in self.entries]
@@ -161,9 +164,8 @@ class Plan:
 
 
 def evaluate_criterion(name: str, rho, obs=None):
-    """One criterion on a state (a ``CriterionReport``) or a stack
-    (``Verdicts``); ``obs`` is a set, a spec, or None for the default set of
-    the state's bipartition."""
+    """One criterion's ``CriterionReport`` on a state or a stack; ``obs`` is a
+    set, a spec, or None for the default set of the state's bipartition."""
     return Plan([name], obs).evaluate(rho)[0]
 
 
@@ -299,11 +301,12 @@ def _stack_size(dims: tuple[int, int]) -> int:
     return max(1, _STACK_BYTES // (96 * (da * db) ** 2))
 
 
-def _evaluate_stack(plan: Plan, family: str, columns: dict, fixed_params: dict) -> list:
-    """Each criterion's ``Verdicts`` on the states at the points of
-    ``columns`` (over ``fixed_params``, all of one bipartition), built as one
-    stack.  An error names the failing point, or the stack when no one state
-    failed."""
+def _evaluate_stack(plan: Plan, family: str, columns: dict,
+                    fixed_params: dict) -> list[CriterionReport]:
+    """Each criterion's report on the states at the points of ``columns``
+    (over ``fixed_params``, all of one bipartition), built as one stack.  An
+    error's message gains the failing point, or the stack when no one state
+    failed; the error keeps its type and its attributes."""
     try:
         return plan.evaluate(FAMILIES[family].stack(columns, fixed_params))
     except TlurkitError as exc:
@@ -312,7 +315,8 @@ def _evaluate_stack(plan: Plan, family: str, columns: dict, fixed_params: dict) 
         else:  # the point's values as Python numbers, as the axis gave them
             point = {name: col.tolist()[exc.state] for name, col in columns.items()}
             where = f"point {point}"
-        raise type(exc)(f"{exc} (at {family} {where})") from exc
+        exc.args = (f"{exc} (at {family} {where})",)
+        raise
 
 
 def _bipartitions(fam, columns: dict, fixed_params: dict, n: int) -> dict:
@@ -361,14 +365,16 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
     columns = {name: np.asarray(v)[i] for name, v, i in zip(names, values, index)}
     n = index.shape[1]
     groups = _bipartitions(fam, columns, fixed_params, n)
+    for dims in groups:  # a bad set is named before any state is built
+        plan.observables(dims)
     size = {dims: _stack_size(dims) for dims in groups}
     stacks = [idx[k:k + size[dims]] for dims, idx in groups.items()
               for k in range(0, len(idx), size[dims])]
     reports = [None] * n
     for idx in stacks:
-        verdicts = _evaluate_stack(plan, family, {name: col[idx] for name, col in columns.items()},
-                                   fixed_params)
-        per_state = zip(*(verdict.summaries() for verdict in verdicts))
+        stacked = _evaluate_stack(plan, family, {name: col[idx] for name, col in columns.items()},
+                                  fixed_params)
+        per_state = zip(*(report.summaries() for report in stacked))
         for i, summaries in zip(idx.tolist(), per_state):
             reports[i] = dict(zip(criteria, summaries))
     cells = [{"params": {**dict(zip(names, point)), **fixed_params}, "reports": r}
@@ -455,15 +461,16 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     if not (is_finite(tol) and tol > 0):
         raise ParameterRangeError(f"tol must be finite and positive, got {shown(tol)}")
     fixed_params = dict(fixed_params or {})
-    _family(family, fixed_params)
+    fam = _family(family, fixed_params)
     if param in fixed_params:
         raise ParameterRangeError(f"parameter '{param}' is bisected and also fixed")
     plan = Plan([criterion], obs_spec)
+    plan.observables(fam.dims_for({**fixed_params, param: lo}))  # before any state is built
 
-    def probe(xs) -> Verdicts:
-        verdict, = _evaluate_stack(plan, family, {param: np.fromiter(xs, float)},
-                                   fixed_params)
-        return verdict
+    def probe(xs) -> CriterionReport:
+        report, = _evaluate_stack(plan, family, {param: np.fromiter(xs, float)},
+                                  fixed_params)
+        return report
 
     n = _BISECT_SAMPLES
     a, b = float(lo), float(hi)
@@ -507,6 +514,6 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
         passed = (i + 1).bit_length() > (max(tree) + 1).bit_length()
         window = _window(a, m_a, b, m_b) if passed else _NO_WINDOW
         if tree := _midpoint_tree(a, b, tol, window):
-            verdicts = probe(tree.values())
-            probed = zip(verdicts.detected.tolist(), verdicts.margin.tolist())
+            report = probe(tree.values())
+            probed = zip(report.detected.tolist(), report.margin.tolist())
     return 0.5 * (a + b)

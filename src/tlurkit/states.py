@@ -24,7 +24,6 @@ from .errors import (
     ParameterRangeError,
     SpecParseError,
     TlurkitError,
-    raise_first,
     shown,
 )
 from .linops import DensityMatrix, DensityStack
@@ -54,18 +53,6 @@ _H33_EMAX[[0, 4, 8]] = 1.0 / np.sqrt(3)
 _H33_MAXENT = np.outer(_H33_EMAX, _H33_EMAX)
 
 
-def _unit_interval(value, name: str, closed: bool) -> np.ndarray:
-    """``value``, a number or a column of them, as floats, each checked to lie
-    in [0,1] (``closed``) or (0,1); the error names the value as given.  The
-    matrix builders take checked values: a family checks its columns first."""
-    x = np.asarray(value, dtype=float)
-    inside = (0.0 <= x) & (x <= 1.0) if closed else (0.0 < x) & (x < 1.0)
-    raise_first(~inside, ParameterRangeError,
-                lambda k: f"{name} must lie in {'[0,1]' if closed else '(0,1)'}, "
-                          f"got {np.ravel(value)[k]}")
-    return x
-
-
 def _horodecki33_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     pi = np.zeros(a.shape + (9,))
@@ -86,22 +73,23 @@ def horodecki33(a: float) -> DensityMatrix:
 
     Weights a/(1+8a) on five product kets, 3a/(1+8a) on the maximally
     entangled projector and 1/(1+8a) on the a-dependent |Pi> projector;
-    the weights sum to one exactly.
+    the weights sum to one exactly.  The family ``horodecki``'s one point.
     """
-    return DensityMatrix(3, 3, _horodecki33_matrix(_unit_interval(a, "a", closed=False)))
+    return FAMILIES["horodecki"].instantiate(a=a)
 
 
 def white_noise_mix(rho: DensityMatrix, p: float) -> DensityMatrix:
     """p * rho + (1-p) * identity / (dim_a dim_b)."""
-    p = _unit_interval(p, "p", closed=True)
+    p = number_argument(p, "p")
+    if not 0.0 <= p <= 1.0:
+        raise ParameterRangeError(f"p must lie in [0.0, 1.0], got {p}")
     return DensityMatrix(rho.dim_a, rho.dim_b, _noise_mixed(np.asarray(rho.matrix), p))
 
 
 def horodecki_noise(a: float, p: float) -> DensityMatrix:
-    """White-noise mixture of the 3x3 bound entangled state, validated once."""
-    a = _unit_interval(a, "a", closed=False)
-    p = _unit_interval(p, "p", closed=True)
-    return DensityMatrix(3, 3, _noise_mixed(_horodecki33_matrix(a), p))
+    """White-noise mixture of the 3x3 bound entangled state, validated once:
+    the family ``horodecki_noise``'s one point."""
+    return FAMILIES["horodecki_noise"].instantiate(a=a, p=p)
 
 
 _NOISY_SINGLET_SEP = np.diag([2.0 / 3.0, 1.0 / 3.0, 0.0, 0.0])
@@ -113,8 +101,9 @@ def _noisy_singlet_matrix(p) -> np.ndarray:
 
 
 def noisy_singlet(p: float) -> DensityMatrix:
-    """p |psi_s><psi_s| + (1-p) (2/3 |00><00| + 1/3 |01><01|); entangled for all p > 0."""
-    return DensityMatrix(2, 2, _noisy_singlet_matrix(_unit_interval(p, "p", closed=True)))
+    """p |psi_s><psi_s| + (1-p) (2/3 |00><00| + 1/3 |01><01|); entangled for
+    all p > 0.  The family ``noisy_singlet``'s one point."""
+    return FAMILIES["noisy_singlet"].instantiate(p=p)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -76,6 +76,32 @@ def test_an_obs_spec_is_checked_when_no_criterion_reads_a_set(capsys):
     assert json.loads(out)["cells"] == json.loads(run(capsys, *scan)[1])["cells"]
 
 
+def test_a_bad_set_gives_its_own_diagnostic_whatever_the_command(capsys):
+    # the set is resolved before any state is built, so a bisection names the
+    # spec's field and no stack, and a set of other dimensions is refused when
+    # no criterion reads it too
+    state = '{"family":"noisy_singlet","params":{"p":0.5}}'
+    commands = [
+        ("bisect", "--family", "noisy_singlet", "--param", "p", "--lo", "0", "--hi", "1",
+         "--criterion", "ppt"),
+        ("scan", "--family", "noisy_singlet", "--param", "p", "--min", "0", "--max", "1",
+         "--step", "0.5", "--criteria", "ppt"),
+        ("evaluate", "--criterion", "ppt", "--state", state),
+        ("evaluate", "--criterion", "lur", "--state", state),
+    ]
+    diagnostics = {
+        '{"builder": "zzz"}': ("SpecParseError", "builder: unknown builder 'zzz'"),
+        '{"builder":"loo_pair","params":{"dim_a":3}}':
+            ("DimensionMismatchError", "observables act on (3,2) but state has (2,2)"),
+    }
+    for argv in commands:
+        for obs, (kind, detail) in diagnostics.items():
+            code, out, err = run(capsys, *argv, "--obs", obs)
+            assert (code, out) == (2, ""), argv
+            assert json.loads(err) == {"error": "invalid-input", "type": kind,
+                                       "detail": detail}, argv
+
+
 def test_evaluate_csv_format(capsys):
     code, out, _ = run(
         capsys, "--format", "csv", "evaluate",
@@ -267,6 +293,13 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
          "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
          "--criterion", "lur"): "params",
         ("evaluate", "--obs", '{"builder":"su_pair","params":{"restarts":4}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--criterion", "lur"): "params",
+        # a builder of no parameters takes none
+        ("evaluate", "--obs", '{"builder":"schmidt_loo_pair","params":{"bogus":1}}',
+         "--state", '{"family":"horodecki","params":{"a":0.5}}',
+         "--criterion", "lur"): "params",
+        ("evaluate", "--obs", '{"builder":"pauli_loo_pair","params":{"bogus":1}}',
          "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
          "--criterion", "lur"): "params",
         # one number rule for every spec value: no bool, no string

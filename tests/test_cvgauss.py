@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -10,6 +12,7 @@ from tlurkit.cvgauss import (
     OMEGA, displaced, mode_uncertainty_sum, u_coeffs, v_coeffs,
 )
 from tlurkit.errors import ParameterRangeError, SpecParseError, UnphysicalStateError
+from tlurkit.report import DETECTION_TOL, CriterionReport
 
 
 def tmsv_cov_oracle(r):
@@ -127,6 +130,21 @@ def test_corollary2_examples():
         rep = eval_corollary2(vacuum(), a)
         assert abs(rep.lhs - rep.rhs) < 1e-12
         assert abs(rep.components["M"]) < 1e-12
+
+
+@pytest.mark.parametrize("evaluate", [eval_duan, eval_corollary2])
+@pytest.mark.parametrize("a", [1.0, -0.7, 2])
+def test_a_cv_report_is_the_one_state_record(evaluate, a):
+    # the record a DV criterion gives one state: Python floats and a bool that
+    # JSON takes, and one summaries() row, the to_dict() values bit for bit
+    rep = evaluate(tmsv(0.5), a)
+    assert isinstance(rep, CriterionReport)
+    values = [rep.lhs, rep.rhs, rep.margin, *rep.components.values()]
+    assert all(type(v) is float for v in values) and type(rep.detected) is bool
+    assert rep.detected == (rep.margin > DETECTION_TOL)
+    out = json.loads(json.dumps(rep.to_dict()))
+    row = {key: out[key] for key in ("lhs", "rhs", "margin", "detected")}
+    assert repr(rep.summaries()) == repr([row])
 
 
 def noisy_tmsv(r, nbar):

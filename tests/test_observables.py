@@ -314,6 +314,14 @@ def test_observables_from_spec_builders():
         observables_from_spec({"builder": "loo_pair"})
 
 
+@pytest.mark.parametrize("name", ["pauli_loo_pair", "schmidt_loo_pair"])
+def test_a_builder_of_no_parameters_refuses_any(name):
+    with pytest.raises(SpecParseError) as err:
+        observables_from_spec({"builder": name, "params": {"bogus": 1}}, dims=(2, 2))
+    assert (str(err.value), err.value.field) == (f"params: {name} takes no parameters", "params")
+    assert observables_from_spec({"builder": name, "params": {}}, dims=(2, 2)).is_loo_pair
+
+
 def test_a_spec_naming_one_dimension_takes_the_other_from_the_state():
     for builder in ("loo_pair", "su_pair"):
         for params, dims in [({"dim_a": 3}, (3, 2)), ({"dim_b": 2}, (3, 2)),

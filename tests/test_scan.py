@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from tlurkit import bisect_threshold, sweep
 from tlurkit.errors import (
-    NoCrossingError, NonMonotonicMarginError, ParameterRangeError, SpecParseError,
-    ValidationError,
+    DimensionMismatchError, NoCrossingError, NonMonotonicMarginError, NumericalFailureError,
+    ParameterRangeError, SpecParseError, ValidationError,
 )
 from tlurkit.observables import SchmidtFrame, observables_from_spec, schmidt_loo_pair
-from tlurkit.report import Verdicts
+from tlurkit.report import CriterionReport
 from tlurkit.scan import (
     CriterionEntry, DV_CRITERIA, MAX_GRID_POINTS, GridAxis, Plan, evaluate_criterion,
     resolve_workers,
@@ -268,7 +268,7 @@ def test_bisect_rejects_multiple_crossings(monkeypatch):
     def wiggle(rho, obs):
         p = -2.0 * rho.states[:, 1, 2].real  # invert noisy_singlet(p), state by state
         margin = np.cos(3.0 * np.pi * p)
-        return Verdicts("wiggle", -margin, 0.0, margin, {})
+        return CriterionReport("wiggle", -margin, 0.0, margin, {})
 
     monkeypatch.setitem(DV_CRITERIA, "wiggle",
                         CriterionEntry("wiggle", False, "test-only", wiggle))
@@ -431,7 +431,7 @@ def _register_step(monkeypatch, below: float, above: float) -> str:
     def step(rho, obs):
         p = -2.0 * rho.states[..., 1, 2].real  # invert noisy_singlet(p), state by state
         margin = np.where(p > 1 / np.e, above, below)
-        return Verdicts("step", -margin, 0.0, margin, {})
+        return CriterionReport("step", -margin, 0.0, margin, {})
 
     monkeypatch.setitem(DV_CRITERIA, "step", CriterionEntry("step", False, "test-only", step))
     return "step"
@@ -487,6 +487,51 @@ def test_bisect_validates_interval():
         bisect_threshold("noisy_singlet", "p", 0, 1, "ppt", tol=10**400)
     with pytest.raises(ParameterRangeError, match=r"p must lie in .*got 1e\+20"):
         bisect_threshold("noisy_singlet", "p", 0, 10**20, "ppt")
+
+
+def test_a_bad_set_is_named_before_any_state_is_built(monkeypatch):
+    # a sweep or a bisection resolves each bipartition's set first: its error is
+    # the spec's own, field and all, and a set of other dimensions is refused
+    # even when no criterion reads it
+    built = []
+    monkeypatch.setattr(StateFamily, "stack", lambda *args: built.append(args))
+    runs = (lambda obs: sweep("noisy_singlet", [GridAxis("p", 0.0, 1.0, 0.5)], ["ppt"], obs),
+            lambda obs: bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "ppt", obs))
+    for run in runs:
+        with pytest.raises(SpecParseError) as err:
+            run({"builder": "zzz"})
+        assert (str(err.value), err.value.field) == ("builder: unknown builder 'zzz'", "builder")
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^observables act on \(3,2\) but state has \(2,2\)$"):
+            run({"builder": "loo_pair", "params": {"dim_a": 3}})
+    assert built == []
+
+
+def test_an_annotated_error_keeps_its_type_and_attributes(monkeypatch):
+    # a failing point's error gains the point in its message, and keeps its
+    # type, its state index, a spec error's field and a numerical best value
+    def matrix(p):  # a trace of 2 at p = 0.5 only
+        return np.where(p == 0.5, 2.0, 1.0)[:, None, None] * np.eye(4) / 4
+
+    monkeypatch.setitem(FAMILIES, "trace_test",
+                        StateFamily("trace_test", (2, 2), {"p": (0.0, 1.0)}, matrix))
+    grid = [GridAxis("p", 0.0, 1.0, 0.25)]
+    with pytest.raises(ValidationError) as err:
+        sweep("trace_test", grid, ["ppt"])
+    assert type(err.value) is ValidationError and err.value.state == 2
+    assert str(err.value).endswith("(at trace_test point {'p': 0.5})")
+    for error, attrs in ((SpecParseError("bad entry", field="opsA[1]"), {"field": "opsA[1]"}),
+                         (NumericalFailureError("stalled", best_value=0.25),
+                          {"best_value": 0.25})):
+        def fail(rho, obs, error=error):
+            raise error
+
+        monkeypatch.setitem(DV_CRITERIA, "fail", CriterionEntry("fail", False, "test-only", fail))
+        with pytest.raises(type(error)) as err:
+            sweep("noisy_singlet", grid, ["fail"])
+        assert type(err.value) is type(error) and err.value.state is None
+        assert {key: getattr(err.value, key) for key in attrs} == attrs
+        assert str(err.value).endswith("(at noisy_singlet 5-point stack)")
 
 
 def test_resolve_workers():

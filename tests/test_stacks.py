@@ -3,6 +3,7 @@ per-observable oracle of ``helpers``, and against the same states evaluated
 one at a time."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from tlurkit import linops, observables
 from tlurkit.errors import DimensionMismatchError, ParameterRangeError, ValidationError
 from tlurkit.linops import DensityStack
 from tlurkit.observables import BoundProvenance, LocalObservableSet, SchmidtFrame
-from tlurkit.scan import Plan
+from tlurkit.report import DETECTION_TOL, CriterionReport
+from tlurkit.scan import DV_CRITERIA, Plan
 from tlurkit.states import FAMILIES, StateFamily, random_mixed_state, random_separable
 
 SINGLET_KET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
@@ -135,36 +137,49 @@ def test_schmidt_factors_and_means_of_a_stack(dims):
             [da - means_a @ means_a, db - means_b @ means_b, cov], rtol=0, atol=1e-12)
 
 
-def _summary(report) -> dict:
-    return {"lhs": report.lhs, "rhs": report.rhs, "margin": report.margin,
-            "detected": report.detected}
+def _row(report) -> dict:
+    """A one-state report's entries of a stack's ``summaries()`` row."""
+    assert isinstance(report, CriterionReport)
+    values = [report.lhs, report.rhs, report.margin, *report.components.values()]
+    assert all(type(v) is float for v in values) and type(report.detected) is bool
+    out = json.loads(json.dumps(report.to_dict()))
+    return {key: out[key] for key in ("lhs", "rhs", "margin", "detected")}
+
+
+def _rows(report, n) -> list[dict]:
+    """A stack report's ``summaries()``, its verdicts checked against its margins."""
+    assert isinstance(report, CriterionReport)
+    assert np.array_equal(report.detected, np.asarray(report.margin) > DETECTION_TOL)
+    rows = report.summaries()
+    assert len(rows) == n
+    return rows
 
 
 @pytest.mark.parametrize("dims", DIMS)
 def test_a_stack_gives_the_values_of_its_states_one_at_a_time(dims):
-    # bit for bit with the same set (a bisection's verdicts are a lone state's);
-    # the Schmidt frame also against the set built from the one state's factors
+    # bit for bit with the same set (a bisection's verdicts are a lone state's),
+    # for every registry entry: a stack's report and a state's are one record
+    # type, the state's of Python floats and bools that JSON takes; the Schmidt
+    # frame also against the set built from the one state's factors
     rho = _stack(11 * dims[0] + dims[1], dims, [1, 2, 5, 12])
-    for name, obs in _sets(rho).items():
-        criteria = dict(SET_CRITERIA, **(LOO_CRITERIA if obs.is_loo_pair else {}))
-        for c, evaluate in criteria.items():
-            stacked = evaluate(rho, obs)
-            for i, m in enumerate(rho.states):
-                one = DensityMatrix(*dims, m)
-                summary = stacked.summaries()[i]
-                assert summary == _summary(evaluate(one, obs)), f"{name} {c} state {i}"
-                if name != "schmidt_loo_pair":
-                    continue
-                report = evaluate(one, schmidt_loo_pair(one))
-                np.testing.assert_allclose(
-                    [summary["lhs"], summary["rhs"], summary["margin"]],
-                    [report.lhs, report.rhs, report.margin], rtol=0, atol=1e-12,
-                    err_msg=f"{name} {c} state {i}")
-                assert summary["detected"] == report.detected
-    for evaluate in (eval_ppt, eval_ccnr):
-        stacked = evaluate(rho).summaries()
+    runs = [(entry, None, None) for entry in DV_CRITERIA.values() if not entry.needs_obs]
+    runs += [(entry, name, obs) for name, obs in _sets(rho).items()
+             for entry in DV_CRITERIA.values()
+             if entry.needs_obs and (obs.is_loo_pair or entry.name not in LOO_CRITERIA)]
+    for entry, name, obs in runs:
+        rows = _rows(entry.evaluate(rho, obs), len(rho.states))
         for i, m in enumerate(rho.states):
-            assert stacked[i] == _summary(evaluate(DensityMatrix(*dims, m)))
+            one = DensityMatrix(*dims, m)
+            row = _row(entry.evaluate(one, obs))
+            assert repr(row) == repr(rows[i]), f"{name} {entry.name} state {i}"
+            if name != "schmidt_loo_pair":
+                continue
+            report = entry.evaluate(one, schmidt_loo_pair(one))
+            np.testing.assert_allclose(
+                [row["lhs"], row["rhs"], row["margin"]],
+                [report.lhs, report.rhs, report.margin], rtol=0, atol=1e-12,
+                err_msg=f"{name} {entry.name} state {i}")
+            assert row["detected"] == report.detected
 
 
 def test_a_stack_reads_the_schmidt_frame_plan_resolves(monkeypatch):

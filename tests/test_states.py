@@ -62,6 +62,35 @@ def test_white_noise_endpoints():
         white_noise_mix(rho, 1.2)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: horodecki33("0.5"), "a must be a number for family 'horodecki', got '0.5'"),
+    (lambda: horodecki33(1.5), "a must lie in (0.0, 1.0) for family 'horodecki', got 1.5"),
+    (lambda: horodecki_noise("0.5", 1),
+     "a must be a number for family 'horodecki_noise', got '0.5'"),
+    (lambda: horodecki_noise(0.5, 1.5),
+     "p must lie in [0.0, 1.0] for family 'horodecki_noise', got 1.5"),
+    (lambda: noisy_singlet(True), "p must be a number for family 'noisy_singlet', got True"),
+    (lambda: noisy_singlet(float("nan")),
+     "p must lie in [0.0, 1.0] for family 'noisy_singlet', got nan"),
+    (lambda: white_noise_mix(singlet(), "0.5"), "p must be a number, got '0.5'"),
+    (lambda: white_noise_mix(singlet(), 1.5), "p must lie in [0.0, 1.0], got 1.5"),
+])
+def test_named_builders_follow_the_number_rule_and_the_family_ranges(build, message):
+    with pytest.raises(ParameterRangeError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_named_builders_give_the_bits_of_their_familys_matrix():
+    # a named builder is its family's one-point stack; the family's matrix
+    # builder on plain numbers gives the same bits
+    for rho, name, params in ((horodecki33(0.3), "horodecki", {"a": 0.3}),
+                              (horodecki_noise(0.3, 0.9), "horodecki_noise", {"a": 0.3, "p": 0.9}),
+                              (noisy_singlet(0.4), "noisy_singlet", {"p": 0.4})):
+        fam = FAMILIES[name]
+        assert rho.dims == fam.dims and np.array_equal(rho.matrix, fam.matrix(**params))
+
+
 def test_white_noise_lifts_spectrum():
     mixed = horodecki_noise(0.3, 0.5)
     w = np.linalg.eigvalsh(np.asarray(mixed.matrix))
