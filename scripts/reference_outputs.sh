@@ -2,7 +2,9 @@
 # Writes the reference outputs that CI keeps and diffs against a change's
 # base commit: the Fig. 1 region data and its p* table
 # (scripts/fig1_regions.py), the three Example 2 bisections as JSON, floats
-# in full repr, and single-state reports in JSON and CSV: `evaluate` of tlur
+# in full repr, three more bisections whose walk stops at a coarse tol or
+# on a subinterval (corollary1 at tol 0.3 and ppt at tol 0.7 on [0, 1],
+# nonlinear_witness at tol 1e-9 on [0.03, 0.97]), and single-state reports in JSON and CSV: `evaluate` of tlur
 # (default Schmidt set), lur (su_pair) and ppt, and `cv-evaluate` of duan and
 # corollary2 at a = 1 and a = -0.7.  Run it from the root of a checkout, with the output
 # directory relative to that root, so that the lines naming it read the same
@@ -16,6 +18,12 @@ PYTHONPATH=src python scripts/fig1_regions.py --out-dir "$out" > "$out/fig1_thre
 for criterion in nonlinear_witness corollary1 ppt; do
   PYTHONPATH=src python -m tlurkit.cli --out "$out/example2-$criterion.json" \
     bisect --family noisy_singlet --param p --lo 0 --hi 1 --criterion "$criterion"
+done
+for run in "corollary1 0 1 0.3" "ppt 0 1 0.7" "nonlinear_witness 0.03 0.97 1e-9"; do
+  read -r criterion lo hi tol <<< "$run"
+  PYTHONPATH=src python -m tlurkit.cli --out "$out/bisect-$criterion-tol$tol.json" \
+    bisect --family noisy_singlet --param p --lo "$lo" --hi "$hi" --tol "$tol" \
+    --criterion "$criterion"
 done
 tlur_state='{"family": "horodecki_noise", "params": {"a": 0.5, "p": 0.999}}'
 singlet_state='{"family": "noisy_singlet", "params": {"p": 0.5}}'

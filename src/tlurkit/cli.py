@@ -58,12 +58,12 @@ _INVALID_INPUT = (
 
 
 def _read_spec(inline: str | None, path: str | None, what: str):
-    """Parse a spec given inline or as a file; bare names pass through."""
+    """Parse a spec given inline or as a UTF-8 file, BOM or not; bare names pass through."""
     if inline and path:
         raise UsageError(f"give --{what} or --{what}-file, not both")
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 inline = fh.read()
         except UnicodeDecodeError as exc:
             raise SpecParseError(f"not UTF-8 text: {exc}", field=f"--{what}-file") from exc

@@ -17,15 +17,14 @@ the stack, between them.  A criterion gives one ``CriterionReport`` of
 arrays for the stack, and each cell's reports are its rows
 (``CriterionReport.summaries``).  A stack whose arrays would pass 32 MiB
 (many states of d_A, d_B >= 6) is split into several, so memory stays
-bounded.  A bisection runs on
-the same path, each probe one column of its parameter: one stack for its
-16 spot checks, the endpoints among them, and the midpoints of the first
-five bisection levels.  Each later stack holds at most 31 midpoints: the
-nodes of the next levels whose intervals lie near the crossing that the
-margins at the bracket's ends predict, or, where that guess is not finite
-or has just missed, the next five whole levels.  The walk reads only the
-verdicts on its own path, so thresholds are those of bisecting one
-midpoint at a time.
+bounded.  A bisection runs on the same path, each probe one column of its
+parameter: one stack for the endpoints and the midpoints of five whole
+bisection levels, whatever ``tol`` is, all of which the single-crossing
+check reads.  Each later stack holds at most 31 midpoints: the nodes of the
+next levels whose intervals lie near the crossing that the margins at the
+bracket's ends predict, or, where that guess is not finite or has just
+missed, the next five whole levels.  The walk reads only the verdicts on its
+own path, so thresholds are those of bisecting one midpoint at a time.
 """
 
 from __future__ import annotations
@@ -383,7 +382,6 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
                       obs_spec=plan.recorded_spec(groups))
 
 
-_BISECT_SAMPLES = 16
 # the most midpoints one stack holds: the 2**5 - 1 of five whole levels
 _BISECT_MIDPOINTS = 31
 # a windowed tree holds the nodes within (b - a) / 64 of the guessed crossing
@@ -433,25 +431,25 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
                      fixed_params: dict | None = None) -> float:
     """Locate the verdict flip of one criterion along one parameter.
 
-    Endpoint verdicts must differ.  The verdict pattern is spot-checked at
-    16 samples and must cross exactly once (margins themselves need not be
-    monotone); extra crossings raise ``NonMonotonicMarginError`` naming the
-    offending sample pair.  The result is within max(``tol``, the float
-    spacing at the crossing) of the crossing.
+    Endpoint verdicts must differ.  The first stack holds ``lo`` and ``hi``,
+    which lead it so that an error names an out-of-range endpoint first, and
+    the midpoints of five whole bisection levels (33 points whatever ``tol``
+    is, fewer only where floats run out).  Sorted by value, its verdicts
+    must cross exactly once (margins themselves need not be monotone); more
+    crossings raise ``NonMonotonicMarginError`` naming the pair at the
+    second.  The walk stops at a bracket within ``tol``, so the result is
+    within max(``tol``, the float spacing at the crossing) of the crossing.
 
-    The midpoints of the first five bisection levels depend on no verdict:
-    they ride in one stack with the samples, after them, so that an error
-    names an out-of-range endpoint or sample first.  Each walk through a
-    tree leaves a bracket (a, b) whose ends were probed with opposite
-    verdicts; the next stack holds, level by level, only the nodes below
-    (a, b) whose intervals meet a window of half-width (b - a)/64 around the
-    crossing that the margins at a and b predict, down to the done intervals
-    or 31 midpoints.  Where that guess is not finite, or the last walk left a
-    windowed tree above its deepest level (the guess missed), the next stack
-    holds the next five whole levels.  The walk reads only the verdicts of
-    the nodes on its own path, in order, so the result is that of bisecting
-    one midpoint at a time, whichever nodes a stack held.  ``param`` must
-    not be among ``fixed_params``.
+    Each walk through a tree leaves a bracket (a, b) whose ends were probed
+    with opposite verdicts; the next stack holds, level by level, only the
+    nodes below (a, b) whose intervals meet a window of half-width (b - a)/64
+    around the crossing that the margins at a and b predict, down to the done
+    intervals or 31 midpoints.  Where that guess is not finite, or the last
+    walk left a windowed tree above its deepest level (the guess missed), the
+    next stack holds the next five whole levels.  The walk reads only the
+    verdicts of the nodes on its own path, in order, so the result is that of
+    bisecting one midpoint at a time, whichever nodes a stack held.
+    ``param`` must not be among ``fixed_params``.
     """
     for key, value in (("lo", lo), ("hi", hi), ("tol", tol)):
         if not is_number(value):
@@ -472,38 +470,33 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
                                   fixed_params)
         return report
 
-    n = _BISECT_SAMPLES
     a, b = float(lo), float(hi)
-    samples = np.linspace(a, b, n)
-    tree = _midpoint_tree(a, b, tol)
-    # samples 0 and 15 are lo and hi; they lead the stack, so that an error in
-    # an out-of-range endpoint names that endpoint, and the first tree follows
-    # the samples
-    first = probe([lo, hi, *samples[1:-1], *tree.values()])
+    tree = _midpoint_tree(a, b, 0.0)
+    xs = [a, b, *tree.values()]
+    first = probe(xs)
     detected, margin = first.detected.tolist(), first.margin.tolist()
-    spots = [(detected[k], margin[k]) for k in (0, *range(2, n), 1)]
-    (v_lo, m_lo), (v_hi, m_hi) = spots[0], spots[-1]
+    (v_lo, v_hi), (m_lo, m_hi) = detected[:2], margin[:2]
     if v_lo == v_hi:
         raise NoCrossingError(
             f"criterion '{criterion}' gives the same verdict (detected={v_lo}) "
             f"at {param}={lo} (margin {m_lo}) and {param}={hi} (margin {m_hi})")
 
-    crossings = [i for i in range(n - 1) if spots[i][0] != spots[i + 1][0]]
-    if len(crossings) != 1:
-        i = crossings[1] if len(crossings) > 1 else 0
+    spots = sorted(zip(xs, detected, margin))
+    crossings = [k for k in range(len(spots) - 1) if spots[k][1] != spots[k + 1][1]]
+    if len(crossings) > 1:
+        (x, _, m_x), (y, _, m_y) = spots[crossings[1]:crossings[1] + 2]
         raise NonMonotonicMarginError(
-            f"verdict crosses {len(crossings)} times at 16 samples; offending pair "
-            f"{param}={samples[i]} (margin {spots[i][1]}) and "
-            f"{param}={samples[i + 1]} (margin {spots[i + 1][1]})")
+            f"verdict crosses {len(crossings)} times at {len(spots)} points; offending "
+            f"pair {param}={x} (margin {m_x}) and {param}={y} (margin {m_y})")
 
     m_a, m_b = m_lo, m_hi
-    probed = zip(detected[n:], margin[n:])
+    probed = zip(detected[2:], margin[2:])
     while tree:
         probes = dict(zip(tree, probed))
         # the walk meets the tree's nodes in order; it leaves the tree below its
-        # deepest level, at a node outside the window, or at one that is done
+        # deepest level, at a node outside the window or done, or within tol
         i = 0
-        while i in tree:
+        while i in tree and b - a > tol:
             verdict, m = probes[i]
             if verdict == v_lo:
                 a, m_a, i = tree[i], m, 2 * i + 2

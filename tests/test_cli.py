@@ -370,6 +370,19 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
 
 
 PAULIS = "[[0,1],[1,0]]", "[[0,[0,-1]],[[0,1],0]]", "[[1,0],[0,-1]]"  # X, Y, Z
+def test_a_spec_file_with_a_byte_order_mark_reads_as_its_inline_spec(capsys, tmp_path):
+    state = '{"family":"noisy_singlet","params":{"p":0.5}}'
+    for flag, spec, others in (
+            ("--state", state, ("--obs", PAULI_OBS)),
+            ("--obs", PAULI_OBS, ("--state", state))):
+        path = tmp_path / f"bom{flag}.json"
+        path.write_bytes(b"\xef\xbb\xbf" + spec.encode())
+        argv = ("evaluate", "--criterion", "lur", *others)
+        inline = run(capsys, *argv, flag, spec)
+        assert run(capsys, *argv, f"{flag}-file", str(path)) == inline
+        assert inline[0] == 0 and inline[2] == ""
+
+
 PAULI_OBS = (f'{{"opsA":[{",".join(PAULIS)}],"opsB":[{",".join(PAULIS)}],'
              '"boundA":2,"boundB":2}')
 OVERFLOWING_COV = '{"cov": [[1e308,0,0,0],[0,1e308,0,0],[0,0,1e308,0],[0,0,0,1e308]]}'

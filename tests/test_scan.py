@@ -265,16 +265,28 @@ def test_bisect_no_crossing():
 
 
 def test_bisect_rejects_multiple_crossings(monkeypatch):
-    def wiggle(rho, obs):
-        p = -2.0 * rho.states[:, 1, 2].real  # invert noisy_singlet(p), state by state
-        margin = np.cos(3.0 * np.pi * p)
-        return CriterionReport("wiggle", -margin, 0.0, margin, {})
+    def wiggle(p):
+        return np.cos(3.0 * np.pi * p)
 
-    monkeypatch.setitem(DV_CRITERIA, "wiggle",
-                        CriterionEntry("wiggle", False, "test-only", wiggle))
-    with pytest.raises(NonMonotonicMarginError) as err:
-        bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "wiggle")
-    assert "offending pair" in str(err.value)
+    def island(p):
+        # detected on (0.28, 0.32), between two of 16 evenly spaced samples but
+        # over two midpoints of five whole levels, and above 0.5
+        return np.where((0.28 < p) & (p < 0.32) | (p > 0.5), 1.0, -1.0)
+
+    for margin_of, pair in ((wiggle, None),
+                            (island, "p=0.3125 (margin 1.0) and p=0.34375 (margin -1.0)")):
+        def multi(rho, obs):
+            margin = margin_of(-2.0 * rho.states[:, 1, 2].real)  # invert noisy_singlet(p)
+            return CriterionReport("multi", -margin, 0.0, margin, {})
+
+        monkeypatch.setitem(DV_CRITERIA, "multi",
+                            CriterionEntry("multi", False, "test-only", multi))
+        with pytest.raises(NonMonotonicMarginError) as err:
+            bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "multi")
+        assert "offending pair" in str(err.value)
+        if pair is not None:
+            assert str(err.value).startswith(
+                f"verdict crosses 3 times at 33 points; offending pair {pair}")
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
@@ -332,12 +344,14 @@ def _count_builds(monkeypatch, limit=None):
 
 
 def test_bisect_builds_two_stacks_and_no_single_state(monkeypatch):
-    # one stack for the 16 samples, the endpoints among them, and the first five
-    # levels; then one for the other 9 of the 14 levels, windowed around the
-    # crossing the margins predict: 16 + 31 + 25 states, none evaluated twice
-    counts = _count_builds(monkeypatch)
-    bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
-    assert counts == {"stack": 2, "instantiate": 0, "states": 72}
+    # one stack for the endpoints and five whole levels, whatever tol is; at tol
+    # 1e-4, then one for the other 9 of the 14 levels, windowed around the
+    # crossing the margins predict: 2 + 31 + 25 states, none evaluated twice
+    for tol, stacks, states in ((1e-4, 2, 58), (0.3, 1, 33)):
+        with monkeypatch.context() as m:
+            counts = _count_builds(m)
+            bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=tol)
+        assert counts == {"stack": stacks, "instantiate": 0, "states": states}, tol
 
 
 def test_bisect_below_the_float_spacing_stops(monkeypatch):
@@ -353,7 +367,7 @@ def test_a_failing_probe_names_its_point_or_stack():
     with pytest.raises(ParameterRangeError, match=r"\(at noisy_singlet point \{'p': 1.5\}\)"):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.5, "ppt")
     # su_pair is not an LOO pair: the whole first stack fails, no one state
-    with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 47-point stack\)"):
+    with pytest.raises(ValidationError, match=r"LOO bases.*\(at noisy_singlet 33-point stack\)"):
         bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", obs_spec="su_pair")
 
 
@@ -395,7 +409,7 @@ def test_a_bisection_probe_stack_is_its_states_one_at_a_time_bit_for_bit(monkeyp
     monkeypatch.setattr(Plan, "evaluate", evaluate_seen)
     bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
     monkeypatch.undo()
-    assert [len(ps) for ps in columns] == [47, 25]
+    assert [len(ps) for ps in columns] == [33, 25]
     for ps, verdicts in zip(columns, seen, strict=True):
         for p, summary in zip(ps, verdicts.summaries()):
             one = evaluate_criterion("corollary1", FAMILIES["noisy_singlet"].instantiate(p=p))
@@ -448,7 +462,7 @@ def test_a_missed_guess_costs_at_most_one_more_stack(monkeypatch, tol, stacks):
     sizes = _stack_sizes(monkeypatch)
     got = bisect_threshold(*args, tol=tol)
     assert got == oracle_bisect(*args, tol)
-    assert sizes[0] == plain[0] == 47 and max(sizes[1:]) <= 31
+    assert sizes[0] == plain[0] == 33 and max(sizes[1:]) <= 31
     assert len(sizes) == stacks and len(sizes) - 1 <= 2 * (len(plain) - 1)
 
 
@@ -459,21 +473,21 @@ def test_infinite_margins_bisect_on_plain_trees(monkeypatch):
     plain = _plain_sizes(monkeypatch, *args, tol=1e-4)
     sizes = _stack_sizes(monkeypatch)
     assert bisect_threshold(*args, tol=1e-4) == oracle_bisect(*args, 1e-4)
-    assert sizes == plain == [47, 31, 15]
+    assert sizes == plain == [33, 31, 15]
 
 
 @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("criterion", ["lur", "tlur", "ccnr"])
 def test_fig1_bisections_take_one_windowed_stack_and_a_tail(monkeypatch, a, criterion):
     # the default set of a 3x3 state is its Schmidt frame; five whole levels a
-    # stack would take 47 + 31 + 31 + 3 states
+    # stack would take 33 + 31 + 31 + 3 states
     fixed = {"a": a}
     expected = oracle_bisect("horodecki_noise", "p", 0.9, 1.0, criterion, 1e-6, fixed)
     sizes = _stack_sizes(monkeypatch)
     got = bisect_threshold("horodecki_noise", "p", 0.9, 1.0, criterion, tol=1e-6,
                            fixed_params=fixed)
     assert got == expected
-    assert sizes[0] == 47 and len(sizes) <= 3 and max(sizes[1:]) <= 31
+    assert sizes[0] == 33 and len(sizes) <= 3 and max(sizes[1:]) <= 31
 
 
 def test_bisect_validates_interval():
