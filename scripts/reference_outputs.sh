@@ -4,11 +4,14 @@
 # (scripts/fig1_regions.py), the three Example 2 bisections as JSON, floats
 # in full repr, three more bisections whose walk stops at a coarse tol or
 # on a subinterval (corollary1 at tol 0.3 and ppt at tol 0.7 on [0, 1],
-# nonlinear_witness at tol 1e-9 on [0.03, 0.97]), and single-state reports in JSON and CSV: `evaluate` of tlur
-# (default Schmidt set), lur (su_pair) and ppt, and `cv-evaluate` of duan and
-# corollary2 at a = 1 and a = -0.7.  Run it from the root of a checkout, with the output
-# directory relative to that root, so that the lines naming it read the same
-# in every checkout:
+# nonlinear_witness at tol 1e-9 on [0.03, 0.97]), four whose walk runs
+# through many later stacks (on [0, 1]: corollary1 at tol 1e-300, ppt and
+# nonlinear_witness at tol 1e-12, and tlur on horodecki_noise at a = 0.05
+# at tol 1e-12), and single-state reports in JSON and CSV: `evaluate` of
+# tlur (default Schmidt set), lur (su_pair) and ppt, and `cv-evaluate` of
+# duan and corollary2 at a = 1 and a = -0.7.  Run it from the root of a
+# checkout, with the output directory relative to that root, so that the
+# lines naming it read the same in every checkout:
 #
 #   bash scripts/reference_outputs.sh reference_outputs
 set -euo pipefail
@@ -19,12 +22,16 @@ for criterion in nonlinear_witness corollary1 ppt; do
   PYTHONPATH=src python -m tlurkit.cli --out "$out/example2-$criterion.json" \
     bisect --family noisy_singlet --param p --lo 0 --hi 1 --criterion "$criterion"
 done
-for run in "corollary1 0 1 0.3" "ppt 0 1 0.7" "nonlinear_witness 0.03 0.97 1e-9"; do
+for run in "corollary1 0 1 0.3" "ppt 0 1 0.7" "nonlinear_witness 0.03 0.97 1e-9" \
+    "corollary1 0 1 1e-300" "ppt 0 1 1e-12" "nonlinear_witness 0 1 1e-12"; do
   read -r criterion lo hi tol <<< "$run"
   PYTHONPATH=src python -m tlurkit.cli --out "$out/bisect-$criterion-tol$tol.json" \
     bisect --family noisy_singlet --param p --lo "$lo" --hi "$hi" --tol "$tol" \
     --criterion "$criterion"
 done
+PYTHONPATH=src python -m tlurkit.cli --out "$out/bisect-tlur-a0.05-tol1e-12.json" \
+  bisect --family horodecki_noise --param p --lo 0 --hi 1 --tol 1e-12 --criterion tlur \
+  --fix a=0.05
 tlur_state='{"family": "horodecki_noise", "params": {"a": 0.5, "p": 0.999}}'
 singlet_state='{"family": "noisy_singlet", "params": {"p": 0.5}}'
 for format in json csv; do

@@ -20,11 +20,10 @@ arrays for the stack, and each cell's reports are its rows
 bounded.  A bisection runs on the same path, each probe one column of its
 parameter: one stack for the endpoints and the midpoints of five whole
 bisection levels, whatever ``tol`` is, all of which the single-crossing
-check reads.  Each later stack holds at most 31 midpoints: the nodes of the
-next levels whose intervals lie near the crossing that the margins at the
-bracket's ends predict, or, where that guess is not finite or has just
-missed, the next five whole levels.  The walk reads only the verdicts on its
-own path, so thresholds are those of bisecting one midpoint at a time.
+check reads.  Each later stack is the path of at most 31 midpoints that
+bisection would take to the crossing the margins at the bracket's ends
+predict.  The walk reads the probed verdicts at its own midpoints only, so
+thresholds are those of bisecting one midpoint at a time.
 """
 
 from __future__ import annotations
@@ -382,48 +381,44 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
                       obs_spec=plan.recorded_spec(groups))
 
 
-# the most midpoints one stack holds: the 2**5 - 1 of five whole levels
-_BISECT_MIDPOINTS = 31
-# a windowed tree holds the nodes within (b - a) / 64 of the guessed crossing
-_BISECT_WINDOW = 1 / 64
-_NO_WINDOW = (-math.inf, math.inf)
+# a bisection's first stack holds five whole levels of midpoints, and no
+# later stack holds more midpoints than those 2**5 - 1
+_BISECT_LEVELS = 5
+_BISECT_MIDPOINTS = 2 ** _BISECT_LEVELS - 1
 
 
-def _midpoint_tree(a: float, b: float, tol: float,
-                   window: tuple[float, float] = _NO_WINDOW) -> dict[int, float]:
-    """The midpoints of the next levels of the bisection of (a, b), built level
-    by level and keyed by node: the halves of node i are nodes 2i + 1 (below
-    its midpoint) and 2i + 2 (above).  Below the root, a node is held only if
-    its interval meets ``window``; a level is added only while the tree stays
-    within ``_BISECT_MIDPOINTS``, so with no window the tree is five whole
-    levels.  A node whose interval is done (within ``tol``, or with no float
-    strictly inside) is absent, and so are the nodes below it."""
-    w_lo, w_hi = window
-    tree, level = {}, {0: (a, b)}
-    while level and len(tree) + len(level) <= _BISECT_MIDPOINTS:
-        below = {}
-        for i, (x, y) in level.items():
+def _whole_levels(a: float, b: float) -> list[float]:
+    """The midpoints of the first five levels of the bisection of (a, b),
+    level by level; an interval with no float strictly inside ends its
+    branch."""
+    mids, level = [], [(a, b)]
+    for _ in range(_BISECT_LEVELS):
+        below = []
+        for x, y in level:
             mid = 0.5 * (x + y)
-            if y - x > tol and x < mid < y:
-                tree[i] = mid
-                if x <= w_hi and mid >= w_lo:
-                    below[2 * i + 1] = (x, mid)
-                if mid <= w_hi and y >= w_lo:
-                    below[2 * i + 2] = (mid, y)
+            if x < mid < y:
+                mids.append(mid)
+                below += [(x, mid), (mid, y)]
         level = below
-    return tree
+    return mids
 
 
-def _window(a: float, m_a: float, b: float, m_b: float) -> tuple[float, float]:
-    """The window around the crossing that the margins at a and b predict, by
-    linear interpolation to ``DETECTION_TOL``; no window where the guess is
-    not finite (an infinite or NaN margin).  The verdicts at a and b differ,
-    so their margins do too."""
+def _guessed_path(a: float, m_a: float, b: float, m_b: float, tol: float) -> list[float]:
+    """The midpoints that bisection of (a, b) would probe if the crossing lay
+    where the margins at a and b predict it, by linear interpolation to
+    ``DETECTION_TOL``: from the bracket's midpoint down to a bracket within
+    ``tol`` or with no float strictly inside, at most ``_BISECT_MIDPOINTS``.
+    The verdicts at a and b differ, so their margins do too; a guess that is
+    not finite (an infinite or NaN margin) leads the path down."""
     guess = a + (b - a) * ((DETECTION_TOL - m_a) / (m_b - m_a))
-    if not math.isfinite(guess):
-        return _NO_WINDOW
-    half = (b - a) * _BISECT_WINDOW
-    return guess - half, guess + half
+    path = []
+    while len(path) < _BISECT_MIDPOINTS and b - a > tol and a < (mid := 0.5 * (a + b)) < b:
+        path.append(mid)
+        if mid < guess:
+            a = mid
+        else:
+            b = mid
+    return path
 
 
 def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: str,
@@ -431,25 +426,25 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
                      fixed_params: dict | None = None) -> float:
     """Locate the verdict flip of one criterion along one parameter.
 
-    Endpoint verdicts must differ.  The first stack holds ``lo`` and ``hi``,
-    which lead it so that an error names an out-of-range endpoint first, and
-    the midpoints of five whole bisection levels (33 points whatever ``tol``
-    is, fewer only where floats run out).  Sorted by value, its verdicts
-    must cross exactly once (margins themselves need not be monotone); more
-    crossings raise ``NonMonotonicMarginError`` naming the pair at the
-    second.  The walk stops at a bracket within ``tol``, so the result is
-    within max(``tol``, the float spacing at the crossing) of the crossing.
+    The first stack holds ``lo`` and ``hi``, which lead it so that an error
+    names an out-of-range endpoint first, and the midpoints of five whole
+    bisection levels (33 points whatever ``tol`` is, fewer only where floats
+    run out).  Sorted by value, its verdicts must cross exactly once (margins
+    themselves need not be monotone): none raises ``NoCrossingError``, more
+    raise ``NonMonotonicMarginError`` naming the pair at the second.  The
+    walk stops at a bracket within ``tol``, so the result is within
+    max(``tol``, the float spacing at the crossing) of the crossing.
 
-    Each walk through a tree leaves a bracket (a, b) whose ends were probed
-    with opposite verdicts; the next stack holds, level by level, only the
-    nodes below (a, b) whose intervals meet a window of half-width (b - a)/64
-    around the crossing that the margins at a and b predict, down to the done
-    intervals or 31 midpoints.  Where that guess is not finite, or the last
-    walk left a windowed tree above its deepest level (the guess missed), the
-    next stack holds the next five whole levels.  The walk reads only the
-    verdicts of the nodes on its own path, in order, so the result is that of
-    bisecting one midpoint at a time, whichever nodes a stack held.
-    ``param`` must not be among ``fixed_params``.
+    Every probe is kept, keyed by its value.  The walk steps from the
+    bracket (a, b) to a half while the bracket is wider than ``tol``, its
+    midpoint lies strictly inside it and has been probed; where the midpoint
+    has not, the next stack is the path that bisection of (a, b) would take
+    to the crossing the margins at a and b predict, up to 31 midpoints, so
+    each stack takes the walk at least one level down.  The walk reads
+    the midpoints of sequential bisection, computed the same way, in its
+    order, so the result is that of bisecting one midpoint at a time,
+    whichever points a stack held.  ``param`` must not be among
+    ``fixed_params``, nor an integer parameter of the family.
     """
     for key, value in (("lo", lo), ("hi", hi), ("tol", tol)):
         if not is_number(value):
@@ -462,51 +457,39 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
     fam = _family(family, fixed_params)
     if param in fixed_params:
         raise ParameterRangeError(f"parameter '{param}' is bisected and also fixed")
+    if param in fam.integers:  # its midpoints are not integers
+        raise ParameterRangeError(
+            f"parameter '{param}' of family '{family}' takes integers and cannot be bisected")
     plan = Plan([criterion], obs_spec)
     plan.observables(fam.dims_for({**fixed_params, param: lo}))  # before any state is built
+    probed: dict[float, tuple[bool, float]] = {}
 
-    def probe(xs) -> CriterionReport:
-        report, = _evaluate_stack(plan, family, {param: np.fromiter(xs, float)},
+    def probe(xs: list[float]) -> None:
+        report, = _evaluate_stack(plan, family, {param: np.array(xs, dtype=float)},
                                   fixed_params)
-        return report
+        probed.update(zip(xs, zip(report.detected.tolist(), report.margin.tolist())))
 
     a, b = float(lo), float(hi)
-    tree = _midpoint_tree(a, b, 0.0)
-    xs = [a, b, *tree.values()]
-    first = probe(xs)
-    detected, margin = first.detected.tolist(), first.margin.tolist()
-    (v_lo, v_hi), (m_lo, m_hi) = detected[:2], margin[:2]
-    if v_lo == v_hi:
+    probe([a, b, *_whole_levels(a, b)])
+    (v_lo, m_a), (_, m_b) = probed[a], probed[b]
+    spots = sorted(probed.items())
+    crossings = [k for k in range(len(spots) - 1) if spots[k][1][0] != spots[k + 1][1][0]]
+    if not crossings:
         raise NoCrossingError(
             f"criterion '{criterion}' gives the same verdict (detected={v_lo}) "
-            f"at {param}={lo} (margin {m_lo}) and {param}={hi} (margin {m_hi})")
-
-    spots = sorted(zip(xs, detected, margin))
-    crossings = [k for k in range(len(spots) - 1) if spots[k][1] != spots[k + 1][1]]
+            f"at {param}={lo} (margin {m_a}) and {param}={hi} (margin {m_b})")
     if len(crossings) > 1:
-        (x, _, m_x), (y, _, m_y) = spots[crossings[1]:crossings[1] + 2]
+        (x, (_, m_x)), (y, (_, m_y)) = spots[crossings[1]:crossings[1] + 2]
         raise NonMonotonicMarginError(
             f"verdict crosses {len(crossings)} times at {len(spots)} points; offending "
             f"pair {param}={x} (margin {m_x}) and {param}={y} (margin {m_y})")
 
-    m_a, m_b = m_lo, m_hi
-    probed = zip(detected[2:], margin[2:])
-    while tree:
-        probes = dict(zip(tree, probed))
-        # the walk meets the tree's nodes in order; it leaves the tree below its
-        # deepest level, at a node outside the window or done, or within tol
-        i = 0
-        while i in tree and b - a > tol:
-            verdict, m = probes[i]
-            if verdict == v_lo:
-                a, m_a, i = tree[i], m, 2 * i + 2
-            else:
-                b, m_b, i = tree[i], m, 2 * i + 1
-        # node i lies (i + 1).bit_length() - 1 levels down; the walk passed the
-        # tree if it left below the deepest level, where the largest node lies
-        passed = (i + 1).bit_length() > (max(tree) + 1).bit_length()
-        window = _window(a, m_a, b, m_b) if passed else _NO_WINDOW
-        if tree := _midpoint_tree(a, b, tol, window):
-            report = probe(tree.values())
-            probed = zip(report.detected.tolist(), report.margin.tolist())
+    while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
+        if mid not in probed:
+            probe(_guessed_path(a, m_a, b, m_b, tol))
+        verdict, m = probed[mid]
+        if verdict == v_lo:
+            a, m_a = mid, m
+        else:
+            b, m_b = mid, m
     return 0.5 * (a + b)

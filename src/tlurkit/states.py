@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -173,6 +174,13 @@ class StateFamily:
     defaults: dict[str, float] = field(default_factory=dict)
     open_params: frozenset[str] = frozenset()
 
+    @cached_property
+    def integers(self) -> frozenset[str]:
+        """The parameters whose declared bounds are both ``int``: they take
+        integral values only."""
+        return frozenset(name for name, (lo, hi) in self.params.items()
+                         if isinstance(lo, int) and isinstance(hi, int))
+
     def _inside(self, name: str, value):
         """Whether ``value`` (a number or a column) lies in the declared range."""
         lo, hi = self.params[name]
@@ -182,10 +190,10 @@ class StateFamily:
 
     def check_params(self, params: dict) -> None:
         """Reject unknown parameters and values outside the declared
-        ranges; a parameter whose declared bounds are both ``int`` must take an
-        integral value (``2`` and ``2.0``, not ``2.5``).  A value must be a
-        real number: a bool or a string names its parameter in the error.
-        This checks one point; ``stack`` runs the same checks on columns."""
+        ranges; a parameter of ``integers`` must take an integral value (``2``
+        and ``2.0``, not ``2.5``).  A value must be a real number: a bool or a
+        string names its parameter in the error.  This checks one point;
+        ``stack`` runs the same checks on columns."""
         if not params.keys() <= self.params.keys():
             unknown = sorted(params.keys() - self.params.keys())
             raise ParameterRangeError(f"unknown parameter(s) {unknown} for family '{self.name}'")
@@ -199,7 +207,7 @@ class StateFamily:
                 span = f"({lo}, {hi})" if name in self.open_params else f"[{lo}, {hi}]"
                 raise ParameterRangeError(
                     f"{name} must lie in {span} for family '{self.name}', got {shown(value)}")
-            if isinstance(lo, int) and isinstance(hi, int) and value != int(value):
+            if name in self.integers and value != int(value):
                 raise ParameterRangeError(
                     f"{name} must be an integer for family '{self.name}', got {value}")
 
@@ -213,7 +221,7 @@ class StateFamily:
         if columns.keys() | base.keys() != self.params.keys():
             return None
         cols = {}
-        for name, (lo, hi) in self.params.items():
+        for name in self.params:
             values = columns[name] if name in columns else [base[name]]
             if not _numbers(values):
                 return None
@@ -222,7 +230,7 @@ class StateFamily:
             except OverflowError:  # an int past the float range
                 return None
             bad = ~self._inside(name, col)
-            if isinstance(lo, int) and isinstance(hi, int):
+            if name in self.integers:
                 bad |= col != np.floor(col)
             if name in ("dim_a", "dim_b"):
                 bad |= col != col[0]

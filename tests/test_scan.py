@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlurkit import bisect_threshold, sweep
+from tlurkit.cli import main
 from tlurkit.errors import (
     DimensionMismatchError, NoCrossingError, NonMonotonicMarginError, NumericalFailureError,
     ParameterRangeError, SpecParseError, ValidationError,
@@ -287,6 +289,14 @@ def test_bisect_rejects_multiple_crossings(monkeypatch):
         if pair is not None:
             assert str(err.value).startswith(
                 f"verdict crosses 3 times at 33 points; offending pair {pair}")
+    # along a at p = 0.997, LUR detects on (0.0578, 0.6108) and at neither end:
+    # two crossings, counted before the ends' verdicts are compared
+    with pytest.raises(NonMonotonicMarginError) as err:
+        bisect_threshold("horodecki_noise", "a", 0.01, 0.99, "lur",
+                         obs_spec="schmidt_loo_pair", fixed_params={"p": 0.997})
+    assert re.fullmatch(r"verdict crosses 2 times at 33 points; offending pair "
+                        r"a=0\.591875 \(margin 0\.000193190504\d*\) and "
+                        r"a=0\.6225 \(margin -0\.000119686193\d*\)", str(err.value))
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4, 1e-9])
@@ -345,9 +355,9 @@ def _count_builds(monkeypatch, limit=None):
 
 def test_bisect_builds_two_stacks_and_no_single_state(monkeypatch):
     # one stack for the endpoints and five whole levels, whatever tol is; at tol
-    # 1e-4, then one for the other 9 of the 14 levels, windowed around the
-    # crossing the margins predict: 2 + 31 + 25 states, none evaluated twice
-    for tol, stacks, states in ((1e-4, 2, 58), (0.3, 1, 33)):
+    # 1e-4, then one for the other 9 of the 14 levels, on the path to the
+    # crossing the margins predict: 2 + 31 + 9 states, none evaluated twice
+    for tol, stacks, states in ((1e-4, 2, 42), (0.3, 1, 33)):
         with monkeypatch.context() as m:
             counts = _count_builds(m)
             bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=tol)
@@ -355,7 +365,7 @@ def test_bisect_builds_two_stacks_and_no_single_state(monkeypatch):
 
 
 def test_bisect_below_the_float_spacing_stops(monkeypatch):
-    _count_builds(monkeypatch, limit=30)  # it takes 7 stacks
+    _count_builds(monkeypatch, limit=30)  # it takes 5 stacks
     t = bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-300)
     # the bracket is one float wide: its two sides straddle the flip
     below, above = (evaluate_criterion("corollary1", noisy_singlet(x)).detected
@@ -409,7 +419,7 @@ def test_a_bisection_probe_stack_is_its_states_one_at_a_time_bit_for_bit(monkeyp
     monkeypatch.setattr(Plan, "evaluate", evaluate_seen)
     bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=1e-4)
     monkeypatch.undo()
-    assert [len(ps) for ps in columns] == [33, 25]
+    assert [len(ps) for ps in columns] == [33, 9]
     for ps, verdicts in zip(columns, seen, strict=True):
         for p, summary in zip(ps, verdicts.summaries()):
             one = evaluate_criterion("corollary1", FAMILIES["noisy_singlet"].instantiate(p=p))
@@ -428,16 +438,6 @@ def _stack_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
-def _plain_sizes(monkeypatch, *args, **kwargs) -> list[int]:
-    """The stack sizes of a bisection whose every later stack holds five whole
-    levels, the tree a missed or non-finite guess falls back to."""
-    with monkeypatch.context() as m:
-        sizes = _stack_sizes(m)
-        m.setattr("tlurkit.scan._window", lambda *ends: (-np.inf, np.inf))
-        bisect_threshold(*args, **kwargs)
-    return sizes
-
-
 def _register_step(monkeypatch, below: float, above: float) -> str:
     """A test-only criterion on noisy_singlet whose margin is ``below`` up to
     p = 1/e and ``above`` past it: its interpolated guess is the bracket's
@@ -451,43 +451,51 @@ def _register_step(monkeypatch, below: float, above: float) -> str:
     return "step"
 
 
-@pytest.mark.parametrize("tol, stacks", [(1e-4, 4), (1e-9, 8), (1e-300, 15)])
-def test_a_missed_guess_costs_at_most_one_more_stack(monkeypatch, tol, stacks):
-    # a windowed tree that the walk leaves early is followed by a plain one, and
-    # each tree takes the walk at least five levels down; five whole levels a
-    # stack take 3, 6 and 11 stacks
-    step = _register_step(monkeypatch, -1.0, 1.0)
-    args = ("noisy_singlet", "p", 0.0, 1.0, step)
-    plain = _plain_sizes(monkeypatch, *args, tol=tol)
+@pytest.mark.parametrize("step, tol, stacks", [
+    (1.0, 1e-4, 7), (1.0, 1e-9, 12), (1.0, 1e-300, 26), (np.inf, 1e-4, 6),
+], ids=["unit-1e-4", "unit-1e-9", "unit-1e-300", "inf-1e-4"])
+def test_a_later_stack_is_the_path_to_the_guessed_crossing(monkeypatch, step, tol, stacks):
+    # a margin of -step up to the flip and +step past it: a unit step's guess is
+    # the bracket's midpoint, wherever the flip lies, and an infinite one gives
+    # no finite guess; each path still takes the walk at least one level down,
+    # and the walk reads bisection's midpoints
+    criterion = _register_step(monkeypatch, -step, step)
+    args = ("noisy_singlet", "p", 0.0, 1.0, criterion)
+    expected = oracle_bisect(*args, tol)
     sizes = _stack_sizes(monkeypatch)
-    got = bisect_threshold(*args, tol=tol)
-    assert got == oracle_bisect(*args, tol)
-    assert sizes[0] == plain[0] == 33 and max(sizes[1:]) <= 31
-    assert len(sizes) == stacks and len(sizes) - 1 <= 2 * (len(plain) - 1)
-
-
-def test_infinite_margins_bisect_on_plain_trees(monkeypatch):
-    # margins of -inf and +inf predict no finite crossing
-    step = _register_step(monkeypatch, -np.inf, np.inf)
-    args = ("noisy_singlet", "p", 0.0, 1.0, step)
-    plain = _plain_sizes(monkeypatch, *args, tol=1e-4)
-    sizes = _stack_sizes(monkeypatch)
-    assert bisect_threshold(*args, tol=1e-4) == oracle_bisect(*args, 1e-4)
-    assert sizes == plain == [33, 31, 15]
+    assert bisect_threshold(*args, tol=tol) == expected
+    assert len(sizes) == stacks and sizes[0] == 33 and max(sizes[1:]) <= 31
+    assert sizes[1:] == sorted(sizes[1:], reverse=True)
+    if step == np.inf:
+        assert sizes == [33, 9, 8, 7, 3, 1]
 
 
 @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("criterion", ["lur", "tlur", "ccnr"])
 def test_fig1_bisections_take_one_windowed_stack_and_a_tail(monkeypatch, a, criterion):
-    # the default set of a 3x3 state is its Schmidt frame; five whole levels a
-    # stack would take 33 + 31 + 31 + 3 states
+    # the default set of a 3x3 state is its Schmidt frame; the second stack is
+    # the path to the guessed crossing, and the walk ends in it: five whole
+    # levels a stack would take 33 + 31 + 31 + 3 states
     fixed = {"a": a}
     expected = oracle_bisect("horodecki_noise", "p", 0.9, 1.0, criterion, 1e-6, fixed)
     sizes = _stack_sizes(monkeypatch)
     got = bisect_threshold("horodecki_noise", "p", 0.9, 1.0, criterion, tol=1e-6,
                            fixed_params=fixed)
     assert got == expected
-    assert sizes[0] == 33 and len(sizes) <= 3 and max(sizes[1:]) <= 31
+    assert sizes == [33, 12]
+
+
+def test_an_integer_parameter_is_refused_by_name_before_any_state(monkeypatch, capsys):
+    # the first midpoint of [1, 64] is 32.5, a point no caller gave
+    counts = _count_builds(monkeypatch)
+    with pytest.raises(ParameterRangeError, match="'n_terms' of family 'random_separable'"):
+        bisect_threshold("random_separable", "n_terms", 1, 64, "ccnr")
+    code = main(["bisect", "--family", "random_separable", "--param", "n_terms",
+                 "--lo", "1", "--hi", "64", "--criterion", "ccnr"])
+    assert code == 2 and "'n_terms' of family 'random_separable'" in capsys.readouterr().err
+    assert counts["stack"] == counts["instantiate"] == 0
+    assert FAMILIES["random_separable"].integers == {"dim_a", "dim_b", "n_terms", "seed"}
+    assert FAMILIES["horodecki_noise"].integers == frozenset()
 
 
 def test_bisect_validates_interval():
