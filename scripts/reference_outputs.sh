@@ -9,9 +9,14 @@
 # nonlinear_witness at tol 1e-12, and tlur on horodecki_noise at a = 0.05
 # at tol 1e-12), and single-state reports in JSON and CSV: `evaluate` of
 # tlur (default Schmidt set), lur (su_pair) and ppt, and `cv-evaluate` of
-# duan and corollary2 at a = 1 and a = -0.7.  Run it from the root of a
-# checkout, with the output directory relative to that root, so that the
-# lines naming it read the same in every checkout:
+# duan and corollary2 at a = 1 and a = -0.7.  It also writes, in JSON and
+# CSV, a random_separable sweep whose dim_a axis spans three bipartitions,
+# and, for six inputs the CLI refuses (a value out of range on an axis, a
+# missing and an unknown parameter, a non-integral dim_a on an axis, a bool
+# in a state spec, an out-of-range bisection end), the diagnostic and the
+# exit code, each in one file.  Run it from the root of a checkout, with the
+# output directory relative to that root, so that the lines naming it read
+# the same in every checkout:
 #
 #   bash scripts/reference_outputs.sh reference_outputs
 set -euo pipefail
@@ -42,6 +47,9 @@ for format in json csv; do
     evaluate --criterion lur --state "$singlet_state" --obs su_pair
   "${cli[@]}" --out "$out/evaluate-ppt.$format" \
     evaluate --criterion ppt --state "$singlet_state"
+  "${cli[@]}" --out "$out/sweep-random_separable-dim_a.$format" \
+    sweep --family random_separable --axis dim_a:2:4:1 --fix dim_b=3 --fix seed=4 \
+    --criteria ppt,ccnr,lur --obs schmidt_loo_pair
   for criterion in duan corollary2; do
     for a in 1 -0.7; do
       "${cli[@]}" --out "$out/cv-evaluate-$criterion-a$a.$format" \
@@ -49,3 +57,23 @@ for format in json csv; do
     done
   done
 done
+
+# refused inputs: their output (the one diagnostic line) and exit code; an
+# exit that is not 0 is recorded, not taken as the script's failure
+refused() {
+  local name=$1 code=0
+  shift
+  PYTHONPATH=src python -m tlurkit.cli "$@" > "$out/refused-$name.txt" 2>&1 || code=$?
+  echo "exit $code" >> "$out/refused-$name.txt"
+}
+refused p-out-of-range sweep --family horodecki_noise --axis p:0:2:0.5 --fix a=0.5 \
+  --criteria ppt
+refused a-missing sweep --family horodecki_noise --axis p:0:1:0.5 --criteria ppt
+refused q-unknown sweep --family horodecki_noise --axis p:0:1:0.5 --fix a=0.5 --fix q=1 \
+  --criteria ppt
+refused dim_a-not-integral sweep --family random_separable --axis dim_a:2:3:0.5 \
+  --fix dim_b=2 --criteria ppt
+refused p-bool evaluate --criterion ppt \
+  --state '{"family":"horodecki_noise","params":{"a":0.5,"p":true}}'
+refused bisect-hi-out-of-range bisect --family horodecki_noise --param p --lo 0 --hi 2 \
+  --fix a=0.5 --criterion ppt

@@ -91,13 +91,19 @@ def _zero_pad(stack: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([stack, np.zeros((n - len(stack),) + stack.shape[1:], dtype=complex)])
 
 
-def _coords(stack: np.ndarray) -> np.ndarray:
+def _coords(stack: np.ndarray, side: str) -> np.ndarray:
     """Real coordinates Tr(G_i X) in the canonical LOO basis {G_i} of the
     operators X_k of an (n, d, d) stack, then of sum_k X_k^2: (n + 1, d^2),
-    read-only.  Hermitian operators have real coordinates."""
+    read-only.  Hermitian operators have real coordinates.  Rows that are
+    not finite (operators whose squares pass the float range) are refused,
+    naming ``side``, with no warning: no bound can be certified from them."""
     d = stack.shape[-1]
-    vecs = np.concatenate([_vecs(stack), (stack @ stack).sum(axis=0).reshape(1, -1)])
-    coords = np.ascontiguousarray((vecs @ _loo_vec_matrix(d).conj()).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vecs = np.concatenate([_vecs(stack), (stack @ stack).sum(axis=0).reshape(1, -1)])
+        coords = np.ascontiguousarray((vecs @ _loo_vec_matrix(d).conj()).real)
+    if not np.isfinite(coords).all():
+        raise ValidationError(f"{side}: the coordinates of the operators and of the sum "
+                              "of their squares are not finite")
     coords.setflags(write=False)
     return coords
 
@@ -182,7 +188,8 @@ class LocalObservableSet(Frame):
             raise ValidationError("stack_a and stack_b must be non-empty and of equal length")
         a, b = hermitian_stack(self.stack_a), hermitian_stack(self.stack_b)
         for name, value in (("stack_a", a), ("stack_b", b),
-                            ("coords_a", _coords(a)), ("coords_b", _coords(b))):
+                            ("coords_a", _coords(a, "side A")),
+                            ("coords_b", _coords(b, "side B"))):
             object.__setattr__(self, name, value)
         for key in ("bound_a", "bound_b"):
             if not is_number(getattr(self, key)):
@@ -536,8 +543,9 @@ def uncertainty_bound(ops, mode: str = "numeric", seed: int = 0,
     if not ops:
         raise ParameterRangeError("need at least one observable")
     stack = hermitian_stack(ops)
+    coords = _coords(stack, "ops")
     if mode == "analytic":
-        exact, _ = _closed_form(stack, _coords(stack))
+        exact, _ = _closed_form(stack, coords)
         if exact is None:
             raise ParameterRangeError(
                 "no closed form for this set; use mode='numeric'")

@@ -9,8 +9,9 @@ once per bipartition, before any state of it, and reused; the Schmidt
 builder resolves to a ``SchmidtFrame``, which holds no operators.
 Parameter columns are all that passes from a grid to its states: a sweep
 turns each axis into one column over the grid's points, and no dict is
-built per point.  It evaluates its grid as one batch: the states of one
-bipartition, taken from the columns by index, are built as one
+built per point.  It evaluates its grid as one batch: the points of one
+bipartition (the family's ``bipartitions`` groups them), taken from the
+columns by index, are checked in one pass over the points, built as one
 ``DensityStack`` and validated in one pass, and each criterion runs once on
 the stack, the set criteria reading one record, the set's ``Moments`` of
 the stack, between them.  A criterion gives one ``CriterionReport`` of
@@ -197,7 +198,8 @@ def _grid_size(grid: list[GridAxis]) -> int:
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One swept parameter: values start, start+step, ..., stop (inclusive)."""
+    """One swept parameter: values start, start+step, ..., stop (inclusive),
+    each bound kept as the float ``number_argument`` reads it."""
 
     name: str
     start: float
@@ -206,7 +208,8 @@ class GridAxis:
 
     def __post_init__(self):
         for key in ("start", "stop", "step"):
-            number_argument(getattr(self, key), f"axis '{self.name}': {key}")
+            object.__setattr__(self, key,
+                               number_argument(getattr(self, key), f"axis '{self.name}': {key}"))
         if self.step <= 0:
             raise ParameterRangeError(f"axis '{self.name}': step must be positive")
         if self.stop < self.start:
@@ -317,31 +320,18 @@ def _evaluate_stack(plan: Plan, family: str, columns: dict,
         raise
 
 
-def _bipartitions(fam, columns: dict, fixed_params: dict, n: int) -> dict:
-    """The indices of the n points of ``columns`` by bipartition, in order of
-    first appearance: one group unless an axis sweeps ``dim_a`` or ``dim_b``."""
-    swept = [name for name in ("dim_a", "dim_b") if name in columns]
-    if not swept:
-        return {fam.dims_for(fixed_params): np.arange(n)}
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, values in enumerate(zip(*(columns[name].tolist() for name in swept))):
-        dims = fam.dims_for({**fixed_params, **dict(zip(swept, values))})
-        groups.setdefault(dims, []).append(i)
-    return {dims: np.array(idx) for dims, idx in groups.items()}
-
-
 def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
           fixed_params: dict | None = None) -> ScanResult:
     """Evaluate criteria over the Cartesian grid; deterministic cell order.
 
     Each axis becomes one parameter column over the grid's points.  The
-    points of each bipartition (one, unless an axis changes the dimensions)
-    form one stack, taken from the columns by index and split only where its
-    arrays would pass 32 MiB: each criterion runs once on each stack, with
-    the observable set the plan gives that bipartition, and each cell's
-    reports are read from the stack's verdicts.  Each parameter is swept by
-    one axis or fixed, never both: ``ParameterRangeError`` names one that is
-    not.
+    points of each bipartition (read by the family's ``bipartitions``: one,
+    unless an axis changes the dimensions) form one stack, taken from the
+    columns by index and split only where its arrays would pass 32 MiB:
+    each criterion runs once on each stack, with the observable set the plan
+    gives that bipartition, and each cell's reports are read from the
+    stack's verdicts.  Each parameter is swept by one axis or fixed, never
+    both: ``ParameterRangeError`` names one that is not.
     """
     if not criteria:
         raise ParameterRangeError("need at least one criterion")
@@ -349,6 +339,9 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
         raise ParameterRangeError("need at least one grid axis")
     fixed_params = dict(fixed_params or {})
     fam = _family(family, fixed_params)
+    # the result records a numpy scalar as its Python number, so it serialises
+    fixed_params = {k: v.item() if isinstance(v, np.generic) else v
+                    for k, v in fixed_params.items()}
     names = [ax.name for ax in grid]
     for k, name in enumerate(names):  # a cell reports the values its state is built at
         if name in fixed_params or name in names[:k]:
@@ -362,7 +355,9 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
     index = np.indices([len(v) for v in values]).reshape(len(grid), -1)
     columns = {name: np.asarray(v)[i] for name, v, i in zip(names, values, index)}
     n = index.shape[1]
-    groups = _bipartitions(fam, columns, fixed_params, n)
+    groups: dict[tuple[int, int], list[int]] = {}  # point indices, in order of first appearance
+    for i, dims in enumerate(fam.bipartitions({**fixed_params, **columns}, n)):
+        groups.setdefault(dims, []).append(i)
     for dims in groups:  # a bad set is named before any state is built
         plan.observables(dims)
     size = {dims: _stack_size(dims) for dims in groups}
@@ -373,7 +368,7 @@ def sweep(family: str, grid: list[GridAxis], criteria: list[str], obs_spec=None,
         stacked = _evaluate_stack(plan, family, {name: col[idx] for name, col in columns.items()},
                                   fixed_params)
         per_state = zip(*(report.summaries() for report in stacked))
-        for i, summaries in zip(idx.tolist(), per_state):
+        for i, summaries in zip(idx, per_state):
             reports[i] = dict(zip(criteria, summaries))
     cells = [{"params": {**dict(zip(names, point)), **fixed_params}, "reports": r}
              for point, r in zip(itertools.product(*values), reports)]

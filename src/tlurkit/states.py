@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     ParameterRangeError,
     SpecParseError,
-    TlurkitError,
     shown,
 )
 from .linops import DensityMatrix, DensityStack
@@ -155,11 +154,11 @@ class StateFamily:
 
     Parameter columns are what passes between a grid and a stack: each
     varying parameter is one 1-D column of its values over the points.
-    ``stack`` checks the columns as columns (``check_params``'s rules, a full
-    set of parameters, one bipartition), builds the (N, d, d) matrices with
-    one ``matrix`` call and validates them in one pass; only when a check
-    fails does it walk the points, to name the first failing one.
-    ``instantiate`` is its one-point case.  ``matrix`` takes each parameter
+    ``stack`` checks every point in one pass, one mask over the points per
+    rule, and names the first failing point; it builds the (N, d, d)
+    matrices with one ``matrix`` call and validates them in one pass.
+    ``instantiate`` is its one-point case, and ``bipartitions`` is the one
+    place that reads a point's bipartition.  ``matrix`` takes each parameter
     as a float column and returns the stack of unvalidated density matrices;
     given numbers, it returns the one (d, d) matrix.  ``params`` declares
     each parameter's range (lo, hi): inclusive, or open at both ends for the
@@ -181,134 +180,107 @@ class StateFamily:
         return frozenset(name for name, (lo, hi) in self.params.items()
                          if isinstance(lo, int) and isinstance(hi, int))
 
-    def _inside(self, name: str, value):
-        """Whether ``value`` (a number or a column) lies in the declared range."""
-        lo, hi = self.params[name]
-        if name in self.open_params:
-            return (lo < value) & (value < hi)
-        return (lo <= value) & (value <= hi)
-
     def check_params(self, params: dict) -> None:
-        """Reject unknown parameters and values outside the declared
-        ranges; a parameter of ``integers`` must take an integral value (``2``
-        and ``2.0``, not ``2.5``).  A value must be a real number: a bool or a
-        string names its parameter in the error.  This checks one point;
-        ``stack`` runs the same checks on columns."""
-        if not params.keys() <= self.params.keys():
-            unknown = sorted(params.keys() - self.params.keys())
-            raise ParameterRangeError(f"unknown parameter(s) {unknown} for family '{self.name}'")
-        for name, value in params.items():
-            if not is_number(value):
-                raise ParameterRangeError(
-                    f"{name} must be a number for family '{self.name}', "
-                    f"got {shown(value, repr)}")
+        """Check the values of one point, as ``stack`` checks each of its
+        points, but without a full set of parameters: the values given before
+        a grid's sets are built (``fixed_params``) take this check."""
+        self._checked({}, params, 1, complete=False)
+
+    def _checked(self, columns: dict, fixed: dict, n: int, complete: bool = True
+                 ) -> tuple[tuple[int, int] | None, dict[str, np.ndarray]]:
+        """The n points' bipartition and one float column per parameter (its
+        column in ``columns``, else its value in ``fixed`` or the defaults,
+        repeated), in one pass over the points; or the error that the first
+        failing point gives on its own, with ``error.state`` its index.  A
+        point's rules, in order: an unknown parameter; for each parameter in
+        merged order (defaults, then fixed, then columns), a value that is
+        not a number (a bool or a string names it), outside the declared
+        range, or not integral for one of ``integers``; then, when
+        ``complete``, a missing parameter and a bipartition other than point
+        0's.  Each value rule is one mask over the points; a failing value
+        shows as given, an array column's as a Python number."""
+        given = {**self.defaults, **fixed, **columns}
+        unknown = sorted(given.keys() - self.params.keys())
+        if unknown:
+            raise ParameterRangeError(
+                f"unknown parameter(s) {unknown} for family '{self.name}'", state=0)
+        # a rule: (mask of the points it passes, parameter, what it asks of (lo, hi), show)
+        rules, cols, passing = [], {}, np.ones(n, dtype=bool)
+        for name, values in given.items():
+            col, number = _float_column(values if name in columns else [values])
             lo, hi = self.params[name]
-            if not self._inside(name, value):
-                span = f"({lo}, {hi})" if name in self.open_params else f"[{lo}, {hi}]"
-                raise ParameterRangeError(
-                    f"{name} must lie in {span} for family '{self.name}', got {shown(value)}")
-            if name in self.integers and value != int(value):
-                raise ParameterRangeError(
-                    f"{name} must be an integer for family '{self.name}', got {value}")
-
-    def _columns(self, columns: dict, fixed: dict, n: int) -> dict[str, np.ndarray] | None:
-        """One float column of the n points per parameter (its column in
-        ``columns``, else its value in ``fixed`` or the defaults, repeated),
-        or None if any value fails a check of ``check_params``, a parameter
-        is missing, or the dimensions vary.  A column's values are checked
-        by their types, a list's and an array's alike."""
-        base = {**self.defaults, **fixed}
-        if columns.keys() | base.keys() != self.params.keys():
-            return None
-        cols = {}
-        for name in self.params:
-            values = columns[name] if name in columns else [base[name]]
-            if not _numbers(values):
-                return None
-            try:
-                col = np.asarray(values, dtype=float)
-            except OverflowError:  # an int past the float range
-                return None
-            bad = ~self._inside(name, col)
+            if name in self.open_params:
+                inside, asks = (lo < col) & (col < hi), "lie in ({}, {})"
+            else:
+                inside, asks = (lo <= col) & (col <= hi), "lie in [{}, {}]"
+            rules += [(number, name, "be a number", repr), (inside, name, asks, str)]
+            passing &= inside  # a value that is not a number reads NaN, in no range
             if name in self.integers:
-                bad |= col != np.floor(col)
-            if name in ("dim_a", "dim_b"):
-                bad |= col != col[0]
-            if bad.any():
-                return None
+                rules.append((col == np.floor(col), name, "be an integer", str))
+                passing &= rules[-1][0]
             cols[name] = col if name in columns else np.full(n, col[0])
-        return cols
-
-    def _raise_first_failure(self, columns: dict, fixed: dict, n: int) -> None:
-        """Raise the error of the first point that fails its own checks (those
-        of ``check_params``, a full set of parameters, the first point's
-        dimensions, and ``matrix``'s), naming it in ``error.state``.  A point
-        holds its values as given: an array column's as Python numbers."""
-        lists = {name: col.tolist() if isinstance(col, np.ndarray) else list(col)
-                 for name, col in columns.items()}
+        first = n if passing.all() else int(passing.argmin())
         dims = None
-        for k in range(n):
-            try:
-                merged = {**self.defaults, **fixed, **{name: v[k] for name, v in lists.items()}}
-                self.check_params(merged)
-                missing = self.params.keys() - merged.keys()
-                if missing:
-                    raise ParameterRangeError(
-                        f"missing parameter(s) {sorted(missing)} for family '{self.name}'")
-                dims = dims or self.dims_for(merged)
-                if self.dims_for(merged) != dims:
-                    raise DimensionMismatchError(
-                        f"a stack holds one bipartition: {self.dims_for(merged)} vs {dims}")
-                self.matrix(**merged)
-            except TlurkitError as exc:
-                exc.state = k
-                raise
-
-    def _matrices(self, columns: dict, fixed: dict,
-                  n: int) -> tuple[tuple[int, int], np.ndarray]:
-        """The bipartition and the unvalidated (n, d, d) matrices of the n
-        points of ``columns`` over ``fixed``: the column checks and one
-        ``matrix`` call, or the error of the first failing point."""
-        if not n:
-            raise DimensionMismatchError("a stack needs at least one point")
-        cols = self._columns(columns, fixed, n)
-        try:
-            if cols is None:
-                raise ParameterRangeError("a point of the stack fails its checks")
-            matrices = self.matrix(**cols)
-        except TlurkitError:
-            self._raise_first_failure(columns, fixed, n)
-            raise
-        return self.dims_for({name: col[0] for name, col in cols.items()}), matrices
+        if complete and first:  # the points before the first value failure
+            missing = self.params.keys() - given.keys()
+            if missing:
+                raise ParameterRangeError(
+                    f"missing parameter(s) {sorted(missing)} for family '{self.name}'", state=0)
+            dims = self.bipartitions({name: col[:first] for name, col in cols.items()}, first)
+            if dims.count(dims[0]) < first:
+                other = next(k for k, d in enumerate(dims) if d != dims[0])
+                raise DimensionMismatchError(
+                    f"a stack holds one bipartition: {dims[other]} vs {dims[0]}", state=other)
+            dims = dims[0]
+        if first < n:
+            _, name, what, form = next(r for r in rules if not np.broadcast_to(r[0], n)[first])
+            value = given[name]
+            if name in columns:
+                value = value.tolist()[first] if isinstance(value, np.ndarray) else value[first]
+            raise ParameterRangeError(
+                f"{name} must {what.format(*self.params[name])} for family '{self.name}', "
+                f"got {shown(value, form)}", state=first)
+        return dims, cols
 
     def stack(self, columns: dict, fixed: dict | None = None) -> DensityStack:
         """The states at the points whose parameters are ``columns`` (one 1-D
         column of values per varying parameter, all of one length) over the
-        shared ``fixed`` ones, all of one bipartition: built from float
-        columns and validated in one pass.  A failure names the offending
-        point's index in ``error.state``, with the message that point's own
-        checks give: the first failing point, in point order, and its first
-        failing check."""
+        shared ``fixed`` ones, all of one bipartition: checked in one pass
+        over the points, built from float columns with one ``matrix`` call
+        and validated in one pass.  A failure names the offending point's
+        index in ``error.state``, with the message that point's own checks
+        give: the first failing point, in point order, and its first failing
+        check."""
         shapes = {np.shape(col) for col in columns.values()}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise DimensionMismatchError(
                 f"a stack's columns are 1-D and of one length, got shapes {sorted(shapes)}")
         n = shapes.pop()[0] if shapes else 0
-        dims, matrices = self._matrices(columns, fixed or {}, n)
-        return DensityStack(*dims, matrices)
+        if not n:
+            raise DimensionMismatchError("a stack needs at least one point")
+        dims, cols = self._checked(columns, fixed or {}, n)
+        return DensityStack(*dims, self.matrix(**cols))
 
     def instantiate(self, **params) -> DensityMatrix:
         """The state at one point: the one-point case of ``stack``, through
         the same checks and builder, validated once."""
-        dims, matrices = self._matrices({}, params, 1)
-        return DensityMatrix(*dims, matrices[0])
+        dims, cols = self._checked({}, params, 1)
+        return DensityMatrix(*dims, self.matrix(**cols)[0])
+
+    def bipartitions(self, values: dict, n: int) -> list[tuple[int, int]]:
+        """The bipartition (d_A, d_B) of each of n points whose parameters are
+        ``values`` (each a number, or a column of the n points): ``dim_a``
+        and ``dim_b``, over the defaults, when the family takes them, else
+        ``dims``.  The one place that reads a bipartition from parameters."""
+        if not {"dim_a", "dim_b"} <= self.params.keys():
+            return [self.dims] * n
+        merged = {**self.defaults, **values}
+        columns = (np.broadcast_to(merged[name], n).tolist() for name in ("dim_a", "dim_b"))
+        return [(int(a), int(b)) for a, b in zip(*columns)]
 
     def dims_for(self, params: dict | None = None) -> tuple[int, int]:
-        """Local dimensions: ``dim_a``/``dim_b`` when the family takes them."""
-        if not {"dim_a", "dim_b"} <= self.params.keys():
-            return self.dims
-        merged = {**self.defaults, **(params or {})}
-        return (int(merged["dim_a"]), int(merged["dim_b"]))
+        """The bipartition of the one point ``params``."""
+        return self.bipartitions(params or {}, 1)[0]
 
 
 FAMILIES: dict[str, StateFamily] = {}
@@ -362,6 +334,24 @@ def _numbers(items) -> bool:
     """Whether every item is a number by ``is_number``'s rule, read from the
     set of their types."""
     return all(map(_number_type, set(map(type, items))))
+
+
+def _float_column(values) -> tuple[np.ndarray, np.ndarray | bool]:
+    """``values`` as one float column, and the mask of those that are
+    numbers by ``is_number``'s rule: read from the set of their types (an
+    array's is its dtype's) and one float conversion.  Only a column that
+    fails those (a bool, a string, an int past the float range) is read value
+    by value: a non-number, or a number that is not finite, reads NaN, which
+    lies in no declared range."""
+    kinds = {values.dtype.type} if isinstance(values, np.ndarray) else set(map(type, values))
+    if all(map(_number_type, kinds)):
+        try:
+            return np.asarray(values, dtype=float), True
+        except OverflowError:  # an int past the float range
+            pass
+    numbers = [is_number(v) for v in values]
+    return (np.array([float(v) if ok and is_finite(v) else math.nan
+                      for v, ok in zip(values, numbers)]), np.array(numbers))
 
 
 def is_number(value) -> bool:

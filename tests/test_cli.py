@@ -270,6 +270,8 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         ("cv-evaluate", "--state", OVERFLOWING_COV, "--criterion", "duan"),  # mode sum
         ("scan", "--family", "noisy_singlet", "--param", "p", "--min", "0",
          "--max", "1", "--step", "1e-12", "--criteria", "ppt"),  # refused before it is built
+        ("evaluate", "--criterion", "lur", "--obs", OVERFLOWING_OPS,
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}'),  # A_k^2 overflows
     ]
     fields = {  # a malformed field of a spec is named in the detail
         ("evaluate", "--obs", '{"builder":"loo_pair","params":"x"}', "--state",
@@ -385,6 +387,8 @@ def test_a_spec_file_with_a_byte_order_mark_reads_as_its_inline_spec(capsys, tmp
 
 PAULI_OBS = (f'{{"opsA":[{",".join(PAULIS)}],"opsB":[{",".join(PAULIS)}],'
              '"boundA":2,"boundB":2}')
+OVERFLOWING_OPS = ('{"opsA": [[[1e200,0],[0,-1e200]]], "opsB": [[[1e200,0],[0,-1e200]]], '
+                   '"boundA": 0, "boundB": 0}')
 OVERFLOWING_COV = '{"cov": [[1e308,0,0,0],[0,1e308,0,0],[0,0,1e308,0],[0,0,0,1e308]]}'
 
 
@@ -412,6 +416,13 @@ def test_overflowing_mode_sum_gives_one_diagnostic_line_and_no_warning(capsys):
     diag = _one_diagnostic_line_and_no_warning(
         capsys, "cv-evaluate", "--state", OVERFLOWING_COV, "--criterion", "duan")
     assert diag["type"] == "UnphysicalStateError" and "mode sums" in diag["detail"]
+
+
+def test_overflowing_declared_set_gives_one_diagnostic_line_and_no_warning(capsys):
+    diag = _one_diagnostic_line_and_no_warning(
+        capsys, "evaluate", "--criterion", "lur", "--obs", OVERFLOWING_OPS,
+        "--state", '{"family":"noisy_singlet","params":{"p":0.5}}')
+    assert diag["type"] == "ValidationError" and diag["detail"].startswith("side A:")
 
 
 def test_evaluate_prints_the_cell_of_a_one_point_sweep(capsys):

@@ -268,6 +268,18 @@ def test_a_bound_that_is_not_a_number_is_refused_by_name(bounds, message):
     assert str(err.value) == message
 
 
+def test_operators_whose_coordinates_overflow_are_refused_by_side():
+    # (1e200)^2 passes the float range, so the minimum a bound is checked
+    # against would read NaN, and any bound, even 1e300, would pass it
+    big, small = [np.diag([1e200, -1e200])], [HermitianOperator(PZ)]
+    for ops_a, ops_b, side in ((big, big, "side A"), (small, big, "side B")):
+        with pytest.raises(ValidationError, match=f"^{side}: the coordinates .* not finite$"):
+            LocalObservableSet(ops_a, ops_b, 1e300, 1e300, BoundProvenance("declared"))
+    for mode in ("analytic", "numeric"):
+        with pytest.raises(ValidationError, match="^ops: the coordinates .* not finite$"):
+            uncertainty_bound(big, mode=mode)
+
+
 def test_declared_qutrit_bound_above_an_eigenstate_is_rejected():
     # diag(1, 0, -1) has zero variance on its eigenstates, so any positive
     # declared bound is invalid; the minimizer's starts reach an eigenstate

@@ -639,3 +639,19 @@ def test_evaluate_criterion_defaults_to_the_set_of_the_bipartition():
         == evaluate_criterion("tlur", rho, observables_from_spec("loo_pair", dims=rho.dims))
     with pytest.raises(ParameterRangeError, match="unknown criterion 'nope'"):
         evaluate_criterion("nope", rho)
+
+
+def test_a_sweep_of_numpy_scalars_serialises_as_its_python_numbers():
+    f32 = np.float32  # 0, 0.5 and 1 are exact in float32
+    cases = [  # (family, a run given numpy scalars, the same run given Python numbers)
+        ("random_separable", (GridAxis("seed", 0, 2, 1), {"dim_a": np.int64(2)}),
+         (GridAxis("seed", 0, 2, 1), {"dim_a": 2})),
+        ("horodecki_noise", (GridAxis("p", f32(0), f32(1), f32(0.5)), {"a": 0.5}),
+         (GridAxis("p", 0.0, 1.0, 0.5), {"a": 0.5})),
+        ("horodecki_noise", (GridAxis("p", 0.0, 1.0, 0.5), {"a": f32(0.5)}),
+         (GridAxis("p", 0.0, 1.0, 0.5), {"a": 0.5})),
+    ]
+    for family, *runs in cases:
+        given, python = (sweep(family, [axis], ["ppt"], fixed_params=fixed).to_json()
+                         for axis, fixed in runs)
+        assert given == python

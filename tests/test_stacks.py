@@ -4,10 +4,11 @@ one at a time."""
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import oracle_moments, oracle_partial_trace, oracle_variance_sums, random_herm
 from tlurkit import (
@@ -17,7 +18,9 @@ from tlurkit import (
     uncertainty_bound,
 )
 from tlurkit import linops, observables
-from tlurkit.errors import DimensionMismatchError, ParameterRangeError, ValidationError
+from tlurkit.errors import (
+    DimensionMismatchError, ParameterRangeError, TlurkitError, ValidationError,
+)
 from tlurkit.linops import DensityStack
 from tlurkit.observables import BoundProvenance, LocalObservableSet, SchmidtFrame
 from tlurkit.report import DETECTION_TOL, CriterionReport
@@ -340,6 +343,75 @@ def test_a_bad_point_raises_what_instantiate_raises_on_it(family, points, k):
         fam.stack(_columns(points, fam.defaults))
     assert str(err.value) == str(one.value)  # no "state k: " prefix, the value as given
     assert err.value.state == k
+
+
+# per parameter: values a point accepts alone, then values it refuses; 3 is a
+# second dim_a, so points of two bipartitions can share a stack
+POINT_VALUES = {
+    "horodecki_noise": {"a": ([0.3, 0.7, 1e-9], [0, 1.0, 1.5, -0.2]),
+                        "p": ([0, 0.0, 0.5, 1, 1.0], [1.5, -1e-300, 7])},
+    "random_separable": {"dim_a": ([2, 3, 2.0, 3.0], [1, 17, 40, 2.5]),
+                         "dim_b": ([2, 2.0], [1, 17, 2.5]),
+                         "n_terms": ([1, 2, 2.0], [0, 2000, 2.7]),
+                         "seed": ([0, 7, 7.0, 2 ** 31], [-1, 2 ** 31 + 1, 0.5])},
+}
+REFUSED_ANYWHERE = [True, False, "0.5", None, math.nan, math.inf, -math.inf,
+                    10 ** 400, -(10 ** 400)]
+
+
+@st.composite
+def _family_columns(draw):
+    """A family, its columns and its fixed values: each parameter (and the
+    unknown ``q``, rarely) is a column, fixed, or left out, to its default
+    where the family has one."""
+    family = draw(st.sampled_from(sorted(POINT_VALUES)))
+    n = draw(st.integers(1, 5))
+    columns, fixed = {}, {}
+    for name, (good, bad) in {**POINT_VALUES[family], "q": ([1], [])}.items():
+        value = st.sampled_from(good * 8 + bad + REFUSED_ANYWHERE)
+        where = draw(st.sampled_from(["column", "fixed", "default"] if name != "q"
+                                     else ["default"] * 19 + ["column", "fixed"]))
+        if where == "column":
+            col = draw(st.lists(value, min_size=n, max_size=n))
+            if all(type(v) is float for v in col) and draw(st.booleans()):
+                col = np.array(col)
+            columns[name] = col
+        elif where == "fixed":
+            fixed[name] = draw(value)
+    assume(columns)
+    return family, columns, fixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_columns())
+def test_a_stack_fails_where_its_first_point_that_fails_alone_does(case):
+    # the reference walks the points: each instantiated alone, then held to
+    # the first point's bipartition
+    family, columns, fixed = case
+    fam = FAMILIES[family]
+    lists = {k: col.tolist() if isinstance(col, np.ndarray) else col
+             for k, col in columns.items()}
+    points = [{**fixed, **{k: col[i] for k, col in lists.items()}}
+              for i in range(len(next(iter(lists.values()))))]
+    states, want = [], None
+    for k, point in enumerate(points):
+        try:
+            states.append(fam.instantiate(**point))
+        except TlurkitError as exc:
+            want = (type(exc), str(exc), k)
+            break
+        if states[-1].dims != states[0].dims:
+            want = (DimensionMismatchError, "a stack holds one bipartition: "
+                    f"{states[-1].dims} vs {states[0].dims}", k)
+            break
+    if want is None:
+        stack = fam.stack(columns, fixed)
+        assert stack.dims == states[0].dims
+        assert np.array_equal(stack.states, [rho.matrix for rho in states])
+    else:
+        with pytest.raises(TlurkitError) as err:
+            fam.stack(columns, fixed)
+        assert (type(err.value), str(err.value), err.value.state) == want
 
 
 def test_a_point_of_another_bipartition_is_named():
