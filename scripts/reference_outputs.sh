@@ -8,13 +8,18 @@
 # through many later stacks (on [0, 1]: corollary1 at tol 1e-300, ppt and
 # nonlinear_witness at tol 1e-12, and tlur on horodecki_noise at a = 0.05
 # at tol 1e-12), and single-state reports in JSON and CSV: `evaluate` of
-# tlur (default Schmidt set), lur (su_pair) and ppt, and `cv-evaluate` of
-# duan and corollary2 at a = 1 and a = -0.7.  It also writes, in JSON and
-# CSV, a random_separable sweep whose dim_a axis spans three bipartitions,
-# and, for six inputs the CLI refuses (a value out of range on an axis, a
-# missing and an unknown parameter, a non-integral dim_a on an axis, a bool
-# in a state spec, an out-of-range bisection end), the diagnostic and the
-# exit code, each in one file.  Run it from the root of a checkout, with the
+# tlur (default Schmidt set), lur (su_pair) and ppt; of lur, tlur, c_lur and
+# lemma1 on noisy_singlet at p = 0.9 with the declared Pauli set (sigma_x,
+# sigma_y, sigma_z on both sides, bounds 2 and 2); of nonlinear_witness and
+# corollary1 with loo_pair on horodecki_noise at a = 0.5, p = 0.999; and
+# `cv-evaluate` of duan and corollary2 at a = 1 and a = -0.7.  The set
+# criteria among these read the one bound guard of their set's record
+# (Frame.moments).  It also writes, in JSON and CSV, a random_separable
+# sweep whose dim_a axis spans three bipartitions, and, for six inputs the
+# CLI refuses (a value out of range on an axis, a missing and an unknown
+# parameter, a non-integral dim_a on an axis, a bool in a state spec, an
+# out-of-range bisection end), the diagnostic and the exit code, each in
+# one file.  Run it from the root of a checkout, with the
 # output directory relative to that root, so that the lines naming it read
 # the same in every checkout:
 #
@@ -39,6 +44,9 @@ PYTHONPATH=src python -m tlurkit.cli --out "$out/bisect-tlur-a0.05-tol1e-12.json
   --fix a=0.05
 tlur_state='{"family": "horodecki_noise", "params": {"a": 0.5, "p": 0.999}}'
 singlet_state='{"family": "noisy_singlet", "params": {"p": 0.5}}'
+singlet09_state='{"family": "noisy_singlet", "params": {"p": 0.9}}'
+paulis='[[[0,1],[1,0]], [[0,[0,-1]],[[0,1],0]], [[1,0],[0,-1]]]'
+pauli_obs="{\"opsA\": $paulis, \"opsB\": $paulis, \"boundA\": 2, \"boundB\": 2}"
 for format in json csv; do
   cli=(env PYTHONPATH=src python -m tlurkit.cli --format "$format")
   "${cli[@]}" --out "$out/evaluate-tlur.$format" \
@@ -47,6 +55,14 @@ for format in json csv; do
     evaluate --criterion lur --state "$singlet_state" --obs su_pair
   "${cli[@]}" --out "$out/evaluate-ppt.$format" \
     evaluate --criterion ppt --state "$singlet_state"
+  for criterion in lur tlur c_lur lemma1; do
+    "${cli[@]}" --out "$out/evaluate-$criterion-paulis.$format" \
+      evaluate --criterion "$criterion" --state "$singlet09_state" --obs "$pauli_obs"
+  done
+  for criterion in nonlinear_witness corollary1; do
+    "${cli[@]}" --out "$out/evaluate-$criterion-loo_pair.$format" \
+      evaluate --criterion "$criterion" --state "$tlur_state" --obs loo_pair
+  done
   "${cli[@]}" --out "$out/sweep-random_separable-dim_a.$format" \
     sweep --family random_separable --axis dim_a:2:4:1 --fix dim_b=3 --fix seed=4 \
     --criteria ppt,ccnr,lur --obs schmidt_loo_pair

@@ -207,7 +207,7 @@ def random_separable_gaussian(seed: int) -> GaussianState:
     Gaussian and separable while adding an arbitrary PSD term to the
     covariance matrix.
     """
-    rng = np.random.default_rng(integer_argument(seed, "seed"))
+    rng = np.random.default_rng(integer_argument(seed, "seed", 0))
     blocks = []
     for _ in range(2):
         theta = rng.uniform(0.0, np.pi)

@@ -121,8 +121,6 @@ def random_mixed_state(dim: int, rng: np.random.Generator, rank: int | None = No
 
 
 def _random_separable_matrix(da: int, db: int, n_terms: int, seed: int) -> np.ndarray:
-    if n_terms < 1:
-        raise ParameterRangeError(f"n_terms must be >= 1, got {n_terms}")
     rng = np.random.default_rng(int(seed))
     weights = rng.dirichlet(np.ones(n_terms)) if n_terms > 1 else np.ones(1)
     rho = np.zeros((da * db, da * db), dtype=complex)
@@ -135,8 +133,8 @@ def _random_separable_matrix(da: int, db: int, n_terms: int, seed: int) -> np.nd
 
 def random_separable(dims: tuple[int, int], n_terms: int, seed: int) -> DensityMatrix:
     """Convex mixture of ``n_terms`` random pure product states."""
-    da, db = int(dims[0]), int(dims[1])
-    n_terms, seed = integer_argument(n_terms, "n_terms"), integer_argument(seed, "seed")
+    da, db = integer_argument(dims[0], "dim_a", 1), integer_argument(dims[1], "dim_b", 1)
+    n_terms, seed = integer_argument(n_terms, "n_terms", 1), integer_argument(seed, "seed", 0)
     return DensityMatrix(da, db, _random_separable_matrix(da, db, n_terms, seed))
 
 
@@ -378,11 +376,13 @@ def number_argument(value, name: str) -> float:
     return float(value)
 
 
-def integer_argument(value, name: str) -> int:
+def integer_argument(value, name: str, lo: int) -> int:
     """``number_argument`` with an integral value (``2`` or ``2.0``, not
-    ``2.5``), as an int."""
+    ``2.5``) of at least ``lo``, as an int."""
     if not number_argument(value, name).is_integer():
         raise ParameterRangeError(f"{name} must be an integer, got {shown(value)}")
+    if value < lo:
+        raise ParameterRangeError(f"{name} must be >= {lo}, got {int(value)}")
     return int(value)
 
 
@@ -475,11 +475,14 @@ def state_from_spec(spec: dict) -> DensityMatrix:
     """Build a state from a JSON-style spec.
 
     Either ``{"family": name, "params": {...}}`` or
-    ``{"dims": [dim_a, dim_b], "matrix": [[[re, im], ...], ...]}``.  Values
-    follow ``is_number`` (``dims``: integral); a bad one names its field.
+    ``{"dims": [dim_a, dim_b], "matrix": [[[re, im], ...], ...]}``; a spec
+    naming both is ambiguous.  Values follow ``is_number`` (``dims``:
+    integral); a bad one names its field.
     """
     if not isinstance(spec, dict):
         raise SpecParseError("state spec must be a JSON object", field="state")
+    if "family" in spec and "matrix" in spec:
+        raise SpecParseError("ambiguous kinds ['family', 'matrix']", field="state")
     if "family" in spec:
         name = spec["family"]
         fam = FAMILIES.get(name) if isinstance(name, str) else None

@@ -272,6 +272,12 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
          "--max", "1", "--step", "1e-12", "--criteria", "ppt"),  # refused before it is built
         ("evaluate", "--criterion", "lur", "--obs", OVERFLOWING_OPS,
          "--state", '{"family":"noisy_singlet","params":{"p":0.5}}'),  # A_k^2 overflows
+        # a bound above its certified minimum by more than round-off, which
+        # would make the product state |00> read as detected
+        ("evaluate", "--criterion", "lur", "--state", KET_00,
+         "--obs", PAULI_OBS.replace('"boundA":2', '"boundA":2.000000005')),
+        ("evaluate", "--criterion", "c_lur", "--state", KET_00, "--obs", TINY_Z_BOUNDS),
+        ("evaluate", "--criterion", "c_tlur", "--state", KET_00, "--obs", TINY_Z_BOUNDS),
     ]
     fields = {  # a malformed field of a spec is named in the detail
         ("evaluate", "--obs", '{"builder":"loo_pair","params":"x"}', "--state",
@@ -340,6 +346,13 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         ("evaluate", "--criterion", "ppt", "--state",
          '{"dims":[1,2],"matrix":[[[0.5,0],[0,0]],[[0,0],[0.5,1%s]]]}' % ("0" * 400)):
             "matrix[1][1]",
+        # a spec names one kind: a family or a matrix, a builder or matrices
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5},"dims":[2,2],'
+         '"matrix":[[1,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]}'): "state",
+        ("evaluate", "--criterion", "lur", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--obs", PAULI_OBS.replace("{", '{"builder":"su_pair",', 1)): "obs",
         # a spec file that is not UTF-8 names its flag
         ("cv-evaluate", "--criterion", "duan", "--state-file", str(not_utf8)): "--state-file",
         ("evaluate", "--criterion", "lur", "--state",
@@ -390,6 +403,9 @@ PAULI_OBS = (f'{{"opsA":[{",".join(PAULIS)}],"opsB":[{",".join(PAULIS)}],'
 OVERFLOWING_OPS = ('{"opsA": [[[1e200,0],[0,-1e200]]], "opsB": [[[1e200,0],[0,-1e200]]], '
                    '"boundA": 0, "boundB": 0}')
 OVERFLOWING_COV = '{"cov": [[1e308,0,0,0],[0,1e308,0,0],[0,0,1e308,0],[0,0,0,1e308]]}'
+KET_00 = '{"dims":[2,2],"matrix":[[1,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]}'
+TINY_Z_BOUNDS = ('{"opsA":[[[1,0],[0,-1]]],"opsB":[[[1,0],[0,-1]]],'
+                 '"boundA":5e-10,"boundB":5e-10}')  # the exact minimum is 0
 
 
 def _one_diagnostic_line_and_no_warning(capsys, *argv) -> dict:

@@ -12,7 +12,7 @@ from tlurkit import (
     eval_tlur_dual, joint_variance_sum, loo_pair, observables_from_spec, partial_trace,
     pauli_loo_pair, schmidt_loo_pair, singlet, su_pair, variance,
 )
-from tlurkit.criteria import loo_bases_from_set
+from tlurkit.criteria import eval_measure, loo_bases_from_set
 from tlurkit.errors import DimensionMismatchError, InvalidBoundError, ValidationError
 from tlurkit.observables import BoundProvenance, LocalObservableSet
 from tlurkit.scan import DV_CRITERIA
@@ -366,7 +366,7 @@ def test_dimension_mismatch_raises():
 def test_invalid_bound_surfaces_on_real_state():
     # construction holds this qubit side to its exact minimum 0, so a bound of
     # 3e-4 is rejected up front; forced onto a built set, it is still exposed
-    # by an eigenstate during evaluation (the criteria's own excess guard)
+    # by an eigenstate during evaluation (the record's guard in Frame.moments)
     ops = [HermitianOperator(np.diag([1.0, -1.0]))]
     with pytest.raises(InvalidBoundError):
         LocalObservableSet(ops, ops, 3e-4, 3e-4, BoundProvenance("analytic"))
@@ -380,6 +380,37 @@ def test_invalid_bound_surfaces_on_real_state():
         eval_tlur(rho, obs)
     with pytest.raises(InvalidBoundError):
         eval_lemma1(rho, obs)
+    with pytest.raises(InvalidBoundError):
+        eval_lur(rho, obs)
+    with pytest.raises(InvalidBoundError):
+        joint_variance_sum(rho, obs)
+
+
+def test_every_set_criterion_reads_the_one_bound_guard():
+    # the Pauli generators with U_A forced 5e-9 above their minimum 2: |00>
+    # has local sum 2 on side A, so lur (whose margin would read 5e-9, a
+    # detection) and every other set criterion refuse the set, naming the
+    # first such state
+    paulis = [PX, PY, PZ]
+    obs = LocalObservableSet(paulis, paulis, 2.0, 2.0, BoundProvenance("declared"))
+    object.__setattr__(obs, "bound_a", 2.000000005)
+    ket = np.zeros(4)
+    ket[0] = 1.0
+    product, mixed = np.outer(ket, ket), np.eye(4) / 4
+    text = ("side A: local variance sum 2.0 undercuts the declared bound 2.000000005 "
+            "beyond round-off; bound is not valid")
+    evaluators = (eval_lur, eval_tlur, eval_tlur_dual, eval_lemma1, joint_variance_sum,
+                  lambda rho, o: eval_measure(rho, o, "c_lur"))
+    for rho, message, state in (
+            (DensityMatrix(2, 2, product), text, 0),
+            (DensityStack(2, 2, [mixed, mixed, product, product]), f"state 2: {text}", 2)):
+        for evaluate in evaluators:
+            with pytest.raises(InvalidBoundError) as err:
+                evaluate(rho, obs)
+            assert str(err.value) == message and err.value.state == state
+        with pytest.raises(InvalidBoundError) as err:
+            obs.moments(rho)
+        assert str(err.value) == message and err.value.state == state
 
 
 def test_report_serialization_roundtrip():

@@ -102,9 +102,10 @@ HUGE = 10**400  # an int past the float range
     (lambda: thermal(HUGE), f"nbar must be finite, got {HUGE}"),
     (lambda: random_separable_gaussian("3"), "seed must be a number, got '3'"),
     (lambda: random_separable_gaussian(1.5), "seed must be an integer, got 1.5"),
+    (lambda: random_separable_gaussian(-1), "seed must be >= 0, got -1"),
 ], ids=["duan-str", "corollary2-bool", "duan-huge", "tmsv-bool", "tmsv-str", "thermal-bool",
         "thermal-str", "thermal-pair-str", "thermal-huge", "gaussian-seed-str",
-        "gaussian-seed-fractional"])
+        "gaussian-seed-fractional", "gaussian-seed-negative"])
 def test_a_cv_argument_follows_the_one_number_rule(call, message):
     # a bool or a string is no number, and a number must be finite, as in a spec
     with pytest.raises(ParameterRangeError) as err:

@@ -280,6 +280,81 @@ def test_operators_whose_coordinates_overflow_are_refused_by_side():
             uncertainty_bound(big, mode=mode)
 
 
+@pytest.mark.parametrize("c", [1e-6, 1e-3, 0.1778279410038923, 1.0, np.pi, 1e3, 1e4])
+@pytest.mark.parametrize("kind", ["su", "loo"])
+def test_a_declared_bound_may_exceed_its_minimum_by_round_off_only(kind, c):
+    # the exact bound, computed in floats, is accepted at any scale, also
+    # where the Gram's mean diagonal has more than 10 decimals; 64 eps above
+    # it is refused
+    declared = BoundProvenance("declared")
+    for d in (2, 3, 4):
+        side = c * (np.array([g.matrix for g in su_generators(d)]) if kind == "su"
+                    else loo_basis(d))
+        exact = c * c * (2.0 if kind == "su" else 1.0) * (d - 1)
+        assert LocalObservableSet(side, side, exact, exact, declared).bound_b == exact
+        for above in (exact * (1 + 64 * np.finfo(float).eps), exact * (1 + 1e-12)):
+            with pytest.raises(InvalidBoundError):
+                LocalObservableSet(side, side, exact, above, declared)
+
+
+def test_the_qubit_closed_form_keeps_its_digits_at_any_scale():
+    # diag(1e150, -1e150) has zero variance on its eigenstates: the Bloch
+    # minimum must read 0, not the round-off of terms of order 1e300
+    big = np.diag([1e150, -1e150])
+    assert uncertainty_bound([big], mode="analytic")[0] == 0.0
+    with pytest.raises(InvalidBoundError):
+        LocalObservableSet([big], [big], 1e284, 1e284, BoundProvenance("declared"))
+    assert uncertainty_bound([PX, PY, 2 * PZ], mode="analytic")[0] == 2.0
+    # a side is held to c (d - 1) only where its Gram block is c 1 to 1e-10
+    # relative: s Z has minimum 0 at every scale s
+    for s in (1e-6, 1.0, 1e6):
+        assert uncertainty_bound([s * PZ], mode="analytic")[0] == 0.0
+
+
+def test_a_variance_sum_of_minimum_zero_takes_the_bound_zero():
+    # the minimizer's value on a single random qutrit operator rounds below 0
+    # about nine times in ten; 0 bounds every variance sum
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = (g + g.conj().T) / 2
+        LocalObservableSet([h], [h], 0.0, 0.0, BoundProvenance("declared"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: uncertainty_bound([PZ, PX], restarts=2.5), "restarts must be an integer, got 2.5"),
+    (lambda: uncertainty_bound([PZ, PX], restarts=True), "restarts must be a number, got True"),
+    (lambda: uncertainty_bound([PZ, PX], restarts=0), "restarts must be >= 1, got 0"),
+    (lambda: uncertainty_bound([PZ, PX], seed="3"), "seed must be a number, got '3'"),
+    (lambda: uncertainty_bound([PZ, PX], seed=2.7), "seed must be an integer, got 2.7"),
+    (lambda: uncertainty_bound([PZ, PX], seed=-1), "seed must be >= 0, got -1"),
+    (lambda: loo_pair(2.5), "dim_a must be an integer, got 2.5"),
+    (lambda: loo_pair(True), "dim_a must be a number, got True"),
+    (lambda: loo_pair("3"), "dim_a must be a number, got '3'"),
+    (lambda: loo_pair(2, 0), "dim_b must be >= 1, got 0"),
+    (lambda: su_pair(2, "3"), "dim_b must be a number, got '3'"),
+    (lambda: su_pair(1), "dimension must be >= 2, got 1"),
+    (lambda: loo_basis(True), "d must be a number, got True"),
+    (lambda: su_generators(1), "dimension must be >= 2, got 1"),
+], ids=["restarts-fractional", "restarts-bool", "restarts-zero", "seed-str",
+        "seed-fractional", "seed-negative", "loo_pair-fractional", "loo_pair-bool",
+        "loo_pair-str", "loo_pair-zero", "su_pair-str", "su_pair-one", "loo_basis-bool",
+        "su_generators-one"])
+def test_a_library_argument_follows_the_one_number_rule(call, message):
+    with pytest.raises(ParameterRangeError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_an_integral_float_argument_reads_as_its_int():
+    # ahead of the builders' caches, so both read one cached set
+    assert loo_pair(3.0) is loo_pair(3) and su_pair(2.0, 3.0) is su_pair(2, 3)
+    assert [g.matrix.tolist() for g in su_generators(2.0)] == [
+        g.matrix.tolist() for g in su_generators(2)]
+    assert uncertainty_bound([PZ, PX], seed=2.0, restarts=3.0) == uncertainty_bound(
+        [PZ, PX], seed=2, restarts=3)
+
+
 def test_declared_qutrit_bound_above_an_eigenstate_is_rejected():
     # diag(1, 0, -1) has zero variance on its eigenstates, so any positive
     # declared bound is invalid; the minimizer's starts reach an eigenstate

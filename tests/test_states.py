@@ -74,6 +74,10 @@ def test_white_noise_endpoints():
      "p must lie in [0.0, 1.0] for family 'noisy_singlet', got nan"),
     (lambda: white_noise_mix(singlet(), "0.5"), "p must be a number, got '0.5'"),
     (lambda: white_noise_mix(singlet(), 1.5), "p must lie in [0.0, 1.0], got 1.5"),
+    (lambda: random_separable(("2", 2), 1, 1), "dim_a must be a number, got '2'"),
+    (lambda: random_separable((2.7, 2), 1, 1), "dim_a must be an integer, got 2.7"),
+    (lambda: random_separable((True, 2), 1, 1), "dim_a must be a number, got True"),
+    (lambda: random_separable((2, 0), 1, 1), "dim_b must be >= 1, got 0"),
 ])
 def test_named_builders_follow_the_number_rule_and_the_family_ranges(build, message):
     with pytest.raises(ParameterRangeError) as err:
@@ -141,7 +145,10 @@ def test_random_separable_determinism():
     ("2", 1, "n_terms must be a number, got '2'"),
     (2.5, 1, "n_terms must be an integer, got 2.5"),
     (2, 10**400, f"seed must be finite, got {10**400}"),
-], ids=["str-seed", "bool-seed", "str-n_terms", "fractional-n_terms", "huge-seed"])
+    (2, -1, "seed must be >= 0, got -1"),
+    (0, 1, "n_terms must be >= 1, got 0"),
+], ids=["str-seed", "bool-seed", "str-n_terms", "fractional-n_terms", "huge-seed",
+        "negative-seed", "zero-n_terms"])
 def test_random_separable_arguments_follow_the_one_number_rule(n_terms, seed, message):
     with pytest.raises(ParameterRangeError) as err:
         random_separable((2, 2), n_terms, seed)
