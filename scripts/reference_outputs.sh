@@ -14,7 +14,12 @@
 # corollary1 with loo_pair on horodecki_noise at a = 0.5, p = 0.999; and
 # `cv-evaluate` of duan and corollary2 at a = 1 and a = -0.7.  The set
 # criteria among these read the one bound guard of their set's record
-# (Frame.moments).  It also writes, in JSON and CSV, a random_separable
+# (Frame.moments).  Specs that carry every optional key of their kind, which
+# the one kind rule (states.spec_kind) accepts, are pinned too: `evaluate`
+# of ppt on a {"dims", "matrix"} state, of lur with an su_pair builder of
+# params {"dim_a": 3, "pairing": "direct"} on horodecki_noise at a = 0.5,
+# p = 0.999, and `cv-evaluate` of duan on a vacuum with a "mean", a thermal
+# pair and a "cov" with a "mean".  It also writes, in JSON and CSV, a random_separable
 # sweep whose dim_a axis spans three bipartitions, and, for six inputs the
 # CLI refuses (a value out of range on an axis, a missing and an unknown
 # parameter, a non-integral dim_a on an axis, a bool in a state spec, an
@@ -47,6 +52,12 @@ singlet_state='{"family": "noisy_singlet", "params": {"p": 0.5}}'
 singlet09_state='{"family": "noisy_singlet", "params": {"p": 0.9}}'
 paulis='[[[0,1],[1,0]], [[0,[0,-1]],[[0,1],0]], [[1,0],[0,-1]]]'
 pauli_obs="{\"opsA\": $paulis, \"opsB\": $paulis, \"boundA\": 2, \"boundB\": 2}"
+rho='[[0, 0, 0, 0], [0, 0.5, [0, -0.5], 0], [0, [0, 0.5], 0.5, 0], [0, 0, 0, 0]]'
+matrix_state="{\"dims\": [2, 2], \"matrix\": $rho}"
+su_direct_obs='{"builder": "su_pair", "params": {"dim_a": 3, "pairing": "direct"}}'
+cov='[[1, 0.2, 0, 0], [0.2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]'
+cv_specs=('vacuum-mean {"vacuum": {}, "mean": [1, 2, 3, 4]}' 'thermal {"thermal": [0.5, 1.0]}'
+  "cov-mean {\"cov\": $cov, \"mean\": [0.5, 0, 0, -0.5]}")
 for format in json csv; do
   cli=(env PYTHONPATH=src python -m tlurkit.cli --format "$format")
   "${cli[@]}" --out "$out/evaluate-tlur.$format" \
@@ -62,6 +73,15 @@ for format in json csv; do
   for criterion in nonlinear_witness corollary1; do
     "${cli[@]}" --out "$out/evaluate-$criterion-loo_pair.$format" \
       evaluate --criterion "$criterion" --state "$tlur_state" --obs loo_pair
+  done
+  "${cli[@]}" --out "$out/evaluate-ppt-matrix.$format" \
+    evaluate --criterion ppt --state "$matrix_state"
+  "${cli[@]}" --out "$out/evaluate-lur-su_pair-direct.$format" \
+    evaluate --criterion lur --state "$tlur_state" --obs "$su_direct_obs"
+  for run in "${cv_specs[@]}"; do
+    read -r name spec <<< "$run"
+    "${cli[@]}" --out "$out/cv-evaluate-duan-$name.$format" \
+      cv-evaluate --criterion duan --state "$spec"
   done
   "${cli[@]}" --out "$out/sweep-random_separable-dim_a.$format" \
     sweep --family random_separable --axis dim_a:2:4:1 --fix dim_b=3 --fix seed=4 \

@@ -59,7 +59,7 @@ _INVALID_INPUT = (
 
 def _read_spec(inline: str | None, path: str | None, what: str):
     """Parse a spec given inline or as a UTF-8 file, BOM or not; bare names pass through."""
-    if inline and path:
+    if inline is not None and path is not None:
         raise UsageError(f"give --{what} or --{what}-file, not both")
     if path:
         try:
@@ -84,6 +84,8 @@ def _parse_fixes(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise UsageError(f"--fix expects name=value, got {pair!r}")
         key, value = pair.split("=", 1)
+        if key in fixed:
+            raise UsageError(f"--fix {key} is given twice")
         try:
             fixed[key] = float(value)
         except ValueError:

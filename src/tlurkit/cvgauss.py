@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterRangeError, SpecParseError, UnphysicalStateError, ValidationError
+from .errors import ParameterRangeError, UnphysicalStateError, ValidationError
 from .linops import non_hermitian
 from .report import CriterionReport
-from .states import integer_argument, number_argument, spec_array, spec_number
+from .states import integer_argument, number_argument, spec_array, spec_kind, spec_number
 
 __all__ = [
     "GaussianState", "vacuum", "tmsv", "thermal", "displaced",
@@ -230,27 +230,21 @@ def gaussian_from_spec(spec: dict) -> GaussianState:
 
     Builders: ``{"vacuum": {}}``, ``{"tmsv": r}``, ``{"thermal": nbar_or_pair}``;
     or raw moments ``{"mean": [...4], "cov": [[...]x4]}``.  Any builder spec
-    may carry an optional ``"mean"`` displacement; a spec naming two of the
-    builders and ``cov`` is ambiguous.  Values follow ``states.is_number``; a
-    bad one names its field.
+    may carry an optional ``"mean"`` displacement; by ``states.spec_kind``,
+    no other key and not two of the builders and ``cov``.  Values follow
+    ``states.is_number``; a bad one names its field.
     """
-    if not isinstance(spec, dict):
-        raise SpecParseError("cv state spec must be a JSON object", field="state")
-    builders = [k for k in ("vacuum", "tmsv", "thermal", "cov") if k in spec]
-    if len(builders) > 1:
-        raise SpecParseError(f"ambiguous builders {builders}", field="state")
-    if "tmsv" in spec:
+    kind = spec_kind(spec, dict.fromkeys(("vacuum", "tmsv", "thermal", "cov"), {"mean"}), "state")
+    if kind == "tmsv":
         state = tmsv(spec_number(spec["tmsv"], "tmsv"))
-    elif "thermal" in spec:
+    elif kind == "thermal":
         nbar = spec["thermal"]
         state = thermal(spec_array(nbar, (2,), "thermal") if isinstance(nbar, (list, tuple))
                         else spec_number(nbar, "thermal"))
-    elif "vacuum" in spec:
+    elif kind == "vacuum":
         state = vacuum()
-    elif "cov" in spec:
-        state = GaussianState(np.zeros(4), spec_array(spec["cov"], (4, 4), "cov"))
     else:
-        raise SpecParseError("cv state spec needs a builder or 'cov'", field="state")
+        state = GaussianState(np.zeros(4), spec_array(spec["cov"], (4, 4), "cov"))
     if "mean" in spec:
         state = displaced(state, spec_array(spec["mean"], (4,), "mean"))
     return state

@@ -211,47 +211,34 @@ class DensityStack(_Bipartite):
                            _validated_states(self.states, self.dim_a, self.dim_b, 3))
 
 
-def _dims_of(rho, dims) -> tuple[np.ndarray, int, int]:
-    """The matrix (or (N, d, d) stack) of ``rho`` and its local dimensions."""
-    if isinstance(rho, (DensityMatrix, DensityStack)):
-        return rho.states, rho.dim_a, rho.dim_b
-    if dims is None:
-        raise DimensionMismatchError("dims=(dim_a, dim_b) required for a bare array")
-    m = as_array(rho)
-    da, db = dims
-    if m.shape[-2:] != (da * db, da * db) or m.ndim not in (2, 3):
-        raise DimensionMismatchError(f"shape {m.shape} does not match dims {dims}")
-    return m, da, db
-
-
 def _check_side(side: str) -> str:
     if side not in ("A", "B"):
         raise ParameterRangeError(f"subsystem must be 'A' or 'B', got {side!r}")
     return side
 
 
-def partial_trace(rho, traced: str = "B", dims=None) -> np.ndarray:
-    """Trace out one subsystem; returns the reduced matrix of the other (one
-    per state for a stack)."""
-    m, da, db = _dims_of(rho, dims)
+def partial_trace(rho, traced: str = "B") -> np.ndarray:
+    """Trace out one subsystem of a state or a stack; returns the reduced
+    matrix of the other (one per state for a stack)."""
+    m, da, db = rho.states, rho.dim_a, rho.dim_b
     t = m.reshape(m.shape[:-2] + (da, db, da, db))
     if _check_side(traced) == "B":
         return np.einsum("...ikjk->...ij", t)
     return np.einsum("...kikj->...ij", t)
 
 
-def partial_transpose(rho, transposed: str = "B", dims=None) -> np.ndarray:
-    """Transpose the indices of one subsystem only (of each state of a stack)."""
-    m, da, db = _dims_of(rho, dims)
+def partial_transpose(rho, transposed: str = "B") -> np.ndarray:
+    """Transpose the indices of one subsystem of a state (of each state of a stack)."""
+    m, da, db = rho.states, rho.dim_a, rho.dim_b
     t = m.reshape(m.shape[:-2] + (da, db, da, db))
     swapped = t.swapaxes(-3, -1) if _check_side(transposed) == "B" else t.swapaxes(-4, -2)
     return swapped.reshape(m.shape)
 
 
-def realign(rho, dims=None) -> np.ndarray:
+def realign(rho) -> np.ndarray:
     """Realignment R(rho)[(i,j),(k,l)] = rho[(i,k),(j,l)], shape (dim_a^2, dim_b^2)
     (with a leading N axis for a stack)."""
-    m, da, db = _dims_of(rho, dims)
+    m, da, db = rho.states, rho.dim_a, rho.dim_b
     t = m.reshape(m.shape[:-2] + (da, db, da, db))
     return t.swapaxes(-3, -2).reshape(m.shape[:-2] + (da * da, db * db))
 

@@ -62,7 +62,7 @@ from .linops import (
 from .report import DETECTION_TOL
 from .states import (
     integer_argument, is_finite, is_number, parse_complex_matrix, random_pure_state,
-    spec_integer, spec_number,
+    spec_integer, spec_kind, spec_number, spec_params,
 )
 
 __all__ = [
@@ -390,7 +390,7 @@ def loo_coefficients(rho) -> np.ndarray:
     # state of a stack gets the bits it gets alone.  The complex form
     # W_A^H @ R @ W_B^* does too, but takes up to twice as long on 2x2 stacks
     # of 3 to 63 states (17-45 us against 9-21 us, one BLAS thread)
-    right = (realign(rho.states, (da, db)).view(np.float64) @ _times_conj_vec(db)).view(complex)
+    right = (realign(rho).view(np.float64) @ _times_conj_vec(db)).view(complex)
     coeff_t = (np.ascontiguousarray(right.swapaxes(-1, -2)).view(np.float64)
                @ _times_conj_vec(da)).view(complex)
     imag = np.abs(coeff_t.imag)
@@ -611,8 +611,8 @@ def observables_from_spec(spec, dims: tuple[int, int] | None = None
 
     Accepts a bare builder name, ``{"builder": name, "params": {...}}``, or
     explicit matrices ``{"opsA": [...], "opsB": [...], "boundA": x,
-    "boundB": y}`` whose declared bounds are checked on construction; a spec
-    naming a builder and matrices is ambiguous.  The
+    "boundB": y}`` whose declared bounds are checked on construction; by
+    ``states.spec_kind``, no other key and not a builder and matrices.  The
     bipartition ``dims`` supplies each dimension a dimension-generic builder's
     spec leaves out (without it, ``dim_b`` defaults to ``dim_a``), and the
     Schmidt builder needs it: the spec resolves to the ``SchmidtFrame`` of
@@ -622,17 +622,10 @@ def observables_from_spec(spec, dims: tuple[int, int] | None = None
     """
     if isinstance(spec, str):
         spec = {"builder": spec}
-    if not isinstance(spec, dict):
-        raise SpecParseError("observable spec must be a name or JSON object", field="obs")
-    kinds = [k for k in ("builder", "opsA", "opsB") if k in spec]
-    if "builder" in kinds and len(kinds) > 1:
-        raise SpecParseError(f"ambiguous kinds {kinds}", field="obs")
-    if "builder" in spec:
+    if spec_kind(spec, {"builder": {"params"}, "opsA": {"opsB", "boundA", "boundB"}},
+                 "obs") == "builder":
         name = spec["builder"]
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise SpecParseError("params must be an object", field="params")
-        params = dict(params)
+        params = spec_params(spec)
         if name in ("pauli_loo_pair", "schmidt_loo_pair") and params:
             raise SpecParseError(f"{name} takes no parameters", field="params")
         if name == "pauli_loo_pair":
@@ -655,13 +648,11 @@ def observables_from_spec(spec, dims: tuple[int, int] | None = None
             except TypeError as exc:
                 raise SpecParseError(str(exc), field="params") from exc
         raise SpecParseError(f"unknown builder {name!r}", field="builder")
-    if "opsA" in spec or "opsB" in spec:
-        for key in ("opsA", "opsB", "boundA", "boundB"):
-            if key not in spec:
-                raise SpecParseError(f"missing key {key!r}", field=key)
-        ops_a = _parse_op_list(spec["opsA"], "opsA")
-        ops_b = _parse_op_list(spec["opsB"], "opsB")
-        return LocalObservableSet(ops_a, ops_b, spec_number(spec["boundA"], "boundA"),
-                                  spec_number(spec["boundB"], "boundB"),
-                                  BoundProvenance("declared"))
-    raise SpecParseError("observable spec needs 'builder' or explicit opsA/opsB", field="obs")
+    for key in ("opsB", "boundA", "boundB"):
+        if key not in spec:
+            raise SpecParseError(f"missing key {key!r}", field=key)
+    ops_a = _parse_op_list(spec["opsA"], "opsA")
+    ops_b = _parse_op_list(spec["opsB"], "opsB")
+    return LocalObservableSet(ops_a, ops_b, spec_number(spec["boundA"], "boundA"),
+                              spec_number(spec["boundB"], "boundB"),
+                              BoundProvenance("declared"))

@@ -121,6 +121,8 @@ class Plan:
             if name not in DV_CRITERIA:
                 raise ParameterRangeError(
                     f"unknown criterion '{name}'; known: {sorted(DV_CRITERIA)}")
+            if DV_CRITERIA[name] in self.entries:
+                raise ParameterRangeError(f"criterion '{name}' is named twice")
             self.entries.append(DV_CRITERIA[name])
         self.needs_obs = any(e.needs_obs for e in self.entries)
         self.obs_spec = obs_spec

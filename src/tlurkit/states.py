@@ -1,4 +1,4 @@
-"""State families and random-state constructors.
+"""State families, random-state constructors, and the rules every spec reader shares.
 
 Basis labelling: spin labels (-1, 0, +1) of a qutrit map to computational
 basis indices (0, 1, 2).
@@ -471,32 +471,46 @@ def parse_complex_matrix(rows, where: str = "matrix") -> np.ndarray:
     return _walk_complex_matrix(rows, where) if matrix is None else matrix
 
 
+def spec_kind(spec, kinds: dict[str, set[str]], what: str) -> str:
+    """The one kind a spec names; ``kinds`` maps each kind's key to the other
+    keys it reads.  A spec that is not an object, names no kind or two, or
+    carries another key raises ``SpecParseError`` naming ``what``."""
+    if not isinstance(spec, dict):
+        raise SpecParseError(f"must be a JSON object, got {type(spec).__name__}", field=what)
+    named = [kind for kind in kinds if kind in spec]
+    if len(named) != 1:
+        raise SpecParseError(f"ambiguous kinds {named}" if named
+                             else f"names none of the kinds {list(kinds)}", field=what)
+    if stray := [key for key in spec if key != named[0] and key not in kinds[named[0]]]:
+        raise SpecParseError(f"keys {stray} are not read by a {named[0]!r} spec", field=what)
+    return named[0]
+
+
+def spec_params(spec: dict) -> dict:
+    """A copy of a spec's ``params`` object, ``{}`` when it has none."""
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecParseError("params must be an object", field="params")
+    return dict(params)
+
+
 def state_from_spec(spec: dict) -> DensityMatrix:
     """Build a state from a JSON-style spec.
 
     Either ``{"family": name, "params": {...}}`` or
-    ``{"dims": [dim_a, dim_b], "matrix": [[[re, im], ...], ...]}``; a spec
-    naming both is ambiguous.  Values follow ``is_number`` (``dims``:
-    integral); a bad one names its field.
+    ``{"dims": [dim_a, dim_b], "matrix": [[[re, im], ...], ...]}``; by
+    ``spec_kind``, no other key and not both.  Values follow ``is_number``
+    (``dims``: integral); a bad one names its field.
     """
-    if not isinstance(spec, dict):
-        raise SpecParseError("state spec must be a JSON object", field="state")
-    if "family" in spec and "matrix" in spec:
-        raise SpecParseError("ambiguous kinds ['family', 'matrix']", field="state")
-    if "family" in spec:
+    if spec_kind(spec, {"family": {"params"}, "matrix": {"dims"}}, "state") == "family":
         name = spec["family"]
         fam = FAMILIES.get(name) if isinstance(name, str) else None
         if fam is None:
             raise SpecParseError(f"unknown family {name!r}", field="family")
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise SpecParseError("params must be an object", field="params")
         try:
-            return fam.instantiate(**params)
+            return fam.instantiate(**spec_params(spec))
         except TypeError as exc:
             raise SpecParseError(str(exc), field="params") from exc
-    if "matrix" in spec:
-        dim_a, dim_b = (spec_integer(d, "dims", 1, float("inf"))
-                        for d in spec_array(spec.get("dims"), (2,), "dims"))
-        return DensityMatrix(dim_a, dim_b, parse_complex_matrix(spec["matrix"], where="matrix"))
-    raise SpecParseError("state spec needs either 'family' or 'matrix'", field="state")
+    dim_a, dim_b = (spec_integer(d, "dims", 1, float("inf"))
+                    for d in spec_array(spec.get("dims"), (2,), "dims"))
+    return DensityMatrix(dim_a, dim_b, parse_complex_matrix(spec["matrix"], where="matrix"))

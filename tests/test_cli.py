@@ -222,6 +222,8 @@ def test_sweep_cli_deterministic_across_runs(tmp_path, capsys):
 def test_invalid_inputs_exit_2(capsys, tmp_path):
     not_utf8 = tmp_path / "not-utf8.json"
     not_utf8.write_bytes(b'{"tmsv": 1\xff}')
+    state_file = tmp_path / "state.json"
+    state_file.write_text('{"family":"noisy_singlet","params":{"p":0.5}}')
     cases = [
         ("evaluate", "--criterion", "tlur"),  # missing state
         ("evaluate", "--state", "{not json", "--criterion", "tlur"),
@@ -278,6 +280,12 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
          "--obs", PAULI_OBS.replace('"boundA":2', '"boundA":2.000000005')),
         ("evaluate", "--criterion", "c_lur", "--state", KET_00, "--obs", TINY_Z_BOUNDS),
         ("evaluate", "--criterion", "c_tlur", "--state", KET_00, "--obs", TINY_Z_BOUNDS),
+        # a criterion, a fixed parameter or a spec given twice is refused, not dropped
+        ("--format", "csv", "scan", "--family", "noisy_singlet", "--param", "p",
+         "--min", "0", "--max", "1", "--step", "0.5", "--criteria", "ppt,ppt"),
+        ("scan", "--family", "horodecki_noise", "--param", "p", "--min", "0",
+         "--max", "1", "--step", "0.5", "--criteria", "ppt", "--fix", "a=0.1", "--fix", "a=0.9"),
+        ("evaluate", "--criterion", "ppt", "--state", "", "--state-file", str(state_file)),
     ]
     fields = {  # a malformed field of a spec is named in the detail
         ("evaluate", "--obs", '{"builder":"loo_pair","params":"x"}', "--state",
@@ -353,6 +361,14 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         ("evaluate", "--criterion", "lur", "--state",
          '{"family":"noisy_singlet","params":{"p":0.5}}',
          "--obs", PAULI_OBS.replace("{", '{"builder":"su_pair",', 1)): "obs",
+        # a spec carries only the keys its kind reads
+        ("evaluate", "--criterion", "lur", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--obs", '{"builder":"su_pair","boundA":5}'): "obs",
+        ("evaluate", "--criterion", "ppt", "--state",
+         '{"family":"noisy_singlet","params":{"p":0.5},"dims":[3,3]}'): "state",
+        ("cv-evaluate", "--criterion", "duan", "--a", "1",
+         "--state", '{"tmsv":0.5,"a":3}'): "state",
         # a spec file that is not UTF-8 names its flag
         ("cv-evaluate", "--criterion", "duan", "--state-file", str(not_utf8)): "--state-file",
         ("evaluate", "--criterion", "lur", "--state",
@@ -490,7 +506,7 @@ def test_a_gaussian_spec_with_a_builder_and_cov_is_ambiguous(capsys):
     code, out, err = run(capsys, "cv-evaluate", "--criterion", "duan",
                          "--state", json.dumps({"tmsv": 1, "cov": cov}))
     assert code == 2 and out == ""
-    assert json.loads(err)["detail"] == "state: ambiguous builders ['tmsv', 'cov']"
+    assert json.loads(err)["detail"] == "state: ambiguous kinds ['tmsv', 'cov']"
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tlurkit import (
-    DensityMatrix, min_eigenvalue, partial_transpose, purity, singlet,
-    state_from_spec,
+    DensityMatrix, gaussian_from_spec, min_eigenvalue, observables_from_spec,
+    partial_transpose, purity, singlet, state_from_spec,
 )
 from tlurkit.errors import ParameterRangeError, SpecParseError
 from tlurkit.states import (
@@ -188,6 +188,31 @@ def test_state_from_spec_errors_name_the_field(spec, field):
         state_from_spec(spec)
     if field is not None and isinstance(err.value, SpecParseError):
         assert err.value.field == field
+
+
+_PAULIS = [[[0, 1], [1, 0]], [[0, [0, -1]], [[0, 1], 0]], [[1, 0], [0, -1]]]
+_MEAN = [1, 2, 3, 4]
+
+
+# each reader and each of its kinds, with every optional key that kind reads
+@pytest.mark.parametrize("reader,field,spec", [
+    (state_from_spec, "state", {"family": "noisy_singlet", "params": {"p": 0.5}}),
+    (state_from_spec, "state", {"dims": [2, 2], "matrix": (np.eye(4) / 4).tolist()}),
+    (observables_from_spec, "obs",
+     {"builder": "su_pair", "params": {"dim_a": 3, "dim_b": 2}}),
+    (observables_from_spec, "obs",
+     {"opsA": _PAULIS, "opsB": _PAULIS, "boundA": 2, "boundB": 2}),
+    (gaussian_from_spec, "state", {"vacuum": {}, "mean": _MEAN}),
+    (gaussian_from_spec, "state", {"tmsv": 0.5, "mean": _MEAN}),
+    (gaussian_from_spec, "state", {"thermal": [0.5, 1.0], "mean": _MEAN}),
+    (gaussian_from_spec, "state", {"cov": (0.5 * np.eye(4)).tolist(), "mean": _MEAN}),
+])
+def test_a_spec_carries_only_the_keys_its_kind_reads(reader, field, spec):
+    reader(spec)
+    with pytest.raises(SpecParseError) as err:
+        reader(dict(spec, stray=1))
+    assert err.value.field == field
+    assert "['stray']" in str(err.value)
 
 
 # spec numbers of every kind the number rule admits: floats with -0.0, NaN and
