@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Writes the reference outputs that CI keeps and diffs against a change's
 # base commit: the Fig. 1 region data and its p* table
-# (scripts/fig1_regions.py), the three Example 2 bisections as JSON, floats
-# in full repr, three more bisections whose walk stops at a coarse tol or
+# (scripts/fig1_regions.py), the three Example 2 bisections in JSON and
+# CSV, floats in full repr, three more bisections whose walk stops at a coarse tol or
 # on a subinterval (corollary1 at tol 0.3 and ppt at tol 0.7 on [0, 1],
 # nonlinear_witness at tol 1e-9 on [0.03, 0.97]), four whose walk runs
 # through many later stacks (on [0, 1]: corollary1 at tol 1e-300, ppt and
@@ -20,7 +20,10 @@
 # params {"dim_a": 3, "pairing": "direct"} on horodecki_noise at a = 0.5,
 # p = 0.999, and `cv-evaluate` of duan on a vacuum with a "mean", a thermal
 # pair and a "cov" with a "mean".  It also writes, in JSON and CSV, a random_separable
-# sweep whose dim_a axis spans three bipartitions, and, for six inputs the
+# sweep whose dim_a axis spans three bipartitions, the `scan` of corollary1
+# and ppt on noisy_singlet over p = 0:1:0.05 (the margins of 21 states of
+# one 2x2 family stack, read through the family's real states, its
+# validation and the Pauli LOO pair's record), and, for six inputs the
 # CLI refuses (a value out of range on an axis, a missing and an unknown
 # parameter, a non-integral dim_a on an axis, a bool in a state spec, an
 # out-of-range bisection end), the diagnostic and the exit code, each in
@@ -34,8 +37,11 @@ out="${1:?usage: scripts/reference_outputs.sh OUT_DIR}"
 mkdir -p "$out"
 PYTHONPATH=src python scripts/fig1_regions.py --out-dir "$out" > "$out/fig1_thresholds.txt"
 for criterion in nonlinear_witness corollary1 ppt; do
-  PYTHONPATH=src python -m tlurkit.cli --out "$out/example2-$criterion.json" \
-    bisect --family noisy_singlet --param p --lo 0 --hi 1 --criterion "$criterion"
+  for format in json csv; do
+    PYTHONPATH=src python -m tlurkit.cli --format "$format" \
+      --out "$out/example2-$criterion.$format" \
+      bisect --family noisy_singlet --param p --lo 0 --hi 1 --criterion "$criterion"
+  done
 done
 for run in "corollary1 0 1 0.3" "ppt 0 1 0.7" "nonlinear_witness 0.03 0.97 1e-9" \
     "corollary1 0 1 1e-300" "ppt 0 1 1e-12" "nonlinear_witness 0 1 1e-12"; do
@@ -83,6 +89,9 @@ for format in json csv; do
     "${cli[@]}" --out "$out/cv-evaluate-duan-$name.$format" \
       cv-evaluate --criterion duan --state "$spec"
   done
+  "${cli[@]}" --out "$out/scan-noisy_singlet-corollary1-ppt.$format" \
+    scan --family noisy_singlet --param p --min 0 --max 1 --step 0.05 \
+    --criteria corollary1,ppt
   "${cli[@]}" --out "$out/sweep-random_separable-dim_a.$format" \
     sweep --family random_separable --axis dim_a:2:4:1 --fix dim_b=3 --fix seed=4 \
     --criteria ppt,ccnr,lur --obs schmidt_loo_pair

@@ -45,7 +45,27 @@ class UsageError(Exception):
     pass
 
 
+class _Once(argparse.Action):
+    """argparse's ``store``, refusing its flag's second occurrence in one
+    parse.  Flags are tracked on the namespace being parsed: a subcommand
+    parses into a fresh one, which argparse then copies onto the top level."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given_flags", set())
+        if self.dest in given:
+            raise UsageError(f"{self.option_strings[0]} is given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
+    """Single-valued flags, top-level and in subcommands, take ``_Once``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)
+        self.register("action", "store", _Once)
+
     def error(self, message):  # argparse would sys.exit(2) with plain text
         raise UsageError(message)
 

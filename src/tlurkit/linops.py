@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
 HERMITICITY_RTOL = 1e-10
 EIGENVALUE_CLIP = 1e-10
 TRACE_ATOL = 1e-10
+_EPS = np.finfo(float).eps
 
 
 def as_array(obj) -> np.ndarray:
@@ -58,7 +60,12 @@ class HermitianOperator:
 
 
 def hermiticity_residual(s: np.ndarray) -> np.ndarray:
-    """|s - s^dagger| entry by entry, of a matrix or a stack, as a new array."""
+    """|s - s^dagger| entry by entry, of a matrix or a stack, as a new array.
+    A float64 ``s`` is read in its own real arithmetic, |s - s^T|, with no
+    complex or conjugate copy: the same values as its complex copy's."""
+    if s.dtype == np.float64:
+        diff = s - s.swapaxes(-1, -2)
+        return np.abs(diff, out=diff)
     diff = np.conjugate(s)  # a new array also for a real s, whose s.conj() is s itself
     np.subtract(diff, s.swapaxes(-1, -2), out=diff)  # conj(s - s^dagger)
     return np.abs(diff)
@@ -68,7 +75,8 @@ def non_hermitian(s: np.ndarray) -> np.ndarray:
     """Whether each matrix of a stack (a 0-d array for one matrix) fails
     ``HermitianOperator``'s tolerance: max |s - s^dagger| above 1e-10 times
     max(its max-norm, 1).  That scale is at least 1, so a stack with no
-    residual entry above 1e-10 passes without the per-matrix norms."""
+    residual entry above 1e-10 passes without the per-matrix norms.  The
+    residual is ``hermiticity_residual``'s, real for a float64 ``s``."""
     resid = hermiticity_residual(s)
     if not (resid > HERMITICITY_RTOL).any():
         return np.zeros(s.shape[:-2], dtype=bool)
@@ -100,29 +108,42 @@ def hermitian_stack(ops) -> np.ndarray:
     return s
 
 
+@lru_cache(maxsize=None)
+def _cholesky_shift(d: int) -> np.ndarray:
+    """s * 1 of ``_validated_states``'s positivity pass, s = 1e-10 - 16 (d + 1) eps,
+    built once per dimension, read-only."""
+    shift = (EIGENVALUE_CLIP - 16 * (d + 1) * _EPS) * np.eye(d)
+    shift.setflags(write=False)
+    return shift
+
+
 def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
     """``m`` checked as density matrices in one pass, each with the same
     tolerances: one (d, d) matrix for ``ndim`` 2, a stack (N, d, d) for 3.
     Returns a read-only complex copy.
 
     A float64 input (the real families build real states) is checked in its
-    own real arithmetic: the residuals and norms equal those of its complex
-    copy, the trace is summed as in that copy (so a failed check prints it as
-    before, a complex number), and the positivity check runs on the real
-    symmetric matrices.  It is copied to complex once it has passed.  Any
-    other input is copied to complex first and checked there, so a complex
-    one is copied once.
+    own real arithmetic and copied to complex once it has passed; every check
+    decides, and fails, as on its complex copy.  Its Hermiticity residual,
+    |m - m^T|, and its norms are the same values.  Its trace is a real sum,
+    which may differ in its last bits from the complex copy's (another
+    order): it decides only where the positivity pass succeeds (so no
+    diagonal entry lies below -1e-10) and every trace lies within 5e-11 of
+    1, where the two differ by a few d eps.  Otherwise, and in a failure's
+    message, the trace is the complex copy's sum, printed as a complex
+    number.  Any other input is copied to complex first and checked there.
 
     Positivity is one batched Cholesky factorisation of m + s * 1, with the
-    shift s a margin of 16 (d + 1) eps short of the clip 1e-10.  Cholesky is
-    backward stable: it can succeed on a matrix whose smallest eigenvalue
-    lies below 0 by up to about (d + 1) eps times its trace, and ``eigvalsh``
-    reads an eigenvalue to a few d eps.  The margin exceeds both, so a
-    success means every state's smallest eigenvalue lies above -1e-10 as
-    ``eigvalsh`` reads it (for the states that pass the trace check, whose
-    error comes first).  Only when it fails does ``min_eigenvalues`` run, so
-    the rule (smallest eigenvalue below -1e-10) decides each failing state,
-    and names it, as ``eigvalsh`` reads it.
+    shift s a margin of 16 (d + 1) eps short of the clip 1e-10; s * 1 is
+    built once per dimension (``_cholesky_shift``).  Cholesky is backward
+    stable: it can succeed on a matrix whose smallest eigenvalue lies below
+    0 by up to about (d + 1) eps times its trace, and ``eigvalsh`` reads an
+    eigenvalue to a few d eps.  The margin exceeds both, so a success means
+    every state's smallest eigenvalue lies above -1e-10 as ``eigvalsh``
+    reads it (for the states that pass the trace check, whose error comes
+    first).  Only when it fails does ``min_eigenvalues`` run, so the rule
+    (smallest eigenvalue below -1e-10) decides each failing state, and names
+    it, as ``eigvalsh`` reads it; a success allocates no eigenvalue mask.
     """
     m = np.asarray(m)
     real = m.dtype == np.float64
@@ -139,20 +160,22 @@ def _validated_states(m, dim_a: int, dim_b: int, ndim: int) -> np.ndarray:
         raise_first(~np.isfinite(m).all(axis=(-2, -1)), ValidationError,
                     lambda k: "density matrix has non-finite entries")
     bad_h = non_hermitian(m)
-    tr = np.trace(m, axis1=-2, axis2=-1, dtype=complex)  # summed as in the complex copy
-    bad_t = np.abs(tr - 1.0) > TRACE_ATOL
-    bad_w = np.zeros(m.shape[:-2], dtype=bool)
-    shift = EIGENVALUE_CLIP - 16 * (d + 1) * np.finfo(float).eps
+    off = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    bad_w = None
     try:
-        np.linalg.cholesky(m + shift * np.eye(d))
+        np.linalg.cholesky(m + _cholesky_shift(d))
     except np.linalg.LinAlgError:  # a state may lie below the clip: eigvalsh decides
         w = min_eigenvalues(m)
         bad_w = w < -EIGENVALUE_CLIP
-    if (bad_h | bad_t | bad_w).any():  # one test; the checks keep their order
+    if real and (bad_w is not None or off.max() > TRACE_ATOL / 2):
+        off = np.abs(np.trace(m, axis1=-2, axis2=-1, dtype=complex) - 1.0)
+    bad_t = off > TRACE_ATOL
+    if (bad_h | bad_t).any() or (bad_w is not None and bad_w.any()):  # the checks keep their order
         raise_first(bad_h, ValidationError,
                     lambda k: "density matrix is not Hermitian within tolerance")
+        tr = np.trace(m, axis1=-2, axis2=-1, dtype=complex).reshape(-1)
         raise_first(bad_t, ValidationError,
-                    lambda k: f"trace is {tr.reshape(-1)[k]}, expected 1 within {TRACE_ATOL}")
+                    lambda k: f"trace is {tr[k]}, expected 1 within {TRACE_ATOL}")
         raise_first(bad_w, ValidationError,
                     lambda k: f"minimum eigenvalue {w.reshape(-1)[k]:.3e} below "
                               f"-{EIGENVALUE_CLIP}")

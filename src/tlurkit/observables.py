@@ -158,9 +158,8 @@ class Frame:
         a, b = math.sqrt(db) * coeff[..., None, :, -1], math.sqrt(da) * coeff[..., -1, :, None]
         sums = np.empty(coeff.shape[:-2] + (4,))
         sums[..., 0], sums[..., 1], sums[..., 3] = self._local_sums(coeff, a, b)
-        for side, d in enumerate((da, db)):
-            if d == 1:  # only multiples of 1 act on the side: their variances are 0
-                sums[..., side] = 0.0
+        if 1 in (da, db):  # only multiples of 1 act on such a side: their variances are 0
+            sums[..., [side for side, d in enumerate((da, db)) if d == 1]] = 0.0
         sums[..., 2] = sums[..., 0] + sums[..., 1] + 2.0 * sums[..., 3]
         np.maximum(sums[..., :3], 0.0, out=sums[..., :3])
         bounds = (self.bound_a, self.bound_b)
@@ -184,7 +183,10 @@ class LocalObservableSet(Frame):
     as validated read-only stacks for the certifier.  The criteria read the
     real coordinate rows instead: ``coords_a`` (n + 1, d_A^2) holds
     alpha_k = coords(A_k) in the canonical LOO basis for k < n, then the
-    coordinates of sum_k A_k^2; ``coords_b`` likewise.
+    coordinates of sum_k A_k^2; ``coords_b`` likewise.  ``pair_product`` is
+    alpha^T beta of the rows k < n, flattened (d_A^2 d_B^2,), the one product
+    of the two sides that ``_local_sums`` reads: built once with the set,
+    read-only, so no record of a state or a stack rebuilds it.
     ``is_loo_pair`` is True when the certifier found both sides to be LOO
     sides (coordinate Gram 1), so that the LOO witnesses apply.
     """
@@ -196,15 +198,18 @@ class LocalObservableSet(Frame):
     provenance: BoundProvenance
     coords_a: np.ndarray = field(init=False, repr=False, compare=False)
     coords_b: np.ndarray = field(init=False, repr=False, compare=False)
+    pair_product: np.ndarray = field(init=False, repr=False, compare=False)
     is_loo_pair: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stack_a) != len(self.stack_b) or not len(self.stack_a):
             raise ValidationError("stack_a and stack_b must be non-empty and of equal length")
         a, b = hermitian_stack(self.stack_a), hermitian_stack(self.stack_b)
-        for name, value in (("stack_a", a), ("stack_b", b),
-                            ("coords_a", _coords(a, "side A")),
-                            ("coords_b", _coords(b, "side B"))):
+        coords_a, coords_b = _coords(a, "side A"), _coords(b, "side B")
+        pair_product = (coords_a[:-1].T @ coords_b[:-1]).reshape(-1)
+        pair_product.setflags(write=False)
+        for name, value in (("stack_a", a), ("stack_b", b), ("coords_a", coords_a),
+                            ("coords_b", coords_b), ("pair_product", pair_product)):
             object.__setattr__(self, name, value)
         for key in ("bound_a", "bound_b"):
             if not is_number(getattr(self, key)):
@@ -242,8 +247,7 @@ class LocalObservableSet(Frame):
         means_a = (a @ self.coords_a.T)[..., 0, :]  # <A_k>, then sum_k <A_k^2>
         means_b = (self.coords_b @ b)[..., 0]
         alpha, beta = means_a[..., :-1], means_b[..., :-1]
-        pair = self.coords_a[:-1].T @ self.coords_b[:-1]
-        cov = _dot(coeff.reshape(coeff.shape[:-2] + (-1,)), pair.reshape(-1)) - _dot(alpha, beta)
+        cov = _dot(coeff.reshape(coeff.shape[:-2] + (-1,)), self.pair_product) - _dot(alpha, beta)
         return means_a[..., -1] - _dot(alpha, alpha), means_b[..., -1] - _dot(beta, beta), cov
 
     @property

@@ -384,20 +384,21 @@ _BISECT_LEVELS = 5
 _BISECT_MIDPOINTS = 2 ** _BISECT_LEVELS - 1
 
 
-def _whole_levels(a: float, b: float) -> list[float]:
+def _whole_levels(a: float, b: float) -> tuple[list[float], list[float]]:
     """The midpoints of the first five levels of the bisection of (a, b),
-    level by level; an interval with no float strictly inside ends its
-    branch."""
-    mids, level = [], [(a, b)]
+    level by level, and a, those midpoints and b in increasing order; an
+    interval with no float strictly inside ends its branch."""
+    mids, spots = [], [a, b]
     for _ in range(_BISECT_LEVELS):
-        below = []
-        for x, y in level:
+        below = [a]
+        for x, y in zip(spots, spots[1:]):
             mid = 0.5 * (x + y)
             if x < mid < y:
                 mids.append(mid)
-                below += [(x, mid), (mid, y)]
-        level = below
-    return mids
+                below.append(mid)
+            below.append(y)
+        spots = below
+    return mids, spots
 
 
 def _guessed_path(a: float, m_a: float, b: float, m_b: float, tol: float) -> list[float]:
@@ -467,19 +468,21 @@ def bisect_threshold(family: str, param: str, lo: float, hi: float, criterion: s
         probed.update(zip(xs, zip(report.detected.tolist(), report.margin.tolist())))
 
     a, b = float(lo), float(hi)
-    probe([a, b, *_whole_levels(a, b)])
+    mids, spots = _whole_levels(a, b)
+    probe([a, b, *mids])
     (v_lo, m_a), (_, m_b) = probed[a], probed[b]
-    spots = sorted(probed.items())
-    crossings = [k for k in range(len(spots) - 1) if spots[k][1][0] != spots[k + 1][1][0]]
+    verdicts = [probed[x][0] for x in spots]
+    crossings = [k for k, (v, w) in enumerate(zip(verdicts, verdicts[1:])) if v != w]
     if not crossings:
         raise NoCrossingError(
             f"criterion '{criterion}' gives the same verdict (detected={v_lo}) "
             f"at {param}={lo} (margin {m_a}) and {param}={hi} (margin {m_b})")
     if len(crossings) > 1:
-        (x, (_, m_x)), (y, (_, m_y)) = spots[crossings[1]:crossings[1] + 2]
+        x, y = spots[crossings[1]:crossings[1] + 2]
         raise NonMonotonicMarginError(
             f"verdict crosses {len(crossings)} times at {len(spots)} points; offending "
-            f"pair {param}={x} (margin {m_x}) and {param}={y} (margin {m_y})")
+            f"pair {param}={x} (margin {probed[x][1]}) and {param}={y} "
+            f"(margin {probed[y][1]})")
 
     while b - a > tol and a < (mid := 0.5 * (a + b)) < b:
         if mid not in probed:

@@ -203,7 +203,7 @@ class StateFamily:
             raise ParameterRangeError(
                 f"unknown parameter(s) {unknown} for family '{self.name}'", state=0)
         # a rule: (mask of the points it passes, parameter, what it asks of (lo, hi), show)
-        rules, cols, passing = [], {}, np.ones(n, dtype=bool)
+        rules, cols, passing = [], {}, None  # None: no rule yet, every point passes
         for name, values in given.items():
             col, number = _float_column(values if name in columns else [values])
             lo, hi = self.params[name]
@@ -212,12 +212,13 @@ class StateFamily:
             else:
                 inside, asks = (lo <= col) & (col <= hi), "lie in [{}, {}]"
             rules += [(number, name, "be a number", repr), (inside, name, asks, str)]
-            passing &= inside  # a value that is not a number reads NaN, in no range
+            # a value that is not a number reads NaN, in no range
+            passing = inside if passing is None else passing & inside
             if name in self.integers:
                 rules.append((col == np.floor(col), name, "be an integer", str))
-                passing &= rules[-1][0]
+                passing = passing & rules[-1][0]
             cols[name] = col if name in columns else np.full(n, col[0])
-        first = n if passing.all() else int(passing.argmin())
+        first = n if passing is None or passing.all() else int(passing.argmin())
         dims = None
         if complete and first:  # the points before the first value failure
             missing = self.params.keys() - given.keys()

@@ -286,6 +286,13 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         ("scan", "--family", "horodecki_noise", "--param", "p", "--min", "0",
          "--max", "1", "--step", "0.5", "--criteria", "ppt", "--fix", "a=0.1", "--fix", "a=0.9"),
         ("evaluate", "--criterion", "ppt", "--state", "", "--state-file", str(state_file)),
+        # a single-valued flag given twice is refused, not overridden by its last value
+        ("--format", "csv", "evaluate", "--criterion", "ppt", "--criterion", "ccnr",
+         "--state", '{"family":"noisy_singlet","params":{"p":0.5}}',
+         "--state", '{"family":"noisy_singlet","params":{"p":0.0}}'),
+        ("bisect", "--family", "noisy_singlet", "--param", "p", "--lo", "0", "--hi", "1",
+         "--criterion", "ppt", "--tol", "0.1", "--tol", "0.3"),
+        ("--format", "json", "--format", "csv", "list-criteria"),
     ]
     fields = {  # a malformed field of a spec is named in the detail
         ("evaluate", "--obs", '{"builder":"loo_pair","params":"x"}', "--state",

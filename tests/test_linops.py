@@ -218,6 +218,48 @@ def test_a_bad_real_state_fails_as_its_complex_copy(case):
         assert "j)" in seen["matrix"][0][0]  # printed as a complex number
 
 
+_FAILURES = {  # a 2x2 state that fails one check, and the text it fails with
+    "non-finite": (np.diag([np.nan, 0.25, 0.25, 0.25]),
+                   "density matrix has non-finite entries"),
+    "non-Hermitian": (np.eye(4) / 4 + np.eye(4, k=1) * 0.01,
+                      "density matrix is not Hermitian within tolerance"),
+    "trace": (np.eye(4) * 0.375, "trace is (1.5+0j), expected 1 within 1e-10"),
+    "eigenvalue": (np.diag([0.5, 0.5, 0.1, -0.1]),
+                   "minimum eigenvalue -1.000e-01 below -1e-10"),
+}
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("case", sorted(_FAILURES))
+def test_a_real_stack_fails_exactly_as_its_complex_copy(case, dtype):
+    # a float64 input is checked in real arithmetic, a complex one in complex:
+    # each failure keeps its type, its text and error.state
+    bad, text = _FAILURES[case]
+    with pytest.raises(ValidationError) as err:
+        DensityMatrix(2, 2, bad.astype(dtype))
+    assert type(err.value) is ValidationError
+    assert (str(err.value), err.value.state) == (text, 0)
+    stack = np.array([np.eye(4) / 4, np.eye(4) / 4, bad]).astype(dtype)
+    with pytest.raises(ValidationError) as err:
+        DensityStack(2, 2, stack)
+    assert type(err.value) is ValidationError
+    assert (str(err.value), err.value.state) == (f"state 2: {text}", 2)
+
+
+def test_a_real_trace_near_the_tolerance_decides_as_the_complex_sum():
+    # a real trace more than 5e-11 from 1 is summed again as the complex copy
+    # sums it, so a state on either side of 1e-10 passes or fails as that copy
+    for excess, passes in ((0.7e-10, True), (0.99e-10, True), (1.01e-10, False)):
+        m = np.diag([0.25, 0.25, 0.25, 0.25 + excess])
+        for dtype in (float, complex):
+            stack = np.array([np.eye(4) / 4, m]).astype(dtype)
+            if passes:
+                DensityStack(2, 2, stack)
+            else:
+                with pytest.raises(ValidationError, match=r"^state 1: trace is \(1\.0000000001"):
+                    DensityStack(2, 2, stack)
+
+
 def _count_min_eigenvalues(monkeypatch) -> list:
     """The number of matrices each ``min_eigenvalues`` call of the validation
     takes."""

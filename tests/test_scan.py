@@ -356,12 +356,17 @@ def _count_builds(monkeypatch, limit=None):
 def test_bisect_builds_two_stacks_and_no_single_state(monkeypatch):
     # one stack for the endpoints and five whole levels, whatever tol is; at tol
     # 1e-4, then one for the other 9 of the 14 levels, on the path to the
-    # crossing the margins predict: 2 + 31 + 9 states, none evaluated twice
-    for tol, stacks, states in ((1e-4, 2, 42), (0.3, 1, 33)):
+    # crossing the margins predict: 2 + 31 + 9 states, none evaluated twice.
+    # The three criteria at tol 1e-4 are one operation of the benchmark's
+    # Example 2 workload: 6 stacks and 126 states
+    for criterion, tol, stacks, states in (("corollary1", 1e-4, 2, 42),
+                                           ("corollary1", 0.3, 1, 33),
+                                           ("nonlinear_witness", 1e-4, 2, 42),
+                                           ("ppt", 1e-4, 2, 42)):
         with monkeypatch.context() as m:
             counts = _count_builds(m)
-            bisect_threshold("noisy_singlet", "p", 0.0, 1.0, "corollary1", tol=tol)
-        assert counts == {"stack": stacks, "instantiate": 0, "states": states}, tol
+            bisect_threshold("noisy_singlet", "p", 0.0, 1.0, criterion, tol=tol)
+        assert counts == {"stack": stacks, "instantiate": 0, "states": states}, (criterion, tol)
 
 
 def test_bisect_below_the_float_spacing_stops(monkeypatch):
@@ -473,9 +478,10 @@ def test_a_later_stack_is_the_path_to_the_guessed_crossing(monkeypatch, step, to
 @pytest.mark.parametrize("a", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("criterion", ["lur", "tlur", "ccnr"])
 def test_fig1_bisections_take_one_windowed_stack_and_a_tail(monkeypatch, a, criterion):
-    # the default set of a 3x3 state is its Schmidt frame; the second stack is
-    # the path to the guessed crossing, and the walk ends in it: five whole
-    # levels a stack would take 33 + 31 + 31 + 3 states
+    # the default set of a 3x3 state is its Schmidt frame; the first stack is
+    # the spot check (the endpoints and five whole levels), the second the
+    # path of 12 midpoints to the crossing the margins predict, and the walk
+    # ends in it
     fixed = {"a": a}
     expected = oracle_bisect("horodecki_noise", "p", 0.9, 1.0, criterion, 1e-6, fixed)
     sizes = _stack_sizes(monkeypatch)
