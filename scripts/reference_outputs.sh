@@ -8,13 +8,16 @@
 # through many later stacks (on [0, 1]: corollary1 at tol 1e-300, ppt and
 # nonlinear_witness at tol 1e-12, and tlur on horodecki_noise at a = 0.05
 # at tol 1e-12), and single-state reports in JSON and CSV: `evaluate` of
-# tlur (default Schmidt set), lur (su_pair) and ppt; of lur, tlur, c_lur and
-# lemma1 on noisy_singlet at p = 0.9 with the declared Pauli set (sigma_x,
-# sigma_y, sigma_z on both sides, bounds 2 and 2); of nonlinear_witness and
+# tlur (default Schmidt set), lur (su_pair) and ppt; of lur, tlur, tlur_dual,
+# c_lur, c_tlur and lemma1 on noisy_singlet at p = 0.9 with the declared Pauli
+# set (sigma_x, sigma_y, sigma_z on both sides, bounds 2 and 2); of tlur_dual
+# with su_pair on the product state |00> given as a {"dims", "matrix"} spec,
+# where its margin is exactly 0.0 (not -0.0); of nonlinear_witness and
 # corollary1 with loo_pair on horodecki_noise at a = 0.5, p = 0.999; and
 # `cv-evaluate` of duan and corollary2 at a = 1 and a = -0.7.  The set
 # criteria among these read the one bound guard of their set's record
-# (Frame.moments).  Specs that carry every optional key of their kind, which
+# (Frame.moments), and the tightened ones its one signed form
+# (criteria._parts).  Specs that carry every optional key of their kind, which
 # the one kind rule (states.spec_kind) accepts, are pinned too: `evaluate`
 # of ppt on a {"dims", "matrix"} state, of lur with an su_pair builder of
 # params {"dim_a": 3, "pairing": "direct"} on horodecki_noise at a = 0.5,
@@ -60,6 +63,7 @@ paulis='[[[0,1],[1,0]], [[0,[0,-1]],[[0,1],0]], [[1,0],[0,-1]]]'
 pauli_obs="{\"opsA\": $paulis, \"opsB\": $paulis, \"boundA\": 2, \"boundB\": 2}"
 rho='[[0, 0, 0, 0], [0, 0.5, [0, -0.5], 0], [0, [0, 0.5], 0.5, 0], [0, 0, 0, 0]]'
 matrix_state="{\"dims\": [2, 2], \"matrix\": $rho}"
+product_state='{"dims": [2, 2], "matrix": [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}'
 su_direct_obs='{"builder": "su_pair", "params": {"dim_a": 3, "pairing": "direct"}}'
 cov='[[1, 0.2, 0, 0], [0.2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]'
 cv_specs=('vacuum-mean {"vacuum": {}, "mean": [1, 2, 3, 4]}' 'thermal {"thermal": [0.5, 1.0]}'
@@ -72,10 +76,12 @@ for format in json csv; do
     evaluate --criterion lur --state "$singlet_state" --obs su_pair
   "${cli[@]}" --out "$out/evaluate-ppt.$format" \
     evaluate --criterion ppt --state "$singlet_state"
-  for criterion in lur tlur c_lur lemma1; do
+  for criterion in lur tlur tlur_dual c_lur c_tlur lemma1; do
     "${cli[@]}" --out "$out/evaluate-$criterion-paulis.$format" \
       evaluate --criterion "$criterion" --state "$singlet09_state" --obs "$pauli_obs"
   done
+  "${cli[@]}" --out "$out/evaluate-tlur_dual-su_pair-product.$format" \
+    evaluate --criterion tlur_dual --state "$product_state" --obs su_pair
   for criterion in nonlinear_witness corollary1; do
     "${cli[@]}" --out "$out/evaluate-$criterion-loo_pair.$format" \
       evaluate --criterion "$criterion" --state "$tlur_state" --obs loo_pair

@@ -1,38 +1,40 @@
 """Discrete-variable separability criteria.
 
 All evaluators return a ``CriterionReport`` whose margin is the amount of
-violation (positive means entanglement detected):
+violation (positive means entanglement detected).  Every set criterion is a
+closed form of one record, ``obs.moments(rho)`` (``observables.Moments``):
+per state, the local sums sum_k Var(A_k) and sum_k Var(B_k), the joint sum
+sum_k Var(A_k (x) 1 + 1 (x) B_k) = U_A + U_B + e_A + e_B + 2c and
+c = sum_k Cov(A_k, B_k), where e_X is the excess of side X's local sum over
+its bound U_X.  The frame ``obs`` (a ``LocalObservableSet`` or a
+``SchmidtFrame``) reads them from the state's real LOO coefficient matrix;
+``obs`` may also be that record, which is how ``scan.Plan.evaluate`` reads
+it once for all its criteria.  The margins:
 
-* ``eval_lur``: joint variance sum against the sum of local bounds,
-  sum_k Var(A_k (x) 1 + 1 (x) B_k) >= U_A + U_B for separable states.
-* ``eval_tlur``: same left-hand side against U_A + U_B + M^2, where
-  M = sqrt(sum Var(A_k)_rhoA - U_A) - sqrt(sum Var(B_k)_rhoB - U_B).
-* ``eval_tlur_dual``: the matching upper bound with (sqrt + sqrt)^2;
-  separable states cannot exceed it.
-* ``eval_lemma1``: sqrt of the product of local excesses plus/minus the
-  cross-covariance sum must be nonnegative for separable states.
-* ``eval_nonlinear_witness`` / ``eval_corollary1``: the LOO witnesses, LUR
-  and TLUR on an LOO pair A_k = G_k^A, B_k = -G_k^B (a set whose
-  ``is_loo_pair`` holds).  A complete LOO side has sum_k Var(G_k) =
-  d - Tr rho_X^2, so with U_X = d_X - 1 the witness is half the LUR excess
-  lhs - U_A - U_B, and corollary 1, half the TLUR excess lhs - U_A - U_B -
-  M^2, subtracts the purity-difference term M^2/2 and is never weaker.
+* ``eval_lur``: the joint sum against U_A + U_B, -(e_A + e_B) - 2c.
+* ``eval_tlur``: against U_A + U_B + M^2, M = sqrt(e_A) - sqrt(e_B),
+  -2(sqrt(e_A e_B) + c).
+* ``eval_tlur_dual``: the TLUR of (A, -B), an upper bound U_A + U_B +
+  (sqrt(e_A) + sqrt(e_B))^2 that separable states cannot exceed,
+  2(c - sqrt(e_A e_B)).
+* ``eval_lemma1``: sqrt(e_A e_B) +/- c >= 0, half the larger of those two.
+* ``eval_nonlinear_witness`` / ``eval_corollary1``: the LOO witnesses, half
+  the LUR and the TLUR margin of an LOO pair A_k = G_k^A, B_k = -G_k^B (a
+  set whose ``is_loo_pair`` holds) against U_X = d_X - 1, the minimum of
+  sum_k Var(G_k) = d - Tr rho_X^2; corollary 1 is never weaker.
 * ``eval_ppt`` / ``eval_ccnr``: standard comparators.
 
-Every set criterion is a closed form of one record, ``obs.moments(rho)``
-(``observables.Moments``): per state, sum_k Var(A_k), sum_k Var(B_k), the
-joint sum and sum_k Cov(A_k, B_k), read by the frame ``obs`` (a
-``LocalObservableSet`` or a ``SchmidtFrame``) from the state's real LOO
-coefficient matrix.  ``obs`` may also be that record, which is how
-``scan.Plan.evaluate`` reads it once for all its criteria.
+Weighting side B by t > 0 scales its bound by t^2, so LUR on (A, tB) has
+margin -e_A - t^2 e_B - 2tc, at most t times the TLUR margin, with equality
+at t* = sqrt(e_A / e_B): TLUR is LUR at its best relative weight of the two
+sides, and detects whatever LUR detects at any weight.
 
 Every evaluator takes a ``DensityMatrix`` or a ``DensityStack`` of N states
 and runs the same closed forms on either: the report holds the N results as
 arrays, or the one state's as Python numbers.  A set criterion on a stack
-takes one set (or frame) for all N states.
-
-The record refuses a local sum more than 1e-9 below its side's bound; the
-criteria only compute, clipping smaller deficits to zero before square roots.
+takes one set (or frame) for all N states.  The record refuses a local sum
+more than 1e-9 below its side's bound; the criteria only compute, clipping
+smaller deficits to zero before square roots.
 """
 
 from __future__ import annotations
@@ -68,48 +70,48 @@ def eval_lur(rho, obs: Observables):
                            {"variance_sum": lhs, "U_A": m.bound_a, "U_B": m.bound_b})
 
 
-def _tlur_parts(m: Moments, bounds=None) -> dict:
-    """Joint and local variance sums, the excesses of the local sums over
-    ``bounds`` (U_A, U_B), by default the set's own, clipped at zero, and M;
-    one entry per state.  The record has refused any local sum more than
-    round-off below the set's own bounds."""
-    u_a, u_b = bounds = bounds or (m.bound_a, m.bound_b)
-    deficit = m.sums[..., :2] - bounds
-    excess = np.maximum(deficit, 0.0)
+def _parts(rho, obs: Observables, loo: str = "") -> tuple[dict, np.ndarray]:
+    """The components every tightened criterion reports (the sums, bounds,
+    excesses clipped at 0 and M), then c, per state.  The bounds are the set's,
+    or for the LOO witness named ``loo`` the exact d_X - 1 of a complete LOO
+    side (a declared one may carry lower bounds)."""
+    m = obs.moments(rho)
+    if loo and not m.is_loo_pair:
+        raise ValidationError(f"criterion '{loo}' needs complete LOO bases on both sides")
+    u_a, u_b = bounds = (m.dim_a - 1.0, m.dim_b - 1.0) if loo else (m.bound_a, m.bound_b)
+    excess = np.maximum(m.sums[..., :2] - bounds, 0.0)
     roots = np.sqrt(excess)
-    return {
-        "variance_sum": m.sums[..., 2],
-        "U_A": u_a,
-        "U_B": u_b,
-        "local_variance_sum_A": m.sums[..., 0],
-        "local_variance_sum_B": m.sums[..., 1],
-        "excess_A": excess[..., 0],
-        "excess_B": excess[..., 1],
-        "M": roots[..., 0] - roots[..., 1],
-    }
+    return {"variance_sum": m.sums[..., 2], "U_A": u_a, "U_B": u_b,
+            "local_variance_sum_A": m.sums[..., 0], "local_variance_sum_B": m.sums[..., 1],
+            "excess_A": excess[..., 0], "excess_B": excess[..., 1],
+            "M": roots[..., 0] - roots[..., 1]}, m.sums[..., 3]
+
+
+def _tightened(name: str, rho, obs: Observables, s: int) -> CriterionReport:
+    """The joint sum against U_A + U_B + (sqrt(e_A) - s sqrt(e_B))^2, a lower
+    bound for s = 1 (TLUR) and an upper one for s = -1; margin s rhs - s lhs."""
+    c, _ = _parts(rho, obs)
+    lhs = c["variance_sum"]
+    rhs = c["U_A"] + c["U_B"] + (np.sqrt(c["excess_A"]) - s * np.sqrt(c["excess_B"])) ** 2
+    return CriterionReport(name, lhs, rhs, s * rhs - s * lhs, c)
 
 
 def eval_tlur(rho, obs: Observables):
     """Tightened criterion: separable bound raised by M^2."""
-    c = _tlur_parts(obs.moments(rho))
-    rhs = c["U_A"] + c["U_B"] + c["M"] ** 2
-    return CriterionReport("tlur", c["variance_sum"], rhs, rhs - c["variance_sum"], c)
+    return _tightened("tlur", rho, obs, 1)
 
 
 def eval_tlur_dual(rho, obs: Observables):
     """Dual upper bound; violation iff lhs exceeds U_A + U_B + (sqrt+sqrt)^2."""
-    c = _tlur_parts(obs.moments(rho))
-    rhs = c["U_A"] + c["U_B"] + (np.sqrt(c["excess_A"]) + np.sqrt(c["excess_B"])) ** 2
-    return CriterionReport("tlur_dual", c["variance_sum"], rhs, c["variance_sum"] - rhs, c)
+    return _tightened("tlur_dual", rho, obs, -1)
 
 
 def eval_lemma1(rho, obs: Observables):
-    """sqrt(excess_A * excess_B) +/- cross-covariance sum >= 0, both signs."""
-    m = obs.moments(rho)
-    c = _tlur_parts(m)
-    ea, eb, cov = c["excess_A"], c["excess_B"], m.sums[..., 3]
+    """sqrt(e_A e_B) + s c >= 0 for both signs s = +/-1."""
+    c, cov = _parts(rho, obs)
+    ea, eb = c["excess_A"], c["excess_B"]
     root = np.sqrt(ea * eb)
-    value_plus, value_minus = root + cov, root - cov
+    value_plus, value_minus = (root + s * cov for s in (1, -1))
     lhs = np.minimum(value_plus, value_minus)
     components = {
         "sqrt_term": root, "covariance_sum": cov,
@@ -120,31 +122,23 @@ def eval_lemma1(rho, obs: Observables):
     return CriterionReport("lemma1", lhs, 0.0, -lhs, components)
 
 
-def _loo_parts(m: Moments, name: str) -> dict:
-    """TLUR parts of an LOO pair against U_X = d_X - 1, the exact minimum of a
-    complete LOO side (a declared side may carry a lower bound)."""
-    if not m.is_loo_pair:
-        raise ValidationError(f"criterion '{name}' needs complete LOO bases on both sides")
-    return _tlur_parts(m, (m.dim_a - 1.0, m.dim_b - 1.0))
+def _loo_witness(name: str, rho, obs: Observables, tight: int) -> CriterionReport:
+    """Half the LUR (tight = 0) or TLUR (tight = 1) excess of an LOO pair,
+    lhs - U_A - U_B - tight M^2: separable => value >= 0."""
+    c, _ = _parts(rho, obs, name)
+    value = (c["variance_sum"] - c["U_A"] - c["U_B"] - tight * c["M"] ** 2) / 2
+    return CriterionReport(name, value, 0.0, -value, c)
 
 
 def eval_nonlinear_witness(rho, obs: Observables):
-    """LOO witness 1 - sum_k <G_k^A (x) G_k^B> - sum_k (<G_k^A> - <G_k^B>)^2 / 2
-    on an LOO pair A_k = G_k^A, B_k = -G_k^B: half the LUR excess
-    lhs - U_A - U_B.  Separable => value >= 0."""
-    c = _loo_parts(obs.moments(rho), "nonlinear_witness")
-    value = (c["variance_sum"] - c["U_A"] - c["U_B"]) / 2
-    return CriterionReport("nonlinear_witness", value, 0.0, -value, c)
+    """LOO witness 1 - sum_k <G_k^A (x) G_k^B> - sum_k (<G_k^A> - <G_k^B>)^2 / 2."""
+    return _loo_witness("nonlinear_witness", rho, obs, 0)
 
 
 def eval_corollary1(rho, obs: Observables):
     """Corollary 1: the LOO witness less the purity-difference term
-    (sqrt(1 - Tr rho_A^2) - sqrt(1 - Tr rho_B^2))^2 / 2, i.e. half the TLUR
-    excess lhs - U_A - U_B - M^2.  Separable => value >= 0; never weaker than
-    ``eval_nonlinear_witness``."""
-    c = _loo_parts(obs.moments(rho), "corollary1")
-    value = (c["variance_sum"] - c["U_A"] - c["U_B"] - c["M"] ** 2) / 2
-    return CriterionReport("corollary1", value, 0.0, -value, c)
+    (sqrt(1 - Tr rho_A^2) - sqrt(1 - Tr rho_B^2))^2 / 2."""
+    return _loo_witness("corollary1", rho, obs, 1)
 
 
 def eval_ppt(rho):
@@ -163,14 +157,13 @@ def eval_ccnr(rho):
 def eval_measure(rho, obs: Observables, which: str):
     """The estimate ``which`` ("c_lur" or "c_tlur") as a criterion whose
     margin is the estimate itself; its components hold both estimates."""
-    c = _tlur_parts(obs.moments(rho))
+    c, _ = _parts(rho, obs)
     u_sum = c["U_A"] + c["U_B"]
     if u_sum <= 0.0:
         raise ParameterRangeError("measures need a positive bound sum U_A + U_B")
-    c_lur = 1.0 - c["variance_sum"] / u_sum
-    c_tlur = 1.0 - (c["variance_sum"] - c["M"] ** 2) / u_sum
-    value = c_lur if which == "c_lur" else c_tlur
-    return CriterionReport(which, value, 0.0, value, {"c_lur": c_lur, "c_tlur": c_tlur})
+    measures = {"c_lur": 1.0 - c["variance_sum"] / u_sum,
+                "c_tlur": 1.0 - (c["variance_sum"] - c["M"] ** 2) / u_sum}
+    return CriterionReport(which, measures[which], 0.0, measures[which], measures)
 
 
 def entanglement_measures(rho, obs: Observables):

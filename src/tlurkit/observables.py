@@ -149,7 +149,8 @@ class Frame:
         = (<G_i>) as a row and b = sqrt(d_A) C[-1, :] = (<H_j>) as a column.  The
         local sum of a side of dimension 1 is exactly 0, not its round-off.  The
         first state whose local sum undercuts its side's bound by more than
-        ``DETECTION_TOL`` raises ``InvalidBoundError``: the one guard on bounds."""
+        ``DETECTION_TOL`` raises ``InvalidBoundError``, naming the first side
+        it undercuts: the one guard on bounds."""
         self.check_dims(rho.dims)
         da, db = rho.dims
         coeff = loo_coefficients(rho)
@@ -163,13 +164,13 @@ class Frame:
         sums[..., 2] = sums[..., 0] + sums[..., 1] + 2.0 * sums[..., 3]
         np.maximum(sums[..., :3], 0.0, out=sums[..., :3])
         bounds = (self.bound_a, self.bound_b)
-        bad = sums[..., :2] - bounds < -DETECTION_TOL
-        if bad.any():
-            side = int(bad.reshape(-1, 2).any(axis=0).argmax())
-            raise_first(bad[..., side], InvalidBoundError, lambda k: (
-                f"side {'AB'[side]}: local variance sum {sums[..., side].reshape(-1)[k]} "
-                f"undercuts the declared bound {bounds[side]} beyond round-off; "
-                "bound is not valid"))
+        bad = (sums[..., :2] - bounds < -DETECTION_TOL).reshape(-1, 2)
+        if bad.any():  # the first failing state, on its first failing side
+            side = bad.argmax(axis=1)
+            raise_first(bad.any(axis=1), InvalidBoundError, lambda k: (
+                f"side {'AB'[side[k]]}: local variance sum "
+                f"{sums[..., :2].reshape(-1, 2)[k, side[k]]} undercuts the declared bound "
+                f"{bounds[side[k]]} beyond round-off; bound is not valid"))
         sums.setflags(write=False)
         return Moments(rho, sums, *bounds, da, db, self.is_loo_pair)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     I2, PX, PY, PZ, bisect_root, corollary1_closed, oracle_loo_witness,
-    oracle_variance_sums, random_dm_array, random_herm, witness_closed,
+    oracle_partial_trace, oracle_variance_sums, random_dm_array, random_herm, witness_closed,
 )
 from tlurkit import (
     DensityMatrix, DensityStack, entanglement_measures, eval_ccnr, eval_corollary1,
@@ -14,7 +14,7 @@ from tlurkit import (
 )
 from tlurkit.criteria import eval_measure, loo_bases_from_set
 from tlurkit.errors import DimensionMismatchError, InvalidBoundError, ValidationError
-from tlurkit.observables import BoundProvenance, LocalObservableSet
+from tlurkit.observables import BoundProvenance, LocalObservableSet, SchmidtFrame
 from tlurkit.scan import DV_CRITERIA
 from tlurkit.linops import HermitianOperator
 from tlurkit.states import (
@@ -386,11 +386,26 @@ def test_invalid_bound_surfaces_on_real_state():
         joint_variance_sum(rho, obs)
 
 
+def _first_failing_state(rho, obs):
+    """The text and index of the first state of a stack whose record fails
+    alone, as the stack names it."""
+    for k, matrix in enumerate(rho.states):
+        try:
+            obs.moments(DensityMatrix(*rho.dims, matrix))
+        except InvalidBoundError as exc:
+            return f"state {k}: {exc}", k
+    raise AssertionError("no state fails")
+
+
 def test_every_set_criterion_reads_the_one_bound_guard():
     # the Pauli generators with U_A forced 5e-9 above their minimum 2: |00>
     # has local sum 2 on side A, so lur (whose margin would read 5e-9, a
     # detection) and every other set criterion refuse the set, naming the
-    # first such state
+    # first such state.  The Pauli generators scaled by 1e4, bounds 2e8, on 40
+    # random pure product states: round-off takes some local sums below the
+    # bound, on side A or on side B; the stack names the first state that
+    # fails alone, on its first failing side (state 0, side B, though later
+    # states fail on side A)
     paulis = [PX, PY, PZ]
     obs = LocalObservableSet(paulis, paulis, 2.0, 2.0, BoundProvenance("declared"))
     object.__setattr__(obs, "bound_a", 2.000000005)
@@ -399,17 +414,25 @@ def test_every_set_criterion_reads_the_one_bound_guard():
     product, mixed = np.outer(ket, ket), np.eye(4) / 4
     text = ("side A: local variance sum 2.0 undercuts the declared bound 2.000000005 "
             "beyond round-off; bound is not valid")
+    scaled = [1e4 * p for p in paulis]
+    scaled = LocalObservableSet(scaled, scaled, 2e8, 2e8, BoundProvenance("declared"))
+    products = DensityStack(2, 2, [random_separable((2, 2), 1, seed).matrix
+                                   for seed in range(40)])
+    first, k = _first_failing_state(products, scaled)
+    assert k == 0 and first.startswith("state 0: side B: ")
     evaluators = (eval_lur, eval_tlur, eval_tlur_dual, eval_lemma1, joint_variance_sum,
                   lambda rho, o: eval_measure(rho, o, "c_lur"))
-    for rho, message, state in (
-            (DensityMatrix(2, 2, product), text, 0),
-            (DensityStack(2, 2, [mixed, mixed, product, product]), f"state 2: {text}", 2)):
+    stack = DensityStack(2, 2, [mixed, mixed, product, product])
+    assert _first_failing_state(stack, obs) == (f"state 2: {text}", 2)
+    for rho, frame, message, state in ((DensityMatrix(2, 2, product), obs, text, 0),
+                                       (stack, obs, f"state 2: {text}", 2),
+                                       (products, scaled, first, k)):
         for evaluate in evaluators:
             with pytest.raises(InvalidBoundError) as err:
-                evaluate(rho, obs)
+                evaluate(rho, frame)
             assert str(err.value) == message and err.value.state == state
         with pytest.raises(InvalidBoundError) as err:
-            obs.moments(rho)
+            frame.moments(rho)
         assert str(err.value) == message and err.value.state == state
 
 
@@ -422,3 +445,169 @@ def test_report_serialization_roundtrip():
     assert back["criterion"] == "tlur"
     assert back["detected"] is True
     assert abs(back["components"]["M"] - rep.components["M"]) < 1e-15
+
+
+# -- the tightened criteria are one signed closed form of the record ------------
+
+IDENTITY_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
+
+
+def _random_stack(seed, da, db, n=12):
+    """n random states of one bipartition, of every rank from 1 to full in turn."""
+    rng = np.random.default_rng(seed)
+    return DensityStack(da, db, np.array([random_mixed_state(da * db, rng, 1 + k % (da * db))
+                                          for k in range(n)]))
+
+
+def _builder_sets(da, db):
+    """Every builder's set of a bipartition, the Schmidt frame among them."""
+    sets = {"schmidt_loo_pair": SchmidtFrame(da, db)}
+    for pairing in ("conjugate", "direct"):
+        sets[f"loo_pair-{pairing}"] = loo_pair(da, db, pairing=pairing)
+        sets[f"su_pair-{pairing}"] = su_pair(da, db, pairing=pairing)
+    if (da, db) == (2, 2):
+        sets["pauli_loo_pair"] = PAULI_PAIR
+    return sets
+
+
+@pytest.mark.parametrize("dims", IDENTITY_DIMS)
+def test_every_set_margin_is_one_signed_form_of_the_record(dims):
+    # with e_X = sum_k Var(X_k) - U_X and c = sum_k Cov(A_k, B_k): lur is
+    # -(e_A + e_B) - 2c, tlur -2(sqrt(e_A e_B) + c), tlur_dual 2(c - sqrt(e_A e_B)),
+    # lemma1 half the larger of the two; on an LOO pair, against U_X = d_X - 1
+    # (e_X = 1 - Tr rho_X^2), corollary1 is half the tlur margin and
+    # nonlinear_witness half the lur margin
+    da, db = dims
+    rho = _random_stack(da * 10 + db, da, db)
+    purity = np.array([[np.trace(np.linalg.matrix_power(
+        oracle_partial_trace(m, da, db, traced), 2)).real for traced in "BA"]
+        for m in rho.states])
+    for name, obs in _builder_sets(da, db).items():
+        m = obs.moments(rho)
+        ea, eb = np.maximum(m.sums[:, :2] - (m.bound_a, m.bound_b), 0.0).T
+        c = m.sums[:, 3]
+        tlur, dual = -2.0 * (np.sqrt(ea * eb) + c), 2.0 * (c - np.sqrt(ea * eb))
+        want = {"lur": -(ea + eb) - 2.0 * c, "tlur": tlur, "tlur_dual": dual,
+                "lemma1": np.maximum(tlur, dual) / 2.0}
+        if obs.is_loo_pair:
+            ea, eb = (1.0 - purity).T
+            want["corollary1"] = -(np.sqrt(ea * eb) + c)
+            want["nonlinear_witness"] = -(ea + eb + 2.0 * c) / 2.0
+        assert obs.is_loo_pair == name.startswith(("schmidt", "loo", "pauli"))
+        for criterion, margin in want.items():
+            np.testing.assert_allclose(DV_CRITERIA[criterion].evaluate(rho, obs).margin,
+                                       margin, rtol=0, atol=1e-12, err_msg=(name, criterion))
+
+
+def _weighted(obs, t):
+    """The declared set (A, tB) with bounds (U_A, t^2 U_B)."""
+    return LocalObservableSet(obs.stack_a, t * obs.stack_b, obs.bound_a, t * t * obs.bound_b,
+                              BoundProvenance("declared"))
+
+
+@pytest.mark.parametrize("dims", IDENTITY_DIMS)
+def test_tlur_is_lur_at_the_best_side_weight(dims):
+    # the lur margin of (A, tB) is -e_A - t^2 e_B - 2tc, which by AM-GM is at
+    # most t times the tlur margin -2(sqrt(e_A e_B) + c), with equality at the
+    # best weight t* = sqrt(e_A / e_B): so away from the deadband lur detects
+    # on (A, t* B) iff tlur detects on (A, B), and no weight detects more
+    da, db = dims
+    rho = _random_stack(da * 10 + db + 1, da, db)
+    verdicts = set()
+    for name, obs in _builder_sets(da, db).items():
+        for matrix in rho.states:
+            one = DensityMatrix(da, db, matrix)
+            ops = schmidt_loo_pair(one) if isinstance(obs, SchmidtFrame) else obs
+            tlur = eval_tlur(one, ops)
+            ea, eb = tlur.components["excess_A"], tlur.components["excess_B"]
+            if min(ea, eb) < 1e-6:
+                continue  # t* is 0 or unbounded
+            t = np.sqrt(ea / eb)
+            lur = eval_lur(one, _weighted(ops, t))
+            assert abs(lur.margin - t * tlur.margin) <= 1e-12 * max(1.0, t * t), name
+            for w in (0.5 * t, 0.9 * t, 1.0, 1.1 * t, 2.0 * t):
+                assert eval_lur(one, _weighted(ops, w)).margin <= w * tlur.margin + 1e-12
+            if min(abs(tlur.margin), abs(lur.margin)) > 1e-6:
+                assert lur.detected == tlur.detected, name
+                verdicts.add(tlur.detected)
+    assert verdicts == {True, False}
+
+
+# -- symmetries every criterion respects ---------------------------------------
+
+
+def _unitary(d, rng):
+    """A Haar-random unitary: the QR of a complex Gaussian, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def _states(draw):
+    """One state or a stack of up to three, of dims up to 3x4, each state of a
+    rank from 1 to full, and a generator for the unitaries."""
+    da, db = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    ranks = draw(st.lists(st.integers(1, da * db), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = np.array([random_mixed_state(da * db, rng, rank) for rank in ranks])
+    if len(ranks) == 1 and draw(st.booleans()):
+        return DensityMatrix(da, db, mats[0]), rng
+    return DensityStack(da, db, mats), rng
+
+
+def _conjugated(rho, u, dims=None):
+    """u rho u^dagger, of each state of a stack, as the type of ``rho``."""
+    return type(rho)(*(dims or rho.dims), u @ rho.states @ u.conj().T)
+
+
+def _schmidt_margins(rho):
+    """The margins of ppt, ccnr and every set criterion on the Schmidt frame."""
+    frame = SchmidtFrame(*rho.dims)
+    return {name: np.asarray(entry.evaluate(rho, frame if entry.needs_obs else None).margin)
+            for name, entry in DV_CRITERIA.items()}
+
+
+def _assert_same_margins(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@given(_states())
+@settings(max_examples=40, deadline=None)
+def test_margins_are_unchanged_by_local_unitaries(case):
+    rho, rng = case
+    u = np.kron(_unitary(rho.dim_a, rng), _unitary(rho.dim_b, rng))
+    _assert_same_margins(_schmidt_margins(_conjugated(rho, u)), _schmidt_margins(rho))
+
+
+@given(_states())
+@settings(max_examples=40, deadline=None)
+def test_margins_are_unchanged_by_swapping_the_parties(case):
+    rho, _ = case
+    da, db = rho.dims
+    swap = np.zeros((da * db, da * db))
+    for i in range(da):
+        for j in range(db):
+            swap[j * da + i, i * db + j] = 1.0
+    _assert_same_margins(_schmidt_margins(_conjugated(rho, swap, (db, da))),
+                         _schmidt_margins(rho))
+
+
+@given(_states(), st.sampled_from([loo_pair, su_pair]), st.sampled_from(["conjugate", "direct"]))
+@settings(max_examples=40, deadline=None)
+def test_a_declared_set_moves_with_the_state(case, builder, pairing):
+    # a criterion on (U_A (x) U_B) rho (U_A (x) U_B)^dagger with the set S
+    # equals the criterion on rho with (U_A^dagger A_k U_A, U_B^dagger B_k U_B)
+    rho, rng = case
+    (da, db), (ua, ub) = rho.dims, (_unitary(d, rng) for d in rho.dims)
+    built = builder(da, db, pairing=pairing)
+    moved = LocalObservableSet(ua.conj().T @ built.stack_a @ ua, ub.conj().T @ built.stack_b @ ub,
+                               built.bound_a, built.bound_b, BoundProvenance("declared"))
+    assert built.is_loo_pair == moved.is_loo_pair == (builder is loo_pair)
+    turned = _conjugated(rho, np.kron(ua, ub))
+    for entry in SET_CRITERIA:
+        if built.is_loo_pair or entry.name not in LOO_ONLY:
+            np.testing.assert_allclose(entry.evaluate(turned, built).margin,
+                                       entry.evaluate(rho, moved).margin,
+                                       rtol=0, atol=1e-12, err_msg=entry.name)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from tlurkit import bisect_threshold, sweep
 from tlurkit.cli import main
 from tlurkit.errors import (
-    DimensionMismatchError, NoCrossingError, NonMonotonicMarginError, NumericalFailureError,
-    ParameterRangeError, SpecParseError, ValidationError,
+    DimensionMismatchError, InvalidBoundError, NoCrossingError, NonMonotonicMarginError,
+    NumericalFailureError, ParameterRangeError, SpecParseError, ValidationError,
 )
 from tlurkit.observables import SchmidtFrame, observables_from_spec, schmidt_loo_pair
 from tlurkit.report import CriterionReport
@@ -141,6 +141,19 @@ def test_sweep_propagates_errors_with_coordinates():
     with pytest.raises(ParameterRangeError) as err:
         sweep("horodecki", [GridAxis("a", 0.0, 1.0, 0.5)], ["ppt"])
     assert "point" in str(err.value)
+
+
+def test_a_sweep_names_the_first_state_a_bound_refuses_on_its_first_side():
+    # the Pauli generators scaled by 1e4, bounds 2e8: round-off takes the local
+    # sums of some random pure product states below a bound, of seed 0 first,
+    # on side B (of seed 4 on side A)
+    paulis = [[[0, 1e4], [1e4, 0]], [[0, [0, -1e4]], [[0, 1e4], 0]], [[1e4, 0], [0, -1e4]]]
+    spec = {"opsA": paulis, "opsB": paulis, "boundA": 2e8, "boundB": 2e8}
+    with pytest.raises(InvalidBoundError) as err:
+        sweep("random_separable", [GridAxis("seed", 0, 40, 1)], ["lur"], obs_spec=spec,
+              fixed_params={"n_terms": 1})
+    assert str(err.value).startswith("state 0: side B: local variance sum ")
+    assert str(err.value).endswith("(at random_separable point {'seed': 0.0})")
 
 
 def test_fixed_params_checked_before_the_fixed_set_is_built(monkeypatch):
